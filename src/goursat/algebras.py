@@ -14,6 +14,13 @@ from .terms import Signature
 
 
 class FiniteAlgebra:
+    """A finite algebra given by its operation tables.
+
+    An algebra is treated as immutable once built.  Its congruence
+    lattice, its quotients and its verbal congruences are memoised per
+    instance, so two equal algebras built separately share no results.
+    """
+
     def __init__(self, sig, n, tables, name=""):
         if n < 1:
             raise ValueError("carrier must be nonempty")
@@ -34,6 +41,7 @@ class FiniteAlgebra:
         self.n = n
         self.tables = clean
         self.name = name
+        self._memo = {}
 
     @classmethod
     def from_functions(cls, sig, n, funcs, name=""):
@@ -50,9 +58,6 @@ class FiniteAlgebra:
         for a in args:
             idx = idx * self.n + a
         return self.tables[sym][idx]
-
-    def op_table(self, sym):
-        return self.tables[sym]
 
     def structure_key(self):
         return (self.n, tuple(sorted((s, a) for s, a in self.sig)),
@@ -160,7 +165,16 @@ class QuotientMap:
 
 
 def quotient(alg, theta):
-    """Canonical quotient by a congruence; blocks indexed by ascending minimum."""
+    """Canonical quotient by a congruence; blocks indexed by ascending minimum.
+
+    Memoised per algebra by the blocks of theta once theta is proved a
+    congruence and the map a homomorphism; a non-congruence is refused on
+    every call.
+    """
+    key = ("quotient", theta.blocks)
+    hit = alg._memo.get(key)
+    if hit is not None:
+        return hit
     require_congruence(alg, theta)
     reps = [blk[0] for blk in theta.blocks]
     k = len(reps)
@@ -172,7 +186,8 @@ def quotient(alg, theta):
         )
     name = f"{alg.name or '?'}/{theta.to_literal()}"
     target = FiniteAlgebra(alg.sig, k, tables, name=name)
-    return QuotientMap(alg, theta, target, theta.index_of)
+    qm = alg._memo[key] = QuotientMap(alg, theta, target, theta.index_of)
+    return qm
 
 
 def kernel_pair(f):

@@ -56,7 +56,6 @@ class RunConfig:
     kv: bool = False
     max_size: int = 64
     clone_cap: int = 200_000
-    seed: Optional[int] = None  # reserved; the algorithms here are exact
 
 
 def _common_flags(sp):
@@ -65,8 +64,6 @@ def _common_flags(sp):
                     help="carrier bound for lattice enumeration (default 64)")
     sp.add_argument("--clone-cap", type=int, default=200_000, metavar="N",
                     help="table cap for clone generation (default 200000)")
-    sp.add_argument("--seed", type=int, default=None,
-                    help="reserved determinism seed (unused by exact algorithms)")
 
 
 def _build_parser():
@@ -147,7 +144,6 @@ def _config(args):
         kv=args.kv,
         max_size=args.max_size,
         clone_cap=args.clone_cap,
-        seed=args.seed,
     )
 
 
@@ -194,9 +190,6 @@ def _dot_text(lat):
 
 
 def cmd_con(cfg):
-    if cfg.dot:
-        with open(cfg.dot, "a", encoding="utf-8"):
-            pass  # writability probe before any long enumeration
     alg = load_algebra(cfg.inputs[0])
     lat = con_lattice(alg, max_size=cfg.max_size)
     if cfg.kv:

@@ -50,19 +50,17 @@ class SubvarietySpec:
         return (self.sig.key(), tuple(ident.key() for ident in self.identities))
 
 
-_DELTA_BAR_CACHE = {}
-
-
 def birkhoff_congruence(alg, spec):
     """Least congruence whose quotient satisfies every identity of the spec.
 
     Generates the pairs (lhs value, rhs value) over all assignments, then
     re-checks on the quotient and re-seeds until no violation remains.
+    Memoised per algebra by the spec's key.
     """
     if alg.sig != spec.sig:
         raise SignatureMismatchError("algebra and subvariety spec use different signatures")
-    cache_key = (alg.structure_key(), spec.key())
-    hit = _DELTA_BAR_CACHE.get(cache_key)
+    key = ("birkhoff", spec.key())
+    hit = alg._memo.get(key)
     if hit is not None:
         return hit
 
@@ -79,7 +77,7 @@ def birkhoff_congruence(alg, spec):
                 if left != right:
                     violations.append((left, right))
         if not violations:
-            _DELTA_BAR_CACHE[cache_key] = theta
+            alg._memo[key] = theta
             return theta
         reps = [blk[0] for blk in theta.blocks]
         lifted = [(reps[a], reps[b]) for a, b in violations]
@@ -298,9 +296,13 @@ def check_axioms(algs, spec, bounds=None):
             )
 
         quotients = [quotient(alg, p) for p in cons]
+        target_lattices = []
+        target_closures = []
         for qi, qm in enumerate(quotients):
             tlat = con_lattice(qm.target, max_size=bounds.max_carrier)
             tclosures = [closure_effective(qm.target, t, spec).closure for t in tlat.congruences]
+            target_lattices.append(tlat)
+            target_closures.append(tclosures)
             for ti, t in enumerate(tlat.congruences):
                 pulled = inverse_image(qm, t)
                 lhs = closures[lat.index(pulled)]
@@ -395,13 +397,10 @@ def check_axioms(algs, spec, bounds=None):
             sub, embed = subalgebra(alg, universe)
             for qi, qm in enumerate(quotients):
                 arrow = tuple(qm.mapping[e] for e in embed)
-                tlat = con_lattice(qm.target, max_size=bounds.max_carrier)
-                for t in tlat.congruences:
+                for t, tclosure in zip(target_lattices[qi].congruences, target_closures[qi]):
                     pulled = inverse_image_by_map(sub.n, arrow, t)
                     lhs = closure_effective(sub, pulled, spec).closure
-                    rhs = inverse_image_by_map(
-                        sub.n, arrow, closure_effective(qm.target, t, spec).closure
-                    )
+                    rhs = inverse_image_by_map(sub.n, arrow, tclosure)
                     tracker.record(
                         "3",
                         lhs.refines(rhs),
@@ -461,24 +460,14 @@ def roundtrip_check(alg, spec):
             witness={"part": "a", "detail": "reflection target has a non-closed diagonal"},
         )
 
-    discrete_cache = {}
-
-    def diagonal_closed(algebra):
-        key = algebra.structure_key()
-        if key not in discrete_cache:
-            discrete_cache[key] = birkhoff_congruence(algebra, spec) == Partition.discrete(
-                algebra.n
-            )
-        return discrete_cache[key]
-
     for s in con_lattice(alg).congruences:
         qm = quotient(alg, s)
         direct = birkhoff_congruence(qm.target, spec)
-        qualifying = [
-            t
-            for t in con_lattice(qm.target).congruences
-            if diagonal_closed(quotient(qm.target, t).target)
-        ]
+        qualifying = []
+        for t in con_lattice(qm.target).congruences:
+            image = quotient(qm.target, t).target
+            if birkhoff_congruence(image, spec) == Partition.discrete(image.n):
+                qualifying.append(t)
         derived = qualifying[0]
         for t in qualifying[1:]:
             derived = derived.meet(t)
@@ -505,7 +494,3 @@ def roundtrip_check(alg, spec):
                 },
             )
     return Verdict(True)
-
-
-def clear_caches():
-    _DELTA_BAR_CACHE.clear()

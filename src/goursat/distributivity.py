@@ -40,17 +40,17 @@ def check_axiom7(alg, spec, max_size=64):
     lat = con_lattice(alg, max_size=max_size)
     cons = lat.congruences
     quotients = [quotient(alg, p) for p in cons]
-    closed_meet = [
-        [closure_effective(alg, lat.meet(ri, si), spec).closure for si in range(len(cons))]
-        for ri in range(len(cons))
+    closures = [closure_effective(alg, p, spec).closure for p in cons]
+    closed_images = [
+        [closure_effective(qm.target, direct_image(qm, p), spec).closure for p in cons]
+        for qm in quotients
     ]
     for ri, r in enumerate(cons):
         for si, s in enumerate(cons):
-            for qm in quotients:
-                lhs = direct_image(qm, closed_meet[ri][si])
-                rhs = closure_effective(qm.target, direct_image(qm, r), spec).closure.meet(
-                    closure_effective(qm.target, direct_image(qm, s), spec).closure
-                )
+            closed_meet = closures[lat.meet_table[ri][si]]
+            for qi, qm in enumerate(quotients):
+                lhs = direct_image(qm, closed_meet)
+                rhs = closed_images[qi][ri].meet(closed_images[qi][si])
                 if lhs != rhs:
                     return Verdict(False, witness=(qm, r, s))
     return Verdict(True)
@@ -66,7 +66,7 @@ def closure_meet_identity_check(alg, spec, max_size=64):
     for ri in range(len(cons)):
         for si in range(len(cons)):
             lhs = closures[ri].meet(closures[si])
-            rhs = closure_effective(alg, lat.meet(ri, si), spec).closure
+            rhs = closures[lat.meet_table[ri][si]]
             if lhs != rhs:
                 return CheckStatus(FAIL, witness=(cons[ri], cons[si]))
     return CheckStatus(PASS)

@@ -80,11 +80,10 @@ class SearchOutcome:
 class CloneResult:
     """Ternary term operations generated so far, with their derivations."""
 
-    def __init__(self, n, arrays, derivations, depths, complete):
+    def __init__(self, n, arrays, derivations, complete):
         self.n = n
         self._arrays = arrays
         self.derivations = derivations
-        self.depths = depths
         self.complete = complete
         self._index = {arr.tobytes(): i for i, arr in enumerate(arrays)}
 
@@ -134,7 +133,7 @@ def _new_arg_tuples(total, start, arity):
 def _clone_rounds(alg, cap):
     """Drive the BFS one round at a time.
 
-    Yields (arrays, derivations, depths, new_ids, done, complete) after
+    Yields (arrays, derivations, new_ids, done, complete) after
     every round; stops after the fixpoint round or once cap tables exist.
     """
     n = alg.n
@@ -155,7 +154,7 @@ def _clone_rounds(alg, cap):
         if arity > 0
     }
 
-    arrays, derivations, depths = [], [], []
+    arrays, derivations = [], []
     known = {}
     for i, arr in enumerate(projections):
         key = arr.tobytes()
@@ -163,9 +162,8 @@ def _clone_rounds(alg, cap):
             known[key] = len(arrays)
             arrays.append(arr)
             derivations.append(("var", i))
-            depths.append(0)
     new_ids = list(range(len(arrays)))
-    yield arrays, derivations, depths, new_ids, False, False
+    yield arrays, derivations, new_ids, False, False
 
     depth = 0
     frontier_start = 0
@@ -188,7 +186,7 @@ def _clone_rounds(alg, cap):
                 if key not in known and key not in fresh:
                     fresh[key] = (arr, (sym, ids))
         if not fresh:
-            yield arrays, derivations, depths, [], True, True
+            yield arrays, derivations, [], True, True
             return
         ordered = sorted(fresh.items())
         room = cap - len(arrays)
@@ -201,19 +199,18 @@ def _clone_rounds(alg, cap):
             new_ids.append(len(arrays))
             arrays.append(arr)
             derivations.append(deriv)
-            depths.append(depth)
         if capped:
-            yield arrays, derivations, depths, new_ids, True, False
+            yield arrays, derivations, new_ids, True, False
             return
         frontier_start = total
-        yield arrays, derivations, depths, new_ids, False, False
+        yield arrays, derivations, new_ids, False, False
 
 
 def generate_clone3(alg, cap=200_000):
     """Run the clone BFS to its fixpoint (or the table cap)."""
-    for arrays, derivations, depths, _new, done, complete in _clone_rounds(alg, cap):
+    for arrays, derivations, _new, done, complete in _clone_rounds(alg, cap):
         if done:
-            return CloneResult(alg.n, arrays, derivations, depths, complete)
+            return CloneResult(alg.n, arrays, derivations, complete)
     raise AssertionError("clone stream ended without a final round")
 
 
@@ -234,7 +231,7 @@ def find_maltsev_term(alg, cap=200_000, reconstruct=True):
     """
     n = alg.n
     i_xyy, i_xxy, want_x, want_y = _maltsev_masks(n)
-    for arrays, derivations, _depths, new_ids, done, complete in _clone_rounds(alg, cap):
+    for arrays, derivations, new_ids, done, complete in _clone_rounds(alg, cap):
         for i in new_ids:
             arr = arrays[i]
             if np.array_equal(arr[i_xyy], want_x) and np.array_equal(arr[i_xxy], want_y):
@@ -256,7 +253,7 @@ def find_hm_terms(alg, cap=200_000, reconstruct=True):
     n = alg.n
     i_xyy, i_xxy, want_x, want_y = _maltsev_masks(n)
     p_ids, q_ids = [], []
-    for arrays, derivations, _depths, new_ids, done, complete in _clone_rounds(alg, cap):
+    for arrays, derivations, new_ids, done, complete in _clone_rounds(alg, cap):
         for i in new_ids:
             arr = arrays[i]
             if np.array_equal(arr[i_xyy], want_x):

@@ -445,15 +445,14 @@ class ConLattice:
         return out
 
 
-_CON_CACHE = {}
-
-
 def con_lattice(alg, max_size=64):
-    """Enumerate Con(alg): principal congruences closed under binary joins."""
+    """Enumerate Con(alg): principal congruences closed under binary joins.
+
+    Memoised per algebra; the carrier bound is checked on every call.
+    """
     if alg.n > max_size:
         raise CarrierBoundError(alg.n, max_size)
-    cache_key = alg.structure_key()
-    hit = _CON_CACHE.get(cache_key)
+    hit = alg._memo.get("con")
     if hit is not None:
         return hit
 
@@ -493,7 +492,7 @@ def con_lattice(alg, max_size=64):
                 row.append(lat.index(jn))
         join_table.append(tuple(row))
     lat.finish(meet_table, tuple(join_table))
-    _CON_CACHE[cache_key] = lat
+    alg._memo["con"] = lat
     return lat
 
 
@@ -518,7 +517,3 @@ def is_distributive(lat):
                         ),
                     )
     return Verdict(True)
-
-
-def clear_caches():
-    _CON_CACHE.clear()

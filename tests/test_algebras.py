@@ -85,10 +85,19 @@ def test_quotient_by_full_collapses():
 
 def test_quotient_rejects_non_congruence_with_witness():
     bad = Partition.from_literal("0 1|2 3", 4)
-    with pytest.raises(NotCongruenceError) as err:
-        quotient(Z4, bad)
-    assert err.value.symbol == "m"
-    assert err.value.pair == ((0, 0), (1, 1))
+    for _ in range(2):  # a refusal is never memoised
+        with pytest.raises(NotCongruenceError) as err:
+            quotient(Z4, bad)
+        assert err.value.symbol == "m"
+        assert err.value.pair == ((0, 0), (1, 1))
+
+
+def test_quotient_is_memoised_per_algebra():
+    alg = klein4()
+    for theta in con_lattice(alg).congruences:
+        qm = quotient(alg, theta)
+        assert quotient(alg, Partition(alg.n, theta.blocks)) is qm
+    assert con_lattice(alg) is con_lattice(alg)
 
 
 def test_kernel_pair_inverts_quotient_on_every_congruence():

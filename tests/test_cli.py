@@ -1,10 +1,12 @@
 import contextlib
 import io
+import os
 import subprocess
 import sys
 
 import pytest
 
+import goursat
 from goursat.algebras import save_algebra
 from goursat.cli import main
 from goursat.corpus import entry_by_name
@@ -50,6 +52,14 @@ def test_con_dot_export(files):
     assert text.count("label=") == 5
     assert text.count("->") == 6  # covering edges of the five-element diamond
     assert "dot written to" in out
+
+
+def test_con_dot_failed_run_leaves_no_file(files):
+    dot = files["root"] + "/z8.dot"
+    code, out, _ = run_cli("con", files["cyclic_group(8)"], "--max-size", "4", "--dot", dot)
+    assert code == 2
+    assert out == ""
+    assert not os.path.exists(dot)
 
 
 def test_con_respects_carrier_bound(files):
@@ -208,7 +218,11 @@ def test_every_subcommand_is_deterministic(files):
 
 def test_subprocess_entry_point(files):
     cmd = [sys.executable, "-m", "goursat", "corpus", "list"]
-    a = subprocess.run(cmd, capture_output=True)
-    b = subprocess.run(cmd, capture_output=True)
+    # the child imports the same goursat as this process, however it was found
+    src = os.path.dirname(os.path.dirname(goursat.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    a = subprocess.run(cmd, capture_output=True, env=env)
+    b = subprocess.run(cmd, capture_output=True, env=env)
     assert a.returncode == 0
     assert a.stdout == b.stdout

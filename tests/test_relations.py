@@ -208,6 +208,20 @@ def test_con_lattice_carrier_guard():
     assert len(con_lattice(small, max_size=4)) == 15
 
 
+def test_con_lattice_carrier_guard_survives_the_memo():
+    z8 = cyclic_group(8)
+    assert len(con_lattice(z8)) == 4
+    with pytest.raises(CarrierBoundError):
+        con_lattice(z8, max_size=4)
+    assert con_lattice(z8) is con_lattice(z8)
+
+
+def test_con_lattice_of_equal_algebras_built_apart():
+    first, second = boolean_ring(3), boolean_ring(3)
+    assert first == second and first is not second
+    assert con_lattice(first).congruences == con_lattice(second).congruences
+
+
 def test_con_lattice_closed_under_meet_and_join():
     for alg in (Z4, K4, heyting_chain(3)):
         lat = con_lattice(alg)
