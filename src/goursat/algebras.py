@@ -8,6 +8,8 @@ significant; the same convention fixes the .alg file layout.
 
 from itertools import product as iproduct
 
+import numpy as np
+
 from .errors import ParseError, SignatureMismatchError
 from .relations import Partition, require_congruence
 from .terms import Signature
@@ -59,6 +61,11 @@ class FiniteAlgebra:
             idx = idx * self.n + a
         return self.tables[sym][idx]
 
+    def table_array(self, sym):
+        """The table of sym as an array with one axis per argument."""
+        shape = (self.n,) * self.sig.arity(sym)
+        return np.asarray(self.tables[sym], dtype=np.intp).reshape(shape)
+
     def structure_key(self):
         return (self.n, tuple(sorted((s, a) for s, a in self.sig)),
                 tuple(sorted(self.tables.items())))
@@ -94,6 +101,11 @@ def product_decode(sizes, x):
     return tuple(reversed(out))
 
 
+def _digits(sizes):
+    """Row i holds the i-th component of every product element, in encoding order."""
+    return np.indices(sizes, dtype=np.intp).reshape(len(sizes), -1)
+
+
 def product(algs, sig=None):
     """Direct product; empty input yields the one-element algebra."""
     if algs:
@@ -106,21 +118,14 @@ def product(algs, sig=None):
     if not algs:
         tables = {sym: (0,) * (1**arity) for sym, arity in sig}
         return FiniteAlgebra(sig, 1, tables, name="1")
-    sizes = [a.n for a in algs]
-    n = 1
-    for size in sizes:
-        n *= size
+    digits = _digits([a.n for a in algs])
+    n = digits.shape[1]
     tables = {}
     for sym, arity in sig:
-        table = []
-        for args in iproduct(range(n), repeat=arity):
-            decoded = [product_decode(sizes, a) for a in args]
-            comps = tuple(
-                alg.apply(sym, tuple(d[i] for d in decoded))
-                for i, alg in enumerate(algs)
-            )
-            table.append(product_encode(sizes, comps))
-        tables[sym] = tuple(table)
+        table = 0
+        for alg, d in zip(algs, digits):
+            table = table * alg.n + alg.table_array(sym)[np.ix_(*(d,) * arity)]
+        tables[sym] = tuple(np.ravel(table).tolist())
     name = "x".join(a.name or "?" for a in algs)
     return FiniteAlgebra(sig, n, tables, name=name)
 
@@ -141,17 +146,17 @@ class QuotientMap:
             raise ValueError("mapping must be onto the target carrier")
         if kernel.n != source.n:
             raise ValueError("kernel must live on the source carrier")
-        for a in range(source.n):
-            for b in range(a + 1, source.n):
-                if (mapping[a] == mapping[b]) != kernel.relates(a, b):
-                    raise ValueError("mapping fibers do not match the kernel blocks")
+        if Partition.from_labels(source.n, mapping) != kernel:
+            raise ValueError("mapping fibers do not match the kernel blocks")
         if source.sig != target.sig:
             raise SignatureMismatchError("source and target signatures differ")
+        m = np.asarray(mapping, dtype=np.intp)
         for sym, arity in source.sig:
-            for args in iproduct(range(source.n), repeat=arity):
-                image = target.apply(sym, tuple(mapping[a] for a in args))
-                if image != mapping[source.apply(sym, args)]:
-                    raise ValueError(f"mapping is not a homomorphism at {sym!r}{args}")
+            image = target.table_array(sym)[np.ix_(*(m,) * arity)]
+            bad = np.argwhere(image != m[source.table_array(sym)])
+            if len(bad):
+                args = tuple(bad[0].tolist())
+                raise ValueError(f"mapping is not a homomorphism at {sym!r}{args}")
         self.source = source
         self.kernel = kernel
         self.target = target
@@ -176,16 +181,14 @@ def quotient(alg, theta):
     if hit is not None:
         return hit
     require_congruence(alg, theta)
-    reps = [blk[0] for blk in theta.blocks]
-    k = len(reps)
+    reps = np.asarray([blk[0] for blk in theta.blocks], dtype=np.intp)
+    index = np.asarray(theta.index_of, dtype=np.intp)
     tables = {}
     for sym, arity in alg.sig:
-        tables[sym] = tuple(
-            theta.index_of[alg.apply(sym, tuple(reps[b] for b in blocks))]
-            for blocks in iproduct(range(k), repeat=arity)
-        )
+        image = alg.table_array(sym)[np.ix_(*(reps,) * arity)]
+        tables[sym] = tuple(np.ravel(index[image]).tolist())
     name = f"{alg.name or '?'}/{theta.to_literal()}"
-    target = FiniteAlgebra(alg.sig, k, tables, name=name)
+    target = FiniteAlgebra(alg.sig, len(reps), tables, name=name)
     qm = alg._memo[key] = QuotientMap(alg, theta, target, theta.index_of)
     return qm
 
@@ -207,10 +210,9 @@ def factor_through(q1, q2):
 def projections(factors):
     """Product of the factors together with its projection quotient maps."""
     prod = product(factors)
-    sizes = [a.n for a in factors]
     maps = []
-    for i, alg in enumerate(factors):
-        mapping = tuple(product_decode(sizes, x)[i] for x in range(prod.n))
+    for alg, d in zip(factors, _digits([a.n for a in factors])):
+        mapping = tuple(d.tolist())
         kernel = Partition.from_labels(prod.n, mapping)
         maps.append(QuotientMap(prod, kernel, alg, mapping))
     return prod, maps

@@ -26,7 +26,6 @@ from .relations import (
     inverse_image,
     inverse_image_by_map,
     is_distributive,
-    join,
     require_congruence,
 )
 from .terms import eval_term, validate_term
@@ -157,7 +156,7 @@ def closure_by_component(alg, s, r_comp):
         raise NotPermutableError(
             "pair does not 2-permute, the composite formula does not apply", s, r_comp
         )
-    joined = join(alg, s, r_comp)
+    joined = s.join(r_comp)
     if raw != joined.as_binrel():
         raise GoursatHypothesisError(
             "permuting composite failed to equal the join",
@@ -345,7 +344,7 @@ def check_axioms(algs, spec, bounds=None):
             for i in range(len(cons)):
                 for j in range(i, len(cons)):
                     lhs = images[lat.join_table[i][j]]
-                    rhs = join(qm.target, images[i], images[j])
+                    rhs = images[i].join(images[j])
                     tracker.record(
                         "image_join",
                         lhs == rhs,
@@ -377,7 +376,7 @@ def check_axioms(algs, spec, bounds=None):
         for i in range(len(cons)):
             for j in range(i, len(cons)):
                 lhs = closures[lat.index(lat.join(i, j))]
-                rhs = join(alg, closures[i], closures[j])
+                rhs = closures[i].join(closures[j])
                 tracker.record(
                     "additivity",
                     lhs == rhs,

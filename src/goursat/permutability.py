@@ -14,7 +14,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import NotPermutableError
-from .relations import join, require_congruence
+from .relations import require_congruence
 from .terms import App, Var
 from .verdict import Verdict
 
@@ -52,7 +52,7 @@ def goursat_join_check(alg, r, s):
         )
     rb, sb = r.as_binrel(), s.as_binrel()
     composite = rb.compose(sb).compose(rb)
-    joined = join(alg, r, s).as_binrel()
+    joined = r.join(s).as_binrel()
     if composite == joined:
         return Verdict(True, note=level)
     diff = sorted(set(joined.pairs()) ^ set(composite.pairs()))

@@ -10,6 +10,8 @@ iff there is a y with (x,y) in r and (y,z) in s.
 
 from itertools import product
 
+import numpy as np
+
 from .errors import CarrierBoundError, NotCongruenceError, SizeMismatchError
 from .verdict import Verdict
 
@@ -227,6 +229,12 @@ class Partition:
         labels = [(self.index_of[x], other.index_of[x]) for x in range(self.n)]
         return Partition.from_labels(self.n, labels)
 
+    def join(self, other):
+        """Least equivalence relation containing both."""
+        if self.n != other.n:
+            raise SizeMismatchError(f"carrier sizes differ: {self.n} vs {other.n}")
+        return Partition.from_pairs(self.n, self.generating_pairs() + other.generating_pairs())
+
     def as_binrel(self):
         masks = [0] * len(self.blocks)
         for i, blk in enumerate(self.blocks):
@@ -280,25 +288,54 @@ def is_congruence(alg, p):
     return Verdict(True)
 
 
+def _translations(alg):
+    """The deduplicated basic translations x -> f(c.., x, ..c) as rows of one array.
+
+    Row t maps x to t[x].  Constant and identity rows relate nothing new
+    and are dropped, so an algebra with only nullary operations (or an
+    n = 1 carrier) has an empty matrix.  Built once per algebra.
+    """
+    hit = alg._memo.get("translations")
+    if hit is not None:
+        return hit
+    n = alg.n
+    rows = [np.empty((0, n), dtype=np.intp)]
+    for sym, arity in alg.sig:
+        table = alg.table_array(sym)
+        for pos in range(arity):
+            rows.append(np.moveaxis(table, pos, -1).reshape(-1, n))
+    mat = np.unique(np.concatenate(rows), axis=0)
+    keep = (mat != mat[:, :1]).any(axis=1) & (mat != np.arange(n)).any(axis=1)
+    mat = alg._memo["translations"] = mat[keep]
+    return mat
+
+
 def _compatible(alg, p):
     """Fast congruence test without witness extraction.
 
-    A partition is a congruence exactly when regenerating from its own
-    spanning pairs is a fixpoint; the worklist generator makes this much
-    cheaper than the witness-grade scan on coarse partitions.
+    By Mal'cev's lemma an equivalence relation is a congruence exactly
+    when every basic translation preserves it, so one array step decides:
+    the block labels of t[x] must agree with those of t[min of x's block]
+    for every translation t and every x.
     """
     if p.n != alg.n:
         raise SizeMismatchError(f"partition on {p.n} elements, algebra has {alg.n}")
-    return congruence_generated(alg, p.generating_pairs()) == p
+    labels = np.asarray(p.index_of)[_translations(alg)]
+    reps = [p.blocks[i][0] for i in p.index_of]
+    return bool((labels == labels[:, reps]).all())
 
 
 def congruence_generated(alg, pairs):
     """Least congruence containing the given pairs.
 
-    Union-find with a worklist: every class merge propagates through all
-    single-coordinate substitutions in every operation, to a fixpoint.
+    Union-find over the equivalence generated so far.  Each round maps
+    the pairs merged in the previous round through every basic
+    translation in one array step, keeps the image pairs the current
+    labels do not already relate, and merges those; the result is the
+    fixpoint, which by Mal'cev's lemma is a congruence.
     """
     n = alg.n
+    mat = _translations(alg)
     parent = list(range(n))
 
     def find(x):
@@ -307,28 +344,24 @@ def congruence_generated(alg, pairs):
             x = parent[x]
         return x
 
-    queue = []
+    def merge(batch):
+        merged = []
+        for a, b in batch:
+            ra, rb = find(a), find(b)
+            if ra != rb:
+                if ra > rb:
+                    ra, rb = rb, ra
+                parent[rb] = ra
+                merged.append((ra, rb))
+        return merged
 
-    def union(a, b):
-        ra, rb = find(a), find(b)
-        if ra != rb:
-            if ra > rb:
-                ra, rb = rb, ra
-            parent[rb] = ra
-            queue.append((ra, rb))
-
-    for a, b in pairs:
-        union(a, b)
-    while queue:
-        a, b = queue.pop()
-        for sym, arity in alg.sig:
-            if arity == 0:
-                continue
-            for pos in range(arity):
-                for ctx in product(range(n), repeat=arity - 1):
-                    args_a = ctx[:pos] + (a,) + ctx[pos:]
-                    args_b = ctx[:pos] + (b,) + ctx[pos:]
-                    union(alg.apply(sym, args_a), alg.apply(sym, args_b))
+    merged = merge(pairs)
+    while merged and len(mat):
+        left, right = np.array(merged).T
+        left, right = mat[:, left].ravel(), mat[:, right].ravel()
+        labels = np.array([find(x) for x in range(n)])
+        fresh = labels[left] != labels[right]
+        merged = merge(zip(left[fresh].tolist(), right[fresh].tolist()))
     return Partition.from_labels(n, [find(x) for x in range(n)])
 
 
@@ -339,10 +372,15 @@ def require_congruence(alg, p):
 
 
 def join(alg, r, s):
-    """Least upper bound of two congruences in the congruence lattice."""
+    """Least upper bound of two congruences in the congruence lattice.
+
+    Both arguments are checked to be congruences.  Con(A) is a sublattice
+    of Eq(A), so their join is the plain equivalence join r.join(s),
+    with no propagation through the operations.
+    """
     require_congruence(alg, r)
     require_congruence(alg, s)
-    return congruence_generated(alg, r.generating_pairs() + s.generating_pairs())
+    return r.join(s)
 
 
 def direct_image(f, s):
@@ -448,7 +486,11 @@ class ConLattice:
 def con_lattice(alg, max_size=64):
     """Enumerate Con(alg): principal congruences closed under binary joins.
 
-    Memoised per algebra; the carrier bound is checked on every call.
+    Every congruence is the join of the principal congruences below it,
+    so the closure joins each new congruence with the principal ones
+    only.  Con(A) is a sublattice of Eq(A), so the closure and the join
+    table use the plain equivalence join of partitions.  Memoised per
+    algebra; the carrier bound is checked on every call.
     """
     if alg.n > max_size:
         raise CarrierBoundError(alg.n, max_size)
@@ -462,11 +504,12 @@ def con_lattice(alg, max_size=64):
         for b in range(a + 1, n):
             cg = congruence_generated(alg, [(a, b)])
             found.setdefault(cg.blocks, cg)
-    work = list(found.values())
+    principal = list(found.values())
+    work = list(principal)
     while work:
         p = work.pop()
-        for q in list(found.values()):
-            j = congruence_generated(alg, p.generating_pairs() + q.generating_pairs())
+        for q in principal:
+            j = p.join(q)
             if j.blocks not in found:
                 found[j.blocks] = j
                 work.append(j)
@@ -474,24 +517,20 @@ def con_lattice(alg, max_size=64):
     ordered = sorted(found.values(), key=lambda p: (p.num_blocks, p.blocks))
     lat = ConLattice(n, ordered)
     k = len(ordered)
-    meet_table = tuple(
-        tuple(lat.index(ordered[i].meet(ordered[j])) for j in range(k)) for i in range(k)
-    )
-    join_table = []
+    meet_table = [[0] * k for _ in range(k)]
+    join_table = [[0] * k for _ in range(k)]
     for i in range(k):
-        row = []
-        for j in range(k):
+        for j in range(i, k):
             if lat.leq[i][j]:
-                row.append(j)
+                low, high = i, j
             elif lat.leq[j][i]:
-                row.append(i)
+                low, high = j, i
             else:
-                jn = congruence_generated(
-                    alg, ordered[i].generating_pairs() + ordered[j].generating_pairs()
-                )
-                row.append(lat.index(jn))
-        join_table.append(tuple(row))
-    lat.finish(meet_table, tuple(join_table))
+                low = lat.index(ordered[i].meet(ordered[j]))
+                high = lat.index(ordered[i].join(ordered[j]))
+            meet_table[i][j] = meet_table[j][i] = low
+            join_table[i][j] = join_table[j][i] = high
+    lat.finish(tuple(map(tuple, meet_table)), tuple(map(tuple, join_table)))
     alg._memo["con"] = lat
     return lat
 

@@ -1,3 +1,6 @@
+import random
+from itertools import product as iproduct
+
 import pytest
 
 from goursat.algebras import (
@@ -57,6 +60,57 @@ def test_unary_product_identity_encoding():
     prod = product([Z4])
     assert prod.n == Z4.n
     assert prod.tables == Z4.tables
+
+
+MIXED_SIG = Signature({"c": 0, "u": 1, "b": 2, "t": 3})
+
+
+def _random_algebra(rng, n, sig=MIXED_SIG):
+    tables = {sym: [rng.randrange(n) for _ in range(n**arity)] for sym, arity in sig}
+    return FiniteAlgebra(sig, n, tables)
+
+
+def test_product_matches_naive_loop_on_random_factors():
+    rng = random.Random(3)
+    for _ in range(20):
+        factors = [_random_algebra(rng, rng.randint(1, 3)) for _ in range(rng.randint(1, 3))]
+        sizes = [a.n for a in factors]
+        prod = product(factors)
+        for sym, arity in MIXED_SIG:
+            want = []
+            for args in iproduct(range(prod.n), repeat=arity):
+                decoded = [product_decode(sizes, a) for a in args]
+                comps = [
+                    alg.apply(sym, tuple(d[i] for d in decoded))
+                    for i, alg in enumerate(factors)
+                ]
+                want.append(product_encode(sizes, comps))
+            assert prod.tables[sym] == tuple(want)
+
+
+def test_quotient_map_reports_first_non_homomorphic_point():
+    # Symbols in declaration order, argument tuples lexicographically.
+    rng = random.Random(5)
+    refused = 0
+    for _ in range(60):
+        source = _random_algebra(rng, 4)
+        mapping = (0, 1, rng.randrange(2), rng.randrange(2))
+        target = _random_algebra(rng, 2)
+        kernel = Partition.from_labels(4, mapping)
+        first = None
+        for sym, arity in MIXED_SIG:
+            for args in iproduct(range(4), repeat=arity):
+                image = target.apply(sym, tuple(mapping[a] for a in args))
+                if first is None and image != mapping[source.apply(sym, args)]:
+                    first = f"mapping is not a homomorphism at {sym!r}{args}"
+        if first is None:
+            QuotientMap(source, kernel, target, mapping)
+            continue
+        refused += 1
+        with pytest.raises(ValueError) as info:
+            QuotientMap(source, kernel, target, mapping)
+        assert str(info.value) == first
+    assert refused > 0
 
 
 def test_product_signature_mismatch():
@@ -138,6 +192,21 @@ def test_quotient_map_validation_rejects_non_homomorphism():
     )
     with pytest.raises(ValueError, match="homomorphism"):
         QuotientMap(Z4, theta, twisted, (0, 1, 0, 1))
+
+
+def test_quotient_map_failures_name_their_point_at_every_arity():
+    theta = Partition.from_literal("0 2|1 3", 4)
+    wrong_sum = FiniteAlgebra(Z2.sig, 2, {**Z2.tables, "m": (0, 0, 1, 0)})
+    with pytest.raises(ValueError, match=r"^mapping is not a homomorphism at 'm'\(0, 1\)$"):
+        QuotientMap(Z4, theta, wrong_sum, (0, 1, 0, 1))
+    only_unary = FiniteAlgebra(Signature({"u": 1}), 4, {"u": (1, 2, 3, 0)})
+    swapped = FiniteAlgebra(Signature({"u": 1}), 2, {"u": (0, 1)})
+    with pytest.raises(ValueError, match=r"^mapping is not a homomorphism at 'u'\(0,\)$"):
+        QuotientMap(only_unary, theta, swapped, (0, 1, 0, 1))
+    only_nullary = FiniteAlgebra(Signature({"c": 0}), 4, {"c": (1,)})
+    other = FiniteAlgebra(Signature({"c": 0}), 2, {"c": (0,)})
+    with pytest.raises(ValueError, match=r"^mapping is not a homomorphism at 'c'\(\)$"):
+        QuotientMap(only_nullary, theta, other, (0, 1, 0, 1))
 
 
 def test_generate_subuniverse():

@@ -1,8 +1,12 @@
 import random
+from functools import reduce
+from itertools import product
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from goursat.algebras import quotient
+from goursat.algebras import FiniteAlgebra, quotient
 from goursat.corpus import (
     boolean_ring,
     cyclic_group,
@@ -16,6 +20,8 @@ from goursat.permutability import TWO, permutability_level
 from goursat.relations import (
     BinRel,
     Partition,
+    _compatible,
+    _translations,
     compose,
     con_lattice,
     congruence_generated,
@@ -28,7 +34,13 @@ from goursat.relations import (
 )
 from goursat.terms import Signature
 
-from oracles import all_partitions, brute_force_congruences, compose_pairs
+from oracles import (
+    all_partitions,
+    brute_force_congruences,
+    compatible,
+    compose_pairs,
+    meet_blocks,
+)
 
 Z4 = cyclic_group(4)
 K4 = klein4()
@@ -105,6 +117,16 @@ def test_partition_validation():
         Partition(3, [[0, 1]])
     with pytest.raises(ValueError):
         Partition.from_literal("0 1|", 2)
+
+
+def test_partition_join_is_the_equivalence_join():
+    a = eq(5, (0, 1), (2,), (3, 4))
+    b = eq(5, (0,), (1, 2), (3,), (4,))
+    assert a.join(b) == eq(5, (0, 1, 2), (3, 4))
+    assert a.join(Partition.discrete(5)) == a
+    assert a.join(Partition.full(5)) == Partition.full(5)
+    with pytest.raises(SizeMismatchError):
+        a.join(Partition.discrete(4))
 
 
 def test_partition_meet_refines_pairs():
@@ -253,6 +275,115 @@ def test_join_examples():
     assert join(Z4, eq(4, (0, 2), (1, 3)), Partition.full(4)) == Partition.full(4)
     with pytest.raises(NotCongruenceError):
         join(Z4, eq(4, (0, 1), (2, 3)), Partition.discrete(4))
+
+
+def test_join_refuses_non_congruence_with_the_is_congruence_witness():
+    bad = eq(4, (0, 1), (2, 3))
+    sym, pair = is_congruence(Z4, bad).witness
+    for args in ((Z4, bad, Partition.discrete(4)), (Z4, Partition.full(4), bad)):
+        with pytest.raises(NotCongruenceError) as info:
+            join(*args)
+        assert (info.value.symbol, info.value.pair) == (sym, pair)
+
+
+# -- differential tests against the brute-force oracles --------------------------
+
+
+@st.composite
+def small_algebras(draw):
+    """Random algebras with n <= 5 and arities 0-3.
+
+    Each operation either has a random table or respects a hidden
+    partition drawn per algebra, so that Con(A) is often more than
+    {0, 1} and the generator has non-trivial work to do.
+    """
+    n = draw(st.integers(1, 5))
+    arities = draw(st.lists(st.integers(0, 3), max_size=3))
+    hidden = draw(st.lists(st.integers(0, n - 1), min_size=n, max_size=n))
+    rnd = draw(st.randoms(use_true_random=False))
+    members = {}
+    for x, lab in enumerate(hidden):
+        members.setdefault(lab, []).append(x)
+    tables = {}
+    for i, arity in enumerate(arities):
+        if draw(st.booleans()):
+            on_blocks = {}
+            table = []
+            for args in product(range(n), repeat=arity):
+                key = tuple(hidden[a] for a in args)
+                if key not in on_blocks:
+                    on_blocks[key] = rnd.choice(sorted(members))
+                table.append(rnd.choice(members[on_blocks[key]]))
+        else:
+            table = [rnd.randrange(n) for _ in range(n**arity)]
+        tables[f"f{i}"] = table
+    sig = Signature({f"f{i}": arity for i, arity in enumerate(arities)})
+    return FiniteAlgebra(sig, n, tables)
+
+
+ONE_ELEMENT = FiniteAlgebra(Signature({"f": 2, "c": 0}), 1, {"f": (0,), "c": (0,)})
+NULLARY_ONLY = FiniteAlgebra(Signature({"c": 0, "d": 0}), 3, {"c": (1,), "d": (2,)})
+
+
+def _least_oracle_congruence(alg, congruences, pairs):
+    containing = []
+    for blocks in congruences:
+        label = {x: i for i, blk in enumerate(blocks) for x in blk}
+        if all(label[a] == label[b] for a, b in pairs):
+            containing.append(blocks)
+    return reduce(lambda x, y: meet_blocks(alg.n, x, y), containing)
+
+
+def test_translation_matrix_of_degenerate_algebras_is_empty():
+    assert _translations(ONE_ELEMENT).shape == (0, 1)
+    assert _translations(NULLARY_ONLY).shape == (0, 3)
+    # Z4: the three non-identity translations x+c and the inverse x -> -x
+    assert _translations(Z4).shape == (4, 4)
+
+
+@settings(max_examples=80, deadline=None)
+@given(small_algebras())
+@example(ONE_ELEMENT)
+@example(NULLARY_ONLY)
+def test_congruence_generated_matches_oracle(alg):
+    congruences = brute_force_congruences(alg)
+    for a in range(alg.n):
+        for b in range(alg.n):
+            got = congruence_generated(alg, [(a, b)])
+            assert got.blocks == _least_oracle_congruence(alg, congruences, [(a, b)])
+
+
+@settings(max_examples=80, deadline=None)
+@given(small_algebras())
+@example(ONE_ELEMENT)
+@example(NULLARY_ONLY)
+def test_con_lattice_matches_oracle(alg):
+    got = sorted(p.blocks for p in con_lattice(alg).congruences)
+    assert got == sorted(brute_force_congruences(alg))
+
+
+@settings(max_examples=60, deadline=None)
+@given(small_algebras())
+@example(ONE_ELEMENT)
+@example(NULLARY_ONLY)
+def test_join_matches_oracle(alg):
+    congruences = brute_force_congruences(alg)
+    parts = [Partition(alg.n, blocks) for blocks in congruences]
+    for i, r in enumerate(parts):
+        for s in parts[i:]:
+            want = _least_oracle_congruence(
+                alg, congruences, r.generating_pairs() + s.generating_pairs()
+            )
+            assert join(alg, r, s).blocks == want
+
+
+@settings(max_examples=60, deadline=None)
+@given(small_algebras())
+@example(ONE_ELEMENT)
+@example(NULLARY_ONLY)
+def test_compatible_matches_oracle(alg):
+    for blocks in all_partitions(alg.n):
+        assert _compatible(alg, Partition(alg.n, blocks)) == compatible(alg, blocks)
 
 
 # -- images -----------------------------------------------------------------------
