@@ -8,8 +8,6 @@ deterministic: identical inputs and flags produce byte-identical reports.
 import argparse
 import os
 import sys
-from dataclasses import dataclass
-from typing import Optional
 
 from .algebras import load_algebra, save_algebra
 from .closure import (
@@ -43,19 +41,6 @@ from .permutability import (
 from .relations import Partition, con_lattice
 from .terms import load_identities, render
 from .verdict import NOT_APPLICABLE
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    subcommand: str
-    inputs: tuple = ()
-    variety: Optional[str] = None
-    rel: Optional[str] = None
-    dot: Optional[str] = None
-    search: Optional[str] = None
-    kv: bool = False
-    max_size: int = 64
-    clone_cap: int = 200_000
 
 
 def _common_flags(sp):
@@ -127,38 +112,17 @@ def _build_parser():
     return parser
 
 
-def _config(args):
-    inputs = []
-    for attr in ("algebra", "name", "path"):
-        value = getattr(args, attr, None)
-        if value is not None:
-            inputs.append(value)
-    inputs.extend(getattr(args, "algebras", []) or [])
-    return RunConfig(
-        subcommand=args.subcommand,
-        inputs=tuple(inputs),
-        variety=getattr(args, "variety", None),
-        rel=getattr(args, "rel", None),
-        dot=getattr(args, "dot", None),
-        search=getattr(args, "search", None),
-        kv=args.kv,
-        max_size=args.max_size,
-        clone_cap=args.clone_cap,
-    )
-
-
 def main(argv=None):
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return 0 if exc.code in (0, None) else 2
-    cfg = _config(args)
-    if cfg.max_size < 1 or cfg.clone_cap < 3:
+    if args.max_size < 1 or args.clone_cap < 3:
         print("error: bounds must be positive (--clone-cap at least 3)", file=sys.stderr)
         return 2
     try:
-        return args.handler(cfg)
+        return args.handler(args)
     except NotCongruenceError as exc:
         print(f"FAIL not-a-congruence: {exc}")
         return 1
@@ -174,9 +138,9 @@ def _emit(lines):
     sys.stdout.write("\n".join(lines) + "\n")
 
 
-def _load_spec(cfg, sig):
-    idents = tuple(load_identities(cfg.variety, sig))
-    return SubvarietySpec(sig, idents, name=os.path.basename(cfg.variety))
+def _load_spec(args, sig):
+    idents = tuple(load_identities(args.variety, sig))
+    return SubvarietySpec(sig, idents, name=os.path.basename(args.variety))
 
 
 def _dot_text(lat):
@@ -189,30 +153,30 @@ def _dot_text(lat):
     return "\n".join(lines) + "\n"
 
 
-def cmd_con(cfg):
-    alg = load_algebra(cfg.inputs[0])
-    lat = con_lattice(alg, max_size=cfg.max_size)
-    if cfg.kv:
+def cmd_con(args):
+    alg = load_algebra(args.algebra)
+    lat = con_lattice(alg, max_size=args.max_size)
+    if args.kv:
         lines = [f"algebra={alg.name}", f"size={alg.n}", f"congruences={len(lat)}"]
         lines += [f"con.{i}={p.to_literal()}" for i, p in enumerate(lat.congruences)]
     else:
         lines = [f"algebra {alg.name}", f"size {alg.n}", f"congruences {len(lat)}"]
         lines += [f"  {p.to_literal()}" for p in lat.congruences]
-    if cfg.dot:
-        with open(cfg.dot, "w", encoding="utf-8") as fh:
+    if args.dot:
+        with open(args.dot, "w", encoding="utf-8") as fh:
             fh.write(_dot_text(lat))
-        lines.append(f"dot={cfg.dot}" if cfg.kv else f"dot written to {cfg.dot}")
+        lines.append(f"dot={args.dot}" if args.kv else f"dot written to {args.dot}")
     _emit(lines)
     return 0
 
 
-def cmd_perm(cfg):
-    alg = load_algebra(cfg.inputs[0])
-    lat = con_lattice(alg, max_size=cfg.max_size)
+def cmd_perm(args):
+    alg = load_algebra(args.algebra)
+    lat = con_lattice(alg, max_size=args.max_size)
     cons = lat.congruences
     lines = (
         [f"algebra={alg.name}", f"congruences={len(cons)}"]
-        if cfg.kv
+        if args.kv
         else [f"algebra {alg.name}", f"congruences {len(cons)}"]
     )
     ok = True
@@ -226,7 +190,7 @@ def cmd_perm(cfg):
                 verdict = goursat_join_check(alg, cons[i], cons[j])
                 joinres = "pass" if verdict.ok else f"fail witness={verdict.witness}"
                 ok = ok and verdict.ok
-            if cfg.kv:
+            if args.kv:
                 lines.append(f"perm.{i}.{j}={level}")
                 lines.append(f"goursat_join.{i}.{j}={joinres}")
             else:
@@ -235,23 +199,23 @@ def cmd_perm(cfg):
                     f"level={level} join-formula={joinres}"
                 )
     lines.append(
-        f"status={'pass' if ok else 'fail'}" if cfg.kv else f"result {'PASS' if ok else 'FAIL'}"
+        f"status={'pass' if ok else 'fail'}" if args.kv else f"result {'PASS' if ok else 'FAIL'}"
     )
     _emit(lines)
     return 0 if ok else 1
 
 
-def cmd_closure(cfg):
-    alg = load_algebra(cfg.inputs[0])
-    spec = _load_spec(cfg, alg.sig)
+def cmd_closure(args):
+    alg = load_algebra(args.algebra)
+    spec = _load_spec(args, alg.sig)
     delta_bar = birkhoff_congruence(alg, spec)
-    if cfg.rel is not None:
-        targets = [Partition.from_literal(cfg.rel, alg.n)]
+    if args.rel is not None:
+        targets = [Partition.from_literal(args.rel, alg.n)]
     else:
-        targets = list(con_lattice(alg, max_size=cfg.max_size).congruences)
+        targets = list(con_lattice(alg, max_size=args.max_size).congruences)
     lines = (
         [f"algebra={alg.name}", f"variety={spec.name}", f"delta_bar={delta_bar.to_literal()}"]
-        if cfg.kv
+        if args.kv
         else [
             f"algebra {alg.name}",
             f"variety {spec.name}",
@@ -273,7 +237,7 @@ def cmd_closure(cfg):
             f"agree={str(agree).lower()} closed={str(eff.closed).lower()} "
             f"dense={str(eff.dense).lower()}"
         )
-        if cfg.kv:
+        if args.kv:
             lines += [
                 f"closure.{idx}.input={s.to_literal()}",
                 f"closure.{idx}.effective={eff.closure.to_literal()}",
@@ -290,7 +254,7 @@ def cmd_closure(cfg):
                 f"  {flags}",
             ]
     lines.append(
-        f"status={'pass' if ok else 'fail'}" if cfg.kv else f"result {'PASS' if ok else 'FAIL'}"
+        f"status={'pass' if ok else 'fail'}" if args.kv else f"result {'PASS' if ok else 'FAIL'}"
     )
     _emit(lines)
     return 0 if ok else 1
@@ -302,12 +266,12 @@ def _witness_text(witness):
     return str(witness)
 
 
-def cmd_axioms(cfg):
-    algs = [load_algebra(path) for path in cfg.inputs]
-    spec = _load_spec(cfg, algs[0].sig)
-    report = check_axioms(algs, spec, Bounds(max_carrier=cfg.max_size))
+def cmd_axioms(args):
+    algs = [load_algebra(path) for path in args.algebras]
+    spec = _load_spec(args, algs[0].sig)
+    report = check_axioms(algs, spec, Bounds(max_carrier=args.max_size))
     lines = []
-    if cfg.kv:
+    if args.kv:
         lines.append(f"variety={spec.name}")
         lines.append(f"algebras={','.join(a.name for a in algs)}")
         lines.append(f"bounds.max_carrier={report.bounds.max_carrier}")
@@ -318,7 +282,7 @@ def cmd_axioms(cfg):
     for key in AXIOM_KEYS:
         status = report.entries[key]
         tag = status.status
-        if cfg.kv:
+        if args.kv:
             lines.append(f"axiom.{key}={tag}")
             if status.witness:
                 lines.append(f"axiom.{key}.witness={_witness_text(status.witness)}")
@@ -329,19 +293,19 @@ def cmd_axioms(cfg):
             if status.note and tag == NOT_APPLICABLE:
                 lines.append(f"    reason {status.note}")
     for note in report.notes:
-        lines.append(f"note={note}" if cfg.kv else f"note {note}")
+        lines.append(f"note={note}" if args.kv else f"note {note}")
     ok = report.ok
     lines.append(
-        f"status={'pass' if ok else 'fail'}" if cfg.kv else f"result {'PASS' if ok else 'FAIL'}"
+        f"status={'pass' if ok else 'fail'}" if args.kv else f"result {'PASS' if ok else 'FAIL'}"
     )
     _emit(lines)
     return 0 if ok else 1
 
 
-def cmd_dist(cfg):
-    alg = load_algebra(cfg.inputs[0])
-    spec = _load_spec(cfg, alg.sig) if cfg.variety else None
-    report = dist_report(alg, spec, max_size=cfg.max_size)
+def cmd_dist(args):
+    alg = load_algebra(args.algebra)
+    spec = _load_spec(args, alg.sig) if args.variety else None
+    report = dist_report(alg, spec, max_size=args.max_size)
 
     def vtext(verdict):
         if verdict.ok:
@@ -362,7 +326,7 @@ def cmd_dist(cfg):
     cm_text = cm.status if not cm.witness else (
         f"{cm.status} r=[{cm.witness[0].to_literal()}] s=[{cm.witness[1].to_literal()}]"
     )
-    if cfg.kv:
+    if args.kv:
         lines = [
             f"algebra={alg.name}",
             f"variety={report.spec_name}",
@@ -388,24 +352,24 @@ def cmd_dist(cfg):
     return 0 if report.ok else 1
 
 
-def cmd_terms(cfg):
-    alg = load_algebra(cfg.inputs[0])
-    if cfg.search == "maltsev":
-        outcome = find_maltsev_term(alg, cap=cfg.clone_cap)
+def cmd_terms(args):
+    alg = load_algebra(args.algebra)
+    if args.search == "maltsev":
+        outcome = find_maltsev_term(alg, cap=args.clone_cap)
     else:
-        outcome = find_hm_terms(alg, cap=cfg.clone_cap)
+        outcome = find_hm_terms(alg, cap=args.clone_cap)
     lines = (
-        [f"algebra={alg.name}", f"search={cfg.search}"]
-        if cfg.kv
-        else [f"algebra {alg.name}", f"search {cfg.search}"]
+        [f"algebra={alg.name}", f"search={args.search}"]
+        if args.kv
+        else [f"algebra {alg.name}", f"search {args.search}"]
     )
     if outcome.status == FOUND:
-        if cfg.search == "maltsev":
+        if args.search == "maltsev":
             terms_out = [("term", render(outcome.witness.term))]
         else:
             p, q = outcome.witness
             terms_out = [("term.p", render(p.term)), ("term.q", render(q.term))]
-        if cfg.kv:
+        if args.kv:
             lines.append("result=found")
             lines += [f"{k}={v}" for k, v in terms_out]
             lines.append(f"explored={outcome.explored}")
@@ -418,19 +382,19 @@ def cmd_terms(cfg):
     if outcome.status == NONE:
         text = f"none (fixpoint reached, {outcome.explored} tables)"
     else:
-        text = f"inconclusive (cap {cfg.clone_cap} reached)"
-    lines.append(f"result={outcome.status}" if cfg.kv else f"result {text}")
-    if cfg.kv:
+        text = f"inconclusive (cap {args.clone_cap} reached)"
+    lines.append(f"result={outcome.status}" if args.kv else f"result {text}")
+    if args.kv:
         lines.append(f"explored={outcome.explored}")
     _emit(lines)
     return 1
 
 
-def cmd_corpus_list(cfg):
+def cmd_corpus_list(args):
     lines = []
     for name in DEFAULT_NAMES:
         entry = entry_by_name(name)
-        if cfg.kv:
+        if args.kv:
             lines.append(
                 f"entry={name} size={entry.algebra.n} tags={','.join(entry.tags)} "
                 f"specs={','.join(entry.spec_names)}"
@@ -444,10 +408,10 @@ def cmd_corpus_list(cfg):
     return 0
 
 
-def cmd_corpus_dump(cfg):
-    entry = entry_by_name(cfg.inputs[0])
-    save_algebra(entry.algebra, cfg.inputs[1])
-    _emit([f"wrote {cfg.inputs[1]}"])
+def cmd_corpus_dump(args):
+    entry = entry_by_name(args.name)
+    save_algebra(entry.algebra, args.path)
+    _emit([f"wrote {args.path}"])
     return 0
 
 

@@ -1,12 +1,16 @@
 """Closure operators on congruences induced by equationally defined subvarieties.
 
-Two constructions are implemented and cross-checked: pulling back the
-verbal congruence of the quotient (closure_effective) and the composite
-formula closure(S) = D o S o D = S o D o S where D is the closure of the
-diagonal (closure_goursat, valid on 3-permutable algebras).  check_axioms
-verifies the closure-operator axiom suite exhaustively on finite input;
-the closed-meet axiom (7) is checked on the inputs whose congruence
-lattice is distributive, and every other input is named in the notes.
+The closed diagonal D of an algebra A is its verbal congruence
+(birkhoff_congruence), built in one pass from the values the identities
+take on A; A/D is the reflection into the subvariety.  Two closure
+constructions are implemented and cross-checked: pulling D of A/S back
+along q: A -> A/S (closure_effective) and the composite formula
+closure(S) = D o S o D = S o D o S (closure_goursat, valid on
+3-permutable algebras).  Both return a ClosureResult holding only the
+input and its closure.  check_axioms verifies the closure-operator axiom
+suite exhaustively on finite input; the closed-meet axiom (7) is checked
+on the inputs whose congruence lattice is distributive, and every other
+input is named in the notes.
 """
 
 from dataclasses import dataclass, field
@@ -52,9 +56,15 @@ class SubvarietySpec:
 def birkhoff_congruence(alg, spec):
     """Least congruence whose quotient satisfies every identity of the spec.
 
-    Generates the pairs (lhs value, rhs value) over all assignments, then
-    re-checks on the quotient and re-seeds until no violation remains.
-    Memoised per algebra by the spec's key.
+    This is the verbal congruence: the congruence generated by the pairs
+    (lhs value, rhs value) of every identity under every assignment in
+    alg.  One pass suffices.  For a congruence theta with quotient map
+    q: alg -> alg/theta, q is surjective, so every assignment in
+    alg/theta is q applied to an assignment e in alg, and q is a
+    homomorphism, so each side of an identity evaluates there to q of
+    its value under e.  Hence alg/theta satisfies the identities exactly
+    when theta contains all these pairs.  Memoised per algebra by the
+    spec's key.
     """
     if alg.sig != spec.sig:
         raise SignatureMismatchError("algebra and subvariety spec use different signatures")
@@ -63,24 +73,16 @@ def birkhoff_congruence(alg, spec):
     if hit is not None:
         return hit
 
-    theta = Partition.discrete(alg.n)
-    while True:
-        qm = quotient(alg, theta)
-        target = qm.target
-        violations = []
-        for ident in spec.identities:
-            for values in iproduct(range(target.n), repeat=len(ident.vars)):
-                env = dict(zip(ident.vars, values))
-                left = eval_term(target, ident.lhs, env)
-                right = eval_term(target, ident.rhs, env)
-                if left != right:
-                    violations.append((left, right))
-        if not violations:
-            alg._memo[key] = theta
-            return theta
-        reps = [blk[0] for blk in theta.blocks]
-        lifted = [(reps[a], reps[b]) for a, b in violations]
-        theta = congruence_generated(alg, theta.generating_pairs() + lifted)
+    pairs = []
+    for ident in spec.identities:
+        for values in iproduct(range(alg.n), repeat=len(ident.vars)):
+            env = dict(zip(ident.vars, values))
+            left = eval_term(alg, ident.lhs, env)
+            right = eval_term(alg, ident.rhs, env)
+            if left != right:
+                pairs.append((left, right))
+    theta = alg._memo[key] = congruence_generated(alg, pairs)
+    return theta
 
 
 def reflect(alg, spec):
@@ -90,38 +92,39 @@ def reflect(alg, spec):
 
 @dataclass(frozen=True)
 class ClosureResult:
+    """A congruence and its closure; ``closed`` and ``dense`` are read off them.
+
+    For the verbal congruence call ``birkhoff_congruence(alg, spec)``, and
+    for the reflection by the closure ``quotient(alg, res.closure)``.
+    """
+
     input: Partition
     closure: Partition
-    delta_bar: Partition
-    reflection: object  # QuotientMap with kernel == closure
-    closed: bool
-    dense: bool
 
+    @property
+    def closed(self):
+        return self.closure == self.input
 
-def _bundle(alg, s, cl, spec):
-    return ClosureResult(
-        input=s,
-        closure=cl,
-        delta_bar=birkhoff_congruence(alg, spec),
-        reflection=quotient(alg, cl),
-        closed=(cl == s),
-        dense=(cl.num_blocks == 1),
-    )
+    @property
+    def dense(self):
+        return self.closure.num_blocks == 1
 
 
 def closure_effective(alg, s, spec):
     """Closure via the quotient: pull the verbal congruence of alg/s back along q."""
     qm = quotient(alg, s)
-    cl = inverse_image(qm, birkhoff_congruence(qm.target, spec))
-    return _bundle(alg, s, cl, spec)
+    return ClosureResult(s, inverse_image(qm, birkhoff_congruence(qm.target, spec)))
 
 
 def closure_goursat(alg, s, spec):
     """Closure via raw composites D o S o D = S o D o S, no closure step.
 
-    Raises GoursatHypothesisError when the composites disagree or fail to
-    be an equivalence relation, which refutes 3-permutability for this
-    algebra.
+    The result is a congruence by construction: a composite of compatible
+    relations is compatible, and the composite is checked to be an
+    equivalence.  It is not compared with closure_effective here; the
+    CLI and the acceptance suite do that.  Raises GoursatHypothesisError
+    when the composites disagree or fail to be an equivalence relation,
+    which refutes 3-permutability for this algebra.
     """
     require_congruence(alg, s)
     diag = birkhoff_congruence(alg, spec).as_binrel()
@@ -138,7 +141,7 @@ def closure_goursat(alg, s, spec):
             "composite D o S o D is not an equivalence relation",
             detail={"input": s.to_literal()},
         )
-    return _bundle(alg, s, left.to_partition(), spec)
+    return ClosureResult(s, left.to_partition())
 
 
 def closure_by_component(alg, s, r_comp):

@@ -143,6 +143,7 @@ class _Parser:
         self.pos += 1
 
     def term(self):
+        self._skip_ws()
         start = self.pos
         name = self.take_ident()
         if self.peek() == "(":
@@ -212,10 +213,13 @@ class Identity:
 
 
 def parse_identity(text, sig):
-    if text.count("=") != 1:
-        raise ParseError("identity must contain exactly one '='", pos=text.find("="))
-    left, right = text.split("=")
-    return Identity.of(parse_term(left, sig), parse_term(right, sig))
+    """Parse ``TERM = TERM``; error positions are offsets into the whole text."""
+    p = _Parser(text, sig)
+    lhs = p.term()
+    p.expect("=")
+    rhs = p.term()
+    p.end()
+    return Identity.of(lhs, rhs)
 
 
 def parse_identities(text, sig):

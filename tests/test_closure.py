@@ -1,4 +1,8 @@
+from functools import partial, reduce
+
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from goursat.algebras import FiniteAlgebra, quotient
 from goursat.closure import (
@@ -28,10 +32,11 @@ from goursat.corpus import (
 from goursat.distributivity import check_axiom7
 from goursat.errors import NotCongruenceError, NotPermutableError, SignatureMismatchError
 from goursat.relations import Partition, con_lattice, is_congruence
-from goursat.terms import parse_identity, satisfies_identity
+from goursat.terms import App, Identity, Signature, Var, parse_identity, satisfies_identity
 from goursat.verdict import NOT_APPLICABLE, PASS
 
 from oracles import brute_force_congruences, meet_blocks
+from test_relations import NULLARY_ONLY, ONE_ELEMENT, small_algebras
 
 Z4 = cyclic_group(4)
 Z8 = cyclic_group(8)
@@ -58,6 +63,23 @@ def test_birkhoff_congruence_signature_mismatch():
         birkhoff_congruence(two_elt_lattice(), EXP2)
 
 
+def _least_satisfying_congruence(alg, spec):
+    """Brute-force verbal congruence.
+
+    The meet of all congruences whose quotient satisfies every identity of
+    the spec; the meet itself qualifies, because a variety is closed under
+    subdirect products.
+    """
+    qualifying = []
+    for blocks in brute_force_congruences(alg):
+        target = quotient(alg, Partition(alg.n, [list(b) for b in blocks])).target
+        if all(satisfies_identity(target, ident).ok for ident in spec.identities):
+            qualifying.append(blocks)
+    least = reduce(partial(meet_blocks, alg.n), qualifying)
+    assert least in qualifying
+    return least
+
+
 def test_birkhoff_congruence_is_least_against_brute_force():
     cases = [
         (Z4, EXP2),
@@ -67,17 +89,51 @@ def test_birkhoff_congruence_is_least_against_brute_force():
         (heyting_chain(3), spec_by_name("boolean-from-heyting", heyting_chain(3).sig)),
     ]
     for alg, spec in cases:
-        got = birkhoff_congruence(alg, spec)
-        qualifying = []
-        for blocks in brute_force_congruences(alg):
-            target = quotient(alg, Partition(alg.n, [list(b) for b in blocks])).target
-            if all(satisfies_identity(target, ident).ok for ident in spec.identities):
-                qualifying.append(blocks)
-        assert got.blocks in qualifying
-        least = qualifying[0]
-        for other in qualifying[1:]:
-            least = meet_blocks(alg.n, least, other)
-        assert got.blocks == least
+        assert birkhoff_congruence(alg, spec).blocks == _least_satisfying_congruence(alg, spec)
+
+
+def _terms(sig, depth):
+    """Terms of depth <= depth over the variables x, y and the signature."""
+    leaves = st.sampled_from(
+        [Var("x"), Var("y")] + [App(sym, ()) for sym, arity in sig if arity == 0]
+    )
+    if depth == 0:
+        return leaves
+    sub = _terms(sig, depth - 1)
+    apps = [
+        st.tuples(*[sub] * arity).map(partial(App, sym))
+        for sym, arity in sig
+        if arity > 0
+    ]
+    return st.one_of(leaves, *apps)
+
+
+@st.composite
+def algebras_with_specs(draw):
+    """A small random algebra and up to three random identities of depth <= 2."""
+    alg = draw(small_algebras())
+    term = _terms(alg.sig, 2)
+    idents = draw(st.lists(st.builds(Identity.of, term, term), max_size=3))
+    return alg, SubvarietySpec(alg.sig, tuple(idents))
+
+
+def _spec(alg, *texts):
+    return SubvarietySpec(alg.sig, tuple(parse_identity(t, alg.sig) for t in texts))
+
+
+NO_SIGNATURE = FiniteAlgebra(Signature({}), 3, {})
+
+
+@settings(max_examples=100, deadline=None)
+@given(algebras_with_specs())
+@example((ONE_ELEMENT, _spec(ONE_ELEMENT, "f(x,y) = c", "x = y")))
+@example((NULLARY_ONLY, _spec(NULLARY_ONLY, "c = d")))
+@example((NULLARY_ONLY, _spec(NULLARY_ONLY, "x = y")))
+@example((NO_SIGNATURE, _spec(NO_SIGNATURE, "x = y")))
+@example((NO_SIGNATURE, _spec(NO_SIGNATURE, "x = x")))
+def test_birkhoff_congruence_matches_oracle(case):
+    alg, spec = case
+    assert birkhoff_congruence(alg, spec).blocks == _least_satisfying_congruence(alg, spec)
 
 
 def test_reflect():
@@ -94,7 +150,6 @@ def test_reflect():
 def test_closure_effective_of_discrete_is_the_verbal_congruence():
     res = closure_effective(Z8, Partition.discrete(8), EXP2)
     assert res.closure == birkhoff_congruence(Z8, EXP2)
-    assert res.delta_bar == res.closure
     assert not res.dense
 
 
@@ -109,7 +164,6 @@ def test_closure_effective_grows_a_congruence():
     res = closure_effective(Z8, s, EXP2)
     assert res.closure.to_literal() == "0 2 4 6|1 3 5 7"
     assert not res.closed
-    assert res.reflection.kernel == res.closure
 
 
 def test_closure_effective_rejects_non_congruence():

@@ -208,3 +208,18 @@ def test_parse_identity_requires_single_equals():
         parse_identity("m(x,y)", GROUP_SIG)
     with pytest.raises(ParseError):
         parse_identity("x = y = z", GROUP_SIG)
+
+
+@pytest.mark.parametrize(
+    "text, pos",
+    [
+        ("m(x,y)", 6),  # missing '=' is reported at the end of the text
+        ("m(x,y) = x = y", 11),  # the second '=', not the first
+        ("m(x,y) = m(x)", 9),  # right-hand errors are offsets into the whole text
+        (" m(x) = x", 1),  # a term starts after leading whitespace
+    ],
+)
+def test_parse_identity_error_positions(text, pos):
+    with pytest.raises(ParseError) as err:
+        parse_identity(text, GROUP_SIG)
+    assert err.value.pos == pos
