@@ -7,7 +7,9 @@ import sys
 import pytest
 
 import goursat
+import goursat.cli
 from goursat.algebras import save_algebra
+from goursat.closure import AXIOM_KEYS, AxiomReport, _AxiomTracker
 from goursat.cli import main
 from goursat.corpus import entry_by_name
 
@@ -23,13 +25,17 @@ def run_cli(*args):
 def files(tmp_path_factory):
     root = tmp_path_factory.mktemp("cli")
     paths = {}
-    for name in ("cyclic_group(4)", "cyclic_group(8)", "klein4", "two_elt_lattice"):
+    for name in ("cyclic_group(4)", "cyclic_group(8)", "klein4", "two_elt_lattice",
+                 "heyting_chain(3)"):
         path = root / f"{name.replace('(', '_').replace(')', '')}.alg"
         save_algebra(entry_by_name(name).algebra, path)
         paths[name] = str(path)
     exp2 = root / "exp2.ids"
     exp2.write_text("# exponent two\nm(x,x) = e\n", encoding="utf-8")
     paths["exp2"] = str(exp2)
+    boole = root / "boole.ids"
+    boole.write_text("imp(imp(x,bot),bot) = x\n", encoding="utf-8")
+    paths["boole"] = str(boole)
     allids = root / "all.ids"
     allids.write_text("# whole category\n", encoding="utf-8")
     paths["all"] = str(allids)
@@ -226,3 +232,199 @@ def test_subprocess_entry_point(files):
     b = subprocess.run(cmd, capture_output=True, env=env)
     assert a.returncode == 0
     assert a.stdout == b.stdout
+
+
+def _report_with_a_failure(algs, spec, bounds):
+    """An axiom report no real input produces: axiom 2 fails, axiom 7 is not applicable."""
+    tracker = _AxiomTracker()
+    for key in AXIOM_KEYS:
+        if key != "7":
+            tracker.record(key, key != "2", lambda: {"algebra": algs[0].name, "r": "0 2|1 3"})
+    note = f"axiom 7 not checked on {algs[0].name}: an example note"
+    return AxiomReport(tracker.statuses(False), bounds, notes=[note])
+
+
+# Complete stdout and exit code of one invocation per subcommand, human
+# format first, then --kv.  Arguments naming a fixture file are replaced by
+# its path.
+GOLDEN = {
+    "con": (("con", "cyclic_group(4)"), 0, """\
+algebra cyclic_group(4)
+size 4
+congruences 3
+  0 1 2 3
+  0 2|1 3
+  0|1|2|3
+""", """\
+algebra=cyclic_group(4)
+size=4
+congruences=3
+con.0=0 1 2 3
+con.1=0 2|1 3
+con.2=0|1|2|3
+"""),
+    "perm": (("perm", "klein4"), 0, """\
+algebra klein4
+congruences 5
+  pair [0 1 2 3] [0 1 2 3] level=two join-formula=pass
+  pair [0 1 2 3] [0 1|2 3] level=two join-formula=pass
+  pair [0 1 2 3] [0 2|1 3] level=two join-formula=pass
+  pair [0 1 2 3] [0 3|1 2] level=two join-formula=pass
+  pair [0 1 2 3] [0|1|2|3] level=two join-formula=pass
+  pair [0 1|2 3] [0 1|2 3] level=two join-formula=pass
+  pair [0 1|2 3] [0 2|1 3] level=two join-formula=pass
+  pair [0 1|2 3] [0 3|1 2] level=two join-formula=pass
+  pair [0 1|2 3] [0|1|2|3] level=two join-formula=pass
+  pair [0 2|1 3] [0 2|1 3] level=two join-formula=pass
+  pair [0 2|1 3] [0 3|1 2] level=two join-formula=pass
+  pair [0 2|1 3] [0|1|2|3] level=two join-formula=pass
+  pair [0 3|1 2] [0 3|1 2] level=two join-formula=pass
+  pair [0 3|1 2] [0|1|2|3] level=two join-formula=pass
+  pair [0|1|2|3] [0|1|2|3] level=two join-formula=pass
+result PASS
+""", "algebra=klein4\ncongruences=5\n" + "".join(
+        f"perm.{i}.{j}=two\ngoursat_join.{i}.{j}=pass\n" for i in range(5) for j in range(i, 5)
+    ) + "status=pass\n"),
+    "closure": (("closure", "cyclic_group(8)", "--variety", "exp2", "--rel", "0 4|1 5|2 6|3 7"),
+                0, """\
+algebra cyclic_group(8)
+variety exp2.ids
+delta_bar 0 2 4 6|1 3 5 7
+input 0 4|1 5|2 6|3 7
+  effective 0 2 4 6|1 3 5 7
+  goursat   0 2 4 6|1 3 5 7
+  agree=true closed=false dense=false
+result PASS
+""", """\
+algebra=cyclic_group(8)
+variety=exp2.ids
+delta_bar=0 2 4 6|1 3 5 7
+closure.0.input=0 4|1 5|2 6|3 7
+closure.0.effective=0 2 4 6|1 3 5 7
+closure.0.goursat=0 2 4 6|1 3 5 7
+closure.0.agree=true
+closure.0.closed=false
+closure.0.dense=false
+status=pass
+"""),
+    "axioms": (("axioms", "heyting_chain(3)", "--variety", "boole"), 0, """\
+variety boole.ids
+algebras heyting_chain(3)
+bounds max_carrier=64
+(1) extensivity: S <= closure(S): PASS
+(2) monotonicity: S <= T implies closure(S) <= closure(T): PASS
+(3) closure(f^-1(S)) <= f^-1(closure(S)) for every available arrow f: PASS
+(4) idempotence: closure(closure(S)) = closure(S): PASS
+(5) closure(f^-1(S)) = f^-1(closure(S)) for quotient maps f: PASS
+(6) f(closure(S)) = closure(f(S)) for quotient maps f: PASS
+(6prime) f(closure(diagonal)) = closure(diagonal) on the target: PASS
+(7) f(closure(R meet S)) = closure(f(R)) meet closure(f(S)): PASS
+(additivity) closure(R join S) = closure(R) join closure(S): PASS
+(image_join) f(R join S) = f(R) join f(S) for quotient maps f: PASS
+result PASS
+""", """\
+variety=boole.ids
+algebras=heyting_chain(3)
+bounds.max_carrier=64
+axiom.1=pass
+axiom.2=pass
+axiom.3=pass
+axiom.4=pass
+axiom.5=pass
+axiom.6=pass
+axiom.6prime=pass
+axiom.7=pass
+axiom.additivity=pass
+axiom.image_join=pass
+status=pass
+"""),
+    "axioms-failure": (("axioms", "cyclic_group(4)", "--variety", "exp2"), 1, """\
+variety exp2.ids
+algebras cyclic_group(4)
+bounds max_carrier=64
+(1) extensivity: S <= closure(S): PASS
+(2) monotonicity: S <= T implies closure(S) <= closure(T): FAIL
+    witness algebra=[cyclic_group(4)] r=[0 2|1 3]
+(3) closure(f^-1(S)) <= f^-1(closure(S)) for every available arrow f: PASS
+(4) idempotence: closure(closure(S)) = closure(S): PASS
+(5) closure(f^-1(S)) = f^-1(closure(S)) for quotient maps f: PASS
+(6) f(closure(S)) = closure(f(S)) for quotient maps f: PASS
+(6prime) f(closure(diagonal)) = closure(diagonal) on the target: PASS
+(7) f(closure(R meet S)) = closure(f(R)) meet closure(f(S)): NOT-APPLICABLE
+    reason no input has a distributive congruence lattice
+(additivity) closure(R join S) = closure(R) join closure(S): PASS
+(image_join) f(R join S) = f(R) join f(S) for quotient maps f: PASS
+note axiom 7 not checked on cyclic_group(4): an example note
+result FAIL
+""", """\
+variety=exp2.ids
+algebras=cyclic_group(4)
+bounds.max_carrier=64
+axiom.1=pass
+axiom.2=fail
+axiom.2.witness=algebra=[cyclic_group(4)] r=[0 2|1 3]
+axiom.3=pass
+axiom.4=pass
+axiom.5=pass
+axiom.6=pass
+axiom.6prime=pass
+axiom.7=not-applicable
+axiom.additivity=pass
+axiom.image_join=pass
+note=axiom 7 not checked on cyclic_group(4): an example note
+status=fail
+"""),
+    "dist": (("dist", "klein4"), 1, """\
+algebra klein4
+variety all
+lattice distributive: fail a=[0 1|2 3] b=[0 2|1 3] c=[0 3|1 2]
+image meet preservation: fail quotient=[0 3|1 2] r=[0 1|2 3] s=[0 2|1 3]
+axiom (7) closed-meet image: fail quotient=[0 3|1 2] r=[0 1|2 3] s=[0 2|1 3]
+closure-meet identity: not-applicable
+verdicts agree: true
+result FAIL
+""", """\
+algebra=klein4
+variety=all
+lattice_distributive=fail a=[0 1|2 3] b=[0 2|1 3] c=[0 3|1 2]
+image_meet=fail quotient=[0 3|1 2] r=[0 1|2 3] s=[0 2|1 3]
+axiom7=fail quotient=[0 3|1 2] r=[0 1|2 3] s=[0 2|1 3]
+closure_meet=not-applicable
+agree=true
+status=fail
+"""),
+    "terms-hm": (("terms", "two_elt_lattice", "--search", "hm"), 1, """\
+algebra two_elt_lattice
+search hm
+result none (fixpoint reached, 18 tables)
+""", """\
+algebra=two_elt_lattice
+search=hm
+result=none
+explored=18
+"""),
+    "terms-maltsev": (("terms", "cyclic_group(4)", "--search", "maltsev"), 0, """\
+algebra cyclic_group(4)
+search maltsev
+result found
+  term m(i(y),m(x,z))
+  explored 44 tables
+""", """\
+algebra=cyclic_group(4)
+search=maltsev
+result=found
+term=m(i(y),m(x,z))
+explored=44
+"""),
+}
+
+
+@pytest.mark.parametrize("fmt", ["human", "kv"])
+@pytest.mark.parametrize("case", list(GOLDEN))
+def test_cli_output_is_pinned(files, monkeypatch, case, fmt):
+    argv, want_code, human, kv = GOLDEN[case]
+    if case == "axioms-failure":
+        monkeypatch.setattr(goursat.cli, "check_axioms", _report_with_a_failure)
+    argv = [files.get(a, a) for a in argv] + (["--kv"] if fmt == "kv" else [])
+    code, out, err = run_cli(*argv)
+    assert (code, out, err) == (want_code, human if fmt == "human" else kv, "")
