@@ -1,8 +1,17 @@
 """Command-line interface.
 
 Exit codes: 0 all checks pass, 1 a mathematical failure or negative
-result (with a replayable witness), 2 usage or parse errors.  Output is
-deterministic: identical inputs and flags produce byte-identical reports.
+result (with a replayable witness), 2 bad input: a usage error, an
+unreadable or malformed file, a bad ``--rel`` literal or corpus name,
+algebras of different signatures, an unwritable output path, or a
+carrier over ``--max-size``.  Any other exception is a fault in the
+program and propagates.  Output is deterministic: identical inputs and
+flags produce byte-identical reports.
+
+Each handler returns ``(records, exit_code)``.  A record is ``(key,
+value, human)``: ``--kv`` prints ``key=value`` (booleans as
+``true``/``false``), the human format prints ``human``, and a ``None``
+key or human leaves the record out of that format.
 """
 
 import argparse
@@ -26,8 +35,8 @@ from .errors import (
     CarrierBoundError,
     GoursatHypothesisError,
     NotCongruenceError,
-    NotPermutableError,
     ParseError,
+    SignatureMismatchError,
 )
 from .permutability import (
     FOUND,
@@ -38,17 +47,30 @@ from .permutability import (
     goursat_join_check,
     permutability_level,
 )
-from .relations import Partition, con_lattice
+from .relations import Partition, con_lattice, require_congruence
 from .terms import load_identities, render
-from .verdict import NOT_APPLICABLE
 
 
-def _common_flags(sp):
+def _bound(least):
+    def parse(text):
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+        if value < least:
+            raise argparse.ArgumentTypeError(f"must be at least {least}, got {value}")
+        return value
+    return parse
+
+
+def _common_flags(sp, max_size=False, clone_cap=False):
     sp.add_argument("--kv", action="store_true", help="machine-readable key=value output")
-    sp.add_argument("--max-size", type=int, default=64, metavar="N",
-                    help="carrier bound for lattice enumeration (default 64)")
-    sp.add_argument("--clone-cap", type=int, default=200_000, metavar="N",
-                    help="table cap for clone generation (default 200000)")
+    if max_size:
+        sp.add_argument("--max-size", type=_bound(1), default=64, metavar="N",
+                        help="carrier bound for lattice enumeration (default 64)")
+    if clone_cap:
+        sp.add_argument("--clone-cap", type=_bound(3), default=200_000, metavar="N",
+                        help="table cap for clone generation (default 200000)")
 
 
 def _build_parser():
@@ -62,12 +84,12 @@ def _build_parser():
     sp = sub.add_parser("con", help="congruence lattice of an algebra")
     sp.add_argument("algebra")
     sp.add_argument("--dot", metavar="PATH", help="write the Hasse diagram as DOT")
-    _common_flags(sp)
+    _common_flags(sp, max_size=True)
     sp.set_defaults(handler=cmd_con)
 
     sp = sub.add_parser("perm", help="permutability levels of all congruence pairs")
     sp.add_argument("algebra")
-    _common_flags(sp)
+    _common_flags(sp, max_size=True)
     sp.set_defaults(handler=cmd_perm)
 
     sp = sub.add_parser("closure", help="congruence closures for a subvariety")
@@ -76,26 +98,26 @@ def _build_parser():
                     help="identity file axiomatizing the subvariety")
     sp.add_argument("--rel", metavar="LITERAL",
                     help="partition literal such as '0 2|1 3'; default sweeps all congruences")
-    _common_flags(sp)
+    _common_flags(sp, max_size=True)
     sp.set_defaults(handler=cmd_closure)
 
     sp = sub.add_parser("axioms", help="closure-operator axiom suite over algebras")
     sp.add_argument("algebras", nargs="+")
     sp.add_argument("--variety", required=True, metavar="IDS")
-    _common_flags(sp)
+    _common_flags(sp, max_size=True)
     sp.set_defaults(handler=cmd_axioms)
 
     sp = sub.add_parser("dist", help="congruence distributivity report")
     sp.add_argument("algebra")
     sp.add_argument("--variety", metavar="IDS",
                     help="subvariety for the closed-meet axiom (default: whole category)")
-    _common_flags(sp)
+    _common_flags(sp, max_size=True)
     sp.set_defaults(handler=cmd_dist)
 
     sp = sub.add_parser("terms", help="search for permutability term witnesses")
     sp.add_argument("algebra")
     sp.add_argument("--search", choices=["maltsev", "hm"], required=True)
-    _common_flags(sp)
+    _common_flags(sp, clone_cap=True)
     sp.set_defaults(handler=cmd_terms)
 
     sp = sub.add_parser("corpus", help="built-in algebra corpus")
@@ -118,24 +140,38 @@ def main(argv=None):
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return 0 if exc.code in (0, None) else 2
-    if args.max_size < 1 or args.clone_cap < 3:
-        print("error: bounds must be positive (--clone-cap at least 3)", file=sys.stderr)
-        return 2
     try:
-        return args.handler(args)
-    except NotCongruenceError as exc:
-        print(f"FAIL not-a-congruence: {exc}")
-        return 1
-    except (NotPermutableError, GoursatHypothesisError) as exc:
-        print(f"FAIL: {exc}")
-        return 1
-    except (ParseError, OSError, KeyError, ValueError, CarrierBoundError) as exc:
+        records, code = args.handler(args)
+    except (ParseError, SignatureMismatchError, OSError, CarrierBoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-
-
-def _emit(lines):
+    if args.kv:
+        lines = [f"{key}={_text(value)}" for key, value, _ in records if key is not None]
+    else:
+        lines = [human for _, _, human in records if human is not None]
     sys.stdout.write("\n".join(lines) + "\n")
+    return code
+
+
+def _text(value):
+    return str(value).lower() if isinstance(value, bool) else str(value)
+
+
+def _plain(key, value):
+    """A record whose human line is the key and the value."""
+    return key, value, f"{key} {value}"
+
+
+def _result(ok):
+    return "status", "pass" if ok else "fail", f"result {'PASS' if ok else 'FAIL'}"
+
+
+def _argument(parse, *args):
+    """Parse a command-line argument, reporting a bad one as a ParseError."""
+    try:
+        return parse(*args)
+    except (KeyError, ValueError) as exc:
+        raise ParseError(exc.args[0]) from None
 
 
 def _load_spec(args, sig):
@@ -156,29 +192,21 @@ def _dot_text(lat):
 def cmd_con(args):
     alg = load_algebra(args.algebra)
     lat = con_lattice(alg, max_size=args.max_size)
-    if args.kv:
-        lines = [f"algebra={alg.name}", f"size={alg.n}", f"congruences={len(lat)}"]
-        lines += [f"con.{i}={p.to_literal()}" for i, p in enumerate(lat.congruences)]
-    else:
-        lines = [f"algebra {alg.name}", f"size {alg.n}", f"congruences {len(lat)}"]
-        lines += [f"  {p.to_literal()}" for p in lat.congruences]
+    records = [_plain("algebra", alg.name), _plain("size", alg.n), _plain("congruences", len(lat))]
+    records += [
+        (f"con.{i}", p.to_literal(), f"  {p.to_literal()}") for i, p in enumerate(lat.congruences)
+    ]
     if args.dot:
         with open(args.dot, "w", encoding="utf-8") as fh:
             fh.write(_dot_text(lat))
-        lines.append(f"dot={args.dot}" if args.kv else f"dot written to {args.dot}")
-    _emit(lines)
-    return 0
+        records.append(("dot", args.dot, f"dot written to {args.dot}"))
+    return records, 0
 
 
 def cmd_perm(args):
     alg = load_algebra(args.algebra)
-    lat = con_lattice(alg, max_size=args.max_size)
-    cons = lat.congruences
-    lines = (
-        [f"algebra={alg.name}", f"congruences={len(cons)}"]
-        if args.kv
-        else [f"algebra {alg.name}", f"congruences {len(cons)}"]
-    )
+    cons = con_lattice(alg, max_size=args.max_size).congruences
+    records = [_plain("algebra", alg.name), _plain("congruences", len(cons))]
     ok = True
     for i in range(len(cons)):
         for j in range(i, len(cons)):
@@ -190,19 +218,11 @@ def cmd_perm(args):
                 verdict = goursat_join_check(alg, cons[i], cons[j])
                 joinres = "pass" if verdict.ok else f"fail witness={verdict.witness}"
                 ok = ok and verdict.ok
-            if args.kv:
-                lines.append(f"perm.{i}.{j}={level}")
-                lines.append(f"goursat_join.{i}.{j}={joinres}")
-            else:
-                lines.append(
-                    f"  pair [{cons[i].to_literal()}] [{cons[j].to_literal()}] "
-                    f"level={level} join-formula={joinres}"
-                )
-    lines.append(
-        f"status={'pass' if ok else 'fail'}" if args.kv else f"result {'PASS' if ok else 'FAIL'}"
-    )
-    _emit(lines)
-    return 0 if ok else 1
+            pair = f"  pair [{cons[i].to_literal()}] [{cons[j].to_literal()}]"
+            records.append((f"perm.{i}.{j}", level, f"{pair} level={level} join-formula={joinres}"))
+            records.append((f"goursat_join.{i}.{j}", joinres, None))
+    records.append(_result(ok))
+    return records, 0 if ok else 1
 
 
 def cmd_closure(args):
@@ -210,18 +230,19 @@ def cmd_closure(args):
     spec = _load_spec(args, alg.sig)
     delta_bar = birkhoff_congruence(alg, spec)
     if args.rel is not None:
-        targets = [Partition.from_literal(args.rel, alg.n)]
+        targets = [_argument(Partition.from_literal, args.rel, alg.n)]
+        try:
+            require_congruence(alg, targets[0])
+        except NotCongruenceError as exc:
+            failure = f"not-a-congruence: {exc}"
+            return [("failure", failure, f"FAIL {failure}"), ("status", "fail", None)], 1
     else:
-        targets = list(con_lattice(alg, max_size=args.max_size).congruences)
-    lines = (
-        [f"algebra={alg.name}", f"variety={spec.name}", f"delta_bar={delta_bar.to_literal()}"]
-        if args.kv
-        else [
-            f"algebra {alg.name}",
-            f"variety {spec.name}",
-            f"delta_bar {delta_bar.to_literal()}",
-        ]
-    )
+        targets = con_lattice(alg, max_size=args.max_size).congruences
+    records = [
+        _plain("algebra", alg.name),
+        _plain("variety", spec.name),
+        _plain("delta_bar", delta_bar.to_literal()),
+    ]
     ok = True
     for idx, s in enumerate(targets):
         eff = closure_effective(alg, s, spec)
@@ -233,73 +254,46 @@ def cmd_closure(args):
             gtext = f"violation: {exc}"
             agree = False
         ok = ok and agree
-        flags = (
-            f"agree={str(agree).lower()} closed={str(eff.closed).lower()} "
-            f"dense={str(eff.dense).lower()}"
-        )
-        if args.kv:
-            lines += [
-                f"closure.{idx}.input={s.to_literal()}",
-                f"closure.{idx}.effective={eff.closure.to_literal()}",
-                f"closure.{idx}.goursat={gtext}",
-                f"closure.{idx}.agree={str(agree).lower()}",
-                f"closure.{idx}.closed={str(eff.closed).lower()}",
-                f"closure.{idx}.dense={str(eff.dense).lower()}",
-            ]
-        else:
-            lines += [
-                f"input {s.to_literal()}",
-                f"  effective {eff.closure.to_literal()}",
-                f"  goursat   {gtext}",
-                f"  {flags}",
-            ]
-    lines.append(
-        f"status={'pass' if ok else 'fail'}" if args.kv else f"result {'PASS' if ok else 'FAIL'}"
-    )
-    _emit(lines)
-    return 0 if ok else 1
+        flags = f"agree={_text(agree)} closed={_text(eff.closed)} dense={_text(eff.dense)}"
+        records += [
+            (f"closure.{idx}.input", s.to_literal(), f"input {s.to_literal()}"),
+            (f"closure.{idx}.effective", eff.closure.to_literal(),
+             f"  effective {eff.closure.to_literal()}"),
+            (f"closure.{idx}.goursat", gtext, f"  goursat   {gtext}"),
+            (f"closure.{idx}.agree", agree, f"  {flags}"),
+            (f"closure.{idx}.closed", eff.closed, None),
+            (f"closure.{idx}.dense", eff.dense, None),
+        ]
+    records.append(_result(ok))
+    return records, 0 if ok else 1
 
 
-def _witness_text(witness):
-    if isinstance(witness, dict):
-        return " ".join(f"{k}=[{v}]" for k, v in witness.items())
-    return str(witness)
+def _named(parts):
+    return " ".join(f"{name}=[{value}]" for name, value in parts)
 
 
 def cmd_axioms(args):
     algs = [load_algebra(path) for path in args.algebras]
     spec = _load_spec(args, algs[0].sig)
     report = check_axioms(algs, spec, Bounds(max_carrier=args.max_size))
-    lines = []
-    if args.kv:
-        lines.append(f"variety={spec.name}")
-        lines.append(f"algebras={','.join(a.name for a in algs)}")
-        lines.append(f"bounds.max_carrier={report.bounds.max_carrier}")
-    else:
-        lines.append(f"variety {spec.name}")
-        lines.append(f"algebras {', '.join(a.name for a in algs)}")
-        lines.append(f"bounds max_carrier={report.bounds.max_carrier}")
+    max_carrier = report.bounds.max_carrier
+    records = [
+        _plain("variety", spec.name),
+        ("algebras", ",".join(a.name for a in algs), f"algebras {', '.join(a.name for a in algs)}"),
+        ("bounds.max_carrier", max_carrier, f"bounds max_carrier={max_carrier}"),
+    ]
     for key in AXIOM_KEYS:
-        status = report.entries[key]
-        tag = status.status
-        if args.kv:
-            lines.append(f"axiom.{key}={tag}")
-            if status.witness:
-                lines.append(f"axiom.{key}.witness={_witness_text(status.witness)}")
-        else:
-            lines.append(f"({key}) {AXIOM_DESCRIPTIONS[key]}: {tag.upper()}")
-            if status.witness:
-                lines.append(f"    witness {_witness_text(status.witness)}")
-            if status.note and tag == NOT_APPLICABLE:
-                lines.append(f"    reason {status.note}")
-    for note in report.notes:
-        lines.append(f"note={note}" if args.kv else f"note {note}")
-    ok = report.ok
-    lines.append(
-        f"status={'pass' if ok else 'fail'}" if args.kv else f"result {'PASS' if ok else 'FAIL'}"
-    )
-    _emit(lines)
-    return 0 if ok else 1
+        verdict = report.entries[key]
+        tag = verdict.status
+        records.append((f"axiom.{key}", tag, f"({key}) {AXIOM_DESCRIPTIONS[key]}: {tag.upper()}"))
+        if verdict.witness:
+            witness = _named(verdict.witness.items())
+            records.append((f"axiom.{key}.witness", witness, f"    witness {witness}"))
+        if verdict.note and verdict.ok is None:
+            records.append((None, None, f"    reason {verdict.note}"))
+    records += [_plain("note", note) for note in report.notes]
+    records.append(_result(report.ok))
+    return records, 0 if report.ok else 1
 
 
 def cmd_dist(args):
@@ -307,49 +301,28 @@ def cmd_dist(args):
     spec = _load_spec(args, alg.sig) if args.variety else None
     report = dist_report(alg, spec, max_size=args.max_size)
 
-    def vtext(verdict):
-        if verdict.ok:
-            return "pass"
-        qm, r, s = verdict.witness
-        return (
-            f"fail quotient=[{qm.kernel.to_literal()}] r=[{r.to_literal()}] "
-            f"s=[{s.to_literal()}]"
-        )
+    def text(verdict, *names):
+        """The status, then the witness partitions by name; a quotient map shows its kernel."""
+        if not verdict.witness:
+            return verdict.status
+        parts = (getattr(w, "kernel", w).to_literal() for w in verdict.witness)
+        return f"{verdict.status} {_named(zip(names, parts))}"
 
-    lattice = report.lattice_distributive
-    if lattice.ok:
-        ltext = "pass"
-    else:
-        a, b, c = lattice.witness
-        ltext = f"fail a=[{a.to_literal()}] b=[{b.to_literal()}] c=[{c.to_literal()}]"
-    cm = report.closure_meet
-    cm_text = cm.status if not cm.witness else (
-        f"{cm.status} r=[{cm.witness[0].to_literal()}] s=[{cm.witness[1].to_literal()}]"
-    )
-    if args.kv:
-        lines = [
-            f"algebra={alg.name}",
-            f"variety={report.spec_name}",
-            f"lattice_distributive={ltext}",
-            f"image_meet={vtext(report.image_meet)}",
-            f"axiom7={vtext(report.axiom7)}",
-            f"closure_meet={cm_text}",
-            f"agree={str(report.agree).lower()}",
-            f"status={'pass' if report.ok else 'fail'}",
-        ]
-    else:
-        lines = [
-            f"algebra {alg.name}",
-            f"variety {report.spec_name}",
-            f"lattice distributive: {ltext}",
-            f"image meet preservation: {vtext(report.image_meet)}",
-            f"axiom (7) closed-meet image: {vtext(report.axiom7)}",
-            f"closure-meet identity: {cm_text}",
-            f"verdicts agree: {str(report.agree).lower()}",
-            f"result {'PASS' if report.ok else 'FAIL'}",
-        ]
-    _emit(lines)
-    return 0 if report.ok else 1
+    lattice = text(report.lattice_distributive, "a", "b", "c")
+    image_meet = text(report.image_meet, "quotient", "r", "s")
+    axiom7 = text(report.axiom7, "quotient", "r", "s")
+    closure_meet = text(report.closure_meet, "r", "s")
+    records = [
+        _plain("algebra", alg.name),
+        _plain("variety", report.spec_name),
+        ("lattice_distributive", lattice, f"lattice distributive: {lattice}"),
+        ("image_meet", image_meet, f"image meet preservation: {image_meet}"),
+        ("axiom7", axiom7, f"axiom (7) closed-meet image: {axiom7}"),
+        ("closure_meet", closure_meet, f"closure-meet identity: {closure_meet}"),
+        ("agree", report.agree, f"verdicts agree: {_text(report.agree)}"),
+        _result(report.ok),
+    ]
+    return records, 0 if report.ok else 1
 
 
 def cmd_terms(args):
@@ -358,61 +331,43 @@ def cmd_terms(args):
         outcome = find_maltsev_term(alg, cap=args.clone_cap)
     else:
         outcome = find_hm_terms(alg, cap=args.clone_cap)
-    lines = (
-        [f"algebra={alg.name}", f"search={args.search}"]
-        if args.kv
-        else [f"algebra {alg.name}", f"search {args.search}"]
-    )
+    records = [_plain("algebra", alg.name), _plain("search", args.search)]
     if outcome.status == FOUND:
         if args.search == "maltsev":
             terms_out = [("term", render(outcome.witness.term))]
         else:
             p, q = outcome.witness
             terms_out = [("term.p", render(p.term)), ("term.q", render(q.term))]
-        if args.kv:
-            lines.append("result=found")
-            lines += [f"{k}={v}" for k, v in terms_out]
-            lines.append(f"explored={outcome.explored}")
-        else:
-            lines.append("result found")
-            lines += [f"  {k} {v}" for k, v in terms_out]
-            lines.append(f"  explored {outcome.explored} tables")
-        _emit(lines)
-        return 0
+        records.append(_plain("result", "found"))
+        records += [(k, v, f"  {k} {v}") for k, v in terms_out]
+        records.append(("explored", outcome.explored, f"  explored {outcome.explored} tables"))
+        return records, 0
     if outcome.status == NONE:
         text = f"none (fixpoint reached, {outcome.explored} tables)"
     else:
         text = f"inconclusive (cap {args.clone_cap} reached)"
-    lines.append(f"result={outcome.status}" if args.kv else f"result {text}")
-    if args.kv:
-        lines.append(f"explored={outcome.explored}")
-    _emit(lines)
-    return 1
+    records.append(("result", outcome.status, f"result {text}"))
+    records.append(("explored", outcome.explored, None))
+    return records, 1
 
 
 def cmd_corpus_list(args):
-    lines = []
+    records = []
     for name in DEFAULT_NAMES:
         entry = entry_by_name(name)
-        if args.kv:
-            lines.append(
-                f"entry={name} size={entry.algebra.n} tags={','.join(entry.tags)} "
-                f"specs={','.join(entry.spec_names)}"
-            )
-        else:
-            lines.append(
-                f"{name}  size={entry.algebra.n}  tags={','.join(entry.tags)}  "
-                f"specs={','.join(entry.spec_names)}"
-            )
-    _emit(lines)
-    return 0
+        size, tags, specs = entry.algebra.n, ",".join(entry.tags), ",".join(entry.spec_names)
+        records.append((
+            "entry",
+            f"{name} size={size} tags={tags} specs={specs}",
+            f"{name}  size={size}  tags={tags}  specs={specs}",
+        ))
+    return records, 0
 
 
 def cmd_corpus_dump(args):
-    entry = entry_by_name(args.name)
+    entry = _argument(entry_by_name, args.name)
     save_algebra(entry.algebra, args.path)
-    _emit([f"wrote {args.path}"])
-    return 0
+    return [_plain("wrote", args.path)], 0
 
 
 if __name__ == "__main__":

@@ -33,7 +33,7 @@ from .relations import (
     require_congruence,
 )
 from .terms import eval_term, validate_term
-from .verdict import FAIL, NOT_APPLICABLE, PASS, CheckStatus, Verdict
+from .verdict import Verdict
 
 
 @dataclass(frozen=True)
@@ -171,7 +171,6 @@ def closure_by_component(alg, s, r_comp):
 @dataclass(frozen=True)
 class Bounds:
     max_carrier: int = 64
-    subuniverse_exhaustive_limit: int = 10
 
 
 AXIOM_KEYS = ("1", "2", "3", "4", "5", "6", "6prime", "7", "additivity", "image_join")
@@ -214,17 +213,15 @@ class _AxiomTracker:
         out = {}
         for key in AXIOM_KEYS:
             if key in self.failures:
-                out[key] = CheckStatus(FAIL, witness=self.failures[key])
+                out[key] = Verdict(False, witness=self.failures[key])
             elif self.checked[key]:
-                out[key] = CheckStatus(PASS)
+                out[key] = Verdict(True)
             elif skipped_all:
-                out[key] = CheckStatus(NOT_APPLICABLE, note="carrier bound exceeded")
+                out[key] = Verdict(None, note="carrier bound exceeded")
             elif key == "7":
-                out[key] = CheckStatus(
-                    NOT_APPLICABLE, note="no input has a distributive congruence lattice"
-                )
+                out[key] = Verdict(None, note="no input has a distributive congruence lattice")
             else:
-                out[key] = CheckStatus(NOT_APPLICABLE, note="nothing to check")
+                out[key] = Verdict(None, note="nothing to check")
         return out
 
 
@@ -393,7 +390,7 @@ def check_axioms(algs, spec, bounds=None):
 
         # Non-surjective arrows for axiom 3: subalgebra inclusions composed
         # with quotients.
-        for universe in all_subuniverses(alg, bounds.subuniverse_exhaustive_limit):
+        for universe in all_subuniverses(alg):
             if len(universe) == alg.n:
                 continue
             sub, embed = subalgebra(alg, universe)

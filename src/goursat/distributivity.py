@@ -12,7 +12,7 @@ from typing import Optional
 from .algebras import quotient
 from .closure import SubvarietySpec, closure_effective
 from .relations import con_lattice, direct_image, is_distributive
-from .verdict import FAIL, NOT_APPLICABLE, PASS, CheckStatus, Verdict
+from .verdict import Verdict
 
 
 def image_meet_check(alg, max_size=64):
@@ -60,7 +60,7 @@ def closure_meet_identity_check(alg, spec, max_size=64):
     """closure(r) meet closure(s) = closure(r meet s), on distributive lattices only."""
     lat = con_lattice(alg, max_size=max_size)
     if not is_distributive(lat):
-        return CheckStatus(NOT_APPLICABLE, note="congruence lattice is not distributive")
+        return Verdict(None, note="congruence lattice is not distributive")
     cons = lat.congruences
     closures = [closure_effective(alg, p, spec).closure for p in cons]
     for ri in range(len(cons)):
@@ -68,8 +68,8 @@ def closure_meet_identity_check(alg, spec, max_size=64):
             lhs = closures[ri].meet(closures[si])
             rhs = closures[lat.meet_table[ri][si]]
             if lhs != rhs:
-                return CheckStatus(FAIL, witness=(cons[ri], cons[si]))
-    return CheckStatus(PASS)
+                return Verdict(False, witness=(cons[ri], cons[si]))
+    return Verdict(True)
 
 
 @dataclass(frozen=True)
@@ -78,7 +78,7 @@ class DistReport:
     image_meet: Verdict
     axiom7: Verdict
     spec_name: str
-    closure_meet: Optional[CheckStatus] = None
+    closure_meet: Optional[Verdict] = None
 
     @property
     def agree(self):

@@ -126,20 +126,22 @@ class _Parser:
             return None
         return self.text[self.pos]
 
+    def _found(self):
+        """The character at the cursor, quoted, or 'end of input' unquoted."""
+        return repr(self.text[self.pos]) if self.pos < len(self.text) else "end of input"
+
     def take_ident(self):
         self._skip_ws()
         m = _IDENT_RE.match(self.text, self.pos)
         if not m:
-            got = self.text[self.pos] if self.pos < len(self.text) else "end of input"
-            raise ParseError(f"expected identifier, found {got!r}", pos=self.pos)
+            raise ParseError(f"expected identifier, found {self._found()}", pos=self.pos)
         self.pos = m.end()
         return m.group(0)
 
     def expect(self, ch):
         self._skip_ws()
         if self.pos >= len(self.text) or self.text[self.pos] != ch:
-            got = self.text[self.pos] if self.pos < len(self.text) else "end of input"
-            raise ParseError(f"expected {ch!r}, found {got!r}", pos=self.pos)
+            raise ParseError(f"expected {ch!r}, found {self._found()}", pos=self.pos)
         self.pos += 1
 
     def term(self):

@@ -1,20 +1,7 @@
-"""Tiny result types used by the check operations."""
+"""The one result type of the check operations."""
 
 from dataclasses import dataclass
-from typing import Any
-
-
-@dataclass(frozen=True)
-class Verdict:
-    """Boolean outcome plus, on failure, a witness that replays the violation."""
-
-    ok: bool
-    witness: Any = None
-    note: str = ""
-
-    def __bool__(self):
-        return self.ok
-
+from typing import Any, Optional
 
 PASS = "pass"
 FAIL = "fail"
@@ -22,16 +9,22 @@ NOT_APPLICABLE = "not-applicable"
 
 
 @dataclass(frozen=True)
-class CheckStatus:
-    """Tri-state check outcome: pass, fail (with witness), or not-applicable."""
+class Verdict:
+    """Outcome of a check: ``ok`` is True (pass), False (fail, with a
+    witness that replays the violation) or None (not applicable, with the
+    reason in ``note``)."""
 
-    status: str
+    ok: Optional[bool]
     witness: Any = None
     note: str = ""
 
     def __bool__(self):
-        return self.status == PASS
+        return self.ok is True
+
+    @property
+    def status(self):
+        return NOT_APPLICABLE if self.ok is None else PASS if self.ok else FAIL
 
     @property
     def failed(self):
-        return self.status == FAIL
+        return self.ok is False

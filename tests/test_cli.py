@@ -1,6 +1,7 @@
 import contextlib
 import io
 import os
+import re
 import subprocess
 import sys
 
@@ -176,33 +177,101 @@ def test_corpus_dump_roundtrip(files, tmp_path):
     assert "congruences 3" in out2
 
 
+def _exits_2(cases):
+    """Each invocation exits 2 with nothing on stdout and the given text in stderr."""
+    for argv, want in cases:
+        code, out, err = run_cli(*argv)
+        assert (code, out) == (2, ""), argv
+        assert want in err, (argv, err)
+
+
 def test_corpus_dump_unknown_name(files, tmp_path):
-    code, _, err = run_cli("corpus", "dump", "nope(3)", str(tmp_path / "x.alg"))
-    assert code == 2
-    assert "error" in err
+    target = str(tmp_path / "x.alg")
+    _exits_2([
+        (("corpus", "dump", "nope(3)", target), "error: unknown corpus algebra 'nope'\n"),
+        (("corpus", "dump", "cyclic_group(2,3)", target),
+         "error: bad corpus name 'cyclic_group(2,3)'\n"),
+        (("corpus", "dump", "cyclic_group(0)", target), "error: group order must be positive\n"),
+        (("corpus", "dump", "sym3", str(tmp_path / "missing" / "x.alg")), "error: [Errno 2]"),
+    ])
+    assert not os.path.exists(target)
 
 
 def test_parse_error_exits_2(files, tmp_path):
     bad = tmp_path / "bad.alg"
     bad.write_text("algebra broken\nsize 2\nop m 2\n0 1\n", encoding="utf-8")
-    code, _, err = run_cli("con", str(bad))
-    assert code == 2
-    assert "error" in err
+    bad_ids = tmp_path / "bad.ids"
+    bad_ids.write_text("m(x,x)\n", encoding="utf-8")
+    z4, exp2 = files["cyclic_group(4)"], files["exp2"]
+    _exits_2([
+        (("con", str(bad)), "error: line 4: "),
+        (("closure", z4, "--variety", str(bad_ids)),
+         "error: line 1: expected '=', found end of input (at position 6)\n"),
+        (("closure", z4, "--variety", exp2, "--rel", "0 1||2 3"),
+         "error: empty block in partition literal\n"),
+        (("closure", z4, "--variety", exp2, "--rel", "0 1|2"),
+         "error: partition does not cover the carrier\n"),
+        (("axioms", z4, files["two_elt_lattice"], "--variety", exp2),
+         "error: algebra #1 does not match the spec's signature\n"),
+        (("con", z4, "--dot", str(tmp_path / "missing" / "x.dot")), "error: [Errno 2]"),
+    ])
 
 
 def test_usage_error_exits_2(files):
-    code, _, _ = run_cli("con")
-    assert code == 2
-    code, _, _ = run_cli("nonsense")
-    assert code == 2
+    z4 = files["cyclic_group(4)"]
+    _exits_2([
+        (("con",), "required: algebra"),
+        (("nonsense",), "invalid choice: 'nonsense'"),
+        # bounds are checked by argparse
+        (("con", z4, "--max-size", "0"), "argument --max-size: must be at least 1, got 0"),
+        (("terms", z4, "--search", "hm", "--clone-cap", "2"),
+         "argument --clone-cap: must be at least 3, got 2"),
+        (("con", z4, "--max-size", "x"), "argument --max-size: invalid int value: 'x'"),
+        # each bound exists only on the subcommands that use it
+        (("con", z4, "--clone-cap", "5"), "unrecognized arguments: --clone-cap 5"),
+        (("terms", z4, "--search", "hm", "--max-size", "5"), "unrecognized arguments: --max-size"),
+        (("corpus", "list", "--max-size", "3"), "unrecognized arguments: --max-size 3"),
+    ])
 
 
-def test_kv_output_is_machine_readable(files):
-    code, out, _ = run_cli("con", files["cyclic_group(4)"], "--kv")
-    assert code == 0
-    for line in out.strip().splitlines():
-        assert "=" in line
-    assert "congruences=3" in out
+def test_internal_errors_propagate(files, monkeypatch):
+    def broken(*args, **kwargs):
+        raise ValueError("internal invariant failed")
+
+    monkeypatch.setattr(goursat.cli, "con_lattice", broken)
+    with pytest.raises(ValueError, match="internal invariant failed"):
+        main(["con", files["cyclic_group(4)"]])
+
+
+def test_kv_output_is_machine_readable(files, tmp_path):
+    z4, exp2 = files["cyclic_group(4)"], files["exp2"]
+    dump = str(tmp_path / "s3.alg")
+    invocations = [
+        ("con", z4),
+        ("perm", files["klein4"]),
+        ("closure", files["cyclic_group(8)"], "--variety", exp2),
+        ("closure", z4, "--variety", exp2, "--rel", "0 1|2 3"),  # not a congruence
+        ("axioms", z4, "--variety", exp2),
+        ("dist", files["klein4"]),
+        ("terms", z4, "--search", "hm"),
+        ("corpus", "list"),
+        ("corpus", "dump", "sym3", dump),
+    ]
+    outs = {}
+    for argv in invocations:
+        code, out, err = run_cli(*argv, "--kv")
+        assert err == "", argv
+        lines = out.splitlines()
+        assert lines, argv
+        for line in lines:
+            assert re.match(r"[a-z_][a-z0-9_.]*=", line), (argv, line)
+        outs[argv[:2]] = (code, lines)
+    assert "congruences=3" in outs["con", z4][1]
+    code, lines = outs["closure", z4]
+    assert code == 1
+    assert lines[0].startswith("failure=not-a-congruence: not a congruence: m on ")
+    assert lines[1:] == ["status=fail"]
+    assert outs["corpus", "dump"] == (0, [f"wrote={dump}"])
 
 
 def test_every_subcommand_is_deterministic(files):

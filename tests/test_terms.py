@@ -210,16 +210,23 @@ def test_parse_identity_requires_single_equals():
         parse_identity("x = y = z", GROUP_SIG)
 
 
+_ERROR_CASES = [
+    # missing '=' is reported at the end of the text, which is not quoted
+    ("m(x,y)", 6, "expected '=', found end of input"),
+    ("m(x,y) = x = y", 11, "unexpected trailing input '='"),  # the second '=', not the first
+    # right-hand errors are offsets into the whole text
+    ("m(x,y) = m(x)", 9, "'m' expects 2 arguments, got 1"),
+    (" m(x) = x", 1, "'m' expects 2 arguments, got 1"),  # a term starts after leading whitespace
+    ("m(x,", 4, "expected identifier, found end of input"),
+    ("m(x,) = x", 4, "expected identifier, found ')'"),
+]
+
+
 @pytest.mark.parametrize(
-    "text, pos",
-    [
-        ("m(x,y)", 6),  # missing '=' is reported at the end of the text
-        ("m(x,y) = x = y", 11),  # the second '=', not the first
-        ("m(x,y) = m(x)", 9),  # right-hand errors are offsets into the whole text
-        (" m(x) = x", 1),  # a term starts after leading whitespace
-    ],
+    "text, pos, message", _ERROR_CASES, ids=[f"{text}-{pos}" for text, pos, _ in _ERROR_CASES]
 )
-def test_parse_identity_error_positions(text, pos):
+def test_parse_identity_error_positions(text, pos, message):
     with pytest.raises(ParseError) as err:
         parse_identity(text, GROUP_SIG)
     assert err.value.pos == pos
+    assert str(err.value) == f"{message} (at position {pos})"
