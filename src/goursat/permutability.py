@@ -5,10 +5,21 @@ breadth-first closure of the three ternary projections under pointwise
 application of the algebra's basic operations.  Tables are deduplicated
 by content; within a round, new tables get ids in lexicographic table
 order, which fixes every witness choice.
+
+A round is evaluated in array blocks.  For each operation, Python loops
+only over the leading argument ids; the last argument runs over a
+contiguous id range, evaluated a bounded block of rows at a time by one
+gather through the operation's flattened table.  Rows are then
+deduplicated in the order of their argument tuples, the order of the
+one-tuple-at-a-time loop, so each new table keeps the same first
+derivation, and the order that fixes witnesses is unchanged.  Each
+table is stored once: its bytes are the deduplication key, and its
+array is a read-only view of those bytes.  The Maltsev search tests new
+tables in array blocks; the Hagemann-Mitschke search joins p and q
+candidates by a hash of the restriction they must share.
 """
 
 from dataclasses import dataclass
-from itertools import product as iproduct
 from typing import Optional
 
 import numpy as np
@@ -80,12 +91,12 @@ class SearchOutcome:
 class CloneResult:
     """Ternary term operations generated so far, with their derivations."""
 
-    def __init__(self, n, arrays, derivations, complete):
+    def __init__(self, n, arrays, index, derivations, complete):
         self.n = n
         self._arrays = arrays
+        self._index = index
         self.derivations = derivations
         self.complete = complete
-        self._index = {arr.tobytes(): i for i, arr in enumerate(arrays)}
 
     def __len__(self):
         return len(self._arrays)
@@ -114,27 +125,33 @@ def _reconstruct(derivations, i, memo=None):
     return t
 
 
-def _new_arg_tuples(total, start, arity):
-    """Lexicographic tuples over range(total)^arity with at least one id >= start."""
-    if arity == 1:
-        for i in range(start, total):
-            yield (i,)
+# Cells in one evaluation block.  A block's intp flat index then takes at
+# most 2 MB; a block is one row at least, so tables of more cells than
+# this (n > 64) are evaluated one row at a time.
+_BLOCK_CELLS = 1 << 18
+
+
+def _heads(stack, n, start, width):
+    """Every tuple of ``width`` argument ids over the rows of stack, in lexicographic order.
+
+    Yields (ids, offset, old): offset is the flat-table index of the
+    head's values times n, so adding the last argument's values completes
+    the index; old tells whether every id in the head is below start.
+    """
+    if width == 0:
+        yield (), np.zeros(stack.shape[1], dtype=np.intp), True
         return
-    for i in range(total):
-        head = (i,)
-        if i >= start:
-            for rest in iproduct(range(total), repeat=arity - 1):
-                yield head + rest
-        else:
-            for rest in _new_arg_tuples(total, start, arity - 1):
-                yield head + rest
+    for ids, offset, old in _heads(stack, n, start, width - 1):
+        for i in range(len(stack)):
+            yield ids + (i,), (offset + stack[i]) * n, old and i < start
 
 
 def _clone_rounds(alg, cap):
     """Drive the BFS one round at a time.
 
-    Yields (arrays, derivations, new_ids, done, complete) after
-    every round; stops after the fixpoint round or once cap tables exist.
+    Yields (arrays, index, derivations, new_ids, done, complete) after
+    every round, index mapping each table's bytes to its id; stops after
+    the fixpoint round or once cap tables exist.
     """
     n = alg.n
     if n > 255:
@@ -142,51 +159,50 @@ def _clone_rounds(alg, cap):
     if cap < 3:
         raise ValueError("cap must allow at least the three projections")
     size = n**3
+    rows = max(1, _BLOCK_CELLS // size)
     span = np.arange(size)
-    projections = [
-        (span // (n * n)).astype(np.uint8),
-        ((span // n) % n).astype(np.uint8),
-        (span % n).astype(np.uint8),
-    ]
-    op_arrays = {
-        sym: np.asarray(alg.tables[sym], dtype=np.uint8).reshape((n,) * arity)
+    projections = [span // (n * n), (span // n) % n, span % n]
+    flat_tables = {
+        sym: alg.table_array(sym).astype(np.uint8).reshape(-1)
         for sym, arity in alg.sig
         if arity > 0
     }
 
     arrays, derivations = [], []
     known = {}
-    for i, arr in enumerate(projections):
-        key = arr.tobytes()
+    for i, values in enumerate(projections):
+        key = values.astype(np.uint8).tobytes()
         if key not in known:
             known[key] = len(arrays)
-            arrays.append(arr)
+            arrays.append(np.frombuffer(key, dtype=np.uint8))
             derivations.append(("var", i))
     new_ids = list(range(len(arrays)))
-    yield arrays, derivations, new_ids, False, False
+    yield arrays, known, derivations, new_ids, False, False
 
     depth = 0
     frontier_start = 0
     while True:
         depth += 1
         total = len(arrays)
+        stack = np.frombuffer(b"".join(known), dtype=np.uint8).reshape(total, size)
         fresh = {}
         for sym, arity in alg.sig:
             if arity == 0:
                 if depth == 1:
-                    arr = np.full(size, alg.tables[sym][0], dtype=np.uint8)
-                    key = arr.tobytes()
+                    key = bytes([alg.tables[sym][0]]) * size
                     if key not in known and key not in fresh:
-                        fresh[key] = (arr, (sym, ()))
+                        fresh[key] = (sym, ())
                 continue
-            table = op_arrays[sym]
-            for ids in _new_arg_tuples(total, frontier_start, arity):
-                arr = table[tuple(arrays[i] for i in ids)]
-                key = arr.tobytes()
-                if key not in known and key not in fresh:
-                    fresh[key] = (arr, (sym, ids))
+            flat = flat_tables[sym]
+            for head, offset, old in _heads(stack, n, frontier_start, arity - 1):
+                for lo in range(frontier_start if old else 0, total, rows):
+                    block = flat[offset + stack[lo : lo + rows]].tobytes()
+                    for last, at in enumerate(range(0, len(block), size), lo):
+                        key = block[at : at + size]
+                        if key not in known and key not in fresh:
+                            fresh[key] = (sym, head + (last,))
         if not fresh:
-            yield arrays, derivations, [], True, True
+            yield arrays, known, derivations, [], True, True
             return
         ordered = sorted(fresh.items())
         room = cap - len(arrays)
@@ -194,23 +210,23 @@ def _clone_rounds(alg, cap):
         if capped:
             ordered = ordered[:room]
         new_ids = []
-        for key, (arr, deriv) in ordered:
+        for key, deriv in ordered:
             known[key] = len(arrays)
             new_ids.append(len(arrays))
-            arrays.append(arr)
+            arrays.append(np.frombuffer(key, dtype=np.uint8))
             derivations.append(deriv)
         if capped:
-            yield arrays, derivations, new_ids, True, False
+            yield arrays, known, derivations, new_ids, True, False
             return
         frontier_start = total
-        yield arrays, derivations, new_ids, False, False
+        yield arrays, known, derivations, new_ids, False, False
 
 
 def generate_clone3(alg, cap=200_000):
     """Run the clone BFS to its fixpoint (or the table cap)."""
-    for arrays, derivations, _new, done, complete in _clone_rounds(alg, cap):
+    for arrays, index, derivations, _new, done, complete in _clone_rounds(alg, cap):
         if done:
-            return CloneResult(alg.n, arrays, derivations, complete)
+            return CloneResult(alg.n, arrays, index, derivations, complete)
     raise AssertionError("clone stream ended without a final round")
 
 
@@ -223,20 +239,34 @@ def _maltsev_masks(n):
     return i_xyy, i_xxy, want_x, want_y
 
 
+def _new_blocks(arrays, new_ids):
+    """The new tables as 2-D blocks of at most _BLOCK_CELLS cells, each with the id of its first row.
+
+    new_ids is an ascending run of consecutive ids, so row r of a block
+    is table first + r.
+    """
+    if not new_ids:
+        return
+    rows = max(1, _BLOCK_CELLS // arrays[new_ids[0]].size)
+    for lo in range(0, len(new_ids), rows):
+        chunk = new_ids[lo : lo + rows]
+        yield chunk[0], np.stack([arrays[i] for i in chunk])
+
+
 def find_maltsev_term(alg, cap=200_000, reconstruct=True):
     """Search the clone for a table with p(x,y,y)=x and p(x,x,y)=y.
 
     Returns the first witness in (depth, lexicographic table) order; a
     definitive ``none`` only at clone fixpoint, ``inconclusive`` at cap.
     """
-    n = alg.n
-    i_xyy, i_xxy, want_x, want_y = _maltsev_masks(n)
-    for arrays, derivations, new_ids, done, complete in _clone_rounds(alg, cap):
-        for i in new_ids:
-            arr = arrays[i]
-            if np.array_equal(arr[i_xyy], want_x) and np.array_equal(arr[i_xxy], want_y):
+    i_xyy, i_xxy, want_x, want_y = _maltsev_masks(alg.n)
+    for arrays, _index, derivations, new_ids, done, complete in _clone_rounds(alg, cap):
+        for first, block in _new_blocks(arrays, new_ids):
+            hits = (block[:, i_xyy] == want_x).all(axis=1) & (block[:, i_xxy] == want_y).all(axis=1)
+            if hits.any():
+                i = first + int(hits.argmax())
                 term = _reconstruct(derivations, i) if reconstruct else None
-                witness = TermWitness(tuple(int(v) for v in arr), term)
+                witness = TermWitness(tuple(int(v) for v in arrays[i]), term)
                 return SearchOutcome(FOUND, witness, explored=len(arrays))
         if done:
             status = NONE if complete else INCONCLUSIVE
@@ -250,25 +280,18 @@ def find_hm_terms(alg, cap=200_000, reconstruct=True):
     The returned pair is the one minimizing (p id, q id) at the first
     BFS depth admitting any valid pair.
     """
-    n = alg.n
-    i_xyy, i_xxy, want_x, want_y = _maltsev_masks(n)
-    p_ids, q_ids = [], []
-    for arrays, derivations, new_ids, done, complete in _clone_rounds(alg, cap):
-        for i in new_ids:
-            arr = arrays[i]
-            if np.array_equal(arr[i_xyy], want_x):
-                p_ids.append(i)
-            if np.array_equal(arr[i_xxy], want_y):
-                q_ids.append(i)
-        best = None
-        for pi in p_ids:
-            left = arrays[pi][i_xxy]
-            for qi in q_ids:
-                if np.array_equal(left, arrays[qi][i_xyy]):
-                    best = (pi, qi)
-                    break
-            if best is not None:
-                break  # ids ascend, so the first hit is the lex-least pair
+    i_xyy, i_xxy, want_x, want_y = _maltsev_masks(alg.n)
+    p_keys = []  # (id, p(x,x,y) bytes) of every table with p(x,y,y)=x, ids ascending
+    q_least = {}  # q(x,y,y) bytes -> least id of a table with q(x,x,y)=y and those values
+    for arrays, _index, derivations, new_ids, done, complete in _clone_rounds(alg, cap):
+        for first, block in _new_blocks(arrays, new_ids):
+            xyy, xxy = block[:, i_xyy], block[:, i_xxy]
+            for r in np.flatnonzero((xyy == want_x).all(axis=1)):
+                p_keys.append((first + int(r), xxy[r].tobytes()))
+            for r in np.flatnonzero((xxy == want_y).all(axis=1)):
+                q_least.setdefault(xyy[r].tobytes(), first + int(r))
+        # the least p with a partner, then its least partner: the lex-least pair
+        best = next(((pi, q_least[key]) for pi, key in p_keys if key in q_least), None)
         if best is not None:
             pi, qi = best
             memo = {}

@@ -1,12 +1,15 @@
 """Independent brute-force oracles used to validate the fast implementations.
 
 Everything here is deliberately naive: set-based relational composition,
-enumeration of all partitions via restricted growth strings, and a
-from-the-definition compatibility check.  None of it shares code with
+enumeration of all partitions via restricted growth strings, a
+from-the-definition compatibility check, and a clone BFS that applies an
+operation to one argument tuple at a time.  None of it shares code with
 the package internals it validates.
 """
 
 from itertools import product
+
+import numpy as np
 
 
 def compose_pairs(r_pairs, s_pairs):
@@ -74,3 +77,96 @@ def meet_blocks(n, blocks_a, blocks_b):
     for x in range(n):
         groups.setdefault((la[x], lb[x]), []).append(x)
     return tuple(tuple(sorted(b)) for b in sorted(groups.values(), key=min))
+
+
+def _new_arg_tuples(total, start, arity):
+    """Lexicographic tuples over range(total)^arity with at least one id >= start."""
+    if arity == 1:
+        for i in range(start, total):
+            yield (i,)
+        return
+    for i in range(total):
+        head = (i,)
+        if i >= start:
+            for rest in product(range(total), repeat=arity - 1):
+                yield head + rest
+        else:
+            for rest in _new_arg_tuples(total, start, arity - 1):
+                yield head + rest
+
+
+def naive_clone_rounds(alg, cap):
+    """The clone BFS with one fancy-index call per argument tuple.
+
+    Same contract as ``permutability._clone_rounds``: yields (arrays,
+    index, derivations, new_ids, done, complete) after every round, where
+    index maps each table's bytes to its id.
+    """
+    n = alg.n
+    if n > 255:
+        raise ValueError("clone generation supports carriers up to 255 elements")
+    if cap < 3:
+        raise ValueError("cap must allow at least the three projections")
+    size = n**3
+    span = np.arange(size)
+    projections = [
+        (span // (n * n)).astype(np.uint8),
+        ((span // n) % n).astype(np.uint8),
+        (span % n).astype(np.uint8),
+    ]
+    op_arrays = {
+        sym: np.asarray(alg.tables[sym], dtype=np.uint8).reshape((n,) * arity)
+        for sym, arity in alg.sig
+        if arity > 0
+    }
+
+    arrays, derivations = [], []
+    known = {}
+    for i, arr in enumerate(projections):
+        key = arr.tobytes()
+        if key not in known:
+            known[key] = len(arrays)
+            arrays.append(arr)
+            derivations.append(("var", i))
+    new_ids = list(range(len(arrays)))
+    yield arrays, known, derivations, new_ids, False, False
+
+    depth = 0
+    frontier_start = 0
+    while True:
+        depth += 1
+        total = len(arrays)
+        fresh = {}
+        for sym, arity in alg.sig:
+            if arity == 0:
+                if depth == 1:
+                    arr = np.full(size, alg.tables[sym][0], dtype=np.uint8)
+                    key = arr.tobytes()
+                    if key not in known and key not in fresh:
+                        fresh[key] = (arr, (sym, ()))
+                continue
+            table = op_arrays[sym]
+            for ids in _new_arg_tuples(total, frontier_start, arity):
+                arr = table[tuple(arrays[i] for i in ids)]
+                key = arr.tobytes()
+                if key not in known and key not in fresh:
+                    fresh[key] = (arr, (sym, ids))
+        if not fresh:
+            yield arrays, known, derivations, [], True, True
+            return
+        ordered = sorted(fresh.items())
+        room = cap - len(arrays)
+        capped = len(ordered) > room
+        if capped:
+            ordered = ordered[:room]
+        new_ids = []
+        for key, (arr, deriv) in ordered:
+            known[key] = len(arrays)
+            new_ids.append(len(arrays))
+            arrays.append(arr)
+            derivations.append(deriv)
+        if capped:
+            yield arrays, known, derivations, new_ids, True, False
+            return
+        frontier_start = total
+        yield arrays, known, derivations, new_ids, False, False

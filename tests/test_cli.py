@@ -10,9 +10,10 @@ import pytest
 import goursat
 import goursat.cli
 from goursat.algebras import save_algebra
-from goursat.closure import AXIOM_KEYS, AxiomReport, _AxiomTracker
+from goursat.closure import AXIOM_KEYS, AxiomReport, _AxiomTracker, closure_goursat
 from goursat.cli import main
 from goursat.corpus import entry_by_name
+from goursat.errors import GoursatHypothesisError
 
 
 def run_cli(*args):
@@ -313,6 +314,13 @@ def _report_with_a_failure(algs, spec, bounds):
     return AxiomReport(tracker.statuses(False), bounds, notes=[note])
 
 
+def _closure_goursat_failing_on_0_2_1_3(alg, s, spec):
+    """closure_goursat, except that the hypothesis breaks down on the congruence 0 2|1 3."""
+    if s.to_literal() == "0 2|1 3":
+        raise GoursatHypothesisError("composite r o s o r is not an equivalence relation")
+    return closure_goursat(alg, s, spec)
+
+
 # Complete stdout and exit code of one invocation per subcommand, human
 # format first, then --kv.  Arguments naming a fixture file are replaced by
 # its path.
@@ -375,6 +383,47 @@ closure.0.agree=true
 closure.0.closed=false
 closure.0.dense=false
 status=pass
+"""),
+    "closure-violation": (("closure", "cyclic_group(4)", "--variety", "exp2"), 1, """\
+algebra cyclic_group(4)
+variety exp2.ids
+delta_bar 0 2|1 3
+input 0 1 2 3
+  effective 0 1 2 3
+  goursat   0 1 2 3
+  agree=true closed=true dense=true
+input 0 2|1 3
+  effective 0 2|1 3
+  goursat   violation: composite r o s o r is not an equivalence relation
+  agree=false closed=true dense=false
+input 0|1|2|3
+  effective 0 2|1 3
+  goursat   0 2|1 3
+  agree=true closed=false dense=false
+result FAIL
+""", """\
+algebra=cyclic_group(4)
+variety=exp2.ids
+delta_bar=0 2|1 3
+closure.0.input=0 1 2 3
+closure.0.effective=0 1 2 3
+closure.0.goursat=0 1 2 3
+closure.0.agree=true
+closure.0.closed=true
+closure.0.dense=true
+closure.1.input=0 2|1 3
+closure.1.effective=0 2|1 3
+closure.1.goursat=violation: composite r o s o r is not an equivalence relation
+closure.1.agree=false
+closure.1.closed=true
+closure.1.dense=false
+closure.2.input=0|1|2|3
+closure.2.effective=0 2|1 3
+closure.2.goursat=0 2|1 3
+closure.2.agree=true
+closure.2.closed=false
+closure.2.dense=false
+status=fail
 """),
     "axioms": (("axioms", "heyting_chain(3)", "--variety", "boole"), 0, """\
 variety boole.ids
@@ -494,6 +543,8 @@ def test_cli_output_is_pinned(files, monkeypatch, case, fmt):
     argv, want_code, human, kv = GOLDEN[case]
     if case == "axioms-failure":
         monkeypatch.setattr(goursat.cli, "check_axioms", _report_with_a_failure)
+    if case == "closure-violation":
+        monkeypatch.setattr(goursat.cli, "closure_goursat", _closure_goursat_failing_on_0_2_1_3)
     argv = [files.get(a, a) for a in argv] + (["--kv"] if fmt == "kv" else [])
     code, out, err = run_cli(*argv)
     assert (code, out, err) == (want_code, human if fmt == "human" else kv, "")

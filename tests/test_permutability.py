@@ -1,7 +1,14 @@
 from itertools import product as iproduct
+from itertools import zip_longest
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from oracles import naive_clone_rounds
+from test_relations import small_algebras
 
+import goursat.permutability as permutability
 from goursat.algebras import FiniteAlgebra, product
 from goursat.corpus import (
     GROUP_SIG,
@@ -29,7 +36,7 @@ from goursat.permutability import (
     permutability_level,
 )
 from goursat.relations import Partition, compose, con_lattice
-from goursat.terms import eval_term
+from goursat.terms import Signature, eval_term
 
 K4 = klein4()
 KERP1 = Partition.from_literal("0 1|2 3", 4)
@@ -100,8 +107,6 @@ def test_clone_of_one_element_algebra_is_a_single_function():
 
 
 def test_clone_of_empty_signature_is_the_three_projections():
-    from goursat.terms import Signature
-
     bare = FiniteAlgebra(Signature({}), 3, {}, name="bare3")
     clone = generate_clone3(bare)
     assert len(clone) == 3
@@ -223,3 +228,106 @@ def test_maltsev_term_forces_all_pairs_two_permutable():
         for i in range(len(cons)):
             for j in range(i, len(cons)):
                 assert permutability_level(alg, cons[i], cons[j]) == TWO
+
+
+# -- differential tests against the per-tuple clone BFS --------------------------
+
+
+def _assert_rounds_match(alg, cap):
+    """Every round of the block BFS equals the oracle's round, field by field."""
+    rounds = zip_longest(permutability._clone_rounds(alg, cap), naive_clone_rounds(alg, cap))
+    for got, want in rounds:
+        assert got is not None and want is not None, "the two BFS ran different round counts"
+        arrays, index, derivations, new_ids, done, complete = got
+        w_arrays, w_index, w_derivations, w_new_ids, w_done, w_complete = want
+        assert [a.tobytes() for a in arrays] == [a.tobytes() for a in w_arrays]
+        assert index == w_index
+        assert derivations == w_derivations
+        assert (new_ids, done, complete) == (w_new_ids, w_done, w_complete)
+
+
+def _searches(alg, cap):
+    return [find_maltsev_term(alg, cap=cap), find_hm_terms(alg, cap=cap)]
+
+
+def _assert_searches_match(alg, cap):
+    got = _searches(alg, cap)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(permutability, "_clone_rounds", naive_clone_rounds)
+        want = _searches(alg, cap)
+    assert got == want
+
+
+@st.composite
+def algebras_with_caps(draw):
+    """A small algebra and a table cap.
+
+    A round evaluates at most cap**arity argument tuples per operation,
+    and the oracle pays a fancy-index call for each, so caps for algebras
+    with a ternary operation stay at most 40 (64 000 tuples).
+    """
+    alg = draw(small_algebras())
+    ternary = any(arity == 3 for _, arity in alg.sig)
+    return alg, draw(st.integers(3, 40 if ternary else 300))
+
+
+@settings(max_examples=30, deadline=None)
+@given(algebras_with_caps())
+def test_clone_rounds_and_searches_match_the_per_tuple_oracle(case):
+    alg, cap = case
+    _assert_rounds_match(alg, cap)
+    _assert_searches_match(alg, cap)
+
+
+def _multi_round_cases():
+    majority = FiniteAlgebra.from_functions(
+        Signature({"maj": 3}), 3, {"maj": lambda x, y, z: y if y == z else x}, name="maj3"
+    )
+    return ((cyclic_group(3), 300), (implication_from_boolean(1), 300),
+            (two_elt_lattice(), 300), (sym3(), 60), (majority, 40))
+
+
+def test_one_row_blocks_match_the_per_tuple_oracle(monkeypatch):
+    monkeypatch.setattr(permutability, "_BLOCK_CELLS", 1)
+    for alg, cap in _multi_round_cases():
+        _assert_rounds_match(alg, cap)
+        _assert_searches_match(alg, cap)
+
+
+class _CountingTable(np.ndarray):
+    """An operation table that counts the rows of every 2-D gather through it."""
+
+    def __array_finalize__(self, obj):
+        self.tally = getattr(obj, "tally", None)
+
+    def __getitem__(self, idx):
+        if isinstance(idx, np.ndarray) and idx.ndim == 2:
+            self.tally[0] += len(idx)
+        return super().__getitem__(idx)
+
+
+def test_a_round_evaluates_each_new_argument_tuple_once(monkeypatch):
+    """Round d evaluates total**k - start**k tuples per k-ary operation.
+
+    total is the table count before the round and start the count before
+    the round before: the tuples over the known tables that use at least
+    one table of the last round.  Outputs alone cannot show a round that
+    re-evaluates old tuples, since their tables are all known already.
+    """
+    for alg, cap in _multi_round_cases():
+        tally = [0]
+
+        def counting(sym, table_array=alg.table_array):
+            table = table_array(sym).view(_CountingTable)
+            table.tally = tally
+            return table
+
+        monkeypatch.setattr(alg, "table_array", counting)
+        arities = [arity for _, arity in alg.sig if arity > 0]
+        sizes = [0]
+        for arrays, *_ in permutability._clone_rounds(alg, cap):
+            if len(sizes) > 1:
+                start, total = sizes[-2], sizes[-1]
+                assert tally[0] == sum(total**k - start**k for k in arities)
+            tally[0] = 0
+            sizes.append(len(arrays))
