@@ -4,9 +4,11 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import goursat.closure
 from goursat.algebras import FiniteAlgebra, quotient
 from goursat.closure import (
     Bounds,
+    ClosureResult,
     SubvarietySpec,
     birkhoff_congruence,
     check_axioms,
@@ -270,6 +272,116 @@ def test_check_axioms_axiom7_agrees_with_check_axiom7(alg):
         status = check_axioms([alg], spec).entries["7"].status
         assert (status == PASS) == check_axiom7(alg, spec).ok, spec.name
 
+
+
+# Negative controls: each case injects one fault into goursat.closure and pins
+# every axiom the sweep then reports failing, with its witness in key order.
+
+
+def _next_congruence(alg, s, spec):
+    """A wrong closure: the congruence after s in the lattice order, wrapping."""
+    lat = con_lattice(alg)
+    return ClosureResult(s, lat.congruences[(lat.index(s) + 1) % len(lat)])
+
+
+def _discrete_iff_4_divides_n(alg, spec):
+    """A wrong verbal congruence: discrete when 4 divides n, full otherwise."""
+    return Partition.discrete(alg.n) if alg.n % 4 == 0 else Partition.full(alg.n)
+
+
+def _full_iff_one_block(f, s):
+    """A wrong image: the full target relation from a one-block input, else discrete."""
+    n = f.target.n
+    return Partition.full(n) if s.num_blocks == 1 else Partition.discrete(n)
+
+
+NEGATIVE_CONTROLS = {
+    "next-closure-on-z2-z4": (
+        "closure_effective", _next_congruence, [cyclic_group(2), Z4], EXP2, {
+            "1": [("algebra", "cyclic_group(2)"), ("s", "0 1"), ("closure", "0|1")],
+            "2": [("algebra", "cyclic_group(2)"), ("s", "0|1"), ("t", "0 1")],
+            "3": [("algebra", "cyclic_group(2)xcyclic_group(2)"), ("projection", "1"),
+                  ("s", "0 1"), ("lhs", "0 1|2 3"), ("rhs", "0 2|1 3")],
+            "4": [("algebra", "cyclic_group(2)"), ("s", "0 1"), ("closure", "0|1"),
+                  ("reclosure", "0 1")],
+            "5": [("algebra", "cyclic_group(2)"), ("quotient", "0 1"), ("s", "0"),
+                  ("lhs", "0|1"), ("rhs", "0 1")],
+            "6": [("algebra", "cyclic_group(4)"), ("quotient", "0 2|1 3"), ("s", "0 2|1 3"),
+                  ("lhs", "0|1"), ("rhs", "0 1")],
+            "7": [("algebra", "cyclic_group(2)"), ("quotient", "0|1"), ("r", "0 1"),
+                  ("s", "0|1"), ("lhs", "0 1"), ("rhs", "0|1")],
+            "additivity": [("algebra", "cyclic_group(2)"), ("r", "0 1"), ("s", "0|1"),
+                           ("lhs", "0|1"), ("rhs", "0 1")],
+        },
+    ),
+    "next-closure-on-klein4": (
+        "closure_effective", _next_congruence, [klein4()], EXP2, {
+            "1": [("algebra", "klein4"), ("s", "0 1 2 3"), ("closure", "0 1|2 3")],
+            "2": [("algebra", "klein4"), ("s", "0 1|2 3"), ("t", "0 1 2 3")],
+            "3": [("algebra", "klein4"), ("quotient", "0 2|1 3"), ("s", "0 1"),
+                  ("lhs", "0 1|2 3"), ("rhs", "0 2|1 3")],
+            "4": [("algebra", "klein4"), ("s", "0 1 2 3"), ("closure", "0 1|2 3"),
+                  ("reclosure", "0 2|1 3")],
+            "5": [("algebra", "klein4"), ("quotient", "0 1 2 3"), ("s", "0"),
+                  ("lhs", "0 1|2 3"), ("rhs", "0 1 2 3")],
+            "6": [("algebra", "klein4"), ("quotient", "0 1|2 3"), ("s", "0 2|1 3"),
+                  ("lhs", "0 1"), ("rhs", "0|1")],
+            "additivity": [("algebra", "klein4"), ("r", "0 1 2 3"), ("s", "0 1|2 3"),
+                           ("lhs", "0 1|2 3"), ("rhs", "0 1 2 3")],
+        },
+    ),
+    "next-closure-on-heyting3": (
+        "closure_effective", _next_congruence, [heyting_chain(3)],
+        spec_by_name("boolean-from-heyting", heyting_chain(3).sig), {
+            "1": [("algebra", "heyting_chain(3)"), ("s", "0 1 2"), ("closure", "0|1 2")],
+            "2": [("algebra", "heyting_chain(3)"), ("s", "0|1|2"), ("t", "0 1 2")],
+            "3": [("algebra", "heyting_chain(3)"), ("subuniverse", "0 2"),
+                  ("quotient", "0|1|2"), ("s", "0|1 2"), ("lhs", "0 1"), ("rhs", "0|1")],
+            "4": [("algebra", "heyting_chain(3)"), ("s", "0 1 2"), ("closure", "0|1 2"),
+                  ("reclosure", "0|1|2")],
+            "5": [("algebra", "heyting_chain(3)"), ("quotient", "0 1 2"), ("s", "0"),
+                  ("lhs", "0|1 2"), ("rhs", "0 1 2")],
+            "6": [("algebra", "heyting_chain(3)"), ("quotient", "0|1 2"), ("s", "0|1 2"),
+                  ("lhs", "0|1"), ("rhs", "0 1")],
+            "7": [("algebra", "heyting_chain(3)"), ("quotient", "0|1 2"), ("r", "0 1 2"),
+                  ("s", "0|1|2"), ("lhs", "0 1"), ("rhs", "0|1")],
+            "additivity": [("algebra", "heyting_chain(3)"), ("r", "0 1 2"), ("s", "0|1|2"),
+                           ("lhs", "0|1 2"), ("rhs", "0 1 2")],
+        },
+    ),
+    "discrete-verbal-on-z4": (
+        "birkhoff_congruence", _discrete_iff_4_divides_n, [Z4], EXP2, {
+            "3": [("algebra", "cyclic_group(4)"), ("subuniverse", "0 2"),
+                  ("quotient", "0|1|2|3"), ("s", "0|1|2|3"), ("lhs", "0 1"), ("rhs", "0|1")],
+            "6": [("algebra", "cyclic_group(4)"), ("quotient", "0 2|1 3"), ("s", "0|1|2|3"),
+                  ("lhs", "0|1"), ("rhs", "0 1")],
+            "6prime": [("algebra", "cyclic_group(4)"), ("quotient", "0 2|1 3"),
+                       ("lhs", "0|1"), ("rhs", "0 1")],
+            "7": [("algebra", "cyclic_group(4)"), ("quotient", "0 2|1 3"), ("r", "0 1 2 3"),
+                  ("s", "0|1|2|3"), ("lhs", "0|1"), ("rhs", "0 1")],
+        },
+    ),
+    "one-block-image-on-klein4": (
+        "direct_image", _full_iff_one_block, [klein4()], EXP2, {
+            "image_join": [("algebra", "klein4"), ("quotient", "0 1|2 3"), ("r", "0 1|2 3"),
+                           ("s", "0 2|1 3"), ("lhs", "0 1"), ("rhs", "0|1")],
+        },
+    ),
+}
+
+
+@pytest.mark.parametrize("case", NEGATIVE_CONTROLS.values(), ids=NEGATIVE_CONTROLS.keys())
+def test_check_axioms_reports_each_injected_fault(monkeypatch, case):
+    name, fault, algs, spec, expected = case
+    monkeypatch.setattr(goursat.closure, name, fault)
+    report = check_axioms(algs, spec)
+    failures = {
+        key: list(verdict.witness.items())
+        for key, verdict in report.entries.items()
+        if verdict.failed
+    }
+    assert failures == expected
+    assert not report.ok
 
 def test_roundtrip_check():
     assert roundtrip_check(Z4, EXP2).ok
