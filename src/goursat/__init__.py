@@ -18,7 +18,6 @@ from .algebras import (
 )
 from .closure import (
     AxiomReport,
-    Bounds,
     ClosureResult,
     SubvarietySpec,
     birkhoff_congruence,

@@ -261,14 +261,18 @@ def subalgebra(alg, universe):
     return FiniteAlgebra(alg.sig, len(embed), tables, name=name), embed
 
 
-def all_subuniverses(alg, exhaustive_limit=10):
+_EXHAUSTIVE_LIMIT = 10
+
+
+def all_subuniverses(alg):
     """Distinct nonempty subuniverses, generated exhaustively for small carriers.
 
-    Beyond the limit only subuniverses generated by at most two elements
-    are enumerated (enough for the arrow sweeps that use this).
+    Beyond _EXHAUSTIVE_LIMIT elements only subuniverses generated by at
+    most two elements are enumerated (enough for the arrow sweeps that
+    use this).
     """
     seeds = []
-    if alg.n <= exhaustive_limit:
+    if alg.n <= _EXHAUSTIVE_LIMIT:
         seeds.extend(
             [x for x in range(alg.n) if mask >> x & 1] for mask in range(1 << alg.n)
         )

@@ -22,7 +22,6 @@ from .algebras import load_algebra, save_algebra
 from .closure import (
     AXIOM_DESCRIPTIONS,
     AXIOM_KEYS,
-    Bounds,
     SubvarietySpec,
     birkhoff_congruence,
     check_axioms,
@@ -275,12 +274,12 @@ def _named(parts):
 def cmd_axioms(args):
     algs = [load_algebra(path) for path in args.algebras]
     spec = _load_spec(args, algs[0].sig)
-    report = check_axioms(algs, spec, Bounds(max_carrier=args.max_size))
-    max_carrier = report.bounds.max_carrier
+    max_size = args.max_size
+    report = check_axioms(algs, spec, max_size=max_size)
     records = [
         _plain("variety", spec.name),
         ("algebras", ",".join(a.name for a in algs), f"algebras {', '.join(a.name for a in algs)}"),
-        ("bounds.max_carrier", max_carrier, f"bounds max_carrier={max_carrier}"),
+        ("bounds.max_carrier", max_size, f"bounds max_carrier={max_size}"),
     ]
     for key in AXIOM_KEYS:
         verdict = report.entries[key]

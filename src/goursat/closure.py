@@ -8,12 +8,21 @@ along q: A -> A/S (closure_effective) and the composite formula
 closure(S) = D o S o D = S o D o S (closure_goursat, valid on
 3-permutable algebras).  Both return a ClosureResult holding only the
 input and its closure.  check_axioms verifies the closure-operator axiom
-suite exhaustively on finite input; the closed-meet axiom (7) is checked
-on the inputs whose congruence lattice is distributive, and every other
-input is named in the notes.
+suite exhaustively on finite input.  Axiom 3 is checked along every
+quotient map, every proper subalgebra inclusion composed with a quotient
+map, and both projections of A x B for each pair of supplied algebras
+whose product fits the carrier bound.  The closed-meet axiom (7) is
+checked on the inputs whose congruence lattice is distributive, and every
+other input is named in the notes.  The first violation of each axiom is
+its witness: the algebra, then s and closure (1); s and t (2); the
+quotient, subuniverse or projection, s, lhs and rhs (3); s, closure and
+reclosure (4); quotient, s, lhs and rhs (5, 6); quotient, lhs and rhs
+(6prime); quotient, r, s, lhs and rhs (7, image_join); r, s, lhs and rhs
+(additivity).
 """
 
 from dataclasses import dataclass, field
+from functools import partial
 from itertools import product as iproduct
 
 from .algebras import all_subuniverses, projections, quotient, subalgebra
@@ -168,11 +177,6 @@ def closure_by_component(alg, s, r_comp):
     return raw.to_partition()
 
 
-@dataclass(frozen=True)
-class Bounds:
-    max_carrier: int = 64
-
-
 AXIOM_KEYS = ("1", "2", "3", "4", "5", "6", "6prime", "7", "additivity", "image_join")
 
 AXIOM_DESCRIPTIONS = {
@@ -191,7 +195,6 @@ AXIOM_DESCRIPTIONS = {
 @dataclass
 class AxiomReport:
     entries: dict
-    bounds: Bounds
     notes: list = field(default_factory=list)
 
     @property
@@ -200,21 +203,26 @@ class AxiomReport:
 
 
 class _AxiomTracker:
+    """Which axioms were checked, and the first failure of each as its witness."""
+
     def __init__(self):
-        self.checked = {k: False for k in AXIOM_KEYS}
+        self.checked = set()
         self.failures = {}
 
-    def record(self, key, ok, witness_fn):
-        self.checked[key] = True
+    def record(self, key, ok, **fields):
+        self.checked.add(key)
         if not ok and key not in self.failures:
-            self.failures[key] = witness_fn()
+            self.failures[key] = {
+                name: value.to_literal() if isinstance(value, Partition) else value
+                for name, value in fields.items()
+            }
 
     def statuses(self, skipped_all):
         out = {}
         for key in AXIOM_KEYS:
             if key in self.failures:
                 out[key] = Verdict(False, witness=self.failures[key])
-            elif self.checked[key]:
+            elif key in self.checked:
                 out[key] = Verdict(True)
             elif skipped_all:
                 out[key] = Verdict(None, note="carrier bound exceeded")
@@ -225,21 +233,45 @@ class _AxiomTracker:
         return out
 
 
-def check_axioms(algs, spec, bounds=None):
+def check_axioms(algs, spec, max_size=64):
     """Exhaustive axiom sweep over congruence lattices and quotient maps.
 
-    Axiom 3 is additionally quantified over non-epi arrows: every
+    Axiom 3 is additionally quantified over non-epi arrows: every proper
     subalgebra inclusion of each supplied algebra composed with every
-    quotient map.  Axiom 7 characterizes congruence distributivity, so it
-    is checked only on inputs whose congruence lattice is distributive;
-    each other input is named in ``notes``, and axiom 7 is not applicable
-    when no checked input qualifies.  Witnesses are the first violation
-    in enumeration order, so reports are deterministic.
+    quotient map, and both projections of A x B for every pair A, B of
+    supplied algebras (A = B included) whose product has at most
+    ``max_size`` elements.  Axiom 7 characterizes congruence
+    distributivity, so it is checked only on inputs whose congruence
+    lattice is distributive; each other input is named in ``notes``, and
+    axiom 7 is not applicable when no checked input qualifies.  Algebras
+    larger than ``max_size`` are skipped and named in ``notes``.
+
+    Witnesses are the first violation in enumeration order, so reports
+    are deterministic.  Each names the algebra and then:
+
+    - 1: s, closure; 4: s, closure, reclosure; 2: s, t (s below t);
+    - 3: quotient (or subuniverse, quotient; or projection on the
+      product), s on the target, lhs, rhs;
+    - 5 and 6: quotient, s, lhs, rhs; 6prime: quotient, lhs, rhs;
+    - 7 and image_join: quotient, r, s, lhs, rhs; additivity: r, s, lhs, rhs.
     """
-    bounds = bounds or Bounds()
     tracker = _AxiomTracker()
     notes = []
-    any_checked = False
+    checked = []
+
+    def pull_back(source, arrow, targets, **fields):
+        """Axiom 3 along the element map arrow from source, for each (t, closure of t).
+
+        Returns the (t, lhs, rhs) instances it checked.
+        """
+        instances = []
+        for t, t_closure in targets:
+            pulled = inverse_image_by_map(source.n, arrow, t)
+            lhs = closure_effective(source, pulled, spec).closure
+            rhs = inverse_image_by_map(source.n, arrow, t_closure)
+            tracker.record("3", lhs.refines(rhs), **fields, s=t, lhs=lhs, rhs=rhs)
+            instances.append((t, lhs, rhs))
+        return instances
 
     for ai, alg in enumerate(algs):
         if alg.sig != spec.sig:
@@ -247,46 +279,25 @@ def check_axioms(algs, spec, bounds=None):
                 f"algebra #{ai} does not match the spec's signature"
             )
         label = alg.name or f"#{ai}"
-        if alg.n > bounds.max_carrier:
-            notes.append(f"skipped {label}: carrier {alg.n} exceeds bound {bounds.max_carrier}")
+        if alg.n > max_size:
+            notes.append(f"skipped {label}: carrier {alg.n} exceeds bound {max_size}")
             continue
-        any_checked = True
-        lat = con_lattice(alg, max_size=bounds.max_carrier)
+        checked.append(alg)
+        lat = con_lattice(alg, max_size=max_size)
         cons = lat.congruences
         closures = [closure_effective(alg, p, spec).closure for p in cons]
-        closure_idx = [lat.index(c) for c in closures]
-        delta_bar = birkhoff_congruence(alg, spec)
+        record = partial(tracker.record, algebra=label)
 
-        def wit(**kw):
-            data = {"algebra": label}
-            data.update(kw)
-            return data
-
-        for i, p in enumerate(cons):
-            tracker.record(
-                "1",
-                p.refines(closures[i]),
-                lambda i=i, p=p: wit(s=p.to_literal(), closure=closures[i].to_literal()),
-            )
-            tracker.record(
-                "4",
-                closures[closure_idx[i]] == closures[i],
-                lambda i=i, p=p: wit(
-                    s=p.to_literal(),
-                    closure=closures[i].to_literal(),
-                    reclosure=closures[closure_idx[i]].to_literal(),
-                ),
-            )
-        for i in range(len(cons)):
-            for j in range(len(cons)):
+        for i, (s, closure) in enumerate(zip(cons, closures)):
+            reclosure = closures[lat.index(closure)]
+            record("1", s.refines(closure), s=s, closure=closure)
+            record("4", reclosure == closure, s=s, closure=closure, reclosure=reclosure)
+            for j, t in enumerate(cons):
                 if i != j and lat.leq[i][j]:
-                    tracker.record(
-                        "2",
-                        closures[i].refines(closures[j]),
-                        lambda i=i, j=j: wit(
-                            s=cons[i].to_literal(), t=cons[j].to_literal()
-                        ),
-                    )
+                    record("2", closure.refines(closures[j]), s=s, t=t)
+                if j >= i:
+                    lhs, rhs = closures[lat.join_table[i][j]], closure.join(closures[j])
+                    record("additivity", lhs == rhs, r=s, s=t, lhs=lhs, rhs=rhs)
 
         distributive = is_distributive(lat).ok
         if not distributive:
@@ -294,155 +305,59 @@ def check_axioms(algs, spec, bounds=None):
                 f"axiom 7 not checked on {label}: congruence lattice is not distributive"
             )
 
+        delta_bar = birkhoff_congruence(alg, spec)
         quotients = [quotient(alg, p) for p in cons]
-        target_lattices = []
-        target_closures = []
-        for qi, qm in enumerate(quotients):
-            tlat = con_lattice(qm.target, max_size=bounds.max_carrier)
+        targets = []
+        for kernel, qm in zip(cons, quotients):
+            tlat = con_lattice(qm.target, max_size=max_size)
             tclosures = [closure_effective(qm.target, t, spec).closure for t in tlat.congruences]
-            target_lattices.append(tlat)
-            target_closures.append(tclosures)
-            for ti, t in enumerate(tlat.congruences):
-                pulled = inverse_image(qm, t)
-                lhs = closures[lat.index(pulled)]
-                rhs = inverse_image(qm, tclosures[ti])
-                common = dict(
-                    quotient=cons[qi].to_literal(),
-                    s=t.to_literal(),
-                    lhs=lhs.to_literal(),
-                    rhs=rhs.to_literal(),
-                )
-                tracker.record("3", lhs.refines(rhs), lambda c=common: wit(**c))
-                tracker.record("5", lhs == rhs, lambda c=common: wit(**c))
+            targets.append(list(zip(tlat.congruences, tclosures)))
+            on_q = partial(record, quotient=kernel)
+            instances = pull_back(alg, qm.mapping, targets[-1], algebra=label, quotient=kernel)
+            for t, lhs, rhs in instances:
+                on_q("5", lhs == rhs, s=t, lhs=lhs, rhs=rhs)
             images = [direct_image(qm, p) for p in cons]
             closed_images = [tclosures[tlat.index(image)] for image in images]
             image_closures = [direct_image(qm, c) for c in closures]
-            for si in range(len(cons)):
-                lhs = image_closures[si]
-                rhs = closed_images[si]
-                tracker.record(
-                    "6",
-                    lhs == rhs,
-                    lambda qi=qi, si=si, lhs=lhs, rhs=rhs: wit(
-                        quotient=cons[qi].to_literal(),
-                        s=cons[si].to_literal(),
-                        lhs=lhs.to_literal(),
-                        rhs=rhs.to_literal(),
-                    ),
-                )
-            image_diag = direct_image(qm, delta_bar)
-            target_diag = birkhoff_congruence(qm.target, spec)
-            tracker.record(
-                "6prime",
-                image_diag == target_diag,
-                lambda qi=qi, a=image_diag, b=target_diag: wit(
-                    quotient=cons[qi].to_literal(),
-                    lhs=a.to_literal(),
-                    rhs=b.to_literal(),
-                ),
-            )
-            for i in range(len(cons)):
+            for s, lhs, rhs in zip(cons, image_closures, closed_images):
+                on_q("6", lhs == rhs, s=s, lhs=lhs, rhs=rhs)
+            lhs, rhs = direct_image(qm, delta_bar), birkhoff_congruence(qm.target, spec)
+            on_q("6prime", lhs == rhs, lhs=lhs, rhs=rhs)
+            for i, r in enumerate(cons):
                 for j in range(i, len(cons)):
-                    lhs = images[lat.join_table[i][j]]
-                    rhs = images[i].join(images[j])
-                    tracker.record(
-                        "image_join",
-                        lhs == rhs,
-                        lambda qi=qi, i=i, j=j, lhs=lhs, rhs=rhs: wit(
-                            quotient=cons[qi].to_literal(),
-                            r=cons[i].to_literal(),
-                            s=cons[j].to_literal(),
-                            lhs=lhs.to_literal(),
-                            rhs=rhs.to_literal(),
-                        ),
-                    )
-            if distributive:
-                for i in range(len(cons)):
-                    for j in range(i, len(cons)):
+                    lhs, rhs = images[lat.join_table[i][j]], images[i].join(images[j])
+                    on_q("image_join", lhs == rhs, r=r, s=cons[j], lhs=lhs, rhs=rhs)
+                    if distributive:
                         lhs = image_closures[lat.meet_table[i][j]]
                         rhs = closed_images[i].meet(closed_images[j])
-                        tracker.record(
-                            "7",
-                            lhs == rhs,
-                            lambda qi=qi, i=i, j=j, lhs=lhs, rhs=rhs: wit(
-                                quotient=cons[qi].to_literal(),
-                                r=cons[i].to_literal(),
-                                s=cons[j].to_literal(),
-                                lhs=lhs.to_literal(),
-                                rhs=rhs.to_literal(),
-                            ),
-                        )
+                        on_q("7", lhs == rhs, r=r, s=cons[j], lhs=lhs, rhs=rhs)
 
-        for i in range(len(cons)):
-            for j in range(i, len(cons)):
-                lhs = closures[lat.index(lat.join(i, j))]
-                rhs = closures[i].join(closures[j])
-                tracker.record(
-                    "additivity",
-                    lhs == rhs,
-                    lambda i=i, j=j, lhs=lhs, rhs=rhs: wit(
-                        r=cons[i].to_literal(),
-                        s=cons[j].to_literal(),
-                        lhs=lhs.to_literal(),
-                        rhs=rhs.to_literal(),
-                    ),
-                )
-
-        # Non-surjective arrows for axiom 3: subalgebra inclusions composed
-        # with quotients.
+        # Non-surjective arrows: subalgebra inclusions composed with quotients.
         for universe in all_subuniverses(alg):
             if len(universe) == alg.n:
                 continue
             sub, embed = subalgebra(alg, universe)
-            for qi, qm in enumerate(quotients):
-                arrow = tuple(qm.mapping[e] for e in embed)
-                for t, tclosure in zip(target_lattices[qi].congruences, target_closures[qi]):
-                    pulled = inverse_image_by_map(sub.n, arrow, t)
-                    lhs = closure_effective(sub, pulled, spec).closure
-                    rhs = inverse_image_by_map(sub.n, arrow, tclosure)
-                    tracker.record(
-                        "3",
-                        lhs.refines(rhs),
-                        lambda u=universe, qi=qi, t=t, lhs=lhs, rhs=rhs: wit(
-                            subuniverse=" ".join(map(str, sorted(u))),
-                            quotient=cons[qi].to_literal(),
-                            s=t.to_literal(),
-                            lhs=lhs.to_literal(),
-                            rhs=rhs.to_literal(),
-                        ),
-                    )
+            elements = " ".join(map(str, sorted(universe)))
+            for kernel, qm, tpairs in zip(cons, quotients, targets):
+                arrow = [qm.mapping[e] for e in embed]
+                pull_back(sub, arrow, tpairs, algebra=label, subuniverse=elements, quotient=kernel)
 
-    # Product projections over pairs from the supplied list feed axiom 3 as
-    # well: pull congruences of a factor back along the projection and
-    # compare closures on the product.
-    eligible = [a for a in algs if a.n <= bounds.max_carrier]
-    for ai in range(len(eligible)):
-        for bi in range(ai, len(eligible)):
-            first, second = eligible[ai], eligible[bi]
-            if first.n * second.n > bounds.max_carrier:
+    # Product projections: pull congruences of a factor back to the product.
+    for ai, first in enumerate(checked):
+        for second in checked[ai:]:
+            if first.n * second.n > max_size:
                 continue
             prod, pmaps = projections([first, second])
             for side, pm in enumerate(pmaps):
                 factor = pm.target
-                flat = con_lattice(factor, max_size=bounds.max_carrier)
-                for t in flat.congruences:
-                    pulled = inverse_image(pm, t)
-                    lhs = closure_effective(prod, pulled, spec).closure
-                    rhs = inverse_image(pm, closure_effective(factor, t, spec).closure)
-                    tracker.record(
-                        "3",
-                        lhs.refines(rhs),
-                        lambda prod=prod, side=side, t=t, lhs=lhs, rhs=rhs: {
-                            "algebra": prod.name,
-                            "projection": str(side),
-                            "s": t.to_literal(),
-                            "lhs": lhs.to_literal(),
-                            "rhs": rhs.to_literal(),
-                        },
-                    )
+                tpairs = [
+                    (t, closure_effective(factor, t, spec).closure)
+                    for t in con_lattice(factor, max_size=max_size).congruences
+                ]
+                pull_back(prod, pm.mapping, tpairs, algebra=prod.name, projection=str(side))
 
-    entries = tracker.statuses(skipped_all=not any_checked)
-    return AxiomReport(entries=entries, bounds=bounds, notes=notes)
+    entries = tracker.statuses(skipped_all=bool(algs) and not checked)
+    return AxiomReport(entries=entries, notes=notes)
 
 
 def roundtrip_check(alg, spec):

@@ -8,7 +8,7 @@ in verify_entry.
 """
 
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .algebras import FiniteAlgebra
 from .closure import SubvarietySpec
@@ -114,11 +114,9 @@ def spec_by_name(name, sig):
 @dataclass(frozen=True)
 class CorpusEntry:
     name: str
-    params: tuple
     algebra: FiniteAlgebra
     tags: tuple
     spec_names: tuple
-    notes: tuple = field(default=())
 
 
 def _checked(alg, laws_text):
@@ -289,7 +287,6 @@ def builtin(name, *params):
     spec_names = tuple(spec.name for spec in corpus_specs(alg.sig))
     return CorpusEntry(
         name=alg.name,
-        params=tuple(params),
         algebra=alg,
         tags=tags,
         spec_names=spec_names,

@@ -20,7 +20,6 @@ candidates by a hash of the restriction they must share.
 """
 
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
@@ -72,10 +71,10 @@ def goursat_join_check(alg, r, s):
 
 @dataclass(frozen=True)
 class TermWitness:
-    """A ternary operation table, with a term realizing it when reconstructed."""
+    """A ternary operation table and a term realizing it."""
 
     table: tuple
-    term: Optional[object] = None
+    term: object
 
 
 @dataclass(frozen=True)
@@ -253,7 +252,7 @@ def _new_blocks(arrays, new_ids):
         yield chunk[0], np.stack([arrays[i] for i in chunk])
 
 
-def find_maltsev_term(alg, cap=200_000, reconstruct=True):
+def find_maltsev_term(alg, cap=200_000):
     """Search the clone for a table with p(x,y,y)=x and p(x,x,y)=y.
 
     Returns the first witness in (depth, lexicographic table) order; a
@@ -265,8 +264,8 @@ def find_maltsev_term(alg, cap=200_000, reconstruct=True):
             hits = (block[:, i_xyy] == want_x).all(axis=1) & (block[:, i_xxy] == want_y).all(axis=1)
             if hits.any():
                 i = first + int(hits.argmax())
-                term = _reconstruct(derivations, i) if reconstruct else None
-                witness = TermWitness(tuple(int(v) for v in arrays[i]), term)
+                table = tuple(int(v) for v in arrays[i])
+                witness = TermWitness(table, _reconstruct(derivations, i))
                 return SearchOutcome(FOUND, witness, explored=len(arrays))
         if done:
             status = NONE if complete else INCONCLUSIVE
@@ -274,7 +273,7 @@ def find_maltsev_term(alg, cap=200_000, reconstruct=True):
     raise AssertionError("clone stream ended without a final round")
 
 
-def find_hm_terms(alg, cap=200_000, reconstruct=True):
+def find_hm_terms(alg, cap=200_000):
     """Search for tables p, q with p(x,y,y)=x, q(x,x,y)=y and p(x,x,y)=q(x,y,y).
 
     The returned pair is the one minimizing (p id, q id) at the first
@@ -295,15 +294,9 @@ def find_hm_terms(alg, cap=200_000, reconstruct=True):
         if best is not None:
             pi, qi = best
             memo = {}
-            witness = (
-                TermWitness(
-                    tuple(int(v) for v in arrays[pi]),
-                    _reconstruct(derivations, pi, memo) if reconstruct else None,
-                ),
-                TermWitness(
-                    tuple(int(v) for v in arrays[qi]),
-                    _reconstruct(derivations, qi, memo) if reconstruct else None,
-                ),
+            witness = tuple(
+                TermWitness(tuple(int(v) for v in arrays[i]), _reconstruct(derivations, i, memo))
+                for i in (pi, qi)
             )
             return SearchOutcome(FOUND, witness, explored=len(arrays))
         if done:

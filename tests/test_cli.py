@@ -10,10 +10,11 @@ import pytest
 import goursat
 import goursat.cli
 from goursat.algebras import save_algebra
-from goursat.closure import AXIOM_KEYS, AxiomReport, _AxiomTracker, closure_goursat
+from goursat.closure import AXIOM_KEYS, AxiomReport, closure_goursat
 from goursat.cli import main
 from goursat.corpus import entry_by_name
 from goursat.errors import GoursatHypothesisError
+from goursat.verdict import Verdict
 
 
 def run_cli(*args):
@@ -304,14 +305,13 @@ def test_subprocess_entry_point(files):
     assert a.stdout == b.stdout
 
 
-def _report_with_a_failure(algs, spec, bounds):
+def _report_with_a_failure(algs, spec, max_size):
     """An axiom report no real input produces: axiom 2 fails, axiom 7 is not applicable."""
-    tracker = _AxiomTracker()
-    for key in AXIOM_KEYS:
-        if key != "7":
-            tracker.record(key, key != "2", lambda: {"algebra": algs[0].name, "r": "0 2|1 3"})
+    entries = {key: Verdict(True) for key in AXIOM_KEYS}
+    entries["2"] = Verdict(False, witness={"algebra": algs[0].name, "r": "0 2|1 3"})
+    entries["7"] = Verdict(None, note="no input has a distributive congruence lattice")
     note = f"axiom 7 not checked on {algs[0].name}: an example note"
-    return AxiomReport(tracker.statuses(False), bounds, notes=[note])
+    return AxiomReport(entries, notes=[note])
 
 
 def _closure_goursat_failing_on_0_2_1_3(alg, s, spec):

@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 import goursat.closure
 from goursat.algebras import FiniteAlgebra, quotient
 from goursat.closure import (
-    Bounds,
     ClosureResult,
     SubvarietySpec,
     birkhoff_congruence,
@@ -247,11 +246,22 @@ def test_check_axioms_signature_mismatch():
 
 
 def test_check_axioms_carrier_bound_marks_not_applicable():
-    report = check_axioms([Z8], EXP2, Bounds(max_carrier=4))
+    report = check_axioms([Z8], EXP2, max_size=4)
     assert all(st.status == NOT_APPLICABLE for st in report.entries.values())
     assert any("skipped" in note for note in report.notes)
     assert report.ok  # a skip is not a failure, and the skip is reported
     assert report.entries["7"].note == "carrier bound exceeded"
+
+
+def test_check_axioms_on_no_algebras_has_nothing_to_check():
+    report = check_axioms([], EXP2)
+    assert report.ok and report.notes == []
+    for key, verdict in report.entries.items():
+        assert verdict.status == NOT_APPLICABLE
+        if key == "7":
+            assert verdict.note == "no input has a distributive congruence lattice"
+        else:
+            assert verdict.note == "nothing to check"
 
 
 def test_check_axioms_axiom7_not_applicable_without_distributive_input():

@@ -208,12 +208,6 @@ def test_cap_produces_inconclusive_not_none():
     assert out2.status == INCONCLUSIVE
 
 
-def test_reconstruction_can_be_suppressed():
-    out = find_maltsev_term(cyclic_group(2), reconstruct=False)
-    assert out.status == FOUND
-    assert out.witness.term is None
-
-
 def test_searches_are_deterministic():
     first = find_hm_terms(implication_from_boolean(2))
     second = find_hm_terms(implication_from_boolean(2))
