@@ -18,8 +18,9 @@ from .terms import Signature
 class FiniteAlgebra:
     """A finite algebra given by its operation tables.
 
-    An algebra is treated as immutable once built.  Its congruence
-    lattice, its quotients and its verbal congruences are memoised per
+    An algebra is treated as immutable once built.  Its table arrays,
+    congruence lattice, quotients, subalgebras, subuniverses, products
+    with a second factor and verbal congruences are memoised per
     instance, so two equal algebras built separately share no results.
     """
 
@@ -62,9 +63,19 @@ class FiniteAlgebra:
         return self.tables[sym][idx]
 
     def table_array(self, sym):
-        """The table of sym as an array with one axis per argument."""
+        """The table of sym as a read-only array with one axis per argument.
+
+        Built once per symbol and kept in the memo.
+        """
+        key = ("table_array", sym)
+        hit = self._memo.get(key)
+        if hit is not None:
+            return hit
         shape = (self.n,) * self.sig.arity(sym)
-        return np.asarray(self.tables[sym], dtype=np.intp).reshape(shape)
+        table = np.asarray(self.tables[sym], dtype=np.intp).reshape(shape)
+        table.flags.writeable = False
+        self._memo[key] = table
+        return table
 
     def structure_key(self):
         return (self.n, tuple(sorted((s, a) for s, a in self.sig)),
@@ -208,14 +219,24 @@ def factor_through(q1, q2):
 
 
 def projections(factors):
-    """Product of the factors together with its projection quotient maps."""
+    """Product of the factors together with its projection quotient maps.
+
+    Memoised on the first factor, keyed by the structure and the name of
+    every other factor (the names make up the product's name).
+    """
+    memo = factors[0]._memo if factors else {}
+    key = ("projections",) + tuple((a.structure_key(), a.name) for a in factors[1:])
+    hit = memo.get(key)
+    if hit is not None:
+        return hit
     prod = product(factors)
     maps = []
     for alg, d in zip(factors, _digits([a.n for a in factors])):
         mapping = tuple(d.tolist())
         kernel = Partition.from_labels(prod.n, mapping)
         maps.append(QuotientMap(prod, kernel, alg, mapping))
-    return prod, maps
+    out = memo[key] = prod, maps
+    return out
 
 
 def generate_subuniverse(alg, seed):
@@ -245,8 +266,15 @@ def generate_subuniverse(alg, seed):
 
 
 def subalgebra(alg, universe):
-    """Restrict to a closed subset; returns the subalgebra and its embedding."""
+    """Restrict to a closed subset; returns the subalgebra and its embedding.
+
+    Memoised per algebra by the sorted subset once it proves closed.
+    """
     embed = tuple(sorted(universe))
+    key = ("subalgebra", embed)
+    hit = alg._memo.get(key)
+    if hit is not None:
+        return hit
     back = {x: i for i, x in enumerate(embed)}
     tables = {}
     for sym, arity in alg.sig:
@@ -258,7 +286,8 @@ def subalgebra(alg, universe):
             table.append(back[v])
         tables[sym] = tuple(table)
     name = f"{alg.name or '?'}|{{{' '.join(map(str, embed))}}}"
-    return FiniteAlgebra(alg.sig, len(embed), tables, name=name), embed
+    out = alg._memo[key] = FiniteAlgebra(alg.sig, len(embed), tables, name=name), embed
+    return out
 
 
 _EXHAUSTIVE_LIMIT = 10
@@ -269,8 +298,11 @@ def all_subuniverses(alg):
 
     Beyond _EXHAUSTIVE_LIMIT elements only subuniverses generated by at
     most two elements are enumerated (enough for the arrow sweeps that
-    use this).
+    use this).  Memoised per algebra; each call returns a fresh list.
     """
+    hit = alg._memo.get("subuniverses")
+    if hit is not None:
+        return list(hit)
     seeds = []
     if alg.n <= _EXHAUSTIVE_LIMIT:
         seeds.extend(
@@ -285,7 +317,8 @@ def all_subuniverses(alg):
         sub = generate_subuniverse(alg, seed)
         if sub:
             found.setdefault(tuple(sorted(sub)), sub)
-    return [found[k] for k in sorted(found, key=lambda t: (len(t), t))]
+    out = alg._memo["subuniverses"] = [found[k] for k in sorted(found, key=lambda t: (len(t), t))]
+    return list(out)
 
 
 def parse_algebra(text):

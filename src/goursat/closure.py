@@ -23,7 +23,6 @@ reclosure (4); quotient, s, lhs and rhs (5, 6); quotient, lhs and rhs
 
 from dataclasses import dataclass, field
 from functools import partial
-from itertools import product as iproduct
 
 from .algebras import all_subuniverses, projections, quotient, subalgebra
 from .errors import (
@@ -41,7 +40,7 @@ from .relations import (
     is_distributive,
     require_congruence,
 )
-from .terms import eval_term, validate_term
+from .terms import eval_identity, validate_term
 from .verdict import Verdict
 
 
@@ -72,8 +71,10 @@ def birkhoff_congruence(alg, spec):
     alg/theta is q applied to an assignment e in alg, and q is a
     homomorphism, so each side of an identity evaluates there to q of
     its value under e.  Hence alg/theta satisfies the identities exactly
-    when theta contains all these pairs.  Memoised per algebra by the
-    spec's key.
+    when theta contains all these pairs.  The identities are evaluated
+    as arrays by eval_identity; the differing pairs are listed in
+    ``itertools.product`` order of the assignments, identity by identity.
+    Memoised per algebra by the spec's key.
     """
     if alg.sig != spec.sig:
         raise SignatureMismatchError("algebra and subvariety spec use different signatures")
@@ -84,12 +85,9 @@ def birkhoff_congruence(alg, spec):
 
     pairs = []
     for ident in spec.identities:
-        for values in iproduct(range(alg.n), repeat=len(ident.vars)):
-            env = dict(zip(ident.vars, values))
-            left = eval_term(alg, ident.lhs, env)
-            right = eval_term(alg, ident.rhs, env)
-            if left != right:
-                pairs.append((left, right))
+        for _start, lhs, rhs in eval_identity(alg, ident):
+            differ = lhs != rhs
+            pairs.extend(zip(lhs[differ].tolist(), rhs[differ].tolist()))
     theta = alg._memo[key] = congruence_generated(alg, pairs)
     return theta
 

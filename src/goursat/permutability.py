@@ -25,7 +25,7 @@ import numpy as np
 
 from .errors import NotPermutableError
 from .relations import require_congruence
-from .terms import App, Var
+from .terms import _BLOCK_CELLS, App, Var
 from .verdict import Verdict
 
 TWO = "two"
@@ -124,12 +124,6 @@ def _reconstruct(derivations, i, memo=None):
     return t
 
 
-# Cells in one evaluation block.  A block's intp flat index then takes at
-# most 2 MB; a block is one row at least, so tables of more cells than
-# this (n > 64) are evaluated one row at a time.
-_BLOCK_CELLS = 1 << 18
-
-
 def _heads(stack, n, start, width):
     """Every tuple of ``width`` argument ids over the rows of stack, in lexicographic order.
 
@@ -158,6 +152,7 @@ def _clone_rounds(alg, cap):
     if cap < 3:
         raise ValueError("cap must allow at least the three projections")
     size = n**3
+    # one n**3-cell table per row, so above n = 64 a block is one row
     rows = max(1, _BLOCK_CELLS // size)
     span = np.arange(size)
     projections = [span // (n * n), (span // n) % n, span % n]

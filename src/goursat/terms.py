@@ -2,11 +2,25 @@
 
 Concrete syntax is prefix-only: ``f(t1,...,tk)`` with nullary symbols
 written bare.  Any identifier not declared in the signature is a variable.
+
+Identities are evaluated as arrays: eval_identity evaluates both sides
+under every assignment of the identity's variables at once, with one
+array axis per variable in ``Identity.vars`` order, by indexing each
+operation's table with the broadcast arrays of its arguments.  The
+assignments are cut into blocks of at most _BLOCK_CELLS cells by fixing
+as few leading variables as needed, so memory stays bounded however many
+variables an identity has; a block is one row along the last variable at
+least.  Blocks come in ``itertools.product`` order and cells within a
+block in C order, so the first falsifying cell found is the
+lexicographically least falsifying assignment.  eval_term evaluates one
+assignment by recursion and is kept as the reference.
 """
 
 import re
 from dataclasses import dataclass
 from itertools import product
+
+import numpy as np
 
 from .errors import EvalError, ParseError, SignatureMismatchError
 from .verdict import Verdict
@@ -257,17 +271,62 @@ def eval_term(alg, t, env):
     return alg.apply(t.sym, args)
 
 
+# Cells in one evaluation block, here and in the clone rounds of
+# permutability.  A block's intp arrays then take at most 2 MB each; a
+# block is one row at least, so a row longer than this is a block alone.
+_BLOCK_CELLS = 1 << 18
+
+
+def _eval_array(alg, t, env):
+    """Value of t with each variable bound to an array in env; shapes broadcast."""
+    if isinstance(t, Var):
+        if t.name not in env:
+            raise EvalError(f"unbound variable {t.name!r}")
+        return env[t.name]
+    return alg.table_array(t.sym)[tuple(_eval_array(alg, a, env) for a in t.args)]
+
+
+def eval_identity(alg, ident):
+    """Both sides of ident under every assignment of ident.vars, block by block.
+
+    Yields (start, lhs, rhs): lhs and rhs are arrays of one shape with one
+    axis per variable of ident.vars, in that order.  The leading variables
+    fixed for the block have axes of length 1 and their values in start,
+    whose other entries are 0, so cell idx of the block is the assignment
+    start + idx.  Blocks come in ``itertools.product`` order over the fixed
+    variables and hold at most _BLOCK_CELLS cells, or one row along the
+    last variable when that row alone is longer.  A ground identity gives
+    one block of shape ().  The terms are trusted to fit alg's signature.
+    """
+    n, k = alg.n, len(ident.vars)
+    free = min(k, 1)
+    while free < k and n ** (free + 1) <= _BLOCK_CELLS:
+        free += 1
+    fixed = k - free
+    shape = (1,) * fixed + (n,) * free
+    axes = [np.arange(n).reshape((n,) + (1,) * (k - 1 - j)) for j in range(fixed, k)]
+    for prefix in product(range(n), repeat=fixed):
+        env = dict(zip(ident.vars, list(prefix) + axes))
+        lhs = np.broadcast_to(_eval_array(alg, ident.lhs, env), shape)
+        rhs = np.broadcast_to(_eval_array(alg, ident.rhs, env), shape)
+        yield prefix + (0,) * free, lhs, rhs
+
+
 def satisfies_identity(alg, ident):
     """True iff the identity holds under every assignment.
 
-    On failure the witness is the lexicographically least falsifying
-    assignment under the identity's variable ordering.
+    Both sides are evaluated by eval_identity, in blocks of at most
+    _BLOCK_CELLS cells.  On failure the witness is the lexicographically
+    least falsifying assignment under the identity's variable ordering:
+    the first row of ``np.argwhere(lhs != rhs)`` in C order in the first
+    block that has one, as a {name: value} dict.
     """
     validate_term(ident.lhs, alg.sig)
     validate_term(ident.rhs, alg.sig)
-    names = ident.vars
-    for values in product(range(alg.n), repeat=len(names)):
-        env = dict(zip(names, values))
-        if eval_term(alg, ident.lhs, env) != eval_term(alg, ident.rhs, env):
-            return Verdict(False, witness=env)
+    for start, lhs, rhs in eval_identity(alg, ident):
+        mask = lhs != rhs
+        if mask.any():
+            first = np.unravel_index(mask.argmax(), mask.shape)
+            values = [s + int(i) for s, i in zip(start, first)]
+            return Verdict(False, witness=dict(zip(ident.vars, values)))
     return Verdict(True)

@@ -2,14 +2,17 @@
 
 Everything here is deliberately naive: set-based relational composition,
 enumeration of all partitions via restricted growth strings, a
-from-the-definition compatibility check, and a clone BFS that applies an
-operation to one argument tuple at a time.  None of it shares code with
-the package internals it validates.
+from-the-definition compatibility check, a clone BFS that applies an
+operation to one argument tuple at a time, and identities evaluated one
+assignment at a time by the recursive reference ``terms.eval_term``.
+None of it shares code with the package internals it validates.
 """
 
 from itertools import product
 
 import numpy as np
+
+from goursat.terms import eval_term
 
 
 def compose_pairs(r_pairs, s_pairs):
@@ -170,3 +173,25 @@ def naive_clone_rounds(alg, cap):
             return
         frontier_start = total
         yield arrays, known, derivations, new_ids, False, False
+
+
+def naive_satisfies(alg, ident):
+    """(holds, least falsifying assignment or None), one assignment at a time."""
+    for values in product(range(alg.n), repeat=len(ident.vars)):
+        env = dict(zip(ident.vars, values))
+        if eval_term(alg, ident.lhs, env) != eval_term(alg, ident.rhs, env):
+            return False, env
+    return True, None
+
+
+def naive_verbal_pairs(alg, spec):
+    """The (lhs, rhs) values that differ, identity by identity, assignments in product order."""
+    pairs = []
+    for ident in spec.identities:
+        for values in product(range(alg.n), repeat=len(ident.vars)):
+            env = dict(zip(ident.vars, values))
+            left = eval_term(alg, ident.lhs, env)
+            right = eval_term(alg, ident.rhs, env)
+            if left != right:
+                pairs.append((left, right))
+    return pairs

@@ -154,6 +154,35 @@ def test_quotient_is_memoised_per_algebra():
     assert con_lattice(alg) is con_lattice(alg)
 
 
+def test_table_arrays_subalgebras_and_subuniverses_are_memoised_per_algebra():
+    alg = klein4()
+    table = alg.table_array("m")
+    assert alg.table_array("m") is table
+    assert not table.flags.writeable
+    with pytest.raises(ValueError):
+        table[0, 0] = 1
+    subs = all_subuniverses(alg)
+    subs.clear()
+    again = all_subuniverses(alg)
+    assert again == all_subuniverses(klein4()) and again is not all_subuniverses(alg)
+    assert subalgebra(alg, {0, 1}) is subalgebra(alg, frozenset({1, 0}))
+    with pytest.raises(ValueError, match="not closed"):
+        subalgebra(Z4, {0, 1})
+    with pytest.raises(ValueError, match="not closed"):
+        subalgebra(Z4, {0, 1})
+
+
+def test_projections_are_memoised_on_the_first_factor_by_the_second_and_its_name():
+    first = cyclic_group(4)
+    pair = projections([first, Z2])
+    assert projections([first, Z2]) is pair
+    assert projections([first, cyclic_group(2)]) is pair
+    renamed = FiniteAlgebra(Z2.sig, 2, Z2.tables, name="z2")
+    prod, maps = projections([first, renamed])
+    assert prod.name == "cyclic_group(4)xz2" and maps[1].target is renamed
+    assert projections([cyclic_group(4), Z2]) is not pair
+
+
 def test_kernel_pair_inverts_quotient_on_every_congruence():
     for alg in (Z4, klein4(), sym3(), heyting_chain(3)):
         for theta in con_lattice(alg).congruences:

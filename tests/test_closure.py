@@ -5,6 +5,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import goursat.closure
+import goursat.terms
 from goursat.algebras import FiniteAlgebra, quotient
 from goursat.closure import (
     ClosureResult,
@@ -32,12 +33,13 @@ from goursat.corpus import (
 )
 from goursat.distributivity import check_axiom7
 from goursat.errors import NotCongruenceError, NotPermutableError, SignatureMismatchError
-from goursat.relations import Partition, con_lattice, is_congruence
-from goursat.terms import App, Identity, Signature, Var, parse_identity, satisfies_identity
+from goursat.relations import Partition, con_lattice, congruence_generated, is_congruence
+from goursat.terms import Identity, Signature, parse_identity, satisfies_identity
 from goursat.verdict import NOT_APPLICABLE, PASS
 
-from oracles import brute_force_congruences, meet_blocks
+from oracles import brute_force_congruences, meet_blocks, naive_satisfies, naive_verbal_pairs
 from test_relations import NULLARY_ONLY, ONE_ELEMENT, small_algebras
+from test_terms import _sig_terms
 
 Z4 = cyclic_group(4)
 Z8 = cyclic_group(8)
@@ -74,7 +76,7 @@ def _least_satisfying_congruence(alg, spec):
     qualifying = []
     for blocks in brute_force_congruences(alg):
         target = quotient(alg, Partition(alg.n, [list(b) for b in blocks])).target
-        if all(satisfies_identity(target, ident).ok for ident in spec.identities):
+        if all(naive_satisfies(target, ident)[0] for ident in spec.identities):
             qualifying.append(blocks)
     least = reduce(partial(meet_blocks, alg.n), qualifying)
     assert least in qualifying
@@ -93,27 +95,11 @@ def test_birkhoff_congruence_is_least_against_brute_force():
         assert birkhoff_congruence(alg, spec).blocks == _least_satisfying_congruence(alg, spec)
 
 
-def _terms(sig, depth):
-    """Terms of depth <= depth over the variables x, y and the signature."""
-    leaves = st.sampled_from(
-        [Var("x"), Var("y")] + [App(sym, ()) for sym, arity in sig if arity == 0]
-    )
-    if depth == 0:
-        return leaves
-    sub = _terms(sig, depth - 1)
-    apps = [
-        st.tuples(*[sub] * arity).map(partial(App, sym))
-        for sym, arity in sig
-        if arity > 0
-    ]
-    return st.one_of(leaves, *apps)
-
-
 @st.composite
 def algebras_with_specs(draw):
     """A small random algebra and up to three random identities of depth <= 2."""
     alg = draw(small_algebras())
-    term = _terms(alg.sig, 2)
+    term = _sig_terms(alg.sig, 2, ["x", "y"])
     idents = draw(st.lists(st.builds(Identity.of, term, term), max_size=3))
     return alg, SubvarietySpec(alg.sig, tuple(idents))
 
@@ -135,6 +121,27 @@ NO_SIGNATURE = FiniteAlgebra(Signature({}), 3, {})
 def test_birkhoff_congruence_matches_oracle(case):
     alg, spec = case
     assert birkhoff_congruence(alg, spec).blocks == _least_satisfying_congruence(alg, spec)
+
+
+@pytest.mark.parametrize("cap", [goursat.terms._BLOCK_CELLS, 1], ids=["block-cap", "one-cell-cap"])
+@settings(max_examples=60, deadline=None)
+@given(algebras_with_specs())
+@example((NULLARY_ONLY, _spec(NULLARY_ONLY, "c = d", "x = c")))
+@example((NO_SIGNATURE, _spec(NO_SIGNATURE, "x = y")))
+def test_birkhoff_congruence_generates_from_the_oracle_pairs_in_order(cap, case):
+    alg, spec = case
+    fresh = FiniteAlgebra(alg.sig, alg.n, alg.tables)
+    seen = []
+
+    def recording(alg, pairs):
+        seen.append(list(pairs))
+        return congruence_generated(alg, pairs)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(goursat.terms, "_BLOCK_CELLS", cap)
+        mp.setattr(goursat.closure, "congruence_generated", recording)
+        birkhoff_congruence(fresh, spec)
+    assert seen == [naive_verbal_pairs(alg, spec)]
 
 
 def test_reflect():

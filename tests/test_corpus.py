@@ -1,7 +1,10 @@
 import pytest
 
+from goursat.algebras import FiniteAlgebra
 from goursat.closure import birkhoff_congruence
 from goursat.corpus import (
+    _GROUP_LAWS,
+    _checked,
     GROUP_SIG,
     HEYTING_SIG,
     IMPLICATION_SIG,
@@ -30,6 +33,20 @@ def test_cyclic_group_tables():
     assert z4.tables["m"] == tuple((a + b) % 4 for a in range(4) for b in range(4))
     assert z4.tables["i"] == (0, 3, 2, 1)
     assert z4.tables["e"] == (0,)
+
+
+def test_corrupted_group_table_is_refused_with_the_law_and_its_least_witness():
+    z4 = cyclic_group(4)
+    m = list(z4.tables["m"])
+    m[1 * 4 + 2] = 0  # m(1,2) = 0 instead of 3
+    broken = FiniteAlgebra(z4.sig, 4, {**z4.tables, "m": tuple(m)}, name=z4.name)
+    message = (
+        "corpus algebra 'cyclic_group(4)' violates m(m(x,y),z) = m(x,m(y,z))"
+        " at {'x': 1, 'y': 1, 'z': 1}"
+    )
+    with pytest.raises(ValueError) as err:
+        _checked(broken, _GROUP_LAWS)
+    assert str(err.value) == message
 
 
 def test_boolean_ring_star_satisfies_the_pseudo_inverse_axioms_pointwise():

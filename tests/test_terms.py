@@ -1,7 +1,12 @@
-import pytest
-from hypothesis import given
-from hypothesis import strategies as st
+from functools import partial
 
+import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from oracles import naive_satisfies
+from test_relations import NULLARY_ONLY, ONE_ELEMENT, small_algebras
+
+import goursat.terms as terms
 from goursat.algebras import product, product_encode
 from goursat.corpus import GROUP_SIG, cyclic_group, implication_from_boolean
 from goursat.errors import EvalError, ParseError, SignatureMismatchError
@@ -160,6 +165,12 @@ def test_satisfies_signature_mismatch():
         satisfies_identity(Z4, ident)
 
 
+def test_satisfies_identity_refuses_a_variable_missing_from_vars():
+    ident = Identity(Var("x"), App("e", ()), ())
+    with pytest.raises(EvalError, match="unbound variable 'x'"):
+        satisfies_identity(Z4, ident)
+
+
 def test_verdict_invariant_under_variable_permutation():
     ident = parse_identity("m(x,y) = m(y,m(x,x))", Z4.sig)
     permuted = Identity(ident.lhs, ident.rhs, ("y", "x"))
@@ -230,3 +241,86 @@ def test_parse_identity_error_positions(text, pos, message):
         parse_identity(text, GROUP_SIG)
     assert err.value.pos == pos
     assert str(err.value) == f"{message} (at position {pos})"
+
+
+# -- array evaluation against the per-assignment oracle -----------------------
+
+
+def _sig_terms(sig, depth, names):
+    """Terms of depth <= depth over the variables names and the signature."""
+    leaves = [Var(v) for v in names] + [App(sym, ()) for sym, arity in sig if arity == 0]
+    if depth == 0:
+        return st.sampled_from(leaves)
+    sub = _sig_terms(sig, depth - 1, names)
+    apps = [
+        st.tuples(*[sub] * arity).map(partial(App, sym))
+        for sym, arity in sig
+        if arity > 0
+    ]
+    return st.one_of(st.sampled_from(leaves), *apps)
+
+
+@st.composite
+def algebras_with_identities(draw):
+    """A small algebra and an identity of depth <= 3 in up to four variables.
+
+    With nullary symbols the identity may be ground.  Its variable order
+    is any permutation of its variables, sometimes with one unused extra.
+    """
+    alg = draw(small_algebras())
+    has_constants = any(arity == 0 for _, arity in alg.sig)
+    k = draw(st.integers(0 if has_constants else 1, 4))
+    names = ["x", "y", "z", "w"][:k]
+    term = _sig_terms(alg.sig, 3, names)
+    ident = Identity.of(draw(term), draw(term))
+    order = list(ident.vars)
+    if len(order) < 4 and draw(st.booleans()):
+        order.append("u")
+    return alg, Identity(ident.lhs, ident.rhs, tuple(draw(st.permutations(order))))
+
+
+def _ident(alg, text):
+    return parse_identity(text, alg.sig)
+
+
+@pytest.mark.parametrize("cap", [terms._BLOCK_CELLS, 1], ids=["block-cap", "one-cell-cap"])
+@settings(max_examples=100, deadline=None)
+@given(algebras_with_identities())
+@example((NULLARY_ONLY, _ident(NULLARY_ONLY, "c = d")))
+@example((NULLARY_ONLY, _ident(NULLARY_ONLY, "c = c")))
+@example((NULLARY_ONLY, _ident(NULLARY_ONLY, "x = c")))
+@example((ONE_ELEMENT, _ident(ONE_ELEMENT, "f(x,f(y,z)) = f(w,c)")))
+def test_satisfies_identity_matches_the_per_assignment_oracle(cap, case):
+    alg, ident = case
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(terms, "_BLOCK_CELLS", cap)
+        verdict = satisfies_identity(alg, ident)
+    holds, witness = naive_satisfies(alg, ident)
+    assert verdict.ok == holds
+    assert verdict.witness == witness
+
+
+def test_a_four_variable_law_on_cyclic_group_64_stays_within_the_block_cap(monkeypatch):
+    """64**4 = 16.7 M assignments, evaluated in 64 blocks of 2**18 cells."""
+    z64 = cyclic_group(64)
+    sizes = []
+
+    def recording(alg, ident, blocks=terms.eval_identity):
+        for start, lhs, rhs in blocks(alg, ident):
+            sizes.append(lhs.size)
+            yield start, lhs, rhs
+
+    monkeypatch.setattr(terms, "eval_identity", recording)
+    medial = _ident(z64, "m(m(x,y),m(z,w)) = m(m(x,z),m(y,w))")
+    assert satisfies_identity(z64, medial).ok
+    assert sizes == [terms._BLOCK_CELLS] * 64
+
+    # 32x = 0 fails exactly for odd x: the least witness opens the second block
+    x32 = "m(x,x)"
+    for _ in range(4):
+        x32 = f"m({x32},{x32})"
+    odd = _ident(z64, f"m({x32},m(y,m(z,w))) = m(y,m(z,w))")
+    sizes.clear()
+    verdict = satisfies_identity(z64, odd)
+    assert verdict.witness == {"x": 1, "y": 0, "z": 0, "w": 0}
+    assert sizes == [terms._BLOCK_CELLS] * 2
