@@ -222,9 +222,12 @@ def projections(factors):
     """Product of the factors together with its projection quotient maps.
 
     Memoised on the first factor, keyed by the structure and the name of
-    every other factor (the names make up the product's name).
+    every other factor (the names make up the product's name).  No
+    factors give the one-element algebra and no maps.
     """
-    memo = factors[0]._memo if factors else {}
+    if not factors:
+        return product([]), []
+    memo = factors[0]._memo
     key = ("projections",) + tuple((a.structure_key(), a.name) for a in factors[1:])
     hit = memo.get(key)
     if hit is not None:

@@ -6,6 +6,35 @@ application of the algebra's basic operations.  Tables are deduplicated
 by content; within a round, new tables get ids in lexicographic table
 order, which fixes every witness choice.
 
+The BFS uses two exact symmetries of A.
+
+Orbit representatives.  A term operation t commutes with every
+automorphism s of A: t(sx, sy, sz) = s t(x, y, z).  So t is fixed by its
+values on one cell of each orbit of a group G of automorphisms acting on
+A^3, and the BFS restricts every table to R, the least cell of each
+orbit in ascending cell order; application is pointwise, so
+f(t1, t2)|R = f(t1|R, t2|R).  The first cell c where two distinct term
+tables differ is always in R: were c = s r with r < c its representative,
+the tables would agree at r and so at c.  Restricted tables therefore
+deduplicate exactly and sort in the same lexicographic order as full
+ones, so ids, derivations and the cap cut are unchanged.  The cells
+(x,y,y) and (x,x,y) are unions of orbits, so the Maltsev identities are
+read on the representatives among them; the representatives (a,a,b) and
+(a,b,b) both belong to the pairs (a,b) least in their orbit, so the two
+restrictions the Hagemann-Mitschke search joins line up position by
+position.  G is found by backtracking over the images of a generating
+sequence of A, pruned by colour refinement and by the orbits of the
+automorphisms already found, and the search stops after n**3 candidate
+images, the cells of one full table.  Any group gives an exact
+reduction, so a search cut short only costs compression.  Witnesses and
+``CloneResult`` expand tables back to all n**3 cells.
+
+Mirrored pairs.  For a binary operation with a symmetric table, the
+pair (j, i) gives the table of (i, j), which comes earlier in the same
+round; so only pairs i <= j are evaluated, and i < j when the operation
+is also idempotent, since f(t, t) = t is known.  Each table keeps its
+first derivation.
+
 A round is evaluated in array blocks.  For each operation, Python loops
 only over the leading argument ids; the last argument runs over a
 contiguous id range, evaluated a bounded block of rows at a time by one
@@ -87,11 +116,244 @@ class SearchOutcome:
         return self.status == FOUND
 
 
-class CloneResult:
-    """Ternary term operations generated so far, with their derivations."""
+# -- automorphisms and the orbits of A^3 -------------------------------------------
 
-    def __init__(self, n, arrays, index, derivations, complete):
+
+def _compact(codes):
+    """Codes renumbered 0, 1, ... in ascending order, same shape."""
+    return np.unique(codes, return_inverse=True)[1].reshape(codes.shape)
+
+
+def _colours(alg):
+    """An automorphism-invariant colouring of the carrier, by colour refinement.
+
+    Each constant starts in a colour of its own.  A round splits colours
+    by, for each operation and argument position, the sorted codes of the
+    (arguments, result) tuples an element occurs in at that position: a
+    tuple's code is its colours and which of its entries are equal.
+    """
+    n = alg.n
+    colour = np.zeros(n, dtype=np.intp)
+    for i, (sym, arity) in enumerate(alg.sig, 1):
+        if arity == 0 and not colour[alg.tables[sym][0]]:
+            colour[alg.tables[sym][0]] = i
+    colour = _compact(colour)
+    entries, equal = {}, {}
+    for sym, arity in alg.sig:
+        if arity > 0:
+            entries[sym] = list(np.ix_(*(np.arange(n),) * arity)) + [alg.table_array(sym)]
+            equal[sym] = 0
+            for i in range(arity + 1):
+                for j in range(i + 1, arity + 1):
+                    equal[sym] = equal[sym] * 2 + (entries[sym][i] == entries[sym][j])
+    while True:
+        parts = [colour[:, None]]
+        for sym, arity in alg.sig:
+            if arity == 0:
+                continue
+            code = equal[sym]
+            for values in entries[sym]:
+                code = _compact(code * n + colour[values])
+            for axis in range(arity):
+                parts.append(np.sort(np.moveaxis(code, axis, 0).reshape(n, -1), axis=1))
+        refined = np.unique(np.hstack(parts), axis=0, return_inverse=True)[1].reshape(-1)
+        if refined.max() == colour.max():
+            return colour
+        colour = refined
+
+
+def _generating_sequence(alg):
+    """A generating sequence of alg and the order in which it generates the carrier.
+
+    Returns (base, levels): base is the subuniverse generated by the
+    constants, ascending.  Level j is (g, steps, domain): g is the least
+    element not yet generated; steps derive the rest of what g adds as
+    (element, sym, args), each from elements generated before it; domain
+    is the subuniverse generated so far, ascending.
+    """
+    inside = np.zeros(alg.n, dtype=bool)
+
+    def close():
+        steps, grew = [], True
+        while grew:
+            grew = False
+            members = np.flatnonzero(inside)
+            for sym, arity in alg.sig:
+                if arity == 0 or not len(members):
+                    continue
+                values = alg.table_array(sym)[np.ix_(*(members,) * arity)].reshape(-1)
+                fresh, first = np.unique(values, return_index=True)
+                for v, at in zip(fresh.tolist(), first.tolist()):
+                    if not inside[v]:
+                        at = np.unravel_index(at, (len(members),) * arity)
+                        steps.append((v, sym, tuple(members[list(at)].tolist())))
+                        inside[v] = grew = True
+        return steps
+
+    for sym, arity in alg.sig:
+        if arity == 0:
+            inside[alg.tables[sym][0]] = True
+    close()
+    base = np.flatnonzero(inside)
+    levels = []
+    while not inside.all():
+        g = int(np.argmin(inside))
+        inside[g] = True
+        steps = close()
+        levels.append((g, steps, np.flatnonzero(inside)))
+    return base, levels
+
+
+def _point_orbit(x, gens):
+    """The orbit of the point x under the group generated by gens."""
+    orbit, frontier = {x}, [x]
+    while frontier:
+        frontier = [int(g[p]) for p in frontier for g in gens if int(g[p]) not in orbit]
+        orbit.update(frontier)
+    return orbit
+
+
+def _automorphism_generators(alg):
+    """Generators of a group of automorphisms of alg: all of Aut(alg) unless cut short.
+
+    An automorphism is fixed by its images of a generating sequence
+    g_0..g_k-1.  For j from k-1 down to 0, and each v of g_j's colour not
+    yet in the orbit of g_j under the generators found so far, the search
+    looks for one automorphism fixing g_0..g_j-1 and sending g_j to v, by
+    backtracking over the images of g_j+1..g_k-1.  Each image is extended
+    along the derivations of the subuniverse it generates, and that part
+    is checked to be a colour-preserving, injective homomorphism.  The
+    generators found at levels >= j then generate the stabiliser of
+    g_0..g_j-1, so at level 0 they generate Aut(alg).  The search stops
+    after n**3 candidate images, keeping the generators found.
+    """
+    n = alg.n
+    colour = _colours(alg)
+    base, levels = _generating_sequence(alg)
+    tables = {sym: alg.table_array(sym) for sym, _ in alg.sig}
+    ops = [(tables[sym], arity) for sym, arity in alg.sig if arity > 0]
+    candidates = [np.flatnonzero(colour == colour[g]).tolist() for g, _, _ in levels]
+    budget = n**3
+
+    def search(phi, j, v):
+        """An automorphism agreeing with phi below level j and sending g_j to v, or None."""
+        nonlocal budget
+        if budget == 0:
+            return None
+        budget -= 1
+        g, steps, domain = levels[j]
+        phi = phi.copy()
+        phi[g] = v
+        for e, sym, args in steps:
+            phi[e] = tables[sym][tuple(phi[list(args)])]
+        image = phi[domain]
+        if (colour[image] != colour[domain]).any() or len(np.unique(image)) < len(domain):
+            return None
+        for table, arity in ops:
+            if not np.array_equal(phi[table[np.ix_(*(domain,) * arity)]],
+                                  table[np.ix_(*(image,) * arity)]):
+                return None
+        if j + 1 == len(levels):
+            return phi
+        for w in candidates[j + 1]:
+            found = search(phi, j + 1, w)
+            if found is not None:
+                return found
+        return None
+
+    gens = []
+    for j in reversed(range(len(levels))):
+        g = levels[j][0]
+        fixed = levels[j - 1][2] if j else base
+        prefix = np.full(n, -1, dtype=np.intp)
+        prefix[fixed] = fixed
+        orbit = _point_orbit(g, gens)
+        for v in candidates[j]:
+            if v not in orbit:
+                aut = search(prefix, j, v)
+                if aut is not None:
+                    gens.append(aut)
+                    orbit = _point_orbit(g, gens)
+    return gens
+
+
+class _Orbits:
+    """The orbits of the group generated by gens, automorphisms of A, on the cells of A^3.
+
+    ``reps`` holds the least cell of each orbit, ascending.  ``expand``
+    rebuilds full tables from their values on reps along a breadth-first
+    tree of each orbit: a cell c = s(parent) with s a generator takes the
+    value s(t(parent)).
+    """
+
+    def __init__(self, n, gens):
         self.n = n
+        size = n**3
+        self._perms = np.array(gens, dtype=np.uint8).reshape(len(gens), n)
+        self._tree = []  # (cells, parents, generator index), parents always earlier
+        if not gens:
+            self.reps = np.arange(size)
+            return
+        cells = np.arange(size)
+        digits = (cells // (n * n), (cells // n) % n, cells % n)
+
+        def act(g, c):
+            return (g[digits[0][c]] * n + g[digits[1][c]]) * n + g[digits[2][c]]
+
+        # least[c] falls to the least cell of c's orbit: each pass pulls it
+        # back along every generator, then jumps to the least of least[c]
+        least = cells
+        while True:
+            before = least
+            for g in gens:
+                least = np.minimum(least, least[act(g, slice(None))])
+            least = least[least]
+            if np.array_equal(least, before):
+                break
+        seen = least == cells
+        self.reps = frontier = np.flatnonzero(seen)
+        while True:
+            reached = []
+            for k, g in enumerate(gens):
+                image = act(g, frontier)
+                new = ~seen[image]
+                if new.any():
+                    seen[image[new]] = True
+                    self._tree.append((image[new], frontier[new], k))
+                    reached.append(image[new])
+            if not reached:
+                break
+            frontier = np.concatenate(reached)
+
+    def expand(self, rows):
+        """Full uint8 tables from tables restricted to reps (the last axis)."""
+        full = np.empty(rows.shape[:-1] + (self.n**3,), dtype=np.uint8)
+        full[..., self.reps] = rows
+        for cells, parents, k in self._tree:
+            full[..., cells] = self._perms[k][full[..., parents]]
+        return full
+
+
+def _clone_orbits(alg):
+    """The orbits of Aut(alg), or of the part the search found, on A^3; memoised."""
+    if alg.n > 255:
+        raise ValueError("clone generation supports carriers up to 255 elements")
+    hit = alg._memo.get("clone_orbits")
+    if hit is None:
+        hit = alg._memo["clone_orbits"] = _Orbits(alg.n, _automorphism_generators(alg))
+    return hit
+
+
+class CloneResult:
+    """Ternary term operations generated so far, with their derivations.
+
+    Tables are held restricted to the orbit representatives; ``table``
+    and ``contains`` speak of full n**3 tables.
+    """
+
+    def __init__(self, orbits, arrays, index, derivations, complete):
+        self.n = orbits.n
+        self._orbits = orbits
         self._arrays = arrays
         self._index = index
         self.derivations = derivations
@@ -101,10 +363,14 @@ class CloneResult:
         return len(self._arrays)
 
     def table(self, i):
-        return tuple(int(v) for v in self._arrays[i])
+        return tuple(self._orbits.expand(self._arrays[i]).tolist())
 
     def contains(self, table):
-        return bytes(bytearray(table)) in self._index
+        values = np.asarray(table)
+        if values.shape != (self.n**3,) or ((values < 0) | (values >= self.n)).any():
+            return False
+        i = self._index.get(values.astype(np.uint8)[self._orbits.reps].tobytes())
+        return i is not None and np.array_equal(self._orbits.expand(self._arrays[i]), values)
 
     def term(self, i):
         return _reconstruct(self.derivations, i)
@@ -144,23 +410,26 @@ def _clone_rounds(alg, cap):
 
     Yields (arrays, index, derivations, new_ids, done, complete) after
     every round, index mapping each table's bytes to its id; stops after
-    the fixpoint round or once cap tables exist.
+    the fixpoint round or once cap tables exist.  Tables are restricted
+    to the representatives of ``_clone_orbits(alg)``.
     """
     n = alg.n
-    if n > 255:
-        raise ValueError("clone generation supports carriers up to 255 elements")
+    reps = _clone_orbits(alg).reps
     if cap < 3:
         raise ValueError("cap must allow at least the three projections")
-    size = n**3
-    # one n**3-cell table per row, so above n = 64 a block is one row
+    size = len(reps)
+    # one row per table, so a block is one row once a row exceeds _BLOCK_CELLS
     rows = max(1, _BLOCK_CELLS // size)
-    span = np.arange(size)
-    projections = [span // (n * n), (span // n) % n, span % n]
-    flat_tables = {
-        sym: alg.table_array(sym).astype(np.uint8).reshape(-1)
-        for sym, arity in alg.sig
-        if arity > 0
-    }
+    projections = [reps // (n * n), (reps // n) % n, reps % n]
+    flat_tables, mirrored = {}, {}
+    for sym, arity in alg.sig:
+        if arity > 0:
+            table = alg.table_array(sym)
+            flat_tables[sym] = table.astype(np.uint8).reshape(-1)
+            if arity == 2 and np.array_equal(table, table.T):
+                # the least last argument of a pair with head i is i, or i + 1
+                # when f(t, t) = t
+                mirrored[sym] = int(np.array_equal(np.diagonal(table), np.arange(n)))
 
     arrays, derivations = [], []
     known = {}
@@ -189,7 +458,10 @@ def _clone_rounds(alg, cap):
                 continue
             flat = flat_tables[sym]
             for head, offset, old in _heads(stack, n, frontier_start, arity - 1):
-                for lo in range(frontier_start if old else 0, total, rows):
+                first = frontier_start if old else 0
+                if sym in mirrored:
+                    first = max(first, head[0] + mirrored[sym])
+                for lo in range(first, total, rows):
                     block = flat[offset + stack[lo : lo + rows]].tobytes()
                     for last, at in enumerate(range(0, len(block), size), lo):
                         key = block[at : at + size]
@@ -220,17 +492,26 @@ def generate_clone3(alg, cap=200_000):
     """Run the clone BFS to its fixpoint (or the table cap)."""
     for arrays, index, derivations, _new, done, complete in _clone_rounds(alg, cap):
         if done:
-            return CloneResult(alg.n, arrays, index, derivations, complete)
+            return CloneResult(_clone_orbits(alg), arrays, index, derivations, complete)
     raise AssertionError("clone stream ended without a final round")
 
 
-def _maltsev_masks(n):
-    pairs = [(x, y) for x in range(n) for y in range(n)]
-    i_xyy = np.array([(x * n + y) * n + y for x, y in pairs])
-    i_xxy = np.array([(x * n + x) * n + y for x, y in pairs])
-    want_x = np.array([x for x, _ in pairs], dtype=np.uint8)
-    want_y = np.array([y for _, y in pairs], dtype=np.uint8)
-    return i_xyy, i_xxy, want_x, want_y
+def _maltsev_masks(alg):
+    """Where a restricted table holds p(x,y,y) and p(x,x,y), and the values a Maltsev term has there.
+
+    Both lists run over the pairs (x, y) least in their orbit, ascending,
+    so position k of each belongs to the same pair.
+    """
+    n = alg.n
+    reps = _clone_orbits(alg).reps
+    x, y, z = reps // (n * n), (reps // n) % n, reps % n
+    i_xyy, i_xxy = np.flatnonzero(y == z), np.flatnonzero(x == y)
+    return i_xyy, i_xxy, x[i_xyy].astype(np.uint8), z[i_xxy].astype(np.uint8)
+
+
+def _full_witness(alg, arrays, derivations, i, memo=None):
+    table = tuple(_clone_orbits(alg).expand(arrays[i]).tolist())
+    return TermWitness(table, _reconstruct(derivations, i, memo))
 
 
 def _new_blocks(arrays, new_ids):
@@ -253,14 +534,12 @@ def find_maltsev_term(alg, cap=200_000):
     Returns the first witness in (depth, lexicographic table) order; a
     definitive ``none`` only at clone fixpoint, ``inconclusive`` at cap.
     """
-    i_xyy, i_xxy, want_x, want_y = _maltsev_masks(alg.n)
+    i_xyy, i_xxy, want_x, want_y = _maltsev_masks(alg)
     for arrays, _index, derivations, new_ids, done, complete in _clone_rounds(alg, cap):
         for first, block in _new_blocks(arrays, new_ids):
             hits = (block[:, i_xyy] == want_x).all(axis=1) & (block[:, i_xxy] == want_y).all(axis=1)
             if hits.any():
-                i = first + int(hits.argmax())
-                table = tuple(int(v) for v in arrays[i])
-                witness = TermWitness(table, _reconstruct(derivations, i))
+                witness = _full_witness(alg, arrays, derivations, first + int(hits.argmax()))
                 return SearchOutcome(FOUND, witness, explored=len(arrays))
         if done:
             status = NONE if complete else INCONCLUSIVE
@@ -274,7 +553,7 @@ def find_hm_terms(alg, cap=200_000):
     The returned pair is the one minimizing (p id, q id) at the first
     BFS depth admitting any valid pair.
     """
-    i_xyy, i_xxy, want_x, want_y = _maltsev_masks(alg.n)
+    i_xyy, i_xxy, want_x, want_y = _maltsev_masks(alg)
     p_keys = []  # (id, p(x,x,y) bytes) of every table with p(x,y,y)=x, ids ascending
     q_least = {}  # q(x,y,y) bytes -> least id of a table with q(x,x,y)=y and those values
     for arrays, _index, derivations, new_ids, done, complete in _clone_rounds(alg, cap):
@@ -289,10 +568,7 @@ def find_hm_terms(alg, cap=200_000):
         if best is not None:
             pi, qi = best
             memo = {}
-            witness = tuple(
-                TermWitness(tuple(int(v) for v in arrays[i]), _reconstruct(derivations, i, memo))
-                for i in (pi, qi)
-            )
+            witness = tuple(_full_witness(alg, arrays, derivations, i, memo) for i in (pi, qi))
             return SearchOutcome(FOUND, witness, explored=len(arrays))
         if done:
             status = NONE if complete else INCONCLUSIVE

@@ -183,6 +183,12 @@ def test_projections_are_memoised_on_the_first_factor_by_the_second_and_its_name
     assert projections([cyclic_group(4), Z2]) is not pair
 
 
+def test_projections_of_no_factors_is_the_one_element_algebra():
+    prod, maps = projections([])
+    assert maps == []
+    assert prod == product([]) and prod.n == 1
+
+
 def test_kernel_pair_inverts_quotient_on_every_congruence():
     for alg in (Z4, klein4(), sym3(), heyting_chain(3)):
         for theta in con_lattice(alg).congruences:

@@ -1,12 +1,13 @@
+from itertools import permutations, zip_longest
 from itertools import product as iproduct
-from itertools import zip_longest
+from math import comb
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from oracles import naive_clone_rounds
-from test_relations import small_algebras
+from test_relations import NULLARY_ONLY, ONE_ELEMENT, small_algebras
 
 import goursat.permutability as permutability
 from goursat.algebras import FiniteAlgebra, product
@@ -228,14 +229,19 @@ def test_maltsev_term_forces_all_pairs_two_permutable():
 
 
 def _assert_rounds_match(alg, cap):
-    """Every round of the block BFS equals the oracle's round, field by field."""
+    """Every round of the block BFS, expanded to full tables, equals the oracle's round, field by field."""
+    orbits = permutability._clone_orbits(alg)
+
+    def full(key):
+        return orbits.expand(np.frombuffer(key, dtype=np.uint8)).tobytes()
+
     rounds = zip_longest(permutability._clone_rounds(alg, cap), naive_clone_rounds(alg, cap))
     for got, want in rounds:
         assert got is not None and want is not None, "the two BFS ran different round counts"
         arrays, index, derivations, new_ids, done, complete = got
         w_arrays, w_index, w_derivations, w_new_ids, w_done, w_complete = want
-        assert [a.tobytes() for a in arrays] == [a.tobytes() for a in w_arrays]
-        assert index == w_index
+        assert [full(a.tobytes()) for a in arrays] == [a.tobytes() for a in w_arrays]
+        assert {full(key): i for key, i in index.items()} == w_index
         assert derivations == w_derivations
         assert (new_ids, done, complete) == (w_new_ids, w_done, w_complete)
 
@@ -247,7 +253,9 @@ def _searches(alg, cap):
 def _assert_searches_match(alg, cap):
     got = _searches(alg, cap)
     with pytest.MonkeyPatch.context() as mp:
+        # the oracle's rounds hold full tables: every cell its own orbit
         mp.setattr(permutability, "_clone_rounds", naive_clone_rounds)
+        mp.setattr(permutability, "_clone_orbits", lambda a: permutability._Orbits(a.n, []))
         want = _searches(alg, cap)
     assert got == want
 
@@ -288,6 +296,150 @@ def test_one_row_blocks_match_the_per_tuple_oracle(monkeypatch):
         _assert_searches_match(alg, cap)
 
 
+@st.composite
+def symmetric_algebras(draw):
+    """Random algebras (n <= 6, arities 0-3) whose every table commutes with a drawn permutation s.
+
+    s is the identity now and then.  Each orbit of s on the argument
+    tuples takes a value v at its least tuple a, drawn among the elements
+    whose s-cycle length divides the orbit's length, and s^i(v) at s^i(a).
+    So constants are fixed points of s; with none, a nullary symbol is
+    left out.
+    """
+    n = draw(st.integers(1, 6))
+    s = draw(st.one_of(st.just(list(range(n))), st.permutations(range(n))))
+    cycle = []
+    for x in range(n):
+        length, y = 1, s[x]
+        while y != x:
+            length, y = length + 1, s[y]
+        cycle.append(length)
+    rnd = draw(st.randoms(use_true_random=False))
+    ops, tables = {}, {}
+    for i, arity in enumerate(draw(st.lists(st.integers(0, 3), max_size=3))):
+        table = {}
+        for args in iproduct(range(n), repeat=arity):
+            if args in table:
+                continue
+            orbit = [args]
+            while tuple(s[a] for a in orbit[-1]) != args:
+                orbit.append(tuple(s[a] for a in orbit[-1]))
+            choices = [v for v in range(n) if len(orbit) % cycle[v] == 0]
+            if not choices:
+                break
+            v = rnd.choice(choices)
+            for a in orbit:
+                table[a], v = v, s[v]
+        if len(table) == n**arity:
+            ops[f"f{i}"] = arity
+            tables[f"f{i}"] = [table[a] for a in iproduct(range(n), repeat=arity)]
+    return FiniteAlgebra(Signature(ops), n, tables)
+
+
+@st.composite
+def symmetric_algebras_with_caps(draw):
+    """A symmetric algebra and a table cap, bounded as in algebras_with_caps."""
+    alg = draw(symmetric_algebras())
+    ternary = any(arity == 3 for _, arity in alg.sig)
+    return alg, draw(st.integers(3, 40 if ternary else 300))
+
+
+_CELL_CAPS = pytest.mark.parametrize(
+    "cells", [permutability._BLOCK_CELLS, 1], ids=["block-cap", "one-cell-cap"]
+)
+
+
+@_CELL_CAPS
+@settings(max_examples=30, deadline=None)
+@given(case=symmetric_algebras_with_caps())
+def test_orbit_reduced_rounds_and_searches_match_the_oracle_on_planted_symmetry(cells, case):
+    alg, cap = case
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(permutability, "_BLOCK_CELLS", cells)
+        _assert_rounds_match(alg, cap)
+        _assert_searches_match(alg, cap)
+
+
+def _aut_orbit_cases():
+    """(algebra, cap, number of orbits of Aut(A) on A^3).
+
+    S_4 on the bare 4-set: one orbit per partition of the three positions.
+    The one-element algebra: one cell.  NULLARY_ONLY is rigid: its two
+    constants are fixed, so is the third element.  sym3 under its inner
+    automorphisms, by Burnside's lemma: (216 + 3*2**3 + 2*3**3) / 6.
+    klein4^2 under GL(4, 2), |Aut| = 20 160: one orbit per linear
+    dependency type of (x, y, z), a subspace of F_2^3.
+    """
+    bare = FiniteAlgebra(Signature({}), 4, {}, name="bare4")
+    return ((bare, 300, 5), (ONE_ELEMENT, 300, 1), (NULLARY_ONLY, 300, 27),
+            (sym3(), 60, 49), (product([K4, K4]), 300, 16))
+
+
+@_CELL_CAPS
+def test_orbit_reduced_rounds_match_the_oracle_on_large_automorphism_groups(cells, monkeypatch):
+    monkeypatch.setattr(permutability, "_BLOCK_CELLS", cells)
+    for alg, cap, orbits in _aut_orbit_cases():
+        reps = permutability._clone_orbits(alg).reps
+        assert len(reps) == orbits
+        _assert_rounds_match(alg, cap)
+        _assert_searches_match(alg, cap)
+
+
+def test_maltsev_masks_pair_up_the_same_argument_pairs():
+    for alg, _, _ in _aut_orbit_cases():
+        n = alg.n
+        reps = permutability._clone_orbits(alg).reps
+        i_xyy, i_xxy, want_x, want_y = permutability._maltsev_masks(alg)
+        xyy = [(int(c) // (n * n), int(c) % n) for c in reps[i_xyy]]
+        xxy = [(int(c) // (n * n), int(c) % n) for c in reps[i_xxy]]
+        assert xyy == xxy == sorted(xyy)
+        assert [x for x, _ in xyy] == want_x.tolist()
+        assert [y for _, y in xxy] == want_y.tolist()
+
+
+def _graph_groupoid(n, edges):
+    """f(x, y) = x if xy is an edge, else y: a groupoid with the graph's automorphisms."""
+    adjacent = set(edges) | {(b, a) for a, b in edges}
+    return FiniteAlgebra.from_functions(
+        Signature({"f": 2}), n, {"f": lambda x, y: x if (x, y) in adjacent else y}, name="graph8"
+    )
+
+
+def test_an_automorphism_search_cut_at_its_bound_still_matches_the_oracle():
+    """A cubic graph on 8 vertices with |Aut| = 4.
+
+    Colour refinement cannot split a regular graph, and the backtracking
+    spends its 8**3 candidate images without finding an automorphism, so
+    the BFS runs on full tables; any group, the trivial one included,
+    gives an exact reduction.
+    """
+    edges = [(0, 2), (0, 4), (0, 6), (1, 2), (1, 3), (1, 7),
+             (2, 6), (3, 5), (3, 7), (4, 5), (4, 7), (5, 6)]
+    alg = _graph_groupoid(8, edges)
+    table = alg.table_array("f")
+    auts = [p for p in permutations(range(8)) if (np.array(p)[table] == table[np.ix_(p, p)]).all()]
+    assert len(auts) == 4
+    assert len(permutability._clone_orbits(alg).reps) == 8**3
+    _assert_rounds_match(alg, 40)
+    _assert_searches_match(alg, 40)
+
+
+def test_contains_is_false_for_out_of_range_entries_and_for_tables_agreeing_only_on_representatives():
+    z3 = cyclic_group(3)
+    clone = generate_clone3(z3)
+    member = clone.table(len(clone) - 1)
+    assert clone.contains(member)
+    assert not clone.contains(member[:-1])
+    for bad in (-1, 3, 255, 256, 1000):
+        assert not clone.contains((bad,) + member[1:])
+    # x -> -x is an automorphism of Z3, so a table is stored on half its cells
+    reps = set(permutability._clone_orbits(z3).reps.tolist())
+    cell = min(set(range(27)) - reps)
+    forged = list(member)
+    forged[cell] = (forged[cell] + 1) % 3
+    assert not clone.contains(forged)
+
+
 class _CountingTable(np.ndarray):
     """An operation table that counts the rows of every 2-D gather through it."""
 
@@ -300,16 +452,40 @@ class _CountingTable(np.ndarray):
         return super().__getitem__(idx)
 
 
-def test_a_round_evaluates_each_new_argument_tuple_once(monkeypatch):
-    """Round d evaluates total**k - start**k tuples per k-ary operation.
+def _mirrored(table, arity):
+    """For a commutative binary operation 1 if it is also idempotent, else 0; None if not commutative binary."""
+    if arity != 2 or not np.array_equal(table, table.T):
+        return None
+    return int(np.array_equal(np.diagonal(table), np.arange(len(table))))
+
+
+def _tuples_per_round(table, arity, start, total):
+    """The argument tuples a round evaluates for one operation.
 
     total is the table count before the round and start the count before
-    the round before: the tuples over the known tables that use at least
-    one table of the last round.  Outputs alone cannot show a round that
-    re-evaluates old tuples, since their tables are all known already.
+    the round before.  A k-ary operation takes the tuples over the known
+    tables with at least one table of the last round: total**k - start**k.
+    A commutative binary one takes only the pairs i <= j, since (j, i)
+    gives the table of (i, j): C(total+1, 2) - C(start+1, 2); and only
+    i < j if it is also idempotent, since f(t, t) = t:
+    C(total, 2) - C(start, 2).
     """
+    skip = _mirrored(table, arity)
+    if skip is None:
+        return total**arity - start**arity
+    return comb(total + 1 - skip, 2) - comb(start + 1 - skip, 2)
+
+
+def test_a_round_evaluates_each_new_argument_tuple_once(monkeypatch):
+    """Each round evaluates exactly the tuples of _tuples_per_round.
+
+    Outputs alone cannot show a round that re-evaluates old tuples, since
+    their tables are all known already.
+    """
+    kinds = set()
     for alg, cap in _multi_round_cases():
         tally = [0]
+        ops = [(alg.table_array(sym), arity) for sym, arity in alg.sig if arity > 0]
 
         def counting(sym, table_array=alg.table_array):
             table = table_array(sym).view(_CountingTable)
@@ -317,11 +493,14 @@ def test_a_round_evaluates_each_new_argument_tuple_once(monkeypatch):
             return table
 
         monkeypatch.setattr(alg, "table_array", counting)
-        arities = [arity for _, arity in alg.sig if arity > 0]
         sizes = [0]
         for arrays, *_ in permutability._clone_rounds(alg, cap):
             if len(sizes) > 1:
                 start, total = sizes[-2], sizes[-1]
-                assert tally[0] == sum(total**k - start**k for k in arities)
+                assert tally[0] == sum(
+                    _tuples_per_round(table, arity, start, total) for table, arity in ops
+                )
             tally[0] = 0
             sizes.append(len(arrays))
+        kinds.update(_mirrored(table, arity) for table, arity in ops)
+    assert kinds == {None, 0, 1}  # all three formulas are exercised
