@@ -146,7 +146,9 @@ class QuotientMap:
 
     Every surjective homomorphism factors as a quotient followed by an
     isomorphism, so these canonical maps stand in for all regular
-    epimorphisms in the checks that quantify over them.
+    epimorphisms in the checks that quantify over them.  The constructor
+    checks that the mapping is onto, that its fibres are the kernel's
+    blocks and that it is a homomorphism.
     """
 
     def __init__(self, source, kernel, target, mapping):
@@ -168,6 +170,9 @@ class QuotientMap:
             if len(bad):
                 args = tuple(bad[0].tolist())
                 raise ValueError(f"mapping is not a homomorphism at {sym!r}{args}")
+        self._set(source, kernel, target, mapping)
+
+    def _set(self, source, kernel, target, mapping):
         self.source = source
         self.kernel = kernel
         self.target = target
@@ -181,17 +186,24 @@ class QuotientMap:
 
 
 def quotient(alg, theta):
-    """Canonical quotient by a congruence; blocks indexed by ascending minimum.
+    """Canonical quotient by a congruence; block i of theta is element i.
 
-    Memoised per algebra by the blocks of theta once theta is proved a
-    congruence and the map a homomorphism; a non-congruence is refused on
-    every call.
+    theta is proved a congruence by require_congruence, with the same
+    witness on refusal, unless it is a member of alg's memoised
+    congruence lattice: every member was generated as a congruence, so
+    membership is the proof, and an arbitrary theta is still checked on
+    every call.  The map is the label vector of theta and the target's
+    tables are built from it, so the map's fibres are theta's blocks and
+    it is a homomorphism by construction; it is not re-checked.
+    Memoised per algebra by theta's label vector.
     """
-    key = ("quotient", theta.blocks)
+    key = ("quotient", theta.index_of)
     hit = alg._memo.get(key)
     if hit is not None:
         return hit
-    require_congruence(alg, theta)
+    lat = alg._memo.get("con")
+    if lat is None or theta not in lat:
+        require_congruence(alg, theta)
     reps = np.asarray([blk[0] for blk in theta.blocks], dtype=np.intp)
     index = np.asarray(theta.index_of, dtype=np.intp)
     tables = {}
@@ -200,7 +212,9 @@ def quotient(alg, theta):
         tables[sym] = tuple(np.ravel(index[image]).tolist())
     name = f"{alg.name or '?'}/{theta.to_literal()}"
     target = FiniteAlgebra(alg.sig, len(reps), tables, name=name)
-    qm = alg._memo[key] = QuotientMap(alg, theta, target, theta.index_of)
+    qm = QuotientMap.__new__(QuotientMap)
+    qm._set(alg, theta, target, theta.index_of)
+    alg._memo[key] = qm
     return qm
 
 
@@ -245,6 +259,8 @@ def projections(factors):
 def generate_subuniverse(alg, seed):
     """Least subset containing the seed and all nullary values, closed under ops.
 
+    Each step applies every operation to all argument tuples from the
+    current set in one table gather, until no step adds an element.
     With no nullary operation an empty seed yields the empty set.
     """
     current = set(seed)
@@ -254,18 +270,21 @@ def generate_subuniverse(alg, seed):
     for sym, arity in alg.sig:
         if arity == 0:
             current.add(alg.apply(sym, ()))
-    changed = True
-    while changed:
-        changed = False
-        for sym, arity in alg.sig:
-            if arity == 0:
-                continue
-            for args in iproduct(sorted(current), repeat=arity):
-                v = alg.apply(sym, args)
-                if v not in current:
-                    current.add(v)
-                    changed = True
-    return frozenset(current)
+    tables = [alg.table_array(sym) for sym, arity in alg.sig if arity]
+    member = np.zeros(alg.n, dtype=bool)
+    member[list(current)] = True
+    elems = np.flatnonzero(member)
+    while len(elems):
+        for table in tables:
+            # the open mesh np.ix_(elems, ..., elems), built without its overhead
+            arity = table.ndim
+            mesh = tuple(elems.reshape((-1,) + (1,) * (arity - 1 - i)) for i in range(arity))
+            member[table[mesh]] = True
+        grown = np.flatnonzero(member)
+        if len(grown) == len(elems):
+            break
+        elems = grown
+    return frozenset(elems.tolist())
 
 
 def subalgebra(alg, universe):
@@ -296,6 +315,14 @@ def subalgebra(alg, universe):
 _EXHAUSTIVE_LIMIT = 10
 
 
+def _subuniverse_seeds(n):
+    """Seeds for all_subuniverses: every subset of a small carrier, else those of size <= 2."""
+    if n <= _EXHAUSTIVE_LIMIT:
+        return [[x for x in range(n) if mask >> x & 1] for mask in range(1 << n)]
+    return ([[]] + [[x] for x in range(n)]
+            + [[x, y] for x in range(n) for y in range(x + 1, n)])
+
+
 def all_subuniverses(alg):
     """Distinct nonempty subuniverses, generated exhaustively for small carriers.
 
@@ -306,17 +333,8 @@ def all_subuniverses(alg):
     hit = alg._memo.get("subuniverses")
     if hit is not None:
         return list(hit)
-    seeds = []
-    if alg.n <= _EXHAUSTIVE_LIMIT:
-        seeds.extend(
-            [x for x in range(alg.n) if mask >> x & 1] for mask in range(1 << alg.n)
-        )
-    else:
-        seeds.append([])
-        seeds.extend([x] for x in range(alg.n))
-        seeds.extend([x, y] for x in range(alg.n) for y in range(x + 1, alg.n))
     found = {}
-    for seed in seeds:
+    for seed in _subuniverse_seeds(alg.n):
         sub = generate_subuniverse(alg, seed)
         if sub:
             found.setdefault(tuple(sorted(sub)), sub)

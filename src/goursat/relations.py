@@ -1,8 +1,14 @@
 """Binary relations and equivalence relations on finite carriers.
 
 A BinRel is an n-by-n boolean matrix stored as one bitmask per row.  A
-Partition is an equivalence relation in canonical block form: elements
-ascending within each block, blocks ordered by their minimum.
+Partition is an equivalence relation stored as its canonical label
+vector: ``index_of[x]`` numbers x's block, blocks numbered in order of
+first occurrence.  Meets, joins, refinement and the direct and inverse
+images along maps all work on these vectors.  Only ``Partition(n,
+blocks)`` and ``Partition.from_literal`` validate their input (the
+boundary for files, literals and API callers).  Every other way to make
+a partition trusts its input and relabels in one pass; operations on
+two partitions check only that the carrier sizes agree.
 
 Relational composition is fixed left-to-right: (x,z) is in compose(r,s)
 iff there is a y with (x,y) in r and (y,z) in s.
@@ -108,20 +114,8 @@ class BinRel:
     def to_partition(self):
         if not self.is_equivalence():
             raise ValueError("relation is not an equivalence relation")
-        seen = [False] * self.n
-        blocks = []
-        for x in range(self.n):
-            if not seen[x]:
-                row = self.rows[x]
-                blk = []
-                while row:
-                    low = row & -row
-                    y = low.bit_length() - 1
-                    seen[y] = True
-                    blk.append(y)
-                    row ^= low
-                blocks.append(blk)
-        return Partition(self.n, blocks)
+        # In an equivalence relation, x and y have equal rows exactly when related.
+        return Partition.from_labels(self.n, self.rows)
 
     def _check(self, other):
         if self.n != other.n:
@@ -141,8 +135,45 @@ def compose(r, s):
     return r.compose(s)
 
 
+def _number_trees(parent):
+    """Number the trees of a union-find forest by first occurrence, in place.
+
+    Needs parent[x] <= x for every x, so that each root is the least node
+    of its tree: ascending roots are then in first-occurrence order, and
+    every other node takes the number already given to its parent.
+    Returns the number of trees.
+    """
+    count = 0
+    for x, up in enumerate(parent):
+        if up == x:
+            parent[x] = count
+            count += 1
+        else:
+            parent[x] = parent[up]
+    return count
+
+
 class Partition:
-    __slots__ = ("n", "blocks", "index_of")
+    """An equivalence relation on {0..n-1}, stored as its canonical label vector.
+
+    ``index_of[x]`` is the number of x's block, blocks numbered in order
+    of first occurrence: x = 0 is in block 0, and each element outside
+    the blocks met so far opens the next one.  Two partitions are equal
+    exactly when their vectors are.  ``num_blocks`` is kept with the
+    vector; ``blocks`` is derived on first use and cached: elements
+    ascending within a block, blocks ordered by their minimum, so block
+    i is the one labelled i.
+
+    ``Partition(n, blocks)`` and ``from_literal`` are the validating
+    boundary: they refuse repeated, out-of-range and uncovering input.
+    Every other constructor relabels in one pass and validates nothing:
+    ``from_labels``, ``from_pairs``, ``discrete``, ``full``, ``meet``,
+    ``join``, and the module's ``congruence_generated``,
+    ``inverse_image_by_map`` and ``direct_image``.  They trust that their
+    labels, pairs or maps are well-formed on {0..n-1}.
+    """
+
+    __slots__ = ("n", "index_of", "num_blocks", "_blocks")
 
     def __init__(self, n, blocks):
         blks = sorted(tuple(sorted(b)) for b in blocks if b)
@@ -158,24 +189,34 @@ class Partition:
         for i, blk in enumerate(blks):
             for x in blk:
                 index[x] = i
+        self._set(n, tuple(index), len(blks), tuple(blks))
+
+    def _set(self, n, index_of, num_blocks, blocks=None):
         self.n = n
-        self.blocks = tuple(blks)
-        self.index_of = tuple(index)
+        self.index_of = index_of
+        self.num_blocks = num_blocks
+        self._blocks = blocks
+
+    @classmethod
+    def _canonical(cls, n, index_of, num_blocks):
+        """Wrap a label vector that is already canonical; no checks."""
+        p = cls.__new__(cls)
+        p._set(n, index_of, num_blocks)
+        return p
 
     @classmethod
     def discrete(cls, n):
-        return cls(n, [[x] for x in range(n)])
+        return cls._canonical(n, tuple(range(n)), n)
 
     @classmethod
     def full(cls, n):
-        return cls(n, [list(range(n))])
+        return cls._canonical(n, (0,) * n, min(n, 1))
 
     @classmethod
     def from_labels(cls, n, labels):
-        groups = {}
-        for x in range(n):
-            groups.setdefault(labels[x], []).append(x)
-        return cls(n, list(groups.values()))
+        """The partition of {0..n-1} into classes of equal labels[x]; labels has length n."""
+        relabel = {lab: i for i, lab in enumerate(dict.fromkeys(labels))}
+        return cls._canonical(n, tuple(map(relabel.__getitem__, labels)), len(relabel))
 
     @classmethod
     def from_pairs(cls, n, pairs):
@@ -191,7 +232,8 @@ class Partition:
             ra, rb = find(a), find(b)
             if ra != rb:
                 parent[max(ra, rb)] = min(ra, rb)
-        return cls.from_labels(n, [find(x) for x in range(n)])
+        count = _number_trees(parent)
+        return cls._canonical(n, tuple(parent), count)
 
     @classmethod
     def from_literal(cls, text, n):
@@ -203,12 +245,18 @@ class Partition:
             blocks.append([int(tok) for tok in items])
         return cls(n, blocks)
 
+    @property
+    def blocks(self):
+        blks = self._blocks
+        if blks is None:
+            members = [[] for _ in range(self.num_blocks)]
+            for x, i in enumerate(self.index_of):
+                members[i].append(x)
+            blks = self._blocks = tuple(map(tuple, members))
+        return blks
+
     def to_literal(self):
         return "|".join(" ".join(str(x) for x in blk) for blk in self.blocks)
-
-    @property
-    def num_blocks(self):
-        return len(self.blocks)
 
     def relates(self, a, b):
         return self.index_of[a] == self.index_of[b]
@@ -216,33 +264,59 @@ class Partition:
     def block_of(self, x):
         return self.blocks[self.index_of[x]]
 
-    def refines(self, other):
+    def _check(self, other):
         if self.n != other.n:
             raise SizeMismatchError(f"carrier sizes differ: {self.n} vs {other.n}")
-        return all(
-            other.index_of[blk[0]] == other.index_of[x] for blk in self.blocks for x in blk
-        )
+
+    def refines(self, other):
+        """Every block of self lies in one block of other."""
+        self._check(other)
+        return len(set(zip(self.index_of, other.index_of))) == self.num_blocks
 
     def meet(self, other):
-        if self.n != other.n:
-            raise SizeMismatchError(f"carrier sizes differ: {self.n} vs {other.n}")
-        labels = [(self.index_of[x], other.index_of[x]) for x in range(self.n)]
-        return Partition.from_labels(self.n, labels)
+        self._check(other)
+        return Partition.from_labels(self.n, list(zip(self.index_of, other.index_of)))
 
     def join(self, other):
-        """Least equivalence relation containing both."""
-        if self.n != other.n:
-            raise SizeMismatchError(f"carrier sizes differ: {self.n} vs {other.n}")
-        return Partition.from_pairs(self.n, self.generating_pairs() + other.generating_pairs())
+        """Least equivalence relation containing both.
+
+        Union-find over the blocks of self: each block of other ties
+        together the blocks of self that it meets.  One edge per block
+        of the meet suffices, and when that count shows one side refines
+        the other, the other is the join.
+        """
+        self._check(other)
+        edges = set(zip(self.index_of, other.index_of))
+        if len(edges) == self.num_blocks:
+            return other
+        if len(edges) == other.num_blocks:
+            return self
+        parent = list(range(self.num_blocks))
+        first = [-1] * other.num_blocks
+        for a, b in edges:
+            held = first[b]
+            if held < 0:
+                first[b] = a
+                continue
+            while parent[a] != a:
+                a = parent[a]
+            while parent[held] != held:
+                held = parent[held]
+            if a < held:
+                parent[held] = a
+            elif held < a:
+                parent[a] = held
+        count = _number_trees(parent)
+        return Partition._canonical(self.n, tuple(map(parent.__getitem__, self.index_of)), count)
 
     def as_binrel(self):
-        masks = [0] * len(self.blocks)
+        masks = [0] * self.num_blocks
         for i, blk in enumerate(self.blocks):
             m = 0
             for x in blk:
                 m |= 1 << x
             masks[i] = m
-        return BinRel(self.n, tuple(masks[self.index_of[x]] for x in range(self.n)))
+        return BinRel(self.n, tuple(masks[i] for i in self.index_of))
 
     def pairs(self):
         return [(a, b) for blk in self.blocks for a in blk for b in blk]
@@ -253,11 +327,11 @@ class Partition:
 
     def __eq__(self, other):
         return (
-            isinstance(other, Partition) and self.n == other.n and self.blocks == other.blocks
+            isinstance(other, Partition) and self.n == other.n and self.index_of == other.index_of
         )
 
     def __hash__(self):
-        return hash((self.n, self.blocks))
+        return hash((self.n, self.index_of))
 
     def __repr__(self):
         return f"Partition({self.to_literal()!r})"
@@ -321,7 +395,8 @@ def _compatible(alg, p):
     if p.n != alg.n:
         raise SizeMismatchError(f"partition on {p.n} elements, algebra has {alg.n}")
     labels = np.asarray(p.index_of)[_translations(alg)]
-    reps = [p.blocks[i][0] for i in p.index_of]
+    first = {}
+    reps = [first.setdefault(i, x) for x, i in enumerate(p.index_of)]
     return bool((labels == labels[:, reps]).all())
 
 
@@ -359,10 +434,13 @@ def congruence_generated(alg, pairs):
     while merged and len(mat):
         left, right = np.array(merged).T
         left, right = mat[:, left].ravel(), mat[:, right].ravel()
-        labels = np.array([find(x) for x in range(n)])
+        labels = parent[:]
+        _number_trees(labels)
+        labels = np.array(labels)
         fresh = labels[left] != labels[right]
         merged = merge(zip(left[fresh].tolist(), right[fresh].tolist()))
-    return Partition.from_labels(n, [find(x) for x in range(n)])
+    count = _number_trees(parent)
+    return Partition._canonical(n, tuple(parent), count)
 
 
 def require_congruence(alg, p):
@@ -388,12 +466,18 @@ def direct_image(f, s):
 
     Returns the equivalence closure of {(f(a), f(b)) : (a,b) in s}; on
     3-permutable algebras the raw image is already an equivalence (see
-    direct_image_raw for the unclosed pair set).
+    direct_image_raw for the unclosed pair set).  Since f is onto, f(a)
+    and f(b) are related in that closure exactly when a and b are
+    related by s join ker f, so the image classes are the images of the
+    classes of s join ker f.
     """
     if s.n != f.source.n:
         raise SizeMismatchError(f"relation on {s.n} elements, source has {f.source.n}")
-    mapped = [(f.mapping[a], f.mapping[b]) for a, b in s.generating_pairs()]
-    return Partition.from_pairs(f.target.n, mapped)
+    joined = s.join(f.kernel)
+    labels = [0] * f.target.n
+    for a, lab in zip(f.mapping, joined.index_of):
+        labels[a] = lab
+    return Partition.from_labels(f.target.n, labels)
 
 
 def direct_image_raw(f, s):
@@ -419,20 +503,22 @@ def inverse_image(f, s):
 
 def inverse_image_by_map(n_source, mapping, s):
     """Pullback along an arbitrary map given as an element array."""
-    return Partition.from_labels(n_source, [s.index_of[mapping[a]] for a in range(n_source)])
+    index = s.index_of
+    return Partition.from_labels(n_source, [index[mapping[a]] for a in range(n_source)])
 
 
 class ConLattice:
     """All congruences of one finite algebra with order, meet and join tables.
 
     Congruences are sorted by (number of blocks, block list); index 0 is
-    the full relation, the last index is the discrete one.
+    the full relation, the last index is the discrete one.  Membership
+    and ``index`` look a partition up by its label vector.
     """
 
     def __init__(self, n, congruences):
         self.n = n
         self.congruences = tuple(congruences)
-        self._index = {p.blocks: i for i, p in enumerate(self.congruences)}
+        self._index = {p.index_of: i for i, p in enumerate(self.congruences)}
         k = len(self.congruences)
         self.leq = tuple(
             tuple(self.congruences[i].refines(self.congruences[j]) for j in range(k))
@@ -442,9 +528,12 @@ class ConLattice:
     def __len__(self):
         return len(self.congruences)
 
+    def __contains__(self, p):
+        return p.index_of in self._index
+
     def index(self, p):
         try:
-            return self._index[p.blocks]
+            return self._index[p.index_of]
         except KeyError:
             raise ValueError(f"{p!r} is not a congruence in this lattice") from None
 
@@ -499,19 +588,20 @@ def con_lattice(alg, max_size=64):
         return hit
 
     n = alg.n
-    found = {Partition.discrete(n).blocks: Partition.discrete(n)}
+    bottom = Partition.discrete(n)
+    found = {bottom.index_of: bottom}
     for a in range(n):
         for b in range(a + 1, n):
             cg = congruence_generated(alg, [(a, b)])
-            found.setdefault(cg.blocks, cg)
+            found.setdefault(cg.index_of, cg)
     principal = list(found.values())
     work = list(principal)
     while work:
         p = work.pop()
         for q in principal:
             j = p.join(q)
-            if j.blocks not in found:
-                found[j.blocks] = j
+            if j.index_of not in found:
+                found[j.index_of] = j
                 work.append(j)
 
     ordered = sorted(found.values(), key=lambda p: (p.num_blocks, p.blocks))

@@ -1,10 +1,12 @@
 """Independent brute-force oracles used to validate the fast implementations.
 
 Everything here is deliberately naive: set-based relational composition,
+equivalence joins, images and pull-backs on explicit pair sets,
 enumeration of all partitions via restricted growth strings, a
-from-the-definition compatibility check, a clone BFS that applies an
-operation to one argument tuple at a time, and identities evaluated one
-assignment at a time by the recursive reference ``terms.eval_term``.
+from-the-definition compatibility check, a scalar subuniverse closure, a
+clone BFS that applies an operation to one argument tuple at a time, and
+identities evaluated one assignment at a time by the recursive reference
+``terms.eval_term``.
 None of it shares code with the package internals it validates.
 """
 
@@ -18,6 +20,58 @@ from goursat.terms import eval_term
 def compose_pairs(r_pairs, s_pairs):
     """Triple-loop relational composition on explicit pair sets."""
     return {(x, z) for x, y in r_pairs for y2, z in s_pairs if y == y2}
+
+
+def equivalence_closure_pairs(n, pairs):
+    """Least equivalence relation on {0..n-1} containing a pair set, by squaring to a fixpoint."""
+    rel = set(pairs) | {(b, a) for a, b in pairs} | {(x, x) for x in range(n)}
+    while True:
+        bigger = rel | compose_pairs(rel, rel)
+        if bigger == rel:
+            return rel
+        rel = bigger
+
+
+def label_pairs(labels):
+    """The pair set of the equivalence "equal labels"."""
+    n = len(labels)
+    return {(a, b) for a in range(n) for b in range(n) if labels[a] == labels[b]}
+
+
+def join_pairs(n, r_pairs, s_pairs):
+    """Equivalence join as the closure of the union of two pair sets."""
+    return equivalence_closure_pairs(n, r_pairs | s_pairs)
+
+
+def image_pairs(n_target, mapping, s_pairs):
+    """Closure of the image pair set {(m(a), m(b)) : (a, b) in s}."""
+    return equivalence_closure_pairs(n_target, {(mapping[a], mapping[b]) for a, b in s_pairs})
+
+
+def pullback_pairs(mapping, t_pairs):
+    """{(a, b) : (m(a), m(b)) in t} over the domain of the map."""
+    n = len(mapping)
+    return {(a, b) for a in range(n) for b in range(n) if (mapping[a], mapping[b]) in t_pairs}
+
+
+def naive_subuniverse(alg, seed):
+    """Closure of a seed and the nullary values, one scalar apply per argument tuple."""
+    current = set(seed)
+    for sym, arity in alg.sig:
+        if arity == 0:
+            current.add(alg.apply(sym, ()))
+    changed = True
+    while changed:
+        changed = False
+        for sym, arity in alg.sig:
+            if arity == 0:
+                continue
+            for args in product(sorted(current), repeat=arity):
+                v = alg.apply(sym, args)
+                if v not in current:
+                    current.add(v)
+                    changed = True
+    return frozenset(current)
 
 
 def all_partitions(n):

@@ -6,6 +6,7 @@ import pytest
 from goursat.algebras import (
     FiniteAlgebra,
     QuotientMap,
+    _subuniverse_seeds,
     all_subuniverses,
     factor_through,
     format_algebra,
@@ -22,6 +23,7 @@ from goursat.algebras import (
 from goursat.corpus import (
     GROUP_SIG,
     cyclic_group,
+    default_entries,
     heyting_chain,
     klein4,
     sym3,
@@ -29,8 +31,10 @@ from goursat.corpus import (
     zmod_vnr,
 )
 from goursat.errors import NotCongruenceError, ParseError, SignatureMismatchError
-from goursat.relations import Partition, con_lattice
+from goursat.relations import Partition, con_lattice, is_congruence
 from goursat.terms import Signature
+
+from oracles import all_partitions, naive_subuniverse
 
 Z2 = cyclic_group(2)
 Z4 = cyclic_group(4)
@@ -146,6 +150,54 @@ def test_quotient_rejects_non_congruence_with_witness():
         assert err.value.pair == ((0, 0), (1, 1))
 
 
+def _naive_quotient_tables(alg, theta):
+    """Tables of alg/theta read off block representatives, one apply per tuple."""
+    reps = [blk[0] for blk in theta.blocks]
+    return {
+        sym: tuple(
+            theta.index_of[alg.apply(sym, tuple(reps[i] for i in args))]
+            for args in iproduct(range(len(reps)), repeat=arity)
+        )
+        for sym, arity in alg.sig
+    }
+
+
+def test_quotients_of_congruences_pass_the_validating_constructor():
+    # Members of the memoised lattice skip require_congruence and every
+    # quotient map skips the QuotientMap checks; the validating
+    # constructor must still accept each map, and the tables must agree
+    # with the definition and with the checked path of an unmemoised copy.
+    for entry in default_entries():
+        alg = entry.algebra
+        unmemoised = FiniteAlgebra(alg.sig, alg.n, alg.tables, name=alg.name)
+        for theta in con_lattice(alg).congruences:
+            qm = quotient(alg, theta)
+            checked = QuotientMap(alg, theta, qm.target, qm.mapping)
+            assert checked.mapping == qm.mapping == theta.index_of
+            assert qm.kernel == theta
+            assert qm.target.tables == _naive_quotient_tables(alg, theta)
+            assert quotient(unmemoised, theta).target.tables == qm.target.tables
+        assert "con" not in unmemoised._memo
+
+
+def test_a_memoised_lattice_does_not_vouch_for_non_congruences():
+    for entry in default_entries():
+        alg = entry.algebra
+        if alg.n > 6:
+            continue
+        lat = con_lattice(alg)
+        refused = 0
+        for blocks in all_partitions(alg.n):
+            theta = Partition(alg.n, blocks)
+            if theta in lat:
+                continue
+            refused += 1
+            with pytest.raises(NotCongruenceError) as info:
+                quotient(alg, theta)
+            assert (info.value.symbol, info.value.pair) == is_congruence(alg, theta).witness
+        assert refused == sum(1 for _ in all_partitions(alg.n)) - len(lat)
+
+
 def test_quotient_is_memoised_per_algebra():
     alg = klein4()
     for theta in con_lattice(alg).congruences:
@@ -252,6 +304,18 @@ def test_generate_subuniverse():
     assert generate_subuniverse(Z4, set()) == frozenset({0})
     # no nullary op: empty seed stays empty
     assert generate_subuniverse(two_elt_lattice(), set()) == frozenset()
+    for bad in (4, -1):
+        with pytest.raises(ValueError, match=f"seed element {bad} out of range"):
+            generate_subuniverse(Z4, {0, bad})
+
+
+def test_generate_subuniverse_matches_the_scalar_closure_on_every_seed():
+    # heyting_chain(12) is past the exhaustive limit, so it covers the
+    # seeds of at most two elements
+    algebras = [entry.algebra for entry in default_entries()] + [heyting_chain(12)]
+    for alg in algebras:
+        for seed in _subuniverse_seeds(alg.n):
+            assert generate_subuniverse(alg, seed) == naive_subuniverse(alg, seed), alg.name
 
 
 def test_subalgebra_reindexes():

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from goursat.algebras import FiniteAlgebra, quotient
+from goursat.algebras import FiniteAlgebra, QuotientMap, quotient
 from goursat.corpus import (
     boolean_ring,
     cyclic_group,
@@ -29,6 +29,7 @@ from goursat.relations import (
     direct_image_raw,
     equivalence_closure,
     inverse_image,
+    inverse_image_by_map,
     is_congruence,
     join,
 )
@@ -39,7 +40,11 @@ from oracles import (
     brute_force_congruences,
     compatible,
     compose_pairs,
+    image_pairs,
+    join_pairs,
+    label_pairs,
     meet_blocks,
+    pullback_pairs,
 )
 
 Z4 = cyclic_group(4)
@@ -111,12 +116,27 @@ def test_partition_canonical_form_and_literals():
 
 
 def test_partition_validation():
-    with pytest.raises(ValueError):
-        Partition(3, [[0, 1], [1, 2]])
-    with pytest.raises(ValueError):
-        Partition(3, [[0, 1]])
-    with pytest.raises(ValueError):
+    repeated = "bad partition: element 1 repeated or out of range"
+    uncovered = "partition does not cover the carrier"
+    cases = [
+        ((3, [[0, 1], [1, 2]]), "0 1|1 2", repeated),
+        ((3, [[0, 1, 1], [2]]), "0 1 1|2", repeated),
+        ((3, [[0, 1], [2, 3]]), "0 1|2 3", "bad partition: element 3 repeated or out of range"),
+        ((2, [[-1, 0], [1]]), "-1 0|1", "bad partition: element -1 repeated or out of range"),
+        ((3, [[0, 1]]), "0 1", uncovered),
+        ((3, [[0], [2]]), "0|2", uncovered),
+        ((1, []), None, uncovered),
+    ]
+    for (n, blocks), literal, message in cases:
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            Partition(n, blocks)
+        if literal is not None:
+            with pytest.raises(ValueError, match=f"^{message}$"):
+                Partition.from_literal(literal, n)
+    with pytest.raises(ValueError, match="^empty block in partition literal$"):
         Partition.from_literal("0 1|", 2)
+    # empty blocks in a block list are dropped, not refused
+    assert Partition(2, [[1], [], [0]]) == Partition.discrete(2)
 
 
 def test_partition_join_is_the_equivalence_join():
@@ -135,6 +155,97 @@ def test_partition_meet_refines_pairs():
     assert a.meet(b) == Partition.discrete(4)
     assert a.refines(Partition.full(4))
     assert not Partition.full(4).refines(a)
+
+
+@st.composite
+def label_vectors(draw, n):
+    """A label vector of length n with labels drawn from a small range."""
+    return draw(st.lists(st.integers(0, max(n - 1, 0)), min_size=n, max_size=n))
+
+
+@st.composite
+def label_cases(draw):
+    """Two label vectors on one carrier of n <= 8 and a map onto a second carrier."""
+    n = draw(st.integers(0, 8))
+    a, b = draw(label_vectors(n)), draw(label_vectors(n))
+    # an onto map: relabel a fibre vector's distinct values by a permutation
+    fibres = draw(label_vectors(n))
+    distinct = list(dict.fromkeys(fibres))
+    perm = draw(st.permutations(range(len(distinct))))
+    onto = [perm[distinct.index(v)] for v in fibres]
+    m = draw(st.integers(1, 4))
+    into = draw(st.lists(st.integers(0, m - 1), min_size=n, max_size=n))
+    t = draw(label_vectors(m))
+    return n, a, b, onto, into, t
+
+
+def _oracle_blocks(labels):
+    groups = {}
+    for x, lab in enumerate(labels):
+        groups.setdefault(lab, []).append(x)
+    return tuple(sorted((tuple(g) for g in groups.values()), key=min))
+
+
+def _assert_canonical(p):
+    """index_of numbers blocks by first occurrence and num_blocks counts them."""
+    seen = []
+    for lab in p.index_of:
+        if lab not in seen:
+            seen.append(lab)
+    assert p.index_of == tuple(seen.index(lab) for lab in p.index_of)
+    assert seen == list(range(p.num_blocks))
+
+
+NO_OPERATIONS = Signature({})
+
+
+@settings(max_examples=300, deadline=None)
+@given(label_cases())
+@example((0, [], [], [], [], [0]))
+@example((1, [0], [0], [0], [0], [0, 0]))
+def test_label_operations_match_pair_set_oracles(case):
+    n, a, b, onto, into, t = case
+    p, q = Partition.from_labels(n, a), Partition.from_labels(n, b)
+    pp, qp = label_pairs(a), label_pairs(b)
+
+    blocks = _oracle_blocks(a)
+    assert p.blocks == blocks
+    assert p.num_blocks == len(blocks)
+    assert p.index_of == tuple(next(i for i, blk in enumerate(blocks) if x in blk)
+                               for x in range(n))
+    assert p.to_literal() == "|".join(" ".join(map(str, blk)) for blk in blocks)
+    assert set(p.pairs()) == pp
+    assert Partition(n, blocks) == p
+    if n:
+        assert Partition.from_literal(p.to_literal(), n) == p
+
+    assert set(p.join(q).pairs()) == join_pairs(n, pp, qp)
+    assert set(p.meet(q).pairs()) == pp & qp
+    assert p.refines(q) == (pp <= qp)
+    assert p.join(q) == q.join(p) and p.meet(q) == q.meet(p)
+
+    # equal partitions have equal hashes, whatever labels they were built from
+    shifted = Partition.from_labels(n, [7 - 2 * lab for lab in a])
+    assert shifted == p and hash(shifted) == hash(p)
+    for x, y in ((p, q), (p.join(q), q.join(p)), (p.meet(q), Partition(n, p.meet(q).blocks))):
+        assert (x == y) == (set(x.pairs()) == set(y.pairs()))
+        if x == y:
+            assert hash(x) == hash(y)
+
+    tp = label_pairs(t)
+    pulled = inverse_image_by_map(n, into, Partition.from_labels(len(t), t))
+    assert set(pulled.pairs()) == pullback_pairs(into, tp)
+    results = [p, p.join(q), p.meet(q), pulled]
+
+    if n:
+        source = FiniteAlgebra(NO_OPERATIONS, n, {})
+        target = FiniteAlgebra(NO_OPERATIONS, max(onto) + 1, {})
+        f = QuotientMap(source, Partition.from_labels(n, onto), target, onto)
+        image = direct_image(f, p)
+        assert set(image.pairs()) == image_pairs(target.n, onto, pp)
+        results.append(image)
+    for r in results:
+        _assert_canonical(r)
 
 
 # -- congruence checks ---------------------------------------------------------
