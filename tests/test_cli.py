@@ -15,6 +15,7 @@ from goursat.cli import main
 from goursat.corpus import entry_by_name
 from goursat.errors import GoursatHypothesisError
 from goursat.verdict import Verdict
+from test_permutability import chain_lattice
 
 
 def run_cli(*args):
@@ -33,6 +34,9 @@ def files(tmp_path_factory):
         path = root / f"{name.replace('(', '_').replace(')', '')}.alg"
         save_algebra(entry_by_name(name).algebra, path)
         paths[name] = str(path)
+    chain4 = root / "chain_lattice_4.alg"
+    save_algebra(chain_lattice(4), chain4)
+    paths["chain_lattice(4)"] = str(chain4)
     exp2 = root / "exp2.ids"
     exp2.write_text("# exponent two\nm(x,x) = e\n", encoding="utf-8")
     paths["exp2"] = str(exp2)
@@ -362,6 +366,61 @@ result PASS
 """, "algebra=klein4\ncongruences=5\n" + "".join(
         f"perm.{i}.{j}=two\ngoursat_join.{i}.{j}=pass\n" for i in range(5) for j in range(i, 5)
     ) + "status=pass\n"),
+    # the four-element chain reaches every level: pair (2, 5) does not 3-permute
+    "perm-chain": (("perm", "chain_lattice(4)"), 1, """\
+algebra chain_lattice(4)
+congruences 8
+  pair [0 1 2 3] [0 1 2 3] level=two join-formula=pass
+  pair [0 1 2 3] [0|1 2 3] level=two join-formula=pass
+  pair [0 1 2 3] [0 1|2 3] level=two join-formula=pass
+  pair [0 1 2 3] [0 1 2|3] level=two join-formula=pass
+  pair [0 1 2 3] [0|1|2 3] level=two join-formula=pass
+  pair [0 1 2 3] [0|1 2|3] level=two join-formula=pass
+  pair [0 1 2 3] [0 1|2|3] level=two join-formula=pass
+  pair [0 1 2 3] [0|1|2|3] level=two join-formula=pass
+  pair [0|1 2 3] [0|1 2 3] level=two join-formula=pass
+  pair [0|1 2 3] [0 1|2 3] level=three join-formula=pass
+  pair [0|1 2 3] [0 1 2|3] level=three join-formula=pass
+  pair [0|1 2 3] [0|1|2 3] level=two join-formula=pass
+  pair [0|1 2 3] [0|1 2|3] level=two join-formula=pass
+  pair [0|1 2 3] [0 1|2|3] level=three join-formula=pass
+  pair [0|1 2 3] [0|1|2|3] level=two join-formula=pass
+  pair [0 1|2 3] [0 1|2 3] level=two join-formula=pass
+  pair [0 1|2 3] [0 1 2|3] level=three join-formula=pass
+  pair [0 1|2 3] [0|1|2 3] level=two join-formula=pass
+  pair [0 1|2 3] [0|1 2|3] level=neither join-formula=skipped
+  pair [0 1|2 3] [0 1|2|3] level=two join-formula=pass
+  pair [0 1|2 3] [0|1|2|3] level=two join-formula=pass
+  pair [0 1 2|3] [0 1 2|3] level=two join-formula=pass
+  pair [0 1 2|3] [0|1|2 3] level=three join-formula=pass
+  pair [0 1 2|3] [0|1 2|3] level=two join-formula=pass
+  pair [0 1 2|3] [0 1|2|3] level=two join-formula=pass
+  pair [0 1 2|3] [0|1|2|3] level=two join-formula=pass
+  pair [0|1|2 3] [0|1|2 3] level=two join-formula=pass
+  pair [0|1|2 3] [0|1 2|3] level=three join-formula=pass
+  pair [0|1|2 3] [0 1|2|3] level=two join-formula=pass
+  pair [0|1|2 3] [0|1|2|3] level=two join-formula=pass
+  pair [0|1 2|3] [0|1 2|3] level=two join-formula=pass
+  pair [0|1 2|3] [0 1|2|3] level=three join-formula=pass
+  pair [0|1 2|3] [0|1|2|3] level=two join-formula=pass
+  pair [0 1|2|3] [0 1|2|3] level=two join-formula=pass
+  pair [0 1|2|3] [0|1|2|3] level=two join-formula=pass
+  pair [0|1|2|3] [0|1|2|3] level=two join-formula=pass
+result FAIL
+""", "algebra=chain_lattice(4)\ncongruences=8\n" + "".join(
+        f"perm.{i}.{j}={level}\ngoursat_join.{i}.{j}="
+        f"{'skipped' if level == 'neither' else 'pass'}\n"
+        for i, row in enumerate("""\
+two two two two two two two two
+two three three two two three two
+two three two neither two two
+two three two two two
+two three two two
+two three two
+two two
+two""".splitlines())
+        for j, level in enumerate(row.split(), i)
+    ) + "status=fail\n"),
     "closure": (("closure", "cyclic_group(8)", "--variety", "exp2", "--rel", "0 4|1 5|2 6|3 7"),
                 0, """\
 algebra cyclic_group(8)

@@ -32,7 +32,12 @@ from goursat.corpus import (
     zmod_vnr,
 )
 from goursat.distributivity import check_axiom7
-from goursat.errors import NotCongruenceError, NotPermutableError, SignatureMismatchError
+from goursat.errors import (
+    GoursatHypothesisError,
+    NotCongruenceError,
+    NotPermutableError,
+    SignatureMismatchError,
+)
 from goursat.relations import Partition, con_lattice, congruence_generated, is_congruence
 from goursat.terms import Identity, Signature, parse_identity, satisfies_identity
 from goursat.verdict import NOT_APPLICABLE, PASS
@@ -189,6 +194,22 @@ def test_closure_goursat_matches_effective_construction():
 def test_closure_goursat_of_discrete():
     res = closure_goursat(Z8, Partition.discrete(8), EXP2)
     assert res.closure == birkhoff_congruence(Z8, EXP2)
+
+
+def test_closure_goursat_refutes_three_permutability_on_a_unary_algebra():
+    # f = (3 0 3 2) is not 3-permutable: D o S o D and S o D o S differ on
+    # S = 0|1|2 3, while the quotient construction and the axioms still hold
+    unary = FiniteAlgebra(Signature({"f": 1}), 4, {"f": (3, 0, 3, 2)}, name="f3032")
+    spec = _spec(unary, "f(f(x)) = x")
+    s = Partition.from_literal("0|1|2 3", 4)
+    with pytest.raises(
+        GoursatHypothesisError,
+        match="^composite closures disagree: D o S o D differs from S o D o S$",
+    ):
+        closure_goursat(unary, s, spec)
+    assert closure_effective(unary, s, spec).closure.to_literal() == "0 1 2 3"
+    report = check_axioms([unary], spec)
+    assert [st.status for st in report.entries.values()] == ["pass"] * len(report.entries)
 
 
 def test_closure_with_empty_spec_is_the_identity_operator():
