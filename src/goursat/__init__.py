@@ -48,14 +48,12 @@ from .permutability import (
     permutability_level,
 )
 from .relations import (
-    BinRel,
     ConLattice,
     Partition,
-    compose,
+    composite,
     con_lattice,
     congruence_generated,
     direct_image,
-    equivalence_closure,
     inverse_image,
     is_congruence,
     join,

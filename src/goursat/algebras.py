@@ -223,15 +223,6 @@ def kernel_pair(f):
     return Partition.from_labels(f.source.n, f.mapping)
 
 
-def factor_through(q1, q2):
-    """The induced map X/theta1 -> X/theta2 when theta1 refines theta2."""
-    if not q1.kernel.refines(q2.kernel):
-        raise ValueError("first kernel does not refine the second")
-    mapping = tuple(q2.mapping[blk[0]] for blk in q1.kernel.blocks)
-    kernel = Partition.from_labels(q1.target.n, mapping)
-    return QuotientMap(q1.target, kernel, q2.target, mapping)
-
-
 def projections(factors):
     """Product of the factors together with its projection quotient maps.
 

@@ -24,6 +24,8 @@ reclosure (4); quotient, s, lhs and rhs (5, 6); quotient, lhs and rhs
 from dataclasses import dataclass, field
 from functools import partial
 
+import numpy as np
+
 from .algebras import all_subuniverses, projections, quotient, subalgebra
 from .errors import (
     GoursatHypothesisError,
@@ -32,6 +34,7 @@ from .errors import (
 )
 from .relations import (
     Partition,
+    composite,
     con_lattice,
     congruence_generated,
     direct_image,
@@ -128,27 +131,31 @@ def closure_goursat(alg, s, spec):
 
     The result is a congruence by construction: a composite of compatible
     relations is compatible, and the composite is checked to be an
-    equivalence.  It is not compared with closure_effective here; the
-    CLI and the acceptance suite do that.  Raises GoursatHypothesisError
-    when the composites disagree or fail to be an equivalence relation,
-    which refutes 3-permutability for this algebra.
+    equivalence.  D o S o D lies in D join S and contains D and S, so it
+    is an equivalence exactly when it equals that join, which is then the
+    closure.  When the two composites agree, D o S o D is transitive (its
+    square is D o (S o D o S) o D), so the second check always passes
+    and a failure there means a fault in ``composite``.  It is not
+    compared with closure_effective here; the CLI and the acceptance
+    suite do that.  Raises GoursatHypothesisError when the composites
+    disagree or fail to be an equivalence relation, which refutes
+    3-permutability for this algebra.
     """
     require_congruence(alg, s)
-    diag = birkhoff_congruence(alg, spec).as_binrel()
-    sb = s.as_binrel()
-    left = diag.compose(sb).compose(diag)
-    right = sb.compose(diag).compose(sb)
-    if left != right:
+    diag = birkhoff_congruence(alg, spec)
+    left = composite(diag, s, diag)
+    if not np.array_equal(left, composite(s, diag, s)):
         raise GoursatHypothesisError(
             "composite closures disagree: D o S o D differs from S o D o S",
             detail={"input": s.to_literal()},
         )
-    if not left.is_equivalence():
+    joined = diag.join(s)
+    if not np.array_equal(left, composite(joined)):
         raise GoursatHypothesisError(
             "composite D o S o D is not an equivalence relation",
             detail={"input": s.to_literal()},
         )
-    return ClosureResult(s, left.to_partition())
+    return ClosureResult(s, joined)
 
 
 def closure_by_component(alg, s, r_comp):
@@ -160,19 +167,18 @@ def closure_by_component(alg, s, r_comp):
     """
     require_congruence(alg, s)
     require_congruence(alg, r_comp)
-    sb, rb = s.as_binrel(), r_comp.as_binrel()
-    raw = sb.compose(rb)
-    if raw != rb.compose(sb):
+    raw = composite(s, r_comp)
+    if not np.array_equal(raw, composite(r_comp, s)):
         raise NotPermutableError(
             "pair does not 2-permute, the composite formula does not apply", s, r_comp
         )
     joined = s.join(r_comp)
-    if raw != joined.as_binrel():
+    if not np.array_equal(raw, composite(joined)):
         raise GoursatHypothesisError(
             "permuting composite failed to equal the join",
             detail={"s": s.to_literal(), "r": r_comp.to_literal()},
         )
-    return raw.to_partition()
+    return joined
 
 
 AXIOM_KEYS = ("1", "2", "3", "4", "5", "6", "6prime", "7", "additivity", "image_join")

@@ -15,6 +15,7 @@ from .closure import SubvarietySpec
 from .distributivity import is_distributive
 from .permutability import (
     FOUND,
+    NEITHER,
     NONE,
     TWO,
     find_hm_terms,
@@ -367,14 +368,12 @@ def verify_entry(entry, clone_cap=200_000):
             p, q = outcome.witness
             if not hm_identities_hold(alg.n, p.table, q.table):
                 problems.append("goursat tag: witness pair fails the identities on recheck")
-        for i in range(len(cons)):
-            for j in range(i, len(cons)):
-                rb, sb = cons[i].as_binrel(), cons[j].as_binrel()
-                if rb.compose(sb).compose(rb) != sb.compose(rb).compose(sb):
-                    problems.append(
-                        "goursat tag: triple composites differ for "
-                        f"{cons[i].to_literal()} and {cons[j].to_literal()}"
-                    )
+        for (i, j), level in levels.items():
+            if level == NEITHER:
+                problems.append(
+                    "goursat tag: triple composites differ for "
+                    f"{cons[i].to_literal()} and {cons[j].to_literal()}"
+                )
         if all(level == TWO for level in levels.values()):
             notes.append("vacuous: every congruence pair 2-permutes on this instance")
 

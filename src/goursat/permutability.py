@@ -53,7 +53,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NotPermutableError
-from .relations import require_congruence
+from .relations import composite, require_congruence
 from .terms import _BLOCK_CELLS, App, Var
 from .verdict import Verdict
 
@@ -72,30 +72,33 @@ def permutability_level(alg, r, s):
     """``two`` if r and s permute, ``three`` if the triple composites agree, else ``neither``."""
     require_congruence(alg, r)
     require_congruence(alg, s)
-    rb, sb = r.as_binrel(), s.as_binrel()
-    rs = rb.compose(sb)
-    sr = sb.compose(rb)
-    if rs == sr:
+    if np.array_equal(composite(r, s), composite(s, r)):
         return TWO
-    if rs.compose(rb) == sr.compose(sb):
+    if np.array_equal(composite(r, s, r), composite(s, r, s)):
         return THREE
     return NEITHER
 
 
 def goursat_join_check(alg, r, s):
-    """Confirm r o s o r equals the congruence join, as raw pair sets."""
+    """Confirm r o s o r equals the congruence join, as raw pair sets.
+
+    At level ``two`` or ``three``, r o s o r = s o r o s makes r o s o r
+    transitive (its square is r o (s o r o s) o r = r o s o r), and it
+    contains r and s, so it equals their join.  A failure therefore
+    means a fault in ``composite``; the witness is the least pair of the
+    join missing from the composite.
+    """
     level = permutability_level(alg, r, s)
     if level == NEITHER:
         raise NotPermutableError(
             "pair is not 3-permutable, the composite join formula does not apply", r, s
         )
-    rb, sb = r.as_binrel(), s.as_binrel()
-    composite = rb.compose(sb).compose(rb)
-    joined = r.join(s).as_binrel()
-    if composite == joined:
+    comp = composite(r, s, r)
+    join = composite(r.join(s))
+    if np.array_equal(comp, join):
         return Verdict(True, note=level)
-    diff = sorted(set(joined.pairs()) ^ set(composite.pairs()))
-    return Verdict(False, witness=diff[0], note=level)
+    a, b = np.argwhere(join & ~comp)[0].tolist()
+    return Verdict(False, witness=(a, b), note=level)
 
 
 @dataclass(frozen=True)

@@ -1,7 +1,6 @@
-"""Binary relations and equivalence relations on finite carriers.
+"""Equivalence relations on finite carriers, stored as canonical label vectors.
 
-A BinRel is an n-by-n boolean matrix stored as one bitmask per row.  A
-Partition is an equivalence relation stored as its canonical label
+A Partition is an equivalence relation stored as its canonical label
 vector: ``index_of[x]`` numbers x's block, blocks numbered in order of
 first occurrence.  Meets, joins, refinement and the direct and inverse
 images along maps all work on these vectors.  Only ``Partition(n,
@@ -10,8 +9,10 @@ boundary for files, literals and API callers).  Every other way to make
 a partition trusts its input and relabels in one pass; operations on
 two partitions check only that the carrier sizes agree.
 
-Relational composition is fixed left-to-right: (x,z) is in compose(r,s)
-iff there is a y with (x,y) in r and (y,z) in s.
+Composites of equivalence relations are read from block incidence and
+returned as n-by-n boolean pair matrices by ``composite``.  Relational
+composition is fixed left-to-right: (x,z) is in the composite r o s iff
+there is a y with (x,y) in r and (y,z) in s.
 """
 
 from itertools import product
@@ -20,119 +21,6 @@ import numpy as np
 
 from .errors import CarrierBoundError, NotCongruenceError, SizeMismatchError
 from .verdict import Verdict
-
-
-class BinRel:
-    __slots__ = ("n", "rows")
-
-    def __init__(self, n, rows):
-        if len(rows) != n:
-            raise ValueError("row count must equal carrier size")
-        mask = (1 << n) - 1
-        self.n = n
-        self.rows = tuple(r & mask for r in rows)
-
-    @classmethod
-    def empty(cls, n):
-        return cls(n, (0,) * n)
-
-    @classmethod
-    def identity(cls, n):
-        return cls(n, tuple(1 << x for x in range(n)))
-
-    @classmethod
-    def full(cls, n):
-        return cls(n, ((1 << n) - 1,) * n)
-
-    @classmethod
-    def from_pairs(cls, n, pairs):
-        rows = [0] * n
-        for a, b in pairs:
-            rows[a] |= 1 << b
-        return cls(n, rows)
-
-    def has(self, x, y):
-        return bool(self.rows[x] >> y & 1)
-
-    def pairs(self):
-        out = []
-        for x in range(self.n):
-            row = self.rows[x]
-            while row:
-                low = row & -row
-                out.append((x, low.bit_length() - 1))
-                row ^= low
-        return out
-
-    def count(self):
-        return sum(r.bit_count() for r in self.rows)
-
-    def union(self, other):
-        self._check(other)
-        return BinRel(self.n, tuple(a | b for a, b in zip(self.rows, other.rows)))
-
-    def intersection(self, other):
-        self._check(other)
-        return BinRel(self.n, tuple(a & b for a, b in zip(self.rows, other.rows)))
-
-    def converse(self):
-        rows = [0] * self.n
-        for x in range(self.n):
-            row = self.rows[x]
-            while row:
-                low = row & -row
-                rows[low.bit_length() - 1] |= 1 << x
-                row ^= low
-        return BinRel(self.n, rows)
-
-    def compose(self, other):
-        self._check(other)
-        rows = []
-        for x in range(self.n):
-            acc = 0
-            row = self.rows[x]
-            while row:
-                low = row & -row
-                acc |= other.rows[low.bit_length() - 1]
-                row ^= low
-            rows.append(acc)
-        return BinRel(self.n, rows)
-
-    def is_reflexive(self):
-        return all(self.rows[x] >> x & 1 for x in range(self.n))
-
-    def is_symmetric(self):
-        return self == self.converse()
-
-    def is_transitive(self):
-        comp = self.compose(self)
-        return all(c | r == r for c, r in zip(comp.rows, self.rows))
-
-    def is_equivalence(self):
-        return self.is_reflexive() and self.is_symmetric() and self.is_transitive()
-
-    def to_partition(self):
-        if not self.is_equivalence():
-            raise ValueError("relation is not an equivalence relation")
-        # In an equivalence relation, x and y have equal rows exactly when related.
-        return Partition.from_labels(self.n, self.rows)
-
-    def _check(self, other):
-        if self.n != other.n:
-            raise SizeMismatchError(f"carrier sizes differ: {self.n} vs {other.n}")
-
-    def __eq__(self, other):
-        return isinstance(other, BinRel) and self.n == other.n and self.rows == other.rows
-
-    def __hash__(self):
-        return hash((self.n, self.rows))
-
-    def __repr__(self):
-        return f"BinRel({self.n}, pairs={self.pairs()})"
-
-
-def compose(r, s):
-    return r.compose(s)
 
 
 def _number_trees(parent):
@@ -309,15 +197,6 @@ class Partition:
         count = _number_trees(parent)
         return Partition._canonical(self.n, tuple(map(parent.__getitem__, self.index_of)), count)
 
-    def as_binrel(self):
-        masks = [0] * self.num_blocks
-        for i, blk in enumerate(self.blocks):
-            m = 0
-            for x in blk:
-                m |= 1 << x
-            masks[i] = m
-        return BinRel(self.n, tuple(masks[i] for i in self.index_of))
-
     def pairs(self):
         return [(a, b) for blk in self.blocks for a in blk for b in blk]
 
@@ -337,9 +216,26 @@ class Partition:
         return f"Partition({self.to_literal()!r})"
 
 
-def equivalence_closure(r):
-    """Least equivalence relation containing a BinRel, as a Partition."""
-    return Partition.from_pairs(r.n, r.pairs())
+def composite(first, *rest):
+    """Pair matrix of first o p2 o ... o pk as an n-by-n boolean array.
+
+    (x, z) is in R o S exactly when the R-block of x meets the S-block
+    of z.  So ``reach[b, c]``, "block b of the first partition reaches
+    block c of the latest one", advances one partition per step by a
+    boolean product with the incidence matrix of the blocks of the
+    previous and the next partition; (x, z) is in the composite when the
+    first block of x reaches the last block of z.  ``composite(p)`` is
+    p's own pair matrix.
+    """
+    start = labels = np.asarray(first.index_of, dtype=np.intp)
+    reach = np.eye(first.num_blocks, dtype=bool)
+    for p in rest:
+        first._check(p)
+        nxt = np.asarray(p.index_of, dtype=np.intp)
+        incidence = np.zeros((reach.shape[1], p.num_blocks), dtype=bool)
+        incidence[labels, nxt] = True
+        reach, labels = reach @ incidence, nxt
+    return reach[start[:, None], labels]
 
 
 def is_congruence(alg, p):
@@ -465,8 +361,8 @@ def direct_image(f, s):
     """Image of an equivalence relation along a quotient map, closed up.
 
     Returns the equivalence closure of {(f(a), f(b)) : (a,b) in s}; on
-    3-permutable algebras the raw image is already an equivalence (see
-    direct_image_raw for the unclosed pair set).  Since f is onto, f(a)
+    3-permutable algebras the raw image pair set is already an
+    equivalence, so the closure step adds nothing.  Since f is onto, f(a)
     and f(b) are related in that closure exactly when a and b are
     related by s join ker f, so the image classes are the images of the
     classes of s join ker f.
@@ -478,20 +374,6 @@ def direct_image(f, s):
     for a, lab in zip(f.mapping, joined.index_of):
         labels[a] = lab
     return Partition.from_labels(f.target.n, labels)
-
-
-def direct_image_raw(f, s):
-    """Raw image pair set of an equivalence relation, no closure step."""
-    if s.n != f.source.n:
-        raise SizeMismatchError(f"relation on {s.n} elements, source has {f.source.n}")
-    rows = [0] * f.target.n
-    for blk in s.blocks:
-        mask = 0
-        for a in blk:
-            mask |= 1 << f.mapping[a]
-        for a in blk:
-            rows[f.mapping[a]] |= mask
-    return BinRel(f.target.n, rows)
 
 
 def inverse_image(f, s):

@@ -1,8 +1,8 @@
 """Independent brute-force oracles used to validate the fast implementations.
 
 Everything here is deliberately naive: set-based relational composition,
-equivalence joins, images and pull-backs on explicit pair sets,
-enumeration of all partitions via restricted growth strings, a
+equivalence joins, raw and closed images and pull-backs on explicit pair
+sets, the pair set of a boolean matrix, enumeration of all partitions via restricted growth strings, a
 from-the-definition compatibility check, a scalar subuniverse closure, a
 clone BFS that applies an operation to one argument tuple at a time, and
 identities evaluated one assignment at a time by the recursive reference
@@ -46,6 +46,16 @@ def join_pairs(n, r_pairs, s_pairs):
 def image_pairs(n_target, mapping, s_pairs):
     """Closure of the image pair set {(m(a), m(b)) : (a, b) in s}."""
     return equivalence_closure_pairs(n_target, {(mapping[a], mapping[b]) for a, b in s_pairs})
+
+
+def raw_image_pairs(mapping, s_pairs):
+    """The image pair set {(m(a), m(b)) : (a, b) in s}, with no closure step."""
+    return {(mapping[a], mapping[b]) for a, b in s_pairs}
+
+
+def matrix_pairs(mat):
+    """The pair set {(x, z) : mat[x][z]} of a square boolean matrix."""
+    return {(x, z) for x, row in enumerate(mat) for z, hit in enumerate(row) if hit}
 
 
 def pullback_pairs(mapping, t_pairs):

@@ -8,7 +8,6 @@ from goursat.algebras import (
     QuotientMap,
     _subuniverse_seeds,
     all_subuniverses,
-    factor_through,
     format_algebra,
     generate_subuniverse,
     kernel_pair,
@@ -252,17 +251,6 @@ def test_kernel_pair_inverts_quotient_on_every_congruence():
 def test_kernel_pair_edge_cases():
     assert kernel_pair(quotient(Z4, Partition.discrete(4))) == Partition.discrete(4)
     assert kernel_pair(quotient(Z4, Partition.full(4))) == Partition.full(4)
-
-
-def test_factor_through_congruence_containment():
-    z8 = cyclic_group(8)
-    t1 = Partition.from_literal("0 4|1 5|2 6|3 7", 8)
-    t2 = Partition.from_literal("0 2 4 6|1 3 5 7", 8)
-    q1, q2 = quotient(z8, t1), quotient(z8, t2)
-    h = factor_through(q1, q2)
-    assert [h.mapping[q1.mapping[x]] for x in range(8)] == list(q2.mapping)
-    with pytest.raises(ValueError):
-        factor_through(q2, q1)
 
 
 def test_projections_are_homomorphisms_with_trivial_joint_kernel():

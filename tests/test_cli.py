@@ -9,13 +9,14 @@ import pytest
 
 import goursat
 import goursat.cli
+import goursat.permutability
 from goursat.algebras import save_algebra
 from goursat.closure import AXIOM_KEYS, AxiomReport, closure_goursat
 from goursat.cli import main
 from goursat.corpus import entry_by_name
 from goursat.errors import GoursatHypothesisError
 from goursat.verdict import Verdict
-from test_permutability import chain_lattice
+from test_permutability import chain_lattice, composite_missing_1_2
 
 
 def run_cli(*args):
@@ -132,6 +133,17 @@ def test_perm_reports_levels(files):
     assert code == 0
     assert "level=two" in out
     assert "result PASS" in out
+
+
+def test_perm_prints_the_join_formula_witness_as_plain_ints(files, monkeypatch):
+    monkeypatch.setattr(goursat.permutability, "composite", composite_missing_1_2)
+    code, out, _ = run_cli("perm", files["klein4"])
+    assert code == 1
+    assert "  pair [0 1|2 3] [0 2|1 3] level=two join-formula=fail witness=(1, 2)\n" in out
+    assert out.endswith("result FAIL\n")
+    code, out, _ = run_cli("perm", files["klein4"], "--kv")
+    assert code == 1
+    assert "goursat_join.1.2=fail witness=(1, 2)\n" in out
 
 
 def test_dist_klein4_fails_with_witness(files):

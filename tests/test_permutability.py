@@ -36,8 +36,9 @@ from goursat.permutability import (
     maltsev_identities_hold,
     permutability_level,
 )
-from goursat.relations import Partition, compose, con_lattice
+from goursat.relations import Partition, composite, con_lattice
 from goursat.terms import Signature, eval_term
+from goursat.verdict import Verdict
 
 K4 = klein4()
 KERP1 = Partition.from_literal("0 1|2 3", 4)
@@ -58,8 +59,7 @@ T2 = Partition.from_literal("0|1 2", 3)
 
 def test_projection_kernels_two_permute():
     assert permutability_level(K4, KERP1, KERP2) == TWO
-    rb, sb = KERP1.as_binrel(), KERP2.as_binrel()
-    assert compose(rb, sb) == compose(sb, rb) == Partition.full(4).as_binrel()
+    assert composite(KERP1, KERP2).all() and composite(KERP2, KERP1).all()
 
 
 def test_pair_with_itself_two_permutes():
@@ -69,12 +69,9 @@ def test_pair_with_itself_two_permutes():
 
 def test_chain_lattice_pair_is_three_permutable_only():
     assert permutability_level(L3, T1, T2) == THREE
-    t1t2 = compose(T1.as_binrel(), T2.as_binrel())
-    t2t1 = compose(T2.as_binrel(), T1.as_binrel())
-    assert t1t2.has(0, 2) and not t2t1.has(0, 2)
-    full = Partition.full(3).as_binrel()
-    assert compose(t1t2, T1.as_binrel()) == full
-    assert compose(t2t1, T2.as_binrel()) == full
+    assert composite(T1, T2)[0, 2] and not composite(T2, T1)[0, 2]
+    assert composite(T1, T2, T1).all()
+    assert composite(T2, T1, T2).all()
 
 
 def test_four_chain_has_a_non_three_permutable_pair():
@@ -95,6 +92,21 @@ def test_goursat_join_check():
     assert goursat_join_check(K4, KERP1, KERP2).ok
     assert goursat_join_check(K4, KERP1, KERP1).ok
     assert goursat_join_check(L3, T1, T2).ok
+
+
+def composite_missing_1_2(*parts):
+    """composite, except that every composite of three relations loses the pair (1, 2)."""
+    mat = composite(*parts)
+    if len(parts) == 3:
+        mat[1, 2] = False
+    return mat
+
+
+def test_goursat_join_check_witness_is_a_pair_of_plain_ints(monkeypatch):
+    monkeypatch.setattr(permutability, "composite", composite_missing_1_2)
+    verdict = goursat_join_check(K4, KERP1, KERP2)
+    assert verdict == Verdict(False, witness=(1, 2), note=TWO)
+    assert all(type(x) is int for x in verdict.witness)
 
 
 # -- clone generation -----------------------------------------------------------

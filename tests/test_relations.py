@@ -2,6 +2,7 @@ import random
 from functools import reduce
 from itertools import product
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -18,16 +19,13 @@ from goursat.corpus import (
 from goursat.errors import CarrierBoundError, NotCongruenceError, SizeMismatchError
 from goursat.permutability import TWO, permutability_level
 from goursat.relations import (
-    BinRel,
     Partition,
     _compatible,
     _translations,
-    compose,
+    composite,
     con_lattice,
     congruence_generated,
     direct_image,
-    direct_image_raw,
-    equivalence_closure,
     inverse_image,
     inverse_image_by_map,
     is_congruence,
@@ -40,11 +38,14 @@ from oracles import (
     brute_force_congruences,
     compatible,
     compose_pairs,
+    equivalence_closure_pairs,
     image_pairs,
     join_pairs,
     label_pairs,
+    matrix_pairs,
     meet_blocks,
     pullback_pairs,
+    raw_image_pairs,
 )
 
 Z4 = cyclic_group(4)
@@ -59,42 +60,71 @@ def eq(n, *blocks):
 
 
 def test_compose_identity_and_full():
-    r = eq(3, (0, 1), (2,)).as_binrel()
-    assert compose(BinRel.identity(3), r) == r
-    assert compose(r, BinRel.identity(3)) == r
-    assert compose(BinRel.full(3), BinRel.full(3)) == BinRel.full(3)
+    r = eq(3, (0, 1), (2,))
+    assert matrix_pairs(composite(r)) == label_pairs(r.index_of)
+    assert np.array_equal(composite(Partition.discrete(3), r), composite(r))
+    assert np.array_equal(composite(r, Partition.discrete(3)), composite(r))
+    assert np.array_equal(composite(Partition.discrete(3)), np.eye(3, dtype=bool))
+    full = composite(Partition.full(3), Partition.full(3))
+    assert full.dtype == bool and full.shape == (3, 3) and full.all()
+    assert composite(Partition.full(0), Partition.full(0)).shape == (0, 0)
 
 
 def test_compose_two_equivalences_explicitly():
-    r = eq(3, (0, 1), (2,)).as_binrel()
-    s = eq(3, (0,), (1, 2)).as_binrel()
+    r = eq(3, (0, 1), (2,))
+    s = eq(3, (0,), (1, 2))
     expect = {(x, z) for x in (0, 1) for z in (0, 1, 2)} | {(2, 1), (2, 2)}
-    assert set(compose(r, s).pairs()) == expect
+    assert matrix_pairs(composite(r, s)) == expect
+    assert matrix_pairs(composite(s, r)) == {(z, x) for x, z in expect}
 
 
-def test_compose_matches_triple_loop_oracle():
-    rng = random.Random(7)
-    for _ in range(100):
-        n = rng.randint(1, 6)
-        r = BinRel(n, [rng.getrandbits(n) for _ in range(n)])
-        s = BinRel(n, [rng.getrandbits(n) for _ in range(n)])
-        assert set(compose(r, s).pairs()) == compose_pairs(r.pairs(), s.pairs())
+@st.composite
+def label_chains(draw):
+    """One to four label vectors on one carrier of n <= 9."""
+    n = draw(st.integers(0, 9))
+    return n, draw(st.lists(label_vectors(n), min_size=1, max_size=4))
+
+
+@settings(max_examples=300, deadline=None)
+@given(label_chains())
+@example((0, [[], []]))
+@example((1, [[0], [0], [0]]))
+@example((9, [[0, 1, 0, 1, 2, 2, 3, 3, 4], [0, 0, 1, 1, 2, 3, 3, 4, 4]] * 2))
+def test_compose_matches_triple_loop_oracle(case):
+    n, chain = case
+    parts = [Partition.from_labels(n, labels) for labels in chain]
+    got = composite(*parts)
+    assert got.dtype == bool and got.shape == (n, n)
+    assert matrix_pairs(got) == reduce(compose_pairs, map(label_pairs, chain))
+
+
+def test_compose_matches_oracle_on_corpus_congruence_pairs():
+    for entry in default_entries():
+        cons = con_lattice(entry.algebra).congruences
+        for r in cons:
+            for s in cons:
+                want = compose_pairs(label_pairs(r.index_of), label_pairs(s.index_of))
+                assert matrix_pairs(composite(r, s)) == want, (entry.name, r, s)
 
 
 def test_compose_associative_and_bounded():
     rng = random.Random(11)
     for _ in range(60):
         n = rng.randint(2, 6)
-        rels = [BinRel(n, [rng.getrandbits(n) for _ in range(n)]) for _ in range(3)]
-        a, b, c = rels
-        assert compose(compose(a, b), c) == compose(a, compose(b, c))
-        if a.count():
-            assert compose(compose(BinRel.full(n), a), BinRel.full(n)) == BinRel.full(n)
+        a, b, c = (Partition.from_labels(n, [rng.randrange(n) for _ in range(n)])
+                   for _ in range(3))
+        abc = composite(a, b, c)
+        assert np.array_equal(abc, composite(a, b) @ composite(c))
+        assert np.array_equal(abc, composite(a) @ composite(b, c))
+        full = Partition.full(n)
+        assert composite(full, a, full).all()
 
 
 def test_compose_size_mismatch():
     with pytest.raises(SizeMismatchError):
-        compose(BinRel.full(2), BinRel.full(3))
+        composite(Partition.full(2), Partition.full(3))
+    with pytest.raises(SizeMismatchError):
+        composite(Partition.full(3), Partition.full(3), Partition.full(2))
 
 
 # -- equivalence closure and partitions ---------------------------------------
@@ -102,10 +132,11 @@ def test_compose_size_mismatch():
 
 def test_equivalence_closure_cases():
     p = eq(3, (0, 1), (2,))
-    assert equivalence_closure(p.as_binrel()) == p
-    chain = BinRel.from_pairs(3, [(0, 1), (1, 2)])
-    assert equivalence_closure(chain) == Partition.full(3)
-    assert equivalence_closure(BinRel.empty(3)) == Partition.discrete(3)
+    cases = [(p.pairs(), p), ([(0, 1), (1, 2)], Partition.full(3)), ([], Partition.discrete(3))]
+    for pairs, want in cases:
+        closed = Partition.from_pairs(3, pairs)
+        assert closed == want
+        assert matrix_pairs(composite(closed)) == equivalence_closure_pairs(3, pairs)
 
 
 def test_partition_canonical_form_and_literals():
@@ -528,7 +559,7 @@ def test_direct_image_examples():
     assert direct_image(q, eq(4, (0, 1), (2, 3))) == Partition.full(2)
 
 
-def test_direct_image_raw_is_already_closed_on_permutable_corpus():
+def test_raw_image_is_already_closed_on_permutable_corpus():
     for entry in default_entries():
         alg = entry.algebra
         lat = con_lattice(alg)
@@ -543,9 +574,8 @@ def test_direct_image_raw_is_already_closed_on_permutable_corpus():
         for theta in cons:
             q = quotient(alg, theta)
             for s in cons:
-                raw = direct_image_raw(q, s)
-                assert raw.is_equivalence()
-                assert raw.to_partition() == direct_image(q, s)
+                raw = raw_image_pairs(q.mapping, label_pairs(s.index_of))
+                assert raw == label_pairs(direct_image(q, s).index_of)
 
 
 def test_image_size_mismatches():
