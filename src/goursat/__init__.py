@@ -10,7 +10,6 @@ from .algebras import (
     FiniteAlgebra,
     QuotientMap,
     generate_subuniverse,
-    kernel_pair,
     load_algebra,
     product,
     quotient,
@@ -22,7 +21,6 @@ from .closure import (
     SubvarietySpec,
     birkhoff_congruence,
     check_axioms,
-    closure_by_component,
     closure_effective,
     closure_goursat,
     reflect,
@@ -56,7 +54,6 @@ from .relations import (
     direct_image,
     inverse_image,
     is_congruence,
-    join,
 )
 from .terms import (
     Identity,

@@ -178,9 +178,6 @@ class QuotientMap:
         self.target = target
         self.mapping = mapping
 
-    def apply(self, a):
-        return self.mapping[a]
-
     def __repr__(self):
         return f"QuotientMap({self.source!r} -> {self.target!r})"
 
@@ -188,22 +185,17 @@ class QuotientMap:
 def quotient(alg, theta):
     """Canonical quotient by a congruence; block i of theta is element i.
 
-    theta is proved a congruence by require_congruence, with the same
-    witness on refusal, unless it is a member of alg's memoised
-    congruence lattice: every member was generated as a congruence, so
-    membership is the proof, and an arbitrary theta is still checked on
-    every call.  The map is the label vector of theta and the target's
-    tables are built from it, so the map's fibres are theta's blocks and
-    it is a homomorphism by construction; it is not re-checked.
-    Memoised per algebra by theta's label vector.
+    theta is proved a congruence by require_congruence, which refuses
+    with the is_congruence witness.  The map is the label vector of
+    theta and the target's tables are built from it, so the map's fibres
+    are theta's blocks and it is a homomorphism by construction; it is
+    not re-checked.  Memoised per algebra by theta's label vector.
     """
     key = ("quotient", theta.index_of)
     hit = alg._memo.get(key)
     if hit is not None:
         return hit
-    lat = alg._memo.get("con")
-    if lat is None or theta not in lat:
-        require_congruence(alg, theta)
+    require_congruence(alg, theta)
     reps = np.asarray([blk[0] for blk in theta.blocks], dtype=np.intp)
     index = np.asarray(theta.index_of, dtype=np.intp)
     tables = {}
@@ -216,11 +208,6 @@ def quotient(alg, theta):
     qm._set(alg, theta, target, theta.index_of)
     alg._memo[key] = qm
     return qm
-
-
-def kernel_pair(f):
-    """Partition of the source into preimage classes of a quotient map."""
-    return Partition.from_labels(f.source.n, f.mapping)
 
 
 def projections(factors):

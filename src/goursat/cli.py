@@ -34,6 +34,7 @@ from .errors import (
     CarrierBoundError,
     GoursatHypothesisError,
     NotCongruenceError,
+    NotPermutableError,
     ParseError,
     SignatureMismatchError,
 )
@@ -44,7 +45,6 @@ from .permutability import (
     find_hm_terms,
     find_maltsev_term,
     goursat_join_check,
-    permutability_level,
 )
 from .relations import Partition, con_lattice, require_congruence
 from .terms import load_identities, render
@@ -209,12 +209,12 @@ def cmd_perm(args):
     ok = True
     for i in range(len(cons)):
         for j in range(i, len(cons)):
-            level = permutability_level(alg, cons[i], cons[j])
-            if level == NEITHER:
-                ok = False
-                joinres = "skipped"
-            else:
+            try:
                 verdict = goursat_join_check(alg, cons[i], cons[j])
+            except NotPermutableError:
+                level, joinres, ok = NEITHER, "skipped", False
+            else:
+                level = verdict.note
                 joinres = "pass" if verdict.ok else f"fail witness={verdict.witness}"
                 ok = ok and verdict.ok
             pair = f"  pair [{cons[i].to_literal()}] [{cons[j].to_literal()}]"

@@ -27,11 +27,7 @@ from functools import partial
 import numpy as np
 
 from .algebras import all_subuniverses, projections, quotient, subalgebra
-from .errors import (
-    GoursatHypothesisError,
-    NotPermutableError,
-    SignatureMismatchError,
-)
+from .errors import GoursatHypothesisError, SignatureMismatchError
 from .relations import (
     Partition,
     composite,
@@ -156,29 +152,6 @@ def closure_goursat(alg, s, spec):
             detail={"input": s.to_literal()},
         )
     return ClosureResult(s, joined)
-
-
-def closure_by_component(alg, s, r_comp):
-    """Closure as the raw composite s o r for a 2-permuting pair.
-
-    The second argument plays the role of a designated congruence whose
-    join with s is the closure; the formula only applies when the pair
-    permutes, so non-permuting input is refused.
-    """
-    require_congruence(alg, s)
-    require_congruence(alg, r_comp)
-    raw = composite(s, r_comp)
-    if not np.array_equal(raw, composite(r_comp, s)):
-        raise NotPermutableError(
-            "pair does not 2-permute, the composite formula does not apply", s, r_comp
-        )
-    joined = s.join(r_comp)
-    if not np.array_equal(raw, composite(joined)):
-        raise GoursatHypothesisError(
-            "permuting composite failed to equal the join",
-            detail={"s": s.to_literal(), "r": r_comp.to_literal()},
-        )
-    return joined
 
 
 AXIOM_KEYS = ("1", "2", "3", "4", "5", "6", "6prime", "7", "additivity", "image_join")

@@ -69,10 +69,15 @@ _VARS = ("x", "y", "z")
 
 
 def permutability_level(alg, r, s):
-    """``two`` if r and s permute, ``three`` if the triple composites agree, else ``neither``."""
+    """``two`` if r and s permute, ``three`` if the triple composites agree, else ``neither``.
+
+    For equivalences s o r is the transpose of r o s, so the pair
+    permutes exactly when r o s is symmetric.
+    """
     require_congruence(alg, r)
     require_congruence(alg, s)
-    if np.array_equal(composite(r, s), composite(s, r)):
+    rs = composite(r, s)
+    if np.array_equal(rs, rs.T):
         return TWO
     if np.array_equal(composite(r, s, r), composite(s, r, s)):
         return THREE

@@ -55,10 +55,10 @@ class Partition:
     ``Partition(n, blocks)`` and ``from_literal`` are the validating
     boundary: they refuse repeated, out-of-range and uncovering input.
     Every other constructor relabels in one pass and validates nothing:
-    ``from_labels``, ``from_pairs``, ``discrete``, ``full``, ``meet``,
-    ``join``, and the module's ``congruence_generated``,
-    ``inverse_image_by_map`` and ``direct_image``.  They trust that their
-    labels, pairs or maps are well-formed on {0..n-1}.
+    ``from_labels``, ``discrete``, ``full``, ``meet``, ``join``, and the
+    module's ``congruence_generated``, ``inverse_image_by_map`` and
+    ``direct_image``.  They trust that their labels, pairs or maps are
+    well-formed on {0..n-1}.
     """
 
     __slots__ = ("n", "index_of", "num_blocks", "_blocks")
@@ -105,23 +105,6 @@ class Partition:
         """The partition of {0..n-1} into classes of equal labels[x]; labels has length n."""
         relabel = {lab: i for i, lab in enumerate(dict.fromkeys(labels))}
         return cls._canonical(n, tuple(map(relabel.__getitem__, labels)), len(relabel))
-
-    @classmethod
-    def from_pairs(cls, n, pairs):
-        parent = list(range(n))
-
-        def find(x):
-            while parent[x] != x:
-                parent[x] = parent[parent[x]]
-                x = parent[x]
-            return x
-
-        for a, b in pairs:
-            ra, rb = find(a), find(b)
-            if ra != rb:
-                parent[max(ra, rb)] = min(ra, rb)
-        count = _number_trees(parent)
-        return cls._canonical(n, tuple(parent), count)
 
     @classmethod
     def from_literal(cls, text, n):
@@ -196,13 +179,6 @@ class Partition:
                 parent[a] = held
         count = _number_trees(parent)
         return Partition._canonical(self.n, tuple(map(parent.__getitem__, self.index_of)), count)
-
-    def pairs(self):
-        return [(a, b) for blk in self.blocks for a in blk for b in blk]
-
-    def generating_pairs(self):
-        """One spanning chain per block; generates the same equivalence."""
-        return [(blk[0], x) for blk in self.blocks for x in blk[1:]]
 
     def __eq__(self, other):
         return (
@@ -340,21 +316,17 @@ def congruence_generated(alg, pairs):
 
 
 def require_congruence(alg, p):
-    """Raise NotCongruenceError (with the witness-grade scan) unless p is compatible."""
+    """Raise NotCongruenceError (with the witness-grade scan) unless p is a congruence.
+
+    A member of alg's memoised congruence lattice returns at once: every
+    member was generated as a congruence, so membership is the proof.
+    Any other p is checked on every call.
+    """
+    lat = alg._memo.get("con")
+    if lat is not None and p in lat:
+        return
     if not _compatible(alg, p):
         raise NotCongruenceError(*is_congruence(alg, p).witness)
-
-
-def join(alg, r, s):
-    """Least upper bound of two congruences in the congruence lattice.
-
-    Both arguments are checked to be congruences.  Con(A) is a sublattice
-    of Eq(A), so their join is the plain equivalence join r.join(s),
-    with no propagation through the operations.
-    """
-    require_congruence(alg, r)
-    require_congruence(alg, s)
-    return r.join(s)
 
 
 def direct_image(f, s):
@@ -394,18 +366,32 @@ class ConLattice:
 
     Congruences are sorted by (number of blocks, block list); index 0 is
     the full relation, the last index is the discrete one.  Membership
-    and ``index`` look a partition up by its label vector.
+    and ``index`` look a partition up by its label vector.  The
+    constructor trusts that the list is closed under meet and join; the
+    tables index the meet and the join of each pair of congruences.
     """
 
     def __init__(self, n, congruences):
         self.n = n
-        self.congruences = tuple(congruences)
-        self._index = {p.index_of: i for i, p in enumerate(self.congruences)}
-        k = len(self.congruences)
-        self.leq = tuple(
-            tuple(self.congruences[i].refines(self.congruences[j]) for j in range(k))
-            for i in range(k)
-        )
+        cons = self.congruences = tuple(congruences)
+        self._index = {p.index_of: i for i, p in enumerate(cons)}
+        k = len(cons)
+        self.leq = tuple(tuple(cons[i].refines(cons[j]) for j in range(k)) for i in range(k))
+        meet_table = [[0] * k for _ in range(k)]
+        join_table = [[0] * k for _ in range(k)]
+        for i in range(k):
+            for j in range(i, k):
+                if self.leq[i][j]:
+                    low, high = i, j
+                elif self.leq[j][i]:
+                    low, high = j, i
+                else:
+                    low = self.index(cons[i].meet(cons[j]))
+                    high = self.index(cons[i].join(cons[j]))
+                meet_table[i][j] = meet_table[j][i] = low
+                join_table[i][j] = join_table[j][i] = high
+        self.meet_table = tuple(map(tuple, meet_table))
+        self.join_table = tuple(map(tuple, join_table))
 
     def __len__(self):
         return len(self.congruences)
@@ -418,24 +404,6 @@ class ConLattice:
             return self._index[p.index_of]
         except KeyError:
             raise ValueError(f"{p!r} is not a congruence in this lattice") from None
-
-    @property
-    def bottom_index(self):
-        return len(self.congruences) - 1
-
-    @property
-    def top_index(self):
-        return 0
-
-    def finish(self, meet_table, join_table):
-        self.meet_table = meet_table
-        self.join_table = join_table
-
-    def meet(self, i, j):
-        return self.congruences[self.meet_table[i][j]]
-
-    def join(self, i, j):
-        return self.congruences[self.join_table[i][j]]
 
     def covers(self):
         """Covering pairs (i, j) with congruence i covered by congruence j."""
@@ -487,23 +455,7 @@ def con_lattice(alg, max_size=64):
                 work.append(j)
 
     ordered = sorted(found.values(), key=lambda p: (p.num_blocks, p.blocks))
-    lat = ConLattice(n, ordered)
-    k = len(ordered)
-    meet_table = [[0] * k for _ in range(k)]
-    join_table = [[0] * k for _ in range(k)]
-    for i in range(k):
-        for j in range(i, k):
-            if lat.leq[i][j]:
-                low, high = i, j
-            elif lat.leq[j][i]:
-                low, high = j, i
-            else:
-                low = lat.index(ordered[i].meet(ordered[j]))
-                high = lat.index(ordered[i].join(ordered[j]))
-            meet_table[i][j] = meet_table[j][i] = low
-            join_table[i][j] = join_table[j][i] = high
-    lat.finish(tuple(map(tuple, meet_table)), tuple(map(tuple, join_table)))
-    alg._memo["con"] = lat
+    lat = alg._memo["con"] = ConLattice(n, ordered)
     return lat
 
 

@@ -10,7 +10,6 @@ from goursat.algebras import (
     all_subuniverses,
     format_algebra,
     generate_subuniverse,
-    kernel_pair,
     parse_algebra,
     product,
     product_decode,
@@ -162,8 +161,8 @@ def _naive_quotient_tables(alg, theta):
 
 
 def test_quotients_of_congruences_pass_the_validating_constructor():
-    # Members of the memoised lattice skip require_congruence and every
-    # quotient map skips the QuotientMap checks; the validating
+    # Members of the memoised lattice pass require_congruence unchecked and
+    # every quotient map skips the QuotientMap checks; the validating
     # constructor must still accept each map, and the tables must agree
     # with the definition and with the checked path of an unmemoised copy.
     for entry in default_entries():
@@ -244,13 +243,13 @@ def test_kernel_pair_inverts_quotient_on_every_congruence():
     for alg in (Z4, klein4(), sym3(), heyting_chain(3)):
         for theta in con_lattice(alg).congruences:
             qm = quotient(alg, theta)
-            assert kernel_pair(qm) == theta
-            assert qm.kernel == theta
+            assert Partition.from_labels(alg.n, qm.mapping) == qm.kernel == theta
 
 
 def test_kernel_pair_edge_cases():
-    assert kernel_pair(quotient(Z4, Partition.discrete(4))) == Partition.discrete(4)
-    assert kernel_pair(quotient(Z4, Partition.full(4))) == Partition.full(4)
+    for theta in (Partition.discrete(4), Partition.full(4)):
+        qm = quotient(Z4, theta)
+        assert Partition.from_labels(4, qm.mapping) == qm.kernel == theta
 
 
 def test_projections_are_homomorphisms_with_trivial_joint_kernel():

@@ -44,6 +44,12 @@ def files(tmp_path_factory):
     boole = root / "boole.ids"
     boole.write_text("imp(imp(x,bot),bot) = x\n", encoding="utf-8")
     paths["boole"] = str(boole)
+    unary4 = root / "unary4.alg"
+    unary4.write_text("algebra unary4\nsize 4\nop f 1\n3 0 3 2\n", encoding="utf-8")
+    paths["unary4"] = str(unary4)
+    inv = root / "inv.ids"
+    inv.write_text("f(f(x)) = x\n", encoding="utf-8")
+    paths["inv"] = str(inv)
     allids = root / "all.ids"
     allids.write_text("# whole category\n", encoding="utf-8")
     paths["all"] = str(allids)
@@ -494,6 +500,28 @@ closure.2.goursat=0 2|1 3
 closure.2.agree=true
 closure.2.closed=false
 closure.2.dense=false
+status=fail
+"""),
+    # real input that refutes 3-permutability: A = ({0..3}, f = (3 0 3 2)) under f(f(x)) = x
+    "closure-unary": (("closure", "unary4", "--variety", "inv", "--rel", "0|1|2 3"), 1, """\
+algebra unary4
+variety inv.ids
+delta_bar 0 2|1 3
+input 0|1|2 3
+  effective 0 1 2 3
+  goursat   violation: composite closures disagree: D o S o D differs from S o D o S
+  agree=false closed=false dense=true
+result FAIL
+""", """\
+algebra=unary4
+variety=inv.ids
+delta_bar=0 2|1 3
+closure.0.input=0|1|2 3
+closure.0.effective=0 1 2 3
+closure.0.goursat=violation: composite closures disagree: D o S o D differs from S o D o S
+closure.0.agree=false
+closure.0.closed=false
+closure.0.dense=true
 status=fail
 """),
     "axioms": (("axioms", "heyting_chain(3)", "--variety", "boole"), 0, """\

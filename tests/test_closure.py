@@ -12,7 +12,6 @@ from goursat.closure import (
     SubvarietySpec,
     birkhoff_congruence,
     check_axioms,
-    closure_by_component,
     closure_effective,
     closure_goursat,
     reflect,
@@ -35,7 +34,6 @@ from goursat.distributivity import check_axiom7
 from goursat.errors import (
     GoursatHypothesisError,
     NotCongruenceError,
-    NotPermutableError,
     SignatureMismatchError,
 )
 from goursat.relations import Partition, con_lattice, congruence_generated, is_congruence
@@ -230,24 +228,6 @@ def test_closure_result_axiomatic_sanity_on_sweep():
             assert res.closed == (res.closure == s)
             again = closure_effective(alg, res.closure, spec)
             assert again.closure == res.closure
-
-
-def test_closure_by_component():
-    s = Partition.from_literal("0 4|1 5|2 6|3 7", 8)
-    r = Partition.from_literal("0 2 4 6|1 3 5 7", 8)
-    assert closure_by_component(Z8, s, r) == r  # s below r, composite collapses to r
-    assert closure_by_component(Z8, s, Partition.discrete(8)) == s
-    assert closure_by_component(Z8, s, Partition.full(8)) == Partition.full(8)
-
-
-def test_closure_by_component_refuses_non_permuting_pair():
-    l3 = FiniteAlgebra.from_functions(
-        LATTICE_SIG, 3, {"meet": min, "join": max}, name="chain3"
-    )
-    t1 = Partition.from_literal("0 1|2", 3)
-    t2 = Partition.from_literal("0|1 2", 3)
-    with pytest.raises(NotPermutableError):
-        closure_by_component(l3, t1, t2)
 
 
 # -- the axiom sweep ------------------------------------------------------------

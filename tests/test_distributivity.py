@@ -15,7 +15,7 @@ from goursat.distributivity import (
     is_distributive,
 )
 from goursat.relations import Partition, con_lattice, direct_image
-from goursat.verdict import NOT_APPLICABLE, PASS
+from goursat.verdict import FAIL, NOT_APPLICABLE, PASS
 
 Z4 = cyclic_group(4)
 K4 = klein4()
@@ -108,3 +108,12 @@ def test_dist_report_fields():
     assert not report.image_meet.ok
     assert not report.axiom7.ok
     assert report.closure_meet.status == NOT_APPLICABLE
+
+
+def test_axiom7_under_the_trivial_spec_passes_on_a_nondistributive_lattice():
+    # the closure is constantly the full relation, so axiom 7 cannot see M3
+    report = dist_report(K4, spec_by_name("trivial", K4.sig))
+    assert report.lattice_distributive.status == FAIL
+    assert report.image_meet.status == FAIL
+    assert report.axiom7.status == PASS
+    assert report.agree is False

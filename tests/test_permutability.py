@@ -4,9 +4,9 @@ from math import comb
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from oracles import naive_clone_rounds
+from oracles import compose_pairs, label_pairs, naive_clone_rounds
 from test_relations import NULLARY_ONLY, ONE_ELEMENT, small_algebras
 
 import goursat.permutability as permutability
@@ -92,6 +92,51 @@ def test_goursat_join_check():
     assert goursat_join_check(K4, KERP1, KERP2).ok
     assert goursat_join_check(K4, KERP1, KERP1).ok
     assert goursat_join_check(L3, T1, T2).ok
+
+
+# the mono-unary A = ({0, 1, 2, 3}, f = (3 0 3 2)), which is not 3-permutable
+UNARY4 = FiniteAlgebra(Signature({"f": 1}), 4, {"f": (3, 0, 3, 2)}, name="unary4")
+
+
+def _oracle_level(r, s):
+    """The permutability level of two equivalences, from their explicit pair sets."""
+    rp, sp = label_pairs(r.index_of), label_pairs(s.index_of)
+    rs, sr = compose_pairs(rp, sp), compose_pairs(sp, rp)
+    if rs == sr:
+        return TWO
+    if compose_pairs(rs, rp) == compose_pairs(sr, sp):
+        return THREE
+    return NEITHER
+
+
+def _levels_match_the_oracle(alg):
+    """Compare every ordered congruence pair with the oracle; return the levels seen."""
+    seen = set()
+    cons = con_lattice(alg).congruences
+    for r in cons:
+        for s in cons:
+            level = _oracle_level(r, s)
+            assert permutability_level(alg, r, s) == level, (r, s)
+            if level == NEITHER:
+                with pytest.raises(NotPermutableError):
+                    goursat_join_check(alg, r, s)
+            else:
+                assert goursat_join_check(alg, r, s).note == level, (r, s)
+            seen.add(level)
+    return seen
+
+
+@settings(max_examples=60, deadline=None)
+@given(small_algebras())
+@example(chain_lattice(4))
+@example(UNARY4)
+def test_permutability_level_matches_the_pair_set_oracle(alg):
+    _levels_match_the_oracle(alg)
+
+
+def test_the_level_oracle_comparison_reaches_every_level():
+    seen = _levels_match_the_oracle(chain_lattice(4)) | _levels_match_the_oracle(UNARY4)
+    assert seen == {TWO, THREE, NEITHER}
 
 
 def composite_missing_1_2(*parts):

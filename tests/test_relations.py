@@ -17,7 +17,7 @@ from goursat.corpus import (
     two_elt_lattice,
 )
 from goursat.errors import CarrierBoundError, NotCongruenceError, SizeMismatchError
-from goursat.permutability import TWO, permutability_level
+from goursat.permutability import TWO, goursat_join_check, permutability_level
 from goursat.relations import (
     Partition,
     _compatible,
@@ -29,7 +29,7 @@ from goursat.relations import (
     inverse_image,
     inverse_image_by_map,
     is_congruence,
-    join,
+    require_congruence,
 )
 from goursat.terms import Signature
 
@@ -38,7 +38,6 @@ from oracles import (
     brute_force_congruences,
     compatible,
     compose_pairs,
-    equivalence_closure_pairs,
     image_pairs,
     join_pairs,
     label_pairs,
@@ -127,16 +126,7 @@ def test_compose_size_mismatch():
         composite(Partition.full(3), Partition.full(3), Partition.full(2))
 
 
-# -- equivalence closure and partitions ---------------------------------------
-
-
-def test_equivalence_closure_cases():
-    p = eq(3, (0, 1), (2,))
-    cases = [(p.pairs(), p), ([(0, 1), (1, 2)], Partition.full(3)), ([], Partition.discrete(3))]
-    for pairs, want in cases:
-        closed = Partition.from_pairs(3, pairs)
-        assert closed == want
-        assert matrix_pairs(composite(closed)) == equivalence_closure_pairs(3, pairs)
+# -- partitions ------------------------------------------------------------------
 
 
 def test_partition_canonical_form_and_literals():
@@ -245,13 +235,13 @@ def test_label_operations_match_pair_set_oracles(case):
     assert p.index_of == tuple(next(i for i, blk in enumerate(blocks) if x in blk)
                                for x in range(n))
     assert p.to_literal() == "|".join(" ".join(map(str, blk)) for blk in blocks)
-    assert set(p.pairs()) == pp
+    assert label_pairs(p.index_of) == pp
     assert Partition(n, blocks) == p
     if n:
         assert Partition.from_literal(p.to_literal(), n) == p
 
-    assert set(p.join(q).pairs()) == join_pairs(n, pp, qp)
-    assert set(p.meet(q).pairs()) == pp & qp
+    assert label_pairs(p.join(q).index_of) == join_pairs(n, pp, qp)
+    assert label_pairs(p.meet(q).index_of) == pp & qp
     assert p.refines(q) == (pp <= qp)
     assert p.join(q) == q.join(p) and p.meet(q) == q.meet(p)
 
@@ -259,13 +249,13 @@ def test_label_operations_match_pair_set_oracles(case):
     shifted = Partition.from_labels(n, [7 - 2 * lab for lab in a])
     assert shifted == p and hash(shifted) == hash(p)
     for x, y in ((p, q), (p.join(q), q.join(p)), (p.meet(q), Partition(n, p.meet(q).blocks))):
-        assert (x == y) == (set(x.pairs()) == set(y.pairs()))
+        assert (x == y) == (label_pairs(x.index_of) == label_pairs(y.index_of))
         if x == y:
             assert hash(x) == hash(y)
 
     tp = label_pairs(t)
     pulled = inverse_image_by_map(n, into, Partition.from_labels(len(t), t))
-    assert set(pulled.pairs()) == pullback_pairs(into, tp)
+    assert label_pairs(pulled.index_of) == pullback_pairs(into, tp)
     results = [p, p.join(q), p.meet(q), pulled]
 
     if n:
@@ -273,7 +263,7 @@ def test_label_operations_match_pair_set_oracles(case):
         target = FiniteAlgebra(NO_OPERATIONS, max(onto) + 1, {})
         f = QuotientMap(source, Partition.from_labels(n, onto), target, onto)
         image = direct_image(f, p)
-        assert set(image.pairs()) == image_pairs(target.n, onto, pp)
+        assert label_pairs(image.index_of) == image_pairs(target.n, onto, pp)
         results.append(image)
     for r in results:
         _assert_canonical(r)
@@ -409,22 +399,16 @@ def test_modular_law_on_corpus_lattices():
                         assert left == right
 
 
-def test_join_examples():
-    kerp1 = eq(4, (0, 1), (2, 3))
-    kerp2 = eq(4, (0, 2), (1, 3))
-    assert join(K4, kerp1, kerp2) == Partition.full(4)
-    assert join(Z4, eq(4, (0, 2), (1, 3)), Partition.discrete(4)) == eq(4, (0, 2), (1, 3))
-    assert join(Z4, eq(4, (0, 2), (1, 3)), Partition.full(4)) == Partition.full(4)
-    with pytest.raises(NotCongruenceError):
-        join(Z4, eq(4, (0, 1), (2, 3)), Partition.discrete(4))
-
-
 def test_join_refuses_non_congruence_with_the_is_congruence_witness():
     bad = eq(4, (0, 1), (2, 3))
     sym, pair = is_congruence(Z4, bad).witness
-    for args in ((Z4, bad, Partition.discrete(4)), (Z4, Partition.full(4), bad)):
+    con_lattice(Z4)  # a memoised lattice must not vouch for a non-member
+    with pytest.raises(NotCongruenceError) as info:
+        require_congruence(Z4, bad)
+    assert (info.value.symbol, info.value.pair) == (sym, pair)
+    for r, s in ((bad, Partition.discrete(4)), (Partition.full(4), bad)):
         with pytest.raises(NotCongruenceError) as info:
-            join(*args)
+            goursat_join_check(Z4, r, s)
         assert (info.value.symbol, info.value.pair) == (sym, pair)
 
 
@@ -513,10 +497,8 @@ def test_join_matches_oracle(alg):
     parts = [Partition(alg.n, blocks) for blocks in congruences]
     for i, r in enumerate(parts):
         for s in parts[i:]:
-            want = _least_oracle_congruence(
-                alg, congruences, r.generating_pairs() + s.generating_pairs()
-            )
-            assert join(alg, r, s).blocks == want
+            pairs = label_pairs(r.index_of) | label_pairs(s.index_of)
+            assert r.join(s).blocks == _least_oracle_congruence(alg, congruences, pairs)
 
 
 @settings(max_examples=60, deadline=None)
