@@ -7,18 +7,20 @@ constructions are implemented and cross-checked: pulling D of A/S back
 along q: A -> A/S (closure_effective) and the composite formula
 closure(S) = D o S o D = S o D o S (closure_goursat, valid on
 3-permutable algebras).  Both return a ClosureResult holding only the
-input and its closure.  check_axioms verifies the closure-operator axiom
-suite exhaustively on finite input.  Axiom 3 is checked along every
-quotient map, every proper subalgebra inclusion composed with a quotient
-map, and both projections of A x B for each pair of supplied algebras
-whose product fits the carrier bound.  The closed-meet axiom (7) is
-checked on the inputs whose congruence lattice is distributive, and every
-other input is named in the notes.  The first violation of each axiom is
-its witness: the algebra, then s and closure (1); s and t (2); the
-quotient, subuniverse or projection, s, lhs and rhs (3); s, closure and
-reclosure (4); quotient, s, lhs and rhs (5, 6); quotient, lhs and rhs
-(6prime); quotient, r, s, lhs and rhs (7, image_join); r, s, lhs and rhs
-(additivity).
+input and its closure.
+
+check_axioms verifies the closure-operator axiom suite exhaustively on
+finite input; its docstring names the arrows and the witnesses.  There
+the closure is an index map on Con(A) (_closure_map, built by
+closure_effective), and direct images along q: A -> A/theta are an index
+map from Con(A) to Con(A/theta) (_image_maps).  Axioms 1, 2, 4 and
+additivity read the closure map against the tables of Con(A); 6, 7 and
+image_join read the image map, the tables of Con(A/theta) and the
+target's own closure map, computed on A/theta and not derived through A
+(which would make axiom 5 a tautology).  Axioms 3 and 5 (pull-backs) stay
+on partitions, since their sources include subalgebras and products,
+whose Con is never enumerated, and so does 6prime, which compares
+verbal congruences.
 """
 
 from dataclasses import dataclass, field
@@ -55,9 +57,10 @@ class SubvarietySpec:
         for ident in self.identities:
             validate_term(ident.lhs, self.sig)
             validate_term(ident.rhs, self.sig)
+        object.__setattr__(self, "_key", (self.sig.key(), tuple(i.key() for i in self.identities)))
 
     def key(self):
-        return (self.sig.key(), tuple(ident.key() for ident in self.identities))
+        return self._key
 
 
 def birkhoff_congruence(alg, spec):
@@ -210,6 +213,21 @@ class _AxiomTracker:
         return out
 
 
+def _closure_map(alg, lat, spec):
+    """The closure as an index map on Con(alg): congruence i closes to congruence c[i]."""
+    return [lat.index(closure_effective(alg, p, spec).closure) for p in lat.congruences]
+
+
+def _image_maps(alg, lat, max_size):
+    """(qm, Con(alg/theta), img) per theta in lattice order; img[i] indexes qm's image of i."""
+    out = []
+    for theta in lat.congruences:
+        qm = quotient(alg, theta)
+        tlat = con_lattice(qm.target, max_size=max_size)
+        out.append((qm, tlat, [tlat.index(direct_image(qm, p)) for p in lat.congruences]))
+    return out
+
+
 def check_axioms(algs, spec, max_size=64):
     """Exhaustive axiom sweep over congruence lattices and quotient maps.
 
@@ -236,16 +254,16 @@ def check_axioms(algs, spec, max_size=64):
     notes = []
     checked = []
 
-    def pull_back(source, arrow, targets, **fields):
-        """Axiom 3 along the element map arrow from source, for each (t, closure of t).
+    def pull_back(source, arrow, tlat, tmap, **fields):
+        """Axiom 3 along arrow from source for each t in tlat, tmap being tlat's closure map.
 
         Returns the (t, lhs, rhs) instances it checked.
         """
         instances = []
-        for t, t_closure in targets:
+        for t, closed in zip(tlat.congruences, tmap):
             pulled = inverse_image_by_map(source.n, arrow, t)
             lhs = closure_effective(source, pulled, spec).closure
-            rhs = inverse_image_by_map(source.n, arrow, t_closure)
+            rhs = inverse_image_by_map(source.n, arrow, tlat.congruences[closed])
             tracker.record("3", lhs.refines(rhs), **fields, s=t, lhs=lhs, rhs=rhs)
             instances.append((t, lhs, rhs))
         return instances
@@ -261,20 +279,20 @@ def check_axioms(algs, spec, max_size=64):
             continue
         checked.append(alg)
         lat = con_lattice(alg, max_size=max_size)
-        cons = lat.congruences
-        closures = [closure_effective(alg, p, spec).closure for p in cons]
+        cons, leq, meet, join = lat.congruences, lat.leq, lat.meet_table, lat.join_table
+        c = _closure_map(alg, lat, spec)
         record = partial(tracker.record, algebra=label)
 
-        for i, (s, closure) in enumerate(zip(cons, closures)):
-            reclosure = closures[lat.index(closure)]
-            record("1", s.refines(closure), s=s, closure=closure)
-            record("4", reclosure == closure, s=s, closure=closure, reclosure=reclosure)
+        for i, s in enumerate(cons):
+            ci = c[i]
+            record("1", leq[i][ci], s=s, closure=cons[ci])
+            record("4", c[ci] == ci, s=s, closure=cons[ci], reclosure=cons[c[ci]])
             for j, t in enumerate(cons):
-                if i != j and lat.leq[i][j]:
-                    record("2", closure.refines(closures[j]), s=s, t=t)
+                if i != j and leq[i][j]:
+                    record("2", leq[ci][c[j]], s=s, t=t)
                 if j >= i:
-                    lhs, rhs = closures[lat.join_table[i][j]], closure.join(closures[j])
-                    record("additivity", lhs == rhs, r=s, s=t, lhs=lhs, rhs=rhs)
+                    lhs, rhs = c[join[i][j]], join[ci][c[j]]
+                    record("additivity", lhs == rhs, r=s, s=t, lhs=cons[lhs], rhs=cons[rhs])
 
         distributive = is_distributive(lat).ok
         if not distributive:
@@ -283,31 +301,25 @@ def check_axioms(algs, spec, max_size=64):
             )
 
         delta_bar = birkhoff_congruence(alg, spec)
-        quotients = [quotient(alg, p) for p in cons]
         targets = []
-        for kernel, qm in zip(cons, quotients):
-            tlat = con_lattice(qm.target, max_size=max_size)
-            tclosures = [closure_effective(qm.target, t, spec).closure for t in tlat.congruences]
-            targets.append(list(zip(tlat.congruences, tclosures)))
-            on_q = partial(record, quotient=kernel)
-            instances = pull_back(alg, qm.mapping, targets[-1], algebra=label, quotient=kernel)
-            for t, lhs, rhs in instances:
+        for qm, tlat, img in _image_maps(alg, lat, max_size):
+            tc = _closure_map(qm.target, tlat, spec)
+            targets.append((qm, tlat, tc))
+            tcons, tmeet, tjoin = tlat.congruences, tlat.meet_table, tlat.join_table
+            on_q = partial(record, quotient=qm.kernel)
+            for t, lhs, rhs in pull_back(alg, qm.mapping, tlat, tc, algebra=label, quotient=qm.kernel):
                 on_q("5", lhs == rhs, s=t, lhs=lhs, rhs=rhs)
-            images = [direct_image(qm, p) for p in cons]
-            closed_images = [tclosures[tlat.index(image)] for image in images]
-            image_closures = [direct_image(qm, c) for c in closures]
-            for s, lhs, rhs in zip(cons, image_closures, closed_images):
-                on_q("6", lhs == rhs, s=s, lhs=lhs, rhs=rhs)
+            for s, ci, x in zip(cons, c, img):
+                on_q("6", img[ci] == tc[x], s=s, lhs=tcons[img[ci]], rhs=tcons[tc[x]])
             lhs, rhs = direct_image(qm, delta_bar), birkhoff_congruence(qm.target, spec)
             on_q("6prime", lhs == rhs, lhs=lhs, rhs=rhs)
             for i, r in enumerate(cons):
                 for j in range(i, len(cons)):
-                    lhs, rhs = images[lat.join_table[i][j]], images[i].join(images[j])
-                    on_q("image_join", lhs == rhs, r=r, s=cons[j], lhs=lhs, rhs=rhs)
+                    lhs, rhs = img[join[i][j]], tjoin[img[i]][img[j]]
+                    on_q("image_join", lhs == rhs, r=r, s=cons[j], lhs=tcons[lhs], rhs=tcons[rhs])
                     if distributive:
-                        lhs = image_closures[lat.meet_table[i][j]]
-                        rhs = closed_images[i].meet(closed_images[j])
-                        on_q("7", lhs == rhs, r=r, s=cons[j], lhs=lhs, rhs=rhs)
+                        lhs, rhs = img[c[meet[i][j]]], tmeet[tc[img[i]]][tc[img[j]]]
+                        on_q("7", lhs == rhs, r=r, s=cons[j], lhs=tcons[lhs], rhs=tcons[rhs])
 
         # Non-surjective arrows: subalgebra inclusions composed with quotients.
         for universe in all_subuniverses(alg):
@@ -315,9 +327,10 @@ def check_axioms(algs, spec, max_size=64):
                 continue
             sub, embed = subalgebra(alg, universe)
             elements = " ".join(map(str, sorted(universe)))
-            for kernel, qm, tpairs in zip(cons, quotients, targets):
+            for qm, tlat, tc in targets:
                 arrow = [qm.mapping[e] for e in embed]
-                pull_back(sub, arrow, tpairs, algebra=label, subuniverse=elements, quotient=kernel)
+                pull_back(sub, arrow, tlat, tc, algebra=label, subuniverse=elements,
+                          quotient=qm.kernel)
 
     # Product projections: pull congruences of a factor back to the product.
     for ai, first in enumerate(checked):
@@ -326,12 +339,9 @@ def check_axioms(algs, spec, max_size=64):
                 continue
             prod, pmaps = projections([first, second])
             for side, pm in enumerate(pmaps):
-                factor = pm.target
-                tpairs = [
-                    (t, closure_effective(factor, t, spec).closure)
-                    for t in con_lattice(factor, max_size=max_size).congruences
-                ]
-                pull_back(prod, pm.mapping, tpairs, algebra=prod.name, projection=str(side))
+                flat = con_lattice(pm.target, max_size=max_size)
+                pull_back(prod, pm.mapping, flat, _closure_map(pm.target, flat, spec),
+                          algebra=prod.name, projection=str(side))
 
     entries = tracker.statuses(skipped_all=bool(algs) and not checked)
     return AxiomReport(entries=entries, notes=notes)

@@ -15,8 +15,6 @@ composition is fixed left-to-right: (x,z) is in the composite r o s iff
 there is a y with (x,y) in r and (y,z) in s.
 """
 
-from itertools import product
-
 import numpy as np
 
 from .errors import CarrierBoundError, NotCongruenceError, SizeMismatchError
@@ -217,20 +215,30 @@ def composite(first, *rest):
 def is_congruence(alg, p):
     """Check compatibility of a partition with every operation table.
 
-    The witness, when present, is (symbol, (args, args')) for the first
-    coordinatewise-related argument pair with unrelated images, scanning
-    symbols in declaration order and argument tuples lexicographically.
+    Related argument tuples form boxes, the products of blocks, and p is
+    compatible when each cell's image label is that of its box's first
+    cell, the block minima.  The witness is (symbol, (args, args')):
+    symbols in declaration order, args the first cell of the first box
+    with two labels, args' that box's first cell with another label.
     """
     if p.n != alg.n:
         raise SizeMismatchError(f"partition on {p.n} elements, algebra has {alg.n}")
+    labels = np.asarray(p.index_of, dtype=np.intp)
+    mins = np.asarray([blk[0] for blk in p.blocks], dtype=np.intp)[labels]
     for sym, arity in alg.sig:
         if arity == 0:
             continue
-        for args_a in product(range(alg.n), repeat=arity):
-            va = alg.apply(sym, args_a)
-            for args_b in product(*(p.block_of(a) for a in args_a)):
-                if not p.relates(va, alg.apply(sym, args_b)):
-                    return Verdict(False, witness=(sym, (args_a, args_b)))
+        image = labels[alg.table_array(sym)]
+        box = mins  # each cell's box, named by the flat index of its first cell
+        for _ in range(arity - 1):
+            box = box[..., None] * alg.n + mins
+        bad = np.flatnonzero(image != np.take(image, box))
+        if len(bad):
+            owner = np.take(box, bad)
+            least = owner.min()
+            cells = np.unravel_index([least, bad[owner == least][0]], image.shape)
+            args, args_b = map(tuple, np.transpose(cells).tolist())
+            return Verdict(False, witness=(sym, (args, args_b)))
     return Verdict(True)
 
 
@@ -254,22 +262,6 @@ def _translations(alg):
     keep = (mat != mat[:, :1]).any(axis=1) & (mat != np.arange(n)).any(axis=1)
     mat = alg._memo["translations"] = mat[keep]
     return mat
-
-
-def _compatible(alg, p):
-    """Fast congruence test without witness extraction.
-
-    By Mal'cev's lemma an equivalence relation is a congruence exactly
-    when every basic translation preserves it, so one array step decides:
-    the block labels of t[x] must agree with those of t[min of x's block]
-    for every translation t and every x.
-    """
-    if p.n != alg.n:
-        raise SizeMismatchError(f"partition on {p.n} elements, algebra has {alg.n}")
-    labels = np.asarray(p.index_of)[_translations(alg)]
-    first = {}
-    reps = [first.setdefault(i, x) for x, i in enumerate(p.index_of)]
-    return bool((labels == labels[:, reps]).all())
 
 
 def congruence_generated(alg, pairs):
@@ -316,7 +308,7 @@ def congruence_generated(alg, pairs):
 
 
 def require_congruence(alg, p):
-    """Raise NotCongruenceError (with the witness-grade scan) unless p is a congruence.
+    """Raise NotCongruenceError (with the is_congruence witness) unless p is a congruence.
 
     A member of alg's memoised congruence lattice returns at once: every
     member was generated as a congruence, so membership is the proof.
@@ -325,8 +317,9 @@ def require_congruence(alg, p):
     lat = alg._memo.get("con")
     if lat is not None and p in lat:
         return
-    if not _compatible(alg, p):
-        raise NotCongruenceError(*is_congruence(alg, p).witness)
+    verdict = is_congruence(alg, p)
+    if not verdict.ok:
+        raise NotCongruenceError(*verdict.witness)
 
 
 def direct_image(f, s):

@@ -2,10 +2,11 @@
 
 Everything here is deliberately naive: set-based relational composition,
 equivalence joins, raw and closed images and pull-backs on explicit pair
-sets, the pair set of a boolean matrix, enumeration of all partitions via restricted growth strings, a
-from-the-definition compatibility check, a scalar subuniverse closure, a
-clone BFS that applies an operation to one argument tuple at a time, and
-identities evaluated one assignment at a time by the recursive reference
+sets, the pair set of a boolean matrix, enumeration of all partitions via
+restricted growth strings, a from-the-definition compatibility check, the
+scalar congruence witness scan, a scalar subuniverse closure, a clone BFS
+that applies an operation to one argument tuple at a time, and identities
+evaluated one assignment at a time by the recursive reference
 ``terms.eval_term``.
 None of it shares code with the package internals it validates.
 """
@@ -120,6 +121,29 @@ def compatible(alg, blocks):
                     if label[alg.apply(sym, args_a)] != label[alg.apply(sym, args_b)]:
                         return False
     return True
+
+
+def congruence_witness(alg, blocks):
+    """The scalar congruence scan: the first related argument pair with unrelated images.
+
+    Returns (symbol, (args, args')) or None: symbols in declaration
+    order, args lexicographically over all argument tuples, and args'
+    lexicographically over the product of the blocks of args.
+    """
+    label, block_of = {}, {}
+    for i, blk in enumerate(blocks):
+        for x in blk:
+            label[x] = i
+            block_of[x] = sorted(blk)
+    for sym, arity in alg.sig:
+        if arity == 0:
+            continue
+        for args in product(range(alg.n), repeat=arity):
+            value = label[alg.apply(sym, args)]
+            for args_b in product(*(block_of[a] for a in args)):
+                if label[alg.apply(sym, args_b)] != value:
+                    return sym, (args, args_b)
+    return None
 
 
 def brute_force_congruences(alg):

@@ -9,9 +9,8 @@ import time
 from itertools import product as iproduct
 
 import numpy as np
-import pytest
 
-from goursat.algebras import quotient, save_algebra
+from goursat.algebras import save_algebra
 from goursat.closure import (
     birkhoff_congruence,
     check_axioms,

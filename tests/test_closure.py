@@ -23,6 +23,7 @@ from goursat.corpus import (
     boolean_ring,
     corpus_specs,
     cyclic_group,
+    default_entries,
     heyting_chain,
     klein4,
     spec_by_name,
@@ -216,6 +217,18 @@ def test_closure_with_empty_spec_is_the_identity_operator():
         for s in con_lattice(alg).congruences:
             assert closure_effective(alg, s, spec).closure == s
             assert closure_goursat(alg, s, spec).closure == s
+
+
+def test_closure_effective_is_the_join_with_the_verbal_congruence():
+    # a third construction beside the quotient and the composites: S join D(A)
+    unary = FiniteAlgebra(Signature({"f": 1}), 4, {"f": (3, 0, 3, 2)}, name="f3032")
+    cases = [(entry.algebra, spec) for entry in default_entries()
+             for spec in corpus_specs(entry.algebra.sig)]
+    cases.append((unary, _spec(unary, "f(f(x)) = x")))
+    for alg, spec in cases:
+        diag = birkhoff_congruence(alg, spec)
+        for s in con_lattice(alg).congruences:
+            assert closure_effective(alg, s, spec).closure == s.join(diag), (alg.name, spec.name)
 
 
 def test_closure_result_axiomatic_sanity_on_sweep():

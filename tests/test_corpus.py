@@ -20,7 +20,6 @@ from goursat.corpus import (
     implication_from_boolean,
     spec_by_name,
     sym3,
-    two_elt_lattice,
     verify_entry,
     zmod_vnr,
 )

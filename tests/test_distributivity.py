@@ -1,5 +1,9 @@
+import pytest
+
+import goursat.closure
 from goursat.closure import SubvarietySpec
 from goursat.corpus import (
+    boolean_ring,
     cyclic_group,
     default_entries,
     heyting_chain,
@@ -16,6 +20,8 @@ from goursat.distributivity import (
 )
 from goursat.relations import Partition, con_lattice, direct_image
 from goursat.verdict import FAIL, NOT_APPLICABLE, PASS
+
+from test_closure import _full_iff_one_block, _next_congruence
 
 Z4 = cyclic_group(4)
 K4 = klein4()
@@ -117,3 +123,61 @@ def test_axiom7_under_the_trivial_spec_passes_on_a_nondistributive_lattice():
     assert report.image_meet.status == FAIL
     assert report.axiom7.status == PASS
     assert report.agree is False
+
+
+# Negative controls for the meet scans: each case injects one fault where
+# goursat.closure reads it, and pins every check's verdict or witness
+# (the quotient kernel, r and s; r and s for closure_meet).
+
+
+def _full_unless_discrete(f, s):
+    """A wrong image: the discrete target relation from a discrete input, else the full one."""
+    n = f.target.n
+    return Partition.discrete(n) if s.num_blocks == s.n else Partition.full(n)
+
+
+DIST_CONTROLS = {
+    "next-closure-on-z4": (
+        "closure_effective", _next_congruence, Z4, "exponent-2", {
+            "axiom7": ("0 2|1 3", "0 1 2 3", "0|1|2|3"),
+            "image_meet": PASS,
+            "closure_meet": ("0 1 2 3", "0|1|2|3"),
+        },
+    ),
+    "one-block-image-on-z4": (
+        "direct_image", _full_iff_one_block, Z4, "exponent-2", {
+            "axiom7": ("0|1|2|3", "0 1 2 3", "0 2|1 3"),
+            "image_meet": PASS,
+            "closure_meet": PASS,
+        },
+    ),
+    "full-unless-discrete-image-on-boolean-ring2": (
+        "direct_image", _full_unless_discrete, boolean_ring(2), "all", {
+            "axiom7": ("0 1|2 3", "0 1|2 3", "0 2|1 3"),
+            "image_meet": ("0 1|2 3", "0 1|2 3", "0 2|1 3"),
+            "closure_meet": PASS,
+        },
+    ),
+}
+
+
+def _outcome(verdict):
+    if not verdict.failed:
+        return verdict.status
+    return tuple(
+        part.kernel.to_literal() if hasattr(part, "kernel") else part.to_literal()
+        for part in verdict.witness
+    )
+
+
+@pytest.mark.parametrize("case", DIST_CONTROLS.values(), ids=DIST_CONTROLS.keys())
+def test_meet_scans_report_each_injected_fault(monkeypatch, case):
+    name, fault, alg, spec_name, expected = case
+    spec = spec_by_name(spec_name, alg.sig)
+    monkeypatch.setattr(goursat.closure, name, fault)
+    got = {
+        "axiom7": _outcome(check_axiom7(alg, spec)),
+        "image_meet": _outcome(image_meet_check(alg)),
+        "closure_meet": _outcome(closure_meet_identity_check(alg, spec)),
+    }
+    assert got == expected

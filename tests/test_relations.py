@@ -20,7 +20,6 @@ from goursat.errors import CarrierBoundError, NotCongruenceError, SizeMismatchEr
 from goursat.permutability import TWO, goursat_join_check, permutability_level
 from goursat.relations import (
     Partition,
-    _compatible,
     _translations,
     composite,
     con_lattice,
@@ -37,6 +36,7 @@ from oracles import (
     all_partitions,
     brute_force_congruences,
     compatible,
+    congruence_witness,
     compose_pairs,
     image_pairs,
     join_pairs,
@@ -507,7 +507,17 @@ def test_join_matches_oracle(alg):
 @example(NULLARY_ONLY)
 def test_compatible_matches_oracle(alg):
     for blocks in all_partitions(alg.n):
-        assert _compatible(alg, Partition(alg.n, blocks)) == compatible(alg, blocks)
+        assert is_congruence(alg, Partition(alg.n, blocks)).ok == compatible(alg, blocks)
+
+
+@settings(max_examples=60, deadline=None)
+@given(small_algebras())
+@example(ONE_ELEMENT)
+@example(NULLARY_ONLY)
+def test_is_congruence_witness_matches_the_scalar_scan(alg):
+    for blocks in all_partitions(alg.n):
+        verdict = is_congruence(alg, Partition(alg.n, blocks))
+        assert verdict.witness == congruence_witness(alg, blocks)
 
 
 # -- images -----------------------------------------------------------------------
