@@ -18,10 +18,20 @@ from .terms import Signature
 class FiniteAlgebra:
     """A finite algebra given by its operation tables.
 
-    An algebra is treated as immutable once built.  Its table arrays,
-    congruence lattice, quotients, subalgebras, subuniverses, products
-    with a second factor and verbal congruences are memoised per
-    instance, so two equal algebras built separately share no results.
+    An algebra is treated as immutable once built.  Results that depend
+    on the tables alone (table arrays, translations, the congruence
+    lattice, verbal congruences, subuniverses and clone orbits) live in
+    ``_memo``; results that carry this instance or its name (quotient
+    maps, subalgebras, projections) live in ``_own``.
+
+    Each algebra built here is the root of a family: a dict from the
+    structure key to one memo.  quotient, subalgebra and product (which
+    joins its first factor's family) add what they build to the family of
+    their input, and a member whose tables equal an earlier member's
+    takes that member's ``_memo``.  So A/psi and (A/theta)/phi with
+    phi = q_theta(psi), whose canonical tables coincide, share Con,
+    translations and verbal congruences but keep their own names.
+    Separately built roots share nothing.
     """
 
     def __init__(self, sig, n, tables, name=""):
@@ -44,7 +54,14 @@ class FiniteAlgebra:
         self.n = n
         self.tables = clean
         self.name = name
+        self._own = {}
         self._memo = {}
+        self._family = {self.structure_key(): self._memo}
+
+    def _join(self, family):
+        """Enter family, taking the memo of an equal member when there is one."""
+        self._family = family
+        self._memo = family.setdefault(self.structure_key(), self._memo)
 
     @classmethod
     def from_functions(cls, sig, n, funcs, name=""):
@@ -118,7 +135,7 @@ def _digits(sizes):
 
 
 def product(algs, sig=None):
-    """Direct product; empty input yields the one-element algebra."""
+    """Direct product, in the first factor's family; empty input yields the one-element algebra."""
     if algs:
         sig = algs[0].sig
         for a in algs[1:]:
@@ -138,7 +155,9 @@ def product(algs, sig=None):
             table = table * alg.n + alg.table_array(sym)[np.ix_(*(d,) * arity)]
         tables[sym] = tuple(np.ravel(table).tolist())
     name = "x".join(a.name or "?" for a in algs)
-    return FiniteAlgebra(sig, n, tables, name=name)
+    prod = FiniteAlgebra(sig, n, tables, name=name)
+    prod._join(algs[0]._family)
+    return prod
 
 
 class QuotientMap:
@@ -189,10 +208,11 @@ def quotient(alg, theta):
     with the is_congruence witness.  The map is the label vector of
     theta and the target's tables are built from it, so the map's fibres
     are theta's blocks and it is a homomorphism by construction; it is
-    not re-checked.  Memoised per algebra by theta's label vector.
+    not re-checked.  The map is memoised per instance (``_own``) by
+    theta's label vector; the target joins alg's family.
     """
     key = ("quotient", theta.index_of)
-    hit = alg._memo.get(key)
+    hit = alg._own.get(key)
     if hit is not None:
         return hit
     require_congruence(alg, theta)
@@ -204,22 +224,23 @@ def quotient(alg, theta):
         tables[sym] = tuple(np.ravel(index[image]).tolist())
     name = f"{alg.name or '?'}/{theta.to_literal()}"
     target = FiniteAlgebra(alg.sig, len(reps), tables, name=name)
+    target._join(alg._family)
     qm = QuotientMap.__new__(QuotientMap)
     qm._set(alg, theta, target, theta.index_of)
-    alg._memo[key] = qm
+    alg._own[key] = qm
     return qm
 
 
 def projections(factors):
     """Product of the factors together with its projection quotient maps.
 
-    Memoised on the first factor, keyed by the structure and the name of
-    every other factor (the names make up the product's name).  No
-    factors give the one-element algebra and no maps.
+    Memoised per instance of the first factor (``_own``), keyed by the
+    structure and the name of every other factor (the names make up the
+    product's name).  No factors give the one-element algebra and no maps.
     """
     if not factors:
         return product([]), []
-    memo = factors[0]._memo
+    memo = factors[0]._own
     key = ("projections",) + tuple((a.structure_key(), a.name) for a in factors[1:])
     hit = memo.get(key)
     if hit is not None:
@@ -268,11 +289,12 @@ def generate_subuniverse(alg, seed):
 def subalgebra(alg, universe):
     """Restrict to a closed subset; returns the subalgebra and its embedding.
 
-    Memoised per algebra by the sorted subset once it proves closed.
+    Memoised per instance (``_own``) by the sorted subset once it proves
+    closed; the subalgebra joins alg's family.
     """
     embed = tuple(sorted(universe))
     key = ("subalgebra", embed)
-    hit = alg._memo.get(key)
+    hit = alg._own.get(key)
     if hit is not None:
         return hit
     back = {x: i for i, x in enumerate(embed)}
@@ -286,36 +308,51 @@ def subalgebra(alg, universe):
             table.append(back[v])
         tables[sym] = tuple(table)
     name = f"{alg.name or '?'}|{{{' '.join(map(str, embed))}}}"
-    out = alg._memo[key] = FiniteAlgebra(alg.sig, len(embed), tables, name=name), embed
+    sub = FiniteAlgebra(alg.sig, len(embed), tables, name=name)
+    sub._join(alg._family)
+    out = alg._own[key] = sub, embed
     return out
 
 
 _EXHAUSTIVE_LIMIT = 10
 
 
-def _subuniverse_seeds(n):
-    """Seeds for all_subuniverses: every subset of a small carrier, else those of size <= 2."""
-    if n <= _EXHAUSTIVE_LIMIT:
-        return [[x for x in range(n) if mask >> x & 1] for mask in range(1 << n)]
-    return ([[]] + [[x] for x in range(n)]
-            + [[x, y] for x in range(n) for y in range(x + 1, n)])
-
-
 def all_subuniverses(alg):
-    """Distinct nonempty subuniverses, generated exhaustively for small carriers.
+    """Distinct nonempty subuniverses, all of them for small carriers.
 
-    Beyond _EXHAUSTIVE_LIMIT elements only subuniverses generated by at
-    most two elements are enumerated (enough for the arrow sweeps that
-    use this).  Memoised per algebra; each call returns a fresh list.
+    Every subuniverse is the join Sg(U | V) of the subuniverses generated
+    by its elements, so up to _EXHAUSTIVE_LIMIT elements the ones
+    generated by at most one element are closed under joins with those.
+    Beyond it only subuniverses generated by at most two elements are
+    enumerated (enough for the arrow sweeps that use this).  Sorted by
+    size, then elements.  Memoised per table; each call returns a fresh
+    list.
     """
     hit = alg._memo.get("subuniverses")
     if hit is not None:
         return list(hit)
+    n = alg.n
+    seeds = [[]] + [[x] for x in range(n)]
+    if n > _EXHAUSTIVE_LIMIT:
+        seeds += [[x, y] for x in range(n) for y in range(x + 1, n)]
     found = {}
-    for seed in _subuniverse_seeds(alg.n):
+    for seed in seeds:
         sub = generate_subuniverse(alg, seed)
         if sub:
             found.setdefault(tuple(sorted(sub)), sub)
+    if n <= _EXHAUSTIVE_LIMIT:
+        principal = list(found.values())
+        work = list(principal)
+        while work:
+            u = work.pop()
+            for v in principal:
+                if v <= u:
+                    continue
+                joined = generate_subuniverse(alg, u | v)
+                key = tuple(sorted(joined))
+                if key not in found:
+                    found[key] = joined
+                    work.append(joined)
     out = alg._memo["subuniverses"] = [found[k] for k in sorted(found, key=lambda t: (len(t), t))]
     return list(out)
 

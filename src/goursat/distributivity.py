@@ -17,7 +17,8 @@ Con is M3, passes axiom 7 and fails the other two.
 Both meet checks run one scan (_meet_scan) over the index maps of
 closure.py: check_axiom7 with the closure map, and image_meet_check with
 the identity map, so image-meet is the axiom-7 scan of the identity
-closure and never calls a closure construction.
+closure and never calls a closure construction.  dist_report builds the
+image maps once and runs both scans on them.
 """
 
 from dataclasses import dataclass
@@ -28,35 +29,45 @@ from .relations import con_lattice, is_distributive
 from .verdict import Verdict
 
 
-def _meet_scan(alg, max_size, closure_map):
+def _meet_scan(alg, lat, maps, closure_map):
     """First (quotient f, r, s) with f(c(r meet s)) != c(f(r)) meet c(f(s)), else a pass.
 
+    ``lat`` is Con(alg) and ``maps`` its _image_maps;
     ``closure_map(B, Con(B))`` is c on alg and on each quotient target.
     The scan runs in (r, s, quotient) index order, the quotient fastest.
     """
-    lat = con_lattice(alg, max_size=max_size)
     c = closure_map(alg, lat)
-    maps = [
+    scans = [
         (qm, tlat.meet_table, img, closure_map(qm.target, tlat))
-        for qm, tlat, img in _image_maps(alg, lat, max_size)
+        for qm, tlat, img in maps
     ]
     for ri, r in enumerate(lat.congruences):
         for si, s in enumerate(lat.congruences):
             met = c[lat.meet_table[ri][si]]
-            for qm, tmeet, img, tc in maps:
+            for qm, tmeet, img, tc in scans:
                 if img[met] != tmeet[tc[img[ri]]][tc[img[si]]]:
                     return Verdict(False, witness=(qm, r, s))
     return Verdict(True)
 
 
+def _identity_map(_alg, lat):
+    return range(len(lat))
+
+
+def _scan_inputs(alg, max_size):
+    """Con(alg) and its image maps, the inputs of _meet_scan."""
+    lat = con_lattice(alg, max_size=max_size)
+    return lat, _image_maps(alg, lat, max_size)
+
+
 def image_meet_check(alg, max_size=64):
     """Does every quotient map preserve binary meets?  The axiom-7 scan of the identity map."""
-    return _meet_scan(alg, max_size, lambda _alg, lat: range(len(lat)))
+    return _meet_scan(alg, *_scan_inputs(alg, max_size), _identity_map)
 
 
 def check_axiom7(alg, spec, max_size=64):
     """f(closure(r meet s)) = closure(f(r)) meet closure(f(s)) over all sweeps."""
-    return _meet_scan(alg, max_size, partial(_closure_map, spec=spec))
+    return _meet_scan(alg, *_scan_inputs(alg, max_size), partial(_closure_map, spec=spec))
 
 
 def closure_meet_identity_check(alg, spec, max_size=64):
@@ -108,9 +119,10 @@ def dist_report(alg, spec=None, max_size=64):
     """
     if spec is None:
         spec = SubvarietySpec(alg.sig, (), name="all")
-    lattice = is_distributive(con_lattice(alg, max_size=max_size))
-    image = image_meet_check(alg, max_size=max_size)
-    axiom7 = check_axiom7(alg, spec, max_size=max_size)
+    lat, maps = _scan_inputs(alg, max_size)
+    lattice = is_distributive(lat)
+    image = _meet_scan(alg, lat, maps, _identity_map)
+    axiom7 = _meet_scan(alg, lat, maps, partial(_closure_map, spec=spec))
     closure_meet = closure_meet_identity_check(alg, spec, max_size=max_size)
     return DistReport(
         lattice_distributive=lattice,

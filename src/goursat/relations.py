@@ -247,7 +247,7 @@ def _translations(alg):
 
     Row t maps x to t[x].  Constant and identity rows relate nothing new
     and are dropped, so an algebra with only nullary operations (or an
-    n = 1 carrier) has an empty matrix.  Built once per algebra.
+    n = 1 carrier) has an empty matrix.  Built once per table.
     """
     hit = alg._memo.get("translations")
     if hit is not None:
@@ -422,7 +422,7 @@ def con_lattice(alg, max_size=64):
     so the closure joins each new congruence with the principal ones
     only.  Con(A) is a sublattice of Eq(A), so the closure and the join
     table use the plain equivalence join of partitions.  Memoised per
-    algebra; the carrier bound is checked on every call.
+    table; the carrier bound is checked on every call.
     """
     if alg.n > max_size:
         raise CarrierBoundError(alg.n, max_size)

@@ -4,7 +4,8 @@ Everything here is deliberately naive: set-based relational composition,
 equivalence joins, raw and closed images and pull-backs on explicit pair
 sets, the pair set of a boolean matrix, enumeration of all partitions via
 restricted growth strings, a from-the-definition compatibility check, the
-scalar congruence witness scan, a scalar subuniverse closure, a clone BFS
+scalar congruence witness scan, a scalar subuniverse closure, the
+subuniverses as closures of every small seed, a clone BFS
 that applies an operation to one argument tuple at a time, and identities
 evaluated one assignment at a time by the recursive reference
 ``terms.eval_term``.
@@ -83,6 +84,20 @@ def naive_subuniverse(alg, seed):
                     current.add(v)
                     changed = True
     return frozenset(current)
+
+
+def subuniverse_seeds(n):
+    """Every subset of a carrier of at most ten elements, else the subsets of at most two."""
+    if n <= 10:
+        return [[x for x in range(n) if mask >> x & 1] for mask in range(1 << n)]
+    return ([[]] + [[x] for x in range(n)]
+            + [[x, y] for x in range(n) for y in range(x + 1, n)])
+
+
+def seeded_subuniverses(alg):
+    """Distinct nonempty scalar closures of every seed, sorted by size, then elements."""
+    found = {tuple(sorted(naive_subuniverse(alg, seed))) for seed in subuniverse_seeds(alg.n)}
+    return [frozenset(t) for t in sorted(found, key=lambda t: (len(t), t)) if t]
 
 
 def all_partitions(n):

@@ -6,7 +6,6 @@ import pytest
 from goursat.algebras import (
     FiniteAlgebra,
     QuotientMap,
-    _subuniverse_seeds,
     all_subuniverses,
     format_algebra,
     generate_subuniverse,
@@ -29,10 +28,10 @@ from goursat.corpus import (
     zmod_vnr,
 )
 from goursat.errors import NotCongruenceError, ParseError, SignatureMismatchError
-from goursat.relations import Partition, con_lattice, is_congruence
+from goursat.relations import Partition, con_lattice, direct_image, is_congruence
 from goursat.terms import Signature
 
-from oracles import all_partitions, naive_subuniverse
+from oracles import all_partitions, naive_subuniverse, seeded_subuniverses, subuniverse_seeds
 
 Z2 = cyclic_group(2)
 Z4 = cyclic_group(4)
@@ -233,6 +232,44 @@ def test_projections_are_memoised_on_the_first_factor_by_the_second_and_its_name
     assert projections([cyclic_group(4), Z2]) is not pair
 
 
+def test_iterated_quotients_share_the_memo_of_the_equal_direct_quotient():
+    # Con(A/theta) = [theta, 1]: (A/theta)/phi with phi the image of psi >= theta
+    # is A/psi, with the same canonical tables, so the two share one memo
+    # but keep their own names.
+    for entry in default_entries():
+        alg = entry.algebra
+        cons = con_lattice(alg).congruences
+        for theta in cons:
+            q_theta = quotient(alg, theta)
+            for psi in cons:
+                if not theta.refines(psi):
+                    continue
+                phi = direct_image(q_theta, psi)
+                nested = quotient(q_theta.target, phi).target
+                direct = quotient(alg, psi).target
+                assert nested.tables == direct.tables
+                assert nested._memo is direct._memo
+                assert nested.name == f"{alg.name}/{theta.to_literal()}/{phi.to_literal()}"
+                assert direct.name == f"{alg.name}/{psi.to_literal()}"
+
+
+def test_subalgebras_and_products_join_the_family_and_separate_roots_share_nothing():
+    z4 = cyclic_group(4)
+    half = quotient(z4, Partition(4, [[0, 2], [1, 3]])).target
+    sub, _ = subalgebra(z4, {0, 2})
+    assert sub.tables == half.tables and sub._memo is half._memo
+    assert sub.name == "cyclic_group(4)|{0 2}" and half.name == "cyclic_group(4)/0 2|1 3"
+    assert product([z4])._memo is z4._memo
+    prod, _ = projections([z4, Z2])
+    assert quotient(prod, Partition.discrete(prod.n)).target._memo is prod._memo
+    assert prod._family is z4._family
+
+    twin = FiniteAlgebra(z4.sig, 4, z4.tables, name=z4.name)
+    con_lattice(z4)
+    assert twin == z4 and twin._memo is not z4._memo and "con" not in twin._memo
+    assert quotient(twin, Partition.discrete(4)).target._memo is twin._memo
+
+
 def test_projections_of_no_factors_is_the_one_element_algebra():
     prod, maps = projections([])
     assert maps == []
@@ -301,7 +338,7 @@ def test_generate_subuniverse_matches_the_scalar_closure_on_every_seed():
     # seeds of at most two elements
     algebras = [entry.algebra for entry in default_entries()] + [heyting_chain(12)]
     for alg in algebras:
-        for seed in _subuniverse_seeds(alg.n):
+        for seed in subuniverse_seeds(alg.n):
             assert generate_subuniverse(alg, seed) == naive_subuniverse(alg, seed), alg.name
 
 
@@ -312,6 +349,26 @@ def test_subalgebra_reindexes():
     assert sub.tables["m"] == (0, 1, 1, 0)
     with pytest.raises(ValueError, match="not closed"):
         subalgebra(Z4, {0, 1})
+
+
+def test_all_subuniverses_match_the_closures_of_every_seed():
+    # Up to ten elements the join closure of the one-generated subuniverses
+    # must give exactly the closures of all 2^n seeds, in the same order.
+    # The extra algebras have no nullary operation, so Sg(empty) is empty,
+    # and g(x, y) = x makes the f-closed subsets the subuniverses: every
+    # subset for the identity, and the 31 unions of five cycles for the
+    # permutation (0)(1 2)(3 4 5)(6)(7 8), which need up to five generators.
+    rng = random.Random(5)
+    unary = [list(range(5)), [0, 2, 1, 4, 5, 3, 6, 8, 7], [rng.randrange(7) for _ in range(7)]]
+    extra = [
+        FiniteAlgebra.from_functions(Signature({"f": 1, "g": 2}), len(f),
+                                     {"f": f.__getitem__, "g": lambda x, y: x})
+        for f in unary
+    ]
+    for alg in [entry.algebra for entry in default_entries()] + extra:
+        assert alg.n <= 10
+        assert all_subuniverses(alg) == seeded_subuniverses(alg), alg.name
+    assert [len(all_subuniverses(alg)) for alg in extra[:2]] == [31, 31]
 
 
 def test_all_subuniverses_of_z4():

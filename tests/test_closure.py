@@ -31,7 +31,7 @@ from goursat.corpus import (
     two_elt_lattice,
     zmod_vnr,
 )
-from goursat.distributivity import check_axiom7
+from goursat.distributivity import check_axiom7, dist_report
 from goursat.errors import (
     GoursatHypothesisError,
     NotCongruenceError,
@@ -420,6 +420,67 @@ def test_roundtrip_check():
     assert roundtrip_check(cyclic_group(2), EXP2).ok
     assert roundtrip_check(sym3(), ABELIAN).ok
     assert roundtrip_check(klein4(), TRIVIAL_GROUP).ok
+
+
+def _sweep_reprs():
+    """Reprs of every check_axioms group sweep and dist_report on fresh corpus algebras."""
+    algs = [entry.algebra for entry in default_entries()]
+    groups = {}
+    for alg in algs:
+        groups.setdefault(alg.sig.key(), []).append(alg)
+    out = [repr(check_axioms(group, spec))
+           for group in groups.values() for spec in corpus_specs(group[0].sig)]
+    out += [repr(dist_report(alg, spec)) for alg in algs for spec in corpus_specs(alg.sig)]
+    return out
+
+
+def test_family_memo_changes_no_report(monkeypatch):
+    # With the family join a no-op every derived algebra has its own memo,
+    # as when nothing was shared; reports, notes and witnesses must match.
+    shared = _sweep_reprs()
+    monkeypatch.setattr(FiniteAlgebra, "_join", lambda self, family: None)
+    z4 = cyclic_group(4)
+    assert quotient(z4, Partition.discrete(4)).target._memo is not z4._memo
+    assert _sweep_reprs() == shared
+
+
+def _identity_reflection(alg, spec):
+    """A wrong reflection: the quotient by the discrete congruence."""
+    return quotient(alg, Partition.discrete(alg.n))
+
+
+def _full_on_four_elements(alg, spec):
+    """A wrong verbal congruence: full on four elements, the real one elsewhere."""
+    return Partition.full(4) if alg.n == 4 else birkhoff_congruence(alg, spec)
+
+
+# Each case injects one fault into goursat.closure and pins the witness of
+# the part of roundtrip_check that catches it.
+ROUNDTRIP_CONTROLS = {
+    "identity-reflection-on-z4": (
+        "reflect", _identity_reflection, Z4, EXP2,
+        {"part": "a", "detail": "reflection target has a non-closed diagonal"},
+    ),
+    # the meet of the qualifying congruences qualifies but is below the direct one
+    "full-verbal-on-z4": (
+        "birkhoff_congruence", _full_on_four_elements, Z4, EXP2,
+        {"part": "b", "s": "0|1|2|3", "derived": "0 2|1 3", "direct": "0 1 2 3"},
+    ),
+    # the meet of the three qualifying coatoms of M3 does not qualify
+    "full-verbal-on-klein4": (
+        "birkhoff_congruence", _full_on_four_elements, klein4(), EXP2,
+        {"part": "b", "s": "0|1|2|3", "derived": "0|1|2|3", "direct": "0 1 2 3"},
+    ),
+}
+
+
+@pytest.mark.parametrize("case", ROUNDTRIP_CONTROLS.values(), ids=ROUNDTRIP_CONTROLS.keys())
+def test_roundtrip_check_reports_each_injected_fault(monkeypatch, case):
+    name, fault, alg, spec, expected = case
+    assert roundtrip_check(alg, spec).ok
+    monkeypatch.setattr(goursat.closure, name, fault)
+    verdict = roundtrip_check(alg, spec)
+    assert not verdict.ok and verdict.witness == expected
 
 
 def test_spec_validation():
