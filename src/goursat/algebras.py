@@ -1,12 +1,15 @@
 """Finite algebras as operation tables, with products, quotients and subuniverses.
 
-Elements are 0..n-1.  A table for a k-ary symbol is a flat tuple of length
-n**k in row-major order, the last argument varying fastest.  Product
-carriers use mixed-radix encoding with the leftmost factor most
+Elements are 0..n-1.  The table of a k-ary symbol is a read-only intp
+array with k axes, one per argument; its flat view, ``tables``, lists
+the entries in row-major order, the last argument varying fastest.
+Product carriers use mixed-radix encoding with the leftmost factor most
 significant; the same convention fixes the .alg file layout.
 """
 
+from functools import cached_property
 from itertools import product as iproduct
+from numbers import Integral
 
 import numpy as np
 
@@ -18,11 +21,13 @@ from .terms import Signature
 class FiniteAlgebra:
     """A finite algebra given by its operation tables.
 
-    An algebra is treated as immutable once built.  Results that depend
-    on the tables alone (table arrays, translations, the congruence
-    lattice, verbal congruences, subuniverses and clone orbits) live in
-    ``_memo``; results that carry this instance or its name (quotient
-    maps, subalgebras, projections) live in ``_own``.
+    The constructor validates flat tables once and stores each as a
+    read-only intp array; quotient, subalgebra and product build arrays
+    and skip validation through ``_trusted``.  An algebra is immutable
+    once built.  Results that depend on the tables alone (translations,
+    the congruence lattice, verbal congruences, subuniverses and clone
+    orbits) live in ``_memo``; results that carry this instance or its
+    name (quotient maps, subalgebras, projections) live in ``_own``.
 
     Each algebra built here is the root of a family: a dict from the
     structure key to one memo.  quotient, subalgebra and product (which
@@ -39,7 +44,7 @@ class FiniteAlgebra:
             raise ValueError("carrier must be nonempty")
         if set(tables) != set(sig.ops):
             raise ValueError("tables must cover exactly the declared symbols")
-        clean = {}
+        arrays = {}
         for sym, arity in sig:
             table = tuple(tables[sym])
             if len(table) != n**arity:
@@ -49,10 +54,28 @@ class FiniteAlgebra:
             for v in table:
                 if not 0 <= v < n:
                     raise ValueError(f"table for {sym!r} has out-of-range entry {v}")
-            clean[sym] = table
+            odd = [v for v in table if type(v) is not int and not isinstance(v, Integral)]
+            if odd:
+                raise ValueError(f"table for {sym!r} has non-integer entry {odd[0]!r}")
+            arrays[sym] = np.array(table, dtype=np.intp).reshape((n,) * arity)
+        self._set(sig, n, arrays, name)
+
+    @classmethod
+    def _trusted(cls, sig, n, arrays, name, family):
+        """An algebra on arrays already known to be valid tables, entered into family."""
+        alg = cls.__new__(cls)
+        alg._set(sig, n, arrays, name)
+        alg._join(family)
+        return alg
+
+    def _set(self, sig, n, arrays, name):
+        for sym, table in arrays.items():
+            # a nullary gather comes back as a numpy scalar
+            table = arrays[sym] = np.asarray(table, dtype=np.intp)
+            table.flags.writeable = False
         self.sig = sig
         self.n = n
-        self.tables = clean
+        self._arrays = arrays
         self.name = name
         self._own = {}
         self._memo = {}
@@ -73,38 +96,24 @@ class FiniteAlgebra:
             )
         return cls(sig, n, tables, name=name)
 
+    @cached_property
+    def tables(self):
+        """Each table as a flat tuple in row-major order."""
+        return {sym: tuple(table.ravel().tolist()) for sym, table in self._arrays.items()}
+
     def apply(self, sym, args):
-        idx = 0
-        for a in args:
-            idx = idx * self.n + a
-        return self.tables[sym][idx]
+        return int(self._arrays[sym][tuple(args)])
 
     def table_array(self, sym):
-        """The table of sym as a read-only array with one axis per argument.
-
-        Built once per symbol and kept in the memo.
-        """
-        key = ("table_array", sym)
-        hit = self._memo.get(key)
-        if hit is not None:
-            return hit
-        shape = (self.n,) * self.sig.arity(sym)
-        table = np.asarray(self.tables[sym], dtype=np.intp).reshape(shape)
-        table.flags.writeable = False
-        self._memo[key] = table
-        return table
+        """The table of sym as a read-only intp array with one axis per argument."""
+        return self._arrays[sym]
 
     def structure_key(self):
-        return (self.n, tuple(sorted((s, a) for s, a in self.sig)),
-                tuple(sorted(self.tables.items())))
+        return (self.n, self.sig.key(),
+                tuple(sorted((s, t.tobytes()) for s, t in self._arrays.items())))
 
     def __eq__(self, other):
-        return (
-            isinstance(other, FiniteAlgebra)
-            and self.n == other.n
-            and self.sig == other.sig
-            and self.tables == other.tables
-        )
+        return isinstance(other, FiniteAlgebra) and self.structure_key() == other.structure_key()
 
     def __hash__(self):
         return hash(self.structure_key())
@@ -112,21 +121,6 @@ class FiniteAlgebra:
     def __repr__(self):
         label = self.name or "?"
         return f"FiniteAlgebra({label}, n={self.n}, sig={self.sig!r})"
-
-
-def product_encode(sizes, components):
-    x = 0
-    for size, c in zip(sizes, components):
-        x = x * size + c
-    return x
-
-
-def product_decode(sizes, x):
-    out = []
-    for size in reversed(sizes):
-        out.append(x % size)
-        x //= size
-    return tuple(reversed(out))
 
 
 def _digits(sizes):
@@ -144,20 +138,17 @@ def product(algs, sig=None):
     elif sig is None:
         sig = Signature({})
     if not algs:
-        tables = {sym: (0,) * (1**arity) for sym, arity in sig}
-        return FiniteAlgebra(sig, 1, tables, name="1")
+        arrays = {sym: np.zeros((1,) * arity, dtype=np.intp) for sym, arity in sig}
+        return FiniteAlgebra._trusted(sig, 1, arrays, "1", {})
     digits = _digits([a.n for a in algs])
-    n = digits.shape[1]
-    tables = {}
+    arrays = {}
     for sym, arity in sig:
         table = 0
         for alg, d in zip(algs, digits):
             table = table * alg.n + alg.table_array(sym)[np.ix_(*(d,) * arity)]
-        tables[sym] = tuple(np.ravel(table).tolist())
+        arrays[sym] = table
     name = "x".join(a.name or "?" for a in algs)
-    prod = FiniteAlgebra(sig, n, tables, name=name)
-    prod._join(algs[0]._family)
-    return prod
+    return FiniteAlgebra._trusted(sig, digits.shape[1], arrays, name, algs[0]._family)
 
 
 class QuotientMap:
@@ -218,13 +209,10 @@ def quotient(alg, theta):
     require_congruence(alg, theta)
     reps = np.asarray([blk[0] for blk in theta.blocks], dtype=np.intp)
     index = np.asarray(theta.index_of, dtype=np.intp)
-    tables = {}
-    for sym, arity in alg.sig:
-        image = alg.table_array(sym)[np.ix_(*(reps,) * arity)]
-        tables[sym] = tuple(np.ravel(index[image]).tolist())
+    arrays = {sym: index[alg.table_array(sym)[np.ix_(*(reps,) * arity)]]
+              for sym, arity in alg.sig}
     name = f"{alg.name or '?'}/{theta.to_literal()}"
-    target = FiniteAlgebra(alg.sig, len(reps), tables, name=name)
-    target._join(alg._family)
+    target = FiniteAlgebra._trusted(alg.sig, len(reps), arrays, name, alg._family)
     qm = QuotientMap.__new__(QuotientMap)
     qm._set(alg, theta, target, theta.index_of)
     alg._own[key] = qm
@@ -234,9 +222,11 @@ def quotient(alg, theta):
 def projections(factors):
     """Product of the factors together with its projection quotient maps.
 
-    Memoised per instance of the first factor (``_own``), keyed by the
-    structure and the name of every other factor (the names make up the
-    product's name).  No factors give the one-element algebra and no maps.
+    Each map reads one coordinate of the product's encoding, so it is a
+    homomorphism by construction and is not re-checked.  Memoised per
+    instance of the first factor (``_own``), keyed by the structure and
+    the name of every other factor (the names make up the product's
+    name).  No factors give the one-element algebra and no maps.
     """
     if not factors:
         return product([]), []
@@ -249,8 +239,9 @@ def projections(factors):
     maps = []
     for alg, d in zip(factors, _digits([a.n for a in factors])):
         mapping = tuple(d.tolist())
-        kernel = Partition.from_labels(prod.n, mapping)
-        maps.append(QuotientMap(prod, kernel, alg, mapping))
+        qm = QuotientMap.__new__(QuotientMap)
+        qm._set(prod, Partition.from_labels(prod.n, mapping), alg, mapping)
+        maps.append(qm)
     out = memo[key] = prod, maps
     return out
 
@@ -297,19 +288,22 @@ def subalgebra(alg, universe):
     hit = alg._own.get(key)
     if hit is not None:
         return hit
-    back = {x: i for i, x in enumerate(embed)}
-    tables = {}
+    points = np.asarray(embed, dtype=np.intp)
+    back = np.full(alg.n, -1, dtype=np.intp)
+    back[points] = np.arange(len(embed))
+    arrays = {}
     for sym, arity in alg.sig:
-        table = []
-        for args in iproduct(embed, repeat=arity):
-            v = alg.apply(sym, args)
-            if v not in back:
-                raise ValueError(f"subset not closed under {sym!r} at {args}")
-            table.append(back[v])
-        tables[sym] = tuple(table)
+        table = back[alg.table_array(sym)[np.ix_(*(points,) * arity)]]
+        bad = np.argwhere(table < 0)
+        if len(bad):
+            args = tuple(points[bad[0]].tolist())
+            raise ValueError(f"subset not closed under {sym!r} at {args}")
+        arrays[sym] = table
+    # after the scan, so that a nullary value outside the empty set is named first
+    if not embed:
+        raise ValueError("carrier must be nonempty")
     name = f"{alg.name or '?'}|{{{' '.join(map(str, embed))}}}"
-    sub = FiniteAlgebra(alg.sig, len(embed), tables, name=name)
-    sub._join(alg._family)
+    sub = FiniteAlgebra._trusted(alg.sig, len(embed), arrays, name, alg._family)
     out = alg._own[key] = sub, embed
     return out
 

@@ -18,7 +18,8 @@ Both meet checks run one scan (_meet_scan) over the index maps of
 closure.py: check_axiom7 with the closure map, and image_meet_check with
 the identity map, so image-meet is the axiom-7 scan of the identity
 closure and never calls a closure construction.  dist_report builds the
-image maps once and runs both scans on them.
+image maps and the closure map of A once, runs both scans on them and
+hands the same closure map to the closed-meet scan (_closed_meet_scan).
 """
 
 from dataclasses import dataclass
@@ -29,14 +30,13 @@ from .relations import con_lattice, is_distributive
 from .verdict import Verdict
 
 
-def _meet_scan(alg, lat, maps, closure_map):
+def _meet_scan(lat, c, maps, closure_map):
     """First (quotient f, r, s) with f(c(r meet s)) != c(f(r)) meet c(f(s)), else a pass.
 
-    ``lat`` is Con(alg) and ``maps`` its _image_maps;
-    ``closure_map(B, Con(B))`` is c on alg and on each quotient target.
+    ``lat`` is Con(alg), ``c`` the closure map on it and ``maps`` its
+    _image_maps; ``closure_map(B, Con(B))`` is c on each quotient target.
     The scan runs in (r, s, quotient) index order, the quotient fastest.
     """
-    c = closure_map(alg, lat)
     scans = [
         (qm, tlat.meet_table, img, closure_map(qm.target, tlat))
         for qm, tlat, img in maps
@@ -50,37 +50,46 @@ def _meet_scan(alg, lat, maps, closure_map):
     return Verdict(True)
 
 
+def _closed_meet_scan(lat, c):
+    """First (r, s) with c(r) meet c(s) != c(r meet s), else a pass."""
+    meet = lat.meet_table
+    for ri, r in enumerate(lat.congruences):
+        for si, s in enumerate(lat.congruences):
+            if meet[c[ri]][c[si]] != c[meet[ri][si]]:
+                return Verdict(False, witness=(r, s))
+    return Verdict(True)
+
+
+_NOT_DISTRIBUTIVE = Verdict(None, note="congruence lattice is not distributive")
+
+
 def _identity_map(_alg, lat):
     return range(len(lat))
 
 
-def _scan_inputs(alg, max_size):
-    """Con(alg) and its image maps, the inputs of _meet_scan."""
+def _scan_inputs(alg, max_size, closure_map):
+    """Con(alg), the closure map on it and its image maps: the inputs of _meet_scan."""
     lat = con_lattice(alg, max_size=max_size)
-    return lat, _image_maps(alg, lat, max_size)
+    return lat, closure_map(alg, lat), _image_maps(alg, lat, max_size)
 
 
 def image_meet_check(alg, max_size=64):
     """Does every quotient map preserve binary meets?  The axiom-7 scan of the identity map."""
-    return _meet_scan(alg, *_scan_inputs(alg, max_size), _identity_map)
+    return _meet_scan(*_scan_inputs(alg, max_size, _identity_map), _identity_map)
 
 
 def check_axiom7(alg, spec, max_size=64):
     """f(closure(r meet s)) = closure(f(r)) meet closure(f(s)) over all sweeps."""
-    return _meet_scan(alg, *_scan_inputs(alg, max_size), partial(_closure_map, spec=spec))
+    closure_map = partial(_closure_map, spec=spec)
+    return _meet_scan(*_scan_inputs(alg, max_size, closure_map), closure_map)
 
 
 def closure_meet_identity_check(alg, spec, max_size=64):
     """closure(r) meet closure(s) = closure(r meet s), on distributive lattices only."""
     lat = con_lattice(alg, max_size=max_size)
     if not is_distributive(lat):
-        return Verdict(None, note="congruence lattice is not distributive")
-    c, meet = _closure_map(alg, lat, spec), lat.meet_table
-    for ri, r in enumerate(lat.congruences):
-        for si, s in enumerate(lat.congruences):
-            if meet[c[ri]][c[si]] != c[meet[ri][si]]:
-                return Verdict(False, witness=(r, s))
-    return Verdict(True)
+        return _NOT_DISTRIBUTIVE
+    return _closed_meet_scan(lat, _closure_map(alg, lat, spec))
 
 
 @dataclass(frozen=True)
@@ -119,11 +128,12 @@ def dist_report(alg, spec=None, max_size=64):
     """
     if spec is None:
         spec = SubvarietySpec(alg.sig, (), name="all")
-    lat, maps = _scan_inputs(alg, max_size)
+    closure_map = partial(_closure_map, spec=spec)
+    lat, c, maps = _scan_inputs(alg, max_size, closure_map)
     lattice = is_distributive(lat)
-    image = _meet_scan(alg, lat, maps, _identity_map)
-    axiom7 = _meet_scan(alg, lat, maps, partial(_closure_map, spec=spec))
-    closure_meet = closure_meet_identity_check(alg, spec, max_size=max_size)
+    image = _meet_scan(lat, _identity_map(alg, lat), maps, _identity_map)
+    axiom7 = _meet_scan(lat, c, maps, closure_map)
+    closure_meet = _closed_meet_scan(lat, c) if lattice else _NOT_DISTRIBUTIVE
     return DistReport(
         lattice_distributive=lattice,
         image_meet=image,

@@ -143,8 +143,8 @@ def _colours(alg):
     n = alg.n
     colour = np.zeros(n, dtype=np.intp)
     for i, (sym, arity) in enumerate(alg.sig, 1):
-        if arity == 0 and not colour[alg.tables[sym][0]]:
-            colour[alg.tables[sym][0]] = i
+        if arity == 0 and not colour[alg.table_array(sym)[()]]:
+            colour[alg.table_array(sym)[()]] = i
     colour = _compact(colour)
     entries, equal = {}, {}
     for sym, arity in alg.sig:
@@ -200,7 +200,7 @@ def _generating_sequence(alg):
 
     for sym, arity in alg.sig:
         if arity == 0:
-            inside[alg.tables[sym][0]] = True
+            inside[alg.table_array(sym)[()]] = True
     close()
     base = np.flatnonzero(inside)
     levels = []
@@ -460,7 +460,7 @@ def _clone_rounds(alg, cap):
         for sym, arity in alg.sig:
             if arity == 0:
                 if depth == 1:
-                    key = bytes([alg.tables[sym][0]]) * size
+                    key = bytes([alg.table_array(sym)[()]]) * size
                     if key not in known and key not in fresh:
                         fresh[key] = (sym, ())
                 continue

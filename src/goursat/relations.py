@@ -127,12 +127,6 @@ class Partition:
     def to_literal(self):
         return "|".join(" ".join(str(x) for x in blk) for blk in self.blocks)
 
-    def relates(self, a, b):
-        return self.index_of[a] == self.index_of[b]
-
-    def block_of(self, x):
-        return self.blocks[self.index_of[x]]
-
     def _check(self, other):
         if self.n != other.n:
             raise SizeMismatchError(f"carrier sizes differ: {self.n} vs {other.n}")

@@ -5,7 +5,9 @@ equivalence joins, raw and closed images and pull-backs on explicit pair
 sets, the pair set of a boolean matrix, enumeration of all partitions via
 restricted growth strings, a from-the-definition compatibility check, the
 scalar congruence witness scan, a scalar subuniverse closure, the
-subuniverses as closures of every small seed, a clone BFS
+subuniverses as closures of every small seed, subalgebra tables built
+one scalar apply per argument tuple, mixed-radix product coordinates,
+block membership in a partition, a clone BFS
 that applies an operation to one argument tuple at a time, and identities
 evaluated one assignment at a time by the recursive reference
 ``terms.eval_term``.
@@ -86,6 +88,54 @@ def naive_subuniverse(alg, seed):
     return frozenset(current)
 
 
+def naive_subalgebra_tables(alg, universe):
+    """Tables of the subalgebra on a subset, one scalar apply per argument tuple.
+
+    Raises ValueError naming the first symbol (declaration order) and
+    argument tuple (lexicographic over the sorted subset) whose value
+    leaves the subset.
+    """
+    embed = sorted(universe)
+    back = {x: i for i, x in enumerate(embed)}
+    tables = {}
+    for sym, arity in alg.sig:
+        table = []
+        for args in product(embed, repeat=arity):
+            v = alg.apply(sym, args)
+            if v not in back:
+                raise ValueError(f"subset not closed under {sym!r} at {args}")
+            table.append(back[v])
+        tables[sym] = tuple(table)
+    return tables
+
+
+def product_encode(sizes, components):
+    """The product element with these components, the leftmost factor most significant."""
+    x = 0
+    for size, c in zip(sizes, components):
+        x = x * size + c
+    return x
+
+
+def product_decode(sizes, x):
+    """The components of a product element, inverse to product_encode."""
+    out = []
+    for size in reversed(sizes):
+        out.append(x % size)
+        x //= size
+    return tuple(reversed(out))
+
+
+def relates(p, a, b):
+    """Do a and b lie in one block of the partition p?"""
+    return p.index_of[a] == p.index_of[b]
+
+
+def block_of(p, x):
+    """The block of the partition p that contains x."""
+    return p.blocks[p.index_of[x]]
+
+
 def subuniverse_seeds(n):
     """Every subset of a carrier of at most ten elements, else the subsets of at most two."""
     if n <= 10:
@@ -145,17 +195,17 @@ def congruence_witness(alg, blocks):
     order, args lexicographically over all argument tuples, and args'
     lexicographically over the product of the blocks of args.
     """
-    label, block_of = {}, {}
+    label, peers = {}, {}
     for i, blk in enumerate(blocks):
         for x in blk:
             label[x] = i
-            block_of[x] = sorted(blk)
+            peers[x] = sorted(blk)
     for sym, arity in alg.sig:
         if arity == 0:
             continue
         for args in product(range(alg.n), repeat=arity):
             value = label[alg.apply(sym, args)]
-            for args_b in product(*(block_of[a] for a in args)):
+            for args_b in product(*(peers[a] for a in args)):
                 if label[alg.apply(sym, args_b)] != value:
                     return sym, (args, args_b)
     return None

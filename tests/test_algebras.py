@@ -1,6 +1,8 @@
 import random
+import re
 from itertools import product as iproduct
 
+import numpy as np
 import pytest
 
 from goursat.algebras import (
@@ -11,8 +13,6 @@ from goursat.algebras import (
     generate_subuniverse,
     parse_algebra,
     product,
-    product_decode,
-    product_encode,
     projections,
     quotient,
     subalgebra,
@@ -31,7 +31,16 @@ from goursat.errors import NotCongruenceError, ParseError, SignatureMismatchErro
 from goursat.relations import Partition, con_lattice, direct_image, is_congruence
 from goursat.terms import Signature
 
-from oracles import all_partitions, naive_subuniverse, seeded_subuniverses, subuniverse_seeds
+from oracles import (
+    all_partitions,
+    naive_subalgebra_tables,
+    naive_subuniverse,
+    product_decode,
+    product_encode,
+    relates,
+    seeded_subuniverses,
+    subuniverse_seeds,
+)
 
 Z2 = cyclic_group(2)
 Z4 = cyclic_group(4)
@@ -175,6 +184,35 @@ def test_quotients_of_congruences_pass_the_validating_constructor():
             assert qm.target.tables == _naive_quotient_tables(alg, theta)
             assert quotient(unmemoised, theta).target.tables == qm.target.tables
         assert "con" not in unmemoised._memo
+        # projection maps are built unchecked too
+        for factors in ([alg], [alg, alg], [alg, Z2] if alg.sig == Z2.sig else []):
+            prod, maps = projections(factors)
+            for pm in maps:
+                checked = QuotientMap(prod, pm.kernel, pm.target, pm.mapping)
+                assert checked.mapping == pm.mapping
+
+
+def _derived_algebras():
+    """Every kind of algebra built through the trusted path, from the default corpus."""
+    for entry in default_entries():
+        alg = entry.algebra
+        for theta in con_lattice(alg).congruences:
+            yield quotient(alg, theta).target
+        for u in all_subuniverses(alg):
+            yield subalgebra(alg, u)[0]
+        prod, _ = projections([alg, alg])
+        yield prod
+        yield product([], sig=alg.sig)
+
+
+def test_derived_algebras_store_read_only_arrays():
+    for alg in _derived_algebras():
+        for sym, arity in alg.sig:
+            table = alg.table_array(sym)
+            assert table.dtype == np.intp and table.shape == (alg.n,) * arity
+            assert not table.flags.writeable, (alg.name, sym)
+            assert alg.tables[sym] == tuple(table.ravel().tolist())
+        assert not any(isinstance(key, tuple) and key[0] == "table_array" for key in alg._memo)
 
 
 def test_a_memoised_lattice_does_not_vouch_for_non_congruences():
@@ -281,6 +319,8 @@ def test_kernel_pair_inverts_quotient_on_every_congruence():
         for theta in con_lattice(alg).congruences:
             qm = quotient(alg, theta)
             assert Partition.from_labels(alg.n, qm.mapping) == qm.kernel == theta
+            for a, b in iproduct(range(alg.n), repeat=2):
+                assert relates(theta, a, b) == (qm.mapping[a] == qm.mapping[b])
 
 
 def test_kernel_pair_edge_cases():
@@ -342,6 +382,33 @@ def test_generate_subuniverse_matches_the_scalar_closure_on_every_seed():
             assert generate_subuniverse(alg, seed) == naive_subuniverse(alg, seed), alg.name
 
 
+def test_subalgebra_matches_the_scalar_loop_on_tables_and_witnesses():
+    # every subuniverse, and the non-closed subsets among all nonempty
+    # subsets up to six elements, else among 200 random ones
+    rng = random.Random(11)
+    algebras = [entry.algebra for entry in default_entries()] + [heyting_chain(12)]
+    refused = 0
+    for alg in algebras:
+        for u in all_subuniverses(alg):
+            sub, embed = subalgebra(alg, u)
+            assert embed == tuple(sorted(u))
+            assert sub.tables == naive_subalgebra_tables(alg, u), (alg.name, embed)
+        if alg.n <= 6:
+            subsets = [s for s in subuniverse_seeds(alg.n) if s]
+        else:
+            subsets = [rng.sample(range(alg.n), rng.randint(1, alg.n)) for _ in range(200)]
+        for subset in subsets:
+            if generate_subuniverse(alg, subset) == set(subset):
+                continue
+            refused += 1
+            with pytest.raises(ValueError) as want:
+                naive_subalgebra_tables(alg, subset)
+            with pytest.raises(ValueError) as got:
+                subalgebra(alg, subset)
+            assert str(got.value) == str(want.value)
+    assert refused > 600
+
+
 def test_subalgebra_reindexes():
     sub, embed = subalgebra(Z4, {0, 2})
     assert embed == (0, 2)
@@ -349,6 +416,10 @@ def test_subalgebra_reindexes():
     assert sub.tables["m"] == (0, 1, 1, 0)
     with pytest.raises(ValueError, match="not closed"):
         subalgebra(Z4, {0, 1})
+    with pytest.raises(ValueError, match=r"^subset not closed under 'e' at \(\)$"):
+        subalgebra(Z4, set())
+    with pytest.raises(ValueError, match="^carrier must be nonempty$"):
+        subalgebra(two_elt_lattice(), set())
 
 
 def test_all_subuniverses_match_the_closures_of_every_seed():
@@ -411,3 +482,16 @@ def test_table_validation():
         FiniteAlgebra(sig, 2, {"f": (0,)})
     with pytest.raises(ValueError, match="cover"):
         FiniteAlgebra(sig, 2, {})
+    # a non-integer entry would be truncated by the intp table
+    for table, bad in (((0, 1.5), "1.5"), ((1.0, 0), "1.0"), ((0, np.float64(1)), "np.float64(1.0)")):
+        with pytest.raises(ValueError, match=rf"^table for 'f' has non-integer entry {re.escape(bad)}$"):
+            FiniteAlgebra(sig, 2, {"f": table})
+    # an out-of-range entry is named first, as before
+    with pytest.raises(ValueError, match=r"^table for 'f' has out-of-range entry 5$"):
+        FiniteAlgebra(sig, 2, {"f": (1.5, 5)})
+    # numpy integers are integers; the caller's array is copied
+    given = np.array([1, 0])
+    alg = FiniteAlgebra(sig, 2, {"f": given})
+    given[0] = 0
+    assert alg.tables["f"] == (1, 0) and alg.apply("f", (0,)) == 1
+    assert type(alg.apply("f", (0,))) is int

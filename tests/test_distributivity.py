@@ -12,6 +12,7 @@ from goursat.corpus import (
     two_elt_lattice,
 )
 from goursat.distributivity import (
+    DistReport,
     check_axiom7,
     closure_meet_identity_check,
     dist_report,
@@ -114,6 +115,33 @@ def test_dist_report_fields():
     assert not report.image_meet.ok
     assert not report.axiom7.ok
     assert report.closure_meet.status == NOT_APPLICABLE
+
+
+def test_dist_report_builds_the_closure_map_of_a_once(monkeypatch):
+    # Con(boolean_ring(3)) has 8 congruences and its 8 quotients have 27 in
+    # all; one closure_effective call each is 35, where a second closure
+    # map of A for the closed-meet check made 43.
+    spec = spec_by_name("trivial", boolean_ring(3).sig)
+    calls = []
+    effective = goursat.closure.closure_effective
+
+    def counting(alg, s, spec):
+        calls.append(alg.name)
+        return effective(alg, s, spec)
+
+    monkeypatch.setattr(goursat.closure, "closure_effective", counting)
+    report = dist_report(boolean_ring(3), spec)
+    assert len(calls) == 35
+    assert calls.count("boolean_ring(3)") == 8
+    alg = boolean_ring(3)
+    assert report == DistReport(
+        lattice_distributive=is_distributive(con_lattice(alg)),
+        image_meet=image_meet_check(alg),
+        axiom7=check_axiom7(alg, spec),
+        spec_name="trivial",
+        closure_meet=closure_meet_identity_check(alg, spec),
+    )
+    assert report.ok and report.closure_meet.status == PASS
 
 
 def test_axiom7_under_the_trivial_spec_passes_on_a_nondistributive_lattice():

@@ -3,11 +3,11 @@ from functools import partial
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from oracles import naive_satisfies
+from oracles import naive_satisfies, product_encode
 from test_relations import NULLARY_ONLY, ONE_ELEMENT, small_algebras
 
 import goursat.terms as terms
-from goursat.algebras import product, product_encode
+from goursat.algebras import product
 from goursat.corpus import GROUP_SIG, cyclic_group, implication_from_boolean
 from goursat.errors import EvalError, ParseError, SignatureMismatchError
 from goursat.terms import (
