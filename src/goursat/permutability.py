@@ -37,9 +37,14 @@ first derivation.
 
 A round is evaluated in array blocks.  For each operation, Python loops
 only over the leading argument ids; the last argument runs over a
-contiguous id range, evaluated a bounded block of rows at a time by one
-gather through the operation's flattened table.  Rows are then
-deduplicated in the order of their argument tuples, the order of the
+contiguous id range, evaluated a bounded block of rows at a time.  The
+head's values times n plus the last argument's values index the
+operation's flattened table.  When that table has at most 256 entries,
+it is padded to a 256-byte map and a block is one ``bytes.translate`` of
+the uint8 index sum: the index is at most n**arity - 1 <= 255, so the
+sum cannot overflow.  Larger tables are read by one intp gather.  Either
+way the block comes out as the bytes the rows are keyed by.  Rows are
+then deduplicated in the order of their argument tuples, the order of the
 one-tuple-at-a-time loop, so each new table keeps the same first
 derivation, and the order that fixes witnesses is unchanged.  Each
 table is stored once: its bytes are the deduplication key, and its
@@ -413,6 +418,18 @@ def _heads(stack, n, start, width):
             yield ids + (i,), (offset + stack[i]) * n, old and i < start
 
 
+def _evaluate(kernel, offset, args):
+    """The bytes of one operation's values on a block of argument rows.
+
+    Row r's index into the flattened table is offset + args[r].  A bytes
+    kernel is a table of at most 256 entries padded to 256 bytes, with
+    offset in uint8; an array kernel is the flattened table itself.
+    """
+    if type(kernel) is bytes:
+        return (args + offset).tobytes().translate(kernel)
+    return kernel[offset + args].tobytes()
+
+
 def _clone_rounds(alg, cap):
     """Drive the BFS one round at a time.
 
@@ -429,11 +446,12 @@ def _clone_rounds(alg, cap):
     # one row per table, so a block is one row once a row exceeds _BLOCK_CELLS
     rows = max(1, _BLOCK_CELLS // size)
     projections = [reps // (n * n), (reps // n) % n, reps % n]
-    flat_tables, mirrored = {}, {}
+    kernels, mirrored = {}, {}
     for sym, arity in alg.sig:
         if arity > 0:
             table = alg.table_array(sym)
-            flat_tables[sym] = table.astype(np.uint8).reshape(-1)
+            flat = table.astype(np.uint8).reshape(-1)
+            kernels[sym] = flat.tobytes().ljust(256, b"\0") if flat.size <= 256 else flat
             if arity == 2 and np.array_equal(table, table.T):
                 # the least last argument of a pair with head i is i, or i + 1
                 # when f(t, t) = t
@@ -464,13 +482,15 @@ def _clone_rounds(alg, cap):
                     if key not in known and key not in fresh:
                         fresh[key] = (sym, ())
                 continue
-            flat = flat_tables[sym]
+            kernel = kernels[sym]
             for head, offset, old in _heads(stack, n, frontier_start, arity - 1):
                 first = frontier_start if old else 0
                 if sym in mirrored:
                     first = max(first, head[0] + mirrored[sym])
+                if type(kernel) is bytes:
+                    offset = offset.astype(np.uint8)
                 for lo in range(first, total, rows):
-                    block = flat[offset + stack[lo : lo + rows]].tobytes()
+                    block = _evaluate(kernel, offset, stack[lo : lo + rows])
                     for last, at in enumerate(range(0, len(block), size), lo):
                         key = block[at : at + size]
                         if key not in known and key not in fresh:

@@ -1,3 +1,4 @@
+import random
 from itertools import permutations, zip_longest
 from itertools import product as iproduct
 from math import comb
@@ -15,6 +16,7 @@ from goursat.corpus import (
     GROUP_SIG,
     LATTICE_SIG,
     cyclic_group,
+    heyting_chain,
     implication_from_boolean,
     klein4,
     sym3,
@@ -37,7 +39,7 @@ from goursat.permutability import (
     permutability_level,
 )
 from goursat.relations import Partition, composite, con_lattice
-from goursat.terms import Signature, eval_term
+from goursat.terms import Signature, eval_term, render
 from goursat.verdict import Verdict
 
 K4 = klein4()
@@ -273,6 +275,28 @@ def test_searches_are_deterministic():
     assert first.witness[1].table == second.witness[1].table
 
 
+@pytest.mark.parametrize(
+    "build, explored, term",
+    [
+        (sym3, 14_531, "m(z,m(i(y),x))"),
+        (lambda: heyting_chain(12), 5_739, "meet(join(x,z),meet(imp(y,x),imp(y,z)))"),
+        (lambda: product([cyclic_group(3), sym3()]), 14_531, "m(z,m(i(y),x))"),
+    ],
+    ids=["sym3", "heyting_chain(12)", "cyclic_group(3)xsym3"],
+)
+def test_the_heavy_maltsev_searches_keep_their_witness_and_explored_count(build, explored, term):
+    """The three heaviest term-search inputs of the benchmark.
+
+    The binary operation of the product has 18**2 = 324 entries, so it
+    is read by the gather; the others by the byte table.  A kernel that
+    changes the derivation order moves the witness or the count.
+    """
+    alg = build()
+    out = find_maltsev_term(alg)
+    assert (out.status, out.explored, render(out.witness.term)) == (FOUND, explored, term)
+    assert maltsev_identities_hold(alg.n, out.witness.table)
+
+
 def test_maltsev_term_forces_all_pairs_two_permutable():
     for alg in (cyclic_group(4), klein4(), sym3()):
         assert find_maltsev_term(alg).status == FOUND
@@ -442,6 +466,37 @@ def test_orbit_reduced_rounds_match_the_oracle_on_large_automorphism_groups(cell
         _assert_searches_match(alg, cap)
 
 
+def _boundary_cases():
+    """(algebra, cap, rigid) with one operation of n**arity entries on either side of 256.
+
+    16**2 = 256 and 6**3 = 216 entries take the byte table, 17**2 = 289
+    and 7**3 = 343 the gather.  A seeded random table is rigid, so every
+    cell is an orbit representative and the last index, n**arity - 1, is
+    read; x - y and x - y + z have Maltsev terms, so the searches find
+    witnesses.  The caps end each BFS after at most two rounds, as the
+    oracle pays a fancy-index call per argument tuple.
+    """
+    cases = []
+    for n, arity, cap in ((16, 2, 40), (17, 2, 40), (6, 3, 20), (7, 3, 20)):
+        rnd = random.Random(n)
+        table = tuple(rnd.randrange(n) for _ in range(n**arity))
+        cases.append((FiniteAlgebra(Signature({"f": arity}), n, {"f": table}), cap, True))
+        affine = (lambda x, y: (x - y) % n) if arity == 2 else (lambda x, y, z: (x - y + z) % n)
+        affine_alg = FiniteAlgebra.from_functions(Signature({"d": arity}), n, {"d": affine})
+        cases.append((affine_alg, cap, False))
+    return cases
+
+
+@_CELL_CAPS
+def test_rounds_and_searches_match_the_oracle_on_either_side_of_the_byte_table(cells, monkeypatch):
+    monkeypatch.setattr(permutability, "_BLOCK_CELLS", cells)
+    for alg, cap, rigid in _boundary_cases():
+        if rigid:
+            assert len(permutability._clone_orbits(alg).reps) == alg.n**3
+        _assert_rounds_match(alg, cap)
+        _assert_searches_match(alg, cap)
+
+
 def test_maltsev_masks_pair_up_the_same_argument_pairs():
     for alg, _, _ in _aut_orbit_cases():
         n = alg.n
@@ -497,18 +552,6 @@ def test_contains_is_false_for_out_of_range_entries_and_for_tables_agreeing_only
     assert not clone.contains(forged)
 
 
-class _CountingTable(np.ndarray):
-    """An operation table that counts the rows of every 2-D gather through it."""
-
-    def __array_finalize__(self, obj):
-        self.tally = getattr(obj, "tally", None)
-
-    def __getitem__(self, idx):
-        if isinstance(idx, np.ndarray) and idx.ndim == 2:
-            self.tally[0] += len(idx)
-        return super().__getitem__(idx)
-
-
 def _mirrored(table, arity):
     """For a commutative binary operation 1 if it is also idempotent, else 0; None if not commutative binary."""
     if arity != 2 or not np.array_equal(table, table.T):
@@ -537,19 +580,22 @@ def test_a_round_evaluates_each_new_argument_tuple_once(monkeypatch):
     """Each round evaluates exactly the tuples of _tuples_per_round.
 
     Outputs alone cannot show a round that re-evaluates old tuples, since
-    their tables are all known already.
+    their tables are all known already.  Every block goes through
+    ``_evaluate``, by the byte table or by the gather; the binary
+    operation of Z17 has 289 entries, so the gather is counted too.
     """
+    tally, kernels = [0], set()
+    evaluate = permutability._evaluate
+
+    def counting(kernel, offset, args):
+        tally[0] += len(args)
+        kernels.add(type(kernel))
+        return evaluate(kernel, offset, args)
+
+    monkeypatch.setattr(permutability, "_evaluate", counting)
     kinds = set()
-    for alg, cap in _multi_round_cases():
-        tally = [0]
+    for alg, cap in _multi_round_cases() + ((cyclic_group(17), 300),):
         ops = [(alg.table_array(sym), arity) for sym, arity in alg.sig if arity > 0]
-
-        def counting(sym, table_array=alg.table_array):
-            table = table_array(sym).view(_CountingTable)
-            table.tally = tally
-            return table
-
-        monkeypatch.setattr(alg, "table_array", counting)
         sizes = [0]
         for arrays, *_ in permutability._clone_rounds(alg, cap):
             if len(sizes) > 1:
@@ -561,3 +607,4 @@ def test_a_round_evaluates_each_new_argument_tuple_once(monkeypatch):
             sizes.append(len(arrays))
         kinds.update(_mirrored(table, arity) for table, arity in ops)
     assert kinds == {None, 0, 1}  # all three formulas are exercised
+    assert kernels == {bytes, np.ndarray}  # and both kernels
