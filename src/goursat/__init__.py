@@ -27,14 +27,7 @@ from .closure import (
     roundtrip_check,
 )
 from .corpus import CorpusEntry, builtin, corpus_specs, default_entries
-from .distributivity import (
-    DistReport,
-    check_axiom7,
-    closure_meet_identity_check,
-    dist_report,
-    image_meet_check,
-    is_distributive,
-)
+from .distributivity import DistReport, dist_report, is_distributive
 from .permutability import (
     CloneResult,
     SearchOutcome,

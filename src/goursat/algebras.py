@@ -399,6 +399,10 @@ def parse_algebra(text):
             arity = int(parts[2])
         except ValueError:
             raise ParseError(f"bad arity {parts[2]!r}", line=lineno) from None
+        try:
+            Signature({sym: arity})
+        except ValueError as exc:
+            raise ParseError(str(exc), line=lineno) from None
         if sym in ops:
             raise ParseError(f"duplicate operation {sym!r}", line=lineno)
         need = n**arity

@@ -10,16 +10,17 @@ closure(S) = D o S o D = S o D o S (closure_goursat, valid on
 input and its closure.
 
 check_axioms verifies the closure-operator axiom suite exhaustively on
-finite input; its docstring names the arrows and the witnesses.  There
-the closure is an index map on Con(A) (_closure_map, built by
-closure_effective), and direct images along q: A -> A/theta are an index
-map from Con(A) to Con(A/theta) (_image_maps).  Axioms 1, 2, 4 and
-additivity read the closure map against the tables of Con(A); 6, 7 and
-image_join read the image map, the tables of Con(A/theta) and the
-target's own closure map, computed on A/theta and not derived through A
-(which would make axiom 5 a tautology).  A quotient (A/theta)/phi has
-the tables of A/psi for psi the pull-back of phi, and shares its memo
-(the family rule of algebras.FiniteAlgebra), so the target's
+finite input; its docstring names the arrows and the witnesses.  One
+sweep per algebra (_sweep, read by dist_report too) gives the closure as
+an index map on Con(A), built by closure_effective, and per theta the
+direct images along q: A -> A/theta as an index map from Con(A) to
+Con(A/theta) and the target's own closure map, computed on A/theta and
+not derived through A (which would make axiom 5 a tautology).  Axioms 1,
+2, 4 and additivity read the closure map against the tables of Con(A);
+6, 7 and image_join read the image map, the tables of Con(A/theta) and
+the target's closure map.  A quotient (A/theta)/phi has the tables of
+A/psi for psi the pull-back of phi, and shares its memo (the family rule
+of algebras.FiniteAlgebra), so the target's
 closure_effective calls reuse the Con, translations and verbal
 congruences already found on A.  They still run, through the target's
 own quotients and inverse images, so axiom 5 still compares two
@@ -222,19 +223,24 @@ class _AxiomTracker:
         return out
 
 
-def _closure_map(alg, lat, spec):
-    """The closure as an index map on Con(alg): congruence i closes to congruence c[i]."""
-    return [lat.index(closure_effective(alg, p, spec).closure) for p in lat.congruences]
+def _sweep(alg, spec, max_size):
+    """Con(alg), its closure map c and, per theta in lattice order, (qm, Con(alg/theta), img, tc).
 
+    c[i] indexes the closure of congruence i and img[i] its image under qm;
+    tc is the closure map of alg/theta, computed on alg/theta itself.
+    """
+    def closure_map(source, slat):
+        return [slat.index(closure_effective(source, p, spec).closure) for p in slat.congruences]
 
-def _image_maps(alg, lat, max_size):
-    """(qm, Con(alg/theta), img) per theta in lattice order; img[i] indexes qm's image of i."""
-    out = []
+    lat = con_lattice(alg, max_size=max_size)
+    c = closure_map(alg, lat)
+    quotients = []
     for theta in lat.congruences:
         qm = quotient(alg, theta)
         tlat = con_lattice(qm.target, max_size=max_size)
-        out.append((qm, tlat, [tlat.index(direct_image(qm, p)) for p in lat.congruences]))
-    return out
+        img = [tlat.index(direct_image(qm, p)) for p in lat.congruences]
+        quotients.append((qm, tlat, img, closure_map(qm.target, tlat)))
+    return lat, c, quotients
 
 
 def check_axioms(algs, spec, max_size=64):
@@ -286,10 +292,9 @@ def check_axioms(algs, spec, max_size=64):
         if alg.n > max_size:
             notes.append(f"skipped {label}: carrier {alg.n} exceeds bound {max_size}")
             continue
-        checked.append(alg)
-        lat = con_lattice(alg, max_size=max_size)
+        lat, c, quotients = _sweep(alg, spec, max_size)
+        checked.append((alg, lat, c))
         cons, leq, meet, join = lat.congruences, lat.leq, lat.meet_table, lat.join_table
-        c = _closure_map(alg, lat, spec)
         record = partial(tracker.record, algebra=label)
 
         for i, s in enumerate(cons):
@@ -310,10 +315,7 @@ def check_axioms(algs, spec, max_size=64):
             )
 
         delta_bar = birkhoff_congruence(alg, spec)
-        targets = []
-        for qm, tlat, img in _image_maps(alg, lat, max_size):
-            tc = _closure_map(qm.target, tlat, spec)
-            targets.append((qm, tlat, tc))
+        for qm, tlat, img, tc in quotients:
             tcons, tmeet, tjoin = tlat.congruences, tlat.meet_table, tlat.join_table
             on_q = partial(record, quotient=qm.kernel)
             for t, lhs, rhs in pull_back(alg, qm.mapping, tlat, tc, algebra=label, quotient=qm.kernel):
@@ -336,21 +338,19 @@ def check_axioms(algs, spec, max_size=64):
                 continue
             sub, embed = subalgebra(alg, universe)
             elements = " ".join(map(str, sorted(universe)))
-            for qm, tlat, tc in targets:
+            for qm, tlat, _img, tc in quotients:
                 arrow = [qm.mapping[e] for e in embed]
                 pull_back(sub, arrow, tlat, tc, algebra=label, subuniverse=elements,
                           quotient=qm.kernel)
 
-    # Product projections: pull congruences of a factor back to the product.
-    for ai, first in enumerate(checked):
-        for second in checked[ai:]:
+    # Product projections: pull a factor's congruences back along its sweep's closure map.
+    for ai, (first, flat, fc) in enumerate(checked):
+        for second, slat, sc in checked[ai:]:
             if first.n * second.n > max_size:
                 continue
             prod, pmaps = projections([first, second])
-            for side, pm in enumerate(pmaps):
-                flat = con_lattice(pm.target, max_size=max_size)
-                pull_back(prod, pm.mapping, flat, _closure_map(pm.target, flat, spec),
-                          algebra=prod.name, projection=str(side))
+            for side, (pm, tlat, tc) in enumerate(zip(pmaps, (flat, slat), (fc, sc))):
+                pull_back(prod, pm.mapping, tlat, tc, algebra=prod.name, projection=str(side))
 
     entries = tracker.statuses(skipped_all=bool(algs) and not checked)
     return AxiomReport(entries=entries, notes=notes)

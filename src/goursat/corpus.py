@@ -9,6 +9,7 @@ in verify_entry.
 
 import re
 from dataclasses import dataclass
+from functools import cache
 
 from .algebras import FiniteAlgebra
 from .closure import SubvarietySpec
@@ -120,8 +121,14 @@ class CorpusEntry:
     spec_names: tuple
 
 
+@cache
+def _laws(laws_text, sig):
+    """The identities of a law text over sig, parsed once per process."""
+    return tuple(parse_identities(laws_text, sig))
+
+
 def _checked(alg, laws_text):
-    for ident in parse_identities(laws_text, alg.sig):
+    for ident in _laws(laws_text, alg.sig):
         verdict = satisfies_identity(alg, ident)
         if not verdict:
             raise ValueError(

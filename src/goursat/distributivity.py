@@ -14,38 +14,33 @@ closure only and can pass on a non-distributive Con(A): under
 ``trivial`` (x = y) every closure is the full relation, so klein4, whose
 Con is M3, passes axiom 7 and fails the other two.
 
-Both meet checks run one scan (_meet_scan) over the index maps of
-closure.py: check_axiom7 with the closure map, and image_meet_check with
-the identity map, so image-meet is the axiom-7 scan of the identity
-closure and never calls a closure construction.  dist_report builds the
-image maps and the closure map of A once, runs both scans on them and
-hands the same closure map to the closed-meet scan (_closed_meet_scan).
+dist_report builds Con(A), the closure map of A and, per quotient, the
+image map and the target's closure map once (closure._sweep) and runs
+one scan (_meet_scan) on them twice: for axiom 7 with the closure maps,
+and for image-meet with identity maps, so image-meet is the axiom-7 scan
+of the identity closure and never calls a closure construction.  The
+closed-meet scan (_closed_meet_scan) reads the same closure map of A.
 """
 
 from dataclasses import dataclass
-from functools import partial
 
-from .closure import SubvarietySpec, _closure_map, _image_maps
-from .relations import con_lattice, is_distributive
+from .closure import SubvarietySpec, _sweep
+from .relations import is_distributive
 from .verdict import Verdict
 
 
-def _meet_scan(lat, c, maps, closure_map):
+def _meet_scan(lat, c, quotients):
     """First (quotient f, r, s) with f(c(r meet s)) != c(f(r)) meet c(f(s)), else a pass.
 
-    ``lat`` is Con(alg), ``c`` the closure map on it and ``maps`` its
-    _image_maps; ``closure_map(B, Con(B))`` is c on each quotient target.
+    ``lat`` is Con(alg), ``c`` the closure map on it and ``quotients`` the
+    (qm, Con(target), img, tc) of closure._sweep, tc being c on the target.
     The scan runs in (r, s, quotient) index order, the quotient fastest.
     """
-    scans = [
-        (qm, tlat.meet_table, img, closure_map(qm.target, tlat))
-        for qm, tlat, img in maps
-    ]
     for ri, r in enumerate(lat.congruences):
         for si, s in enumerate(lat.congruences):
             met = c[lat.meet_table[ri][si]]
-            for qm, tmeet, img, tc in scans:
-                if img[met] != tmeet[tc[img[ri]]][tc[img[si]]]:
+            for qm, tlat, img, tc in quotients:
+                if img[met] != tlat.meet_table[tc[img[ri]]][tc[img[si]]]:
                     return Verdict(False, witness=(qm, r, s))
     return Verdict(True)
 
@@ -61,35 +56,6 @@ def _closed_meet_scan(lat, c):
 
 
 _NOT_DISTRIBUTIVE = Verdict(None, note="congruence lattice is not distributive")
-
-
-def _identity_map(_alg, lat):
-    return range(len(lat))
-
-
-def _scan_inputs(alg, max_size, closure_map):
-    """Con(alg), the closure map on it and its image maps: the inputs of _meet_scan."""
-    lat = con_lattice(alg, max_size=max_size)
-    return lat, closure_map(alg, lat), _image_maps(alg, lat, max_size)
-
-
-def image_meet_check(alg, max_size=64):
-    """Does every quotient map preserve binary meets?  The axiom-7 scan of the identity map."""
-    return _meet_scan(*_scan_inputs(alg, max_size, _identity_map), _identity_map)
-
-
-def check_axiom7(alg, spec, max_size=64):
-    """f(closure(r meet s)) = closure(f(r)) meet closure(f(s)) over all sweeps."""
-    closure_map = partial(_closure_map, spec=spec)
-    return _meet_scan(*_scan_inputs(alg, max_size, closure_map), closure_map)
-
-
-def closure_meet_identity_check(alg, spec, max_size=64):
-    """closure(r) meet closure(s) = closure(r meet s), on distributive lattices only."""
-    lat = con_lattice(alg, max_size=max_size)
-    if not is_distributive(lat):
-        return _NOT_DISTRIBUTIVE
-    return _closed_meet_scan(lat, _closure_map(alg, lat, spec))
 
 
 @dataclass(frozen=True)
@@ -128,11 +94,11 @@ def dist_report(alg, spec=None, max_size=64):
     """
     if spec is None:
         spec = SubvarietySpec(alg.sig, (), name="all")
-    closure_map = partial(_closure_map, spec=spec)
-    lat, c, maps = _scan_inputs(alg, max_size, closure_map)
+    lat, c, quotients = _sweep(alg, spec, max_size)
     lattice = is_distributive(lat)
-    image = _meet_scan(lat, _identity_map(alg, lat), maps, _identity_map)
-    axiom7 = _meet_scan(lat, c, maps, closure_map)
+    plain = [(qm, tlat, img, range(len(tlat))) for qm, tlat, img, _tc in quotients]
+    image = _meet_scan(lat, range(len(lat)), plain)
+    axiom7 = _meet_scan(lat, c, quotients)
     closure_meet = _closed_meet_scan(lat, c) if lattice else _NOT_DISTRIBUTIVE
     return DistReport(
         lattice_distributive=lattice,

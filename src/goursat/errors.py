@@ -47,7 +47,7 @@ class CarrierBoundError(RuntimeError):
 
     def __init__(self, n, bound):
         super().__init__(
-            f"carrier size {n} exceeds enumeration bound {bound}; raise the bound to override"
+            f"carrier size {n} exceeds enumeration bound {bound}"
         )
         self.n = n
         self.bound = bound

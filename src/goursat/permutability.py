@@ -57,7 +57,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NotPermutableError
+from .errors import CarrierBoundError, NotPermutableError
 from .relations import composite, require_congruence
 from .terms import _BLOCK_CELLS, App, Var
 from .verdict import Verdict
@@ -350,7 +350,7 @@ class _Orbits:
 def _clone_orbits(alg):
     """The orbits of Aut(alg), or of the part the search found, on A^3; memoised."""
     if alg.n > 255:
-        raise ValueError("clone generation supports carriers up to 255 elements")
+        raise CarrierBoundError(alg.n, 255)
     hit = alg._memo.get("clone_orbits")
     if hit is None:
         hit = alg._memo["clone_orbits"] = _Orbits(alg.n, _automorphism_generators(alg))

@@ -19,7 +19,7 @@ from goursat.closure import (
     roundtrip_check,
 )
 from goursat.corpus import corpus_specs, default_entries, entry_by_name
-from goursat.distributivity import check_axiom7, dist_report, image_meet_check, is_distributive
+from goursat.distributivity import dist_report, is_distributive
 from goursat.permutability import (
     FOUND,
     NONE,
@@ -192,10 +192,9 @@ def test_acceptance_6_distributivity_equivalence():
     for entry in ENTRIES:
         alg = entry.algebra
         lattice = is_distributive(con_lattice(alg))
-        image = image_meet_check(alg)
         spec_all = next(s for s in corpus_specs(alg.sig) if s.name == "all")
-        axiom7 = check_axiom7(alg, spec_all)
-        assert lattice.ok == image.ok == axiom7.ok, entry.name
+        report = dist_report(alg, spec_all)
+        assert lattice.ok == report.image_meet.ok == report.axiom7.ok, entry.name
 
     k4 = entry_by_name("klein4").algebra
     report = dist_report(k4)

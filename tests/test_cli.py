@@ -227,8 +227,16 @@ def test_parse_error_exits_2(files, tmp_path):
     bad_ids = tmp_path / "bad.ids"
     bad_ids.write_text("m(x,x)\n", encoding="utf-8")
     z4, exp2 = files["cyclic_group(4)"], files["exp2"]
+    bad_symbol = tmp_path / "bad_symbol.alg"
+    bad_symbol.write_text("algebra broken\nsize 2\nop 1f 1\n0 1\n", encoding="utf-8")
+    bad_arity = tmp_path / "bad_arity.alg"
+    bad_arity.write_text("algebra broken\nsize 2\nop f -1\n0 1\n", encoding="utf-8")
+    constant256 = tmp_path / "constant256.alg"
+    constant256.write_text("algebra c\nsize 256\nop f 1\n" + "0 " * 256 + "\n", encoding="utf-8")
     _exits_2([
         (("con", str(bad)), "error: line 4: "),
+        (("con", str(bad_symbol)), "error: line 3: bad operation symbol '1f'\n"),
+        (("con", str(bad_arity)), "error: line 3: bad arity for 'f': -1\n"),
         (("closure", z4, "--variety", str(bad_ids)),
          "error: line 1: expected '=', found end of input (at position 6)\n"),
         (("closure", z4, "--variety", exp2, "--rel", "0 1||2 3"),
@@ -238,6 +246,9 @@ def test_parse_error_exits_2(files, tmp_path):
         (("axioms", z4, files["two_elt_lattice"], "--variety", exp2),
          "error: algebra #1 does not match the spec's signature\n"),
         (("con", z4, "--dot", str(tmp_path / "missing" / "x.dot")), "error: [Errno 2]"),
+        # the clone search holds table entries in bytes
+        (("terms", str(constant256), "--search", "hm"),
+         "error: carrier size 256 exceeds enumeration bound 255\n"),
     ])
 
 

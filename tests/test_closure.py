@@ -31,7 +31,7 @@ from goursat.corpus import (
     two_elt_lattice,
     zmod_vnr,
 )
-from goursat.distributivity import check_axiom7, dist_report
+from goursat.distributivity import dist_report
 from goursat.errors import (
     GoursatHypothesisError,
     NotCongruenceError,
@@ -301,7 +301,25 @@ def test_check_axioms_axiom7_not_applicable_without_distributive_input():
 def test_check_axioms_axiom7_agrees_with_check_axiom7(alg):
     for spec in corpus_specs(alg.sig):
         status = check_axioms([alg], spec).entries["7"].status
-        assert (status == PASS) == check_axiom7(alg, spec).ok, spec.name
+        assert (status == PASS) == dist_report(alg, spec).axiom7.ok, spec.name
+
+
+def test_check_axioms_reuses_the_closure_map_of_a_factor(monkeypatch):
+    # On Z4 itself: the closure map of its 3 congruences, and axiom 5's
+    # pull-backs along its 3 quotients, of 3 + 2 + 1 congruences.  The
+    # projections of Z4 x Z4 read the closure map of Z4 already built,
+    # where rebuilding it for each of the two made 15.
+    z4 = cyclic_group(4)
+    calls = []
+    effective = goursat.closure.closure_effective
+
+    def counting(alg, s, spec):
+        calls.append(alg)
+        return effective(alg, s, spec)
+
+    monkeypatch.setattr(goursat.closure, "closure_effective", counting)
+    assert check_axioms([z4], EXP2).ok
+    assert sum(alg is z4 for alg in calls) == 9
 
 
 

@@ -1,9 +1,11 @@
 import pytest
 
 import goursat.closure
-from goursat.closure import SubvarietySpec
+from goursat.algebras import product, quotient
+from goursat.closure import SubvarietySpec, closure_effective
 from goursat.corpus import (
     boolean_ring,
+    corpus_specs,
     cyclic_group,
     default_entries,
     heyting_chain,
@@ -11,14 +13,7 @@ from goursat.corpus import (
     spec_by_name,
     two_elt_lattice,
 )
-from goursat.distributivity import (
-    DistReport,
-    check_axiom7,
-    closure_meet_identity_check,
-    dist_report,
-    image_meet_check,
-    is_distributive,
-)
+from goursat.distributivity import dist_report, is_distributive
 from goursat.relations import Partition, con_lattice, direct_image
 from goursat.verdict import FAIL, NOT_APPLICABLE, PASS
 
@@ -48,7 +43,7 @@ def test_klein4_distributivity_fails_on_the_atom_triple():
 
 
 def test_image_meet_check_on_klein4_returns_the_diagonal_witness():
-    verdict = image_meet_check(K4)
+    verdict = dist_report(K4).image_meet
     assert not verdict.ok
     qm, r, s = verdict.witness
     assert qm.kernel.to_literal() == "0 3|1 2"
@@ -62,14 +57,14 @@ def test_image_meet_check_on_klein4_returns_the_diagonal_witness():
 
 
 def test_image_meet_check_positive_cases():
-    assert image_meet_check(Z4).ok
-    assert image_meet_check(H3).ok
+    assert dist_report(Z4).image_meet.ok
+    assert dist_report(H3).image_meet.ok
 
 
 def test_axiom7_with_whole_category_spec_tracks_image_meet():
-    assert check_axiom7(H3, SubvarietySpec(H3.sig, (), name="all")).ok
-    assert check_axiom7(Z4, SubvarietySpec(Z4.sig, (), name="all")).ok
-    verdict = check_axiom7(K4, SubvarietySpec(K4.sig, (), name="all"))
+    assert dist_report(H3, SubvarietySpec(H3.sig, (), name="all")).axiom7.ok
+    assert dist_report(Z4, SubvarietySpec(Z4.sig, (), name="all")).axiom7.ok
+    verdict = dist_report(K4, SubvarietySpec(K4.sig, (), name="all")).axiom7
     assert not verdict.ok
     qm, r, s = verdict.witness
     assert (qm.kernel.to_literal(), r.to_literal(), s.to_literal()) == (
@@ -81,22 +76,20 @@ def test_axiom7_with_whole_category_spec_tracks_image_meet():
 
 def test_axiom7_with_boolean_spec_on_heyting_chain():
     spec = spec_by_name("boolean-from-heyting", H3.sig)
-    assert check_axiom7(H3, spec).ok
+    assert dist_report(H3, spec).axiom7.ok
 
 
 def test_axiom7_on_one_element_algebra():
-    from goursat.algebras import product
-
     one = product([], sig=Z4.sig)
-    assert check_axiom7(one, SubvarietySpec(one.sig, (), name="all")).ok
+    assert dist_report(one, SubvarietySpec(one.sig, (), name="all")).axiom7.ok
 
 
 def test_closure_meet_identity():
     spec = spec_by_name("boolean-from-heyting", H3.sig)
-    assert closure_meet_identity_check(H3, spec).status == PASS
+    assert dist_report(H3, spec).closure_meet.status == PASS
     exp2 = spec_by_name("exponent-2", Z4.sig)
-    assert closure_meet_identity_check(Z4, exp2).status == PASS
-    status = closure_meet_identity_check(K4, SubvarietySpec(K4.sig, (), name="all"))
+    assert dist_report(Z4, exp2).closure_meet.status == PASS
+    status = dist_report(K4, SubvarietySpec(K4.sig, (), name="all")).closure_meet
     assert status.status == NOT_APPLICABLE
 
 
@@ -133,15 +126,69 @@ def test_dist_report_builds_the_closure_map_of_a_once(monkeypatch):
     report = dist_report(boolean_ring(3), spec)
     assert len(calls) == 35
     assert calls.count("boolean_ring(3)") == 8
-    alg = boolean_ring(3)
-    assert report == DistReport(
-        lattice_distributive=is_distributive(con_lattice(alg)),
-        image_meet=image_meet_check(alg),
-        axiom7=check_axiom7(alg, spec),
-        spec_name="trivial",
-        closure_meet=closure_meet_identity_check(alg, spec),
-    )
+    assert report.spec_name == "trivial"
     assert report.ok and report.closure_meet.status == PASS
+
+
+# A partition-level oracle for the meet scans: every congruence is closed,
+# met and pushed forward as a Partition, with no index map of Con.
+
+
+def _meet_oracle(alg, close):
+    """First (theta, r, s) in (r, s, theta) order with f(c(r meet s)) != c(f(r)) meet c(f(s)).
+
+    f is the quotient map by theta and ``close(B, p)`` the closure of p on B.
+    """
+    cons = con_lattice(alg).congruences
+    for r in cons:
+        for s in cons:
+            for theta in cons:
+                f = quotient(alg, theta)
+                lhs = direct_image(f, close(alg, r.meet(s)))
+                rhs = close(f.target, direct_image(f, r)).meet(close(f.target, direct_image(f, s)))
+                if lhs != rhs:
+                    return theta, r, s
+    return None
+
+
+def _closed_meet_oracle(alg, close):
+    """First (r, s) with c(r) meet c(s) != c(r meet s)."""
+    cons = con_lattice(alg).congruences
+    for r in cons:
+        for s in cons:
+            if close(alg, r).meet(close(alg, s)) != close(alg, r.meet(s)):
+                return r, s
+    return None
+
+
+def _found(verdict):
+    """The failing instance of a scan verdict, quotients by their kernel, or None."""
+    if not verdict.failed:
+        return None
+    return tuple(part.kernel if hasattr(part, "kernel") else part for part in verdict.witness)
+
+
+@pytest.mark.parametrize("entry", default_entries(), ids=lambda entry: entry.name)
+def test_dist_report_matches_the_partition_oracle(entry):
+    alg = entry.algebra
+
+    def identity(_alg, p):
+        return p
+
+    image_meet = _meet_oracle(alg, identity)
+    for spec in [None] + list(corpus_specs(alg.sig)):
+        report = dist_report(alg, spec)
+        spec = spec or SubvarietySpec(alg.sig, (), name="all")
+
+        def close(source, p):
+            return closure_effective(source, p, spec).closure
+
+        assert _found(report.image_meet) == image_meet, spec.name
+        assert _found(report.axiom7) == _meet_oracle(alg, close), spec.name
+        if report.lattice_distributive:
+            assert _found(report.closure_meet) == _closed_meet_oracle(alg, close), spec.name
+        else:
+            assert report.closure_meet.status == NOT_APPLICABLE, spec.name
 
 
 def test_axiom7_under_the_trivial_spec_passes_on_a_nondistributive_lattice():
@@ -203,9 +250,10 @@ def test_meet_scans_report_each_injected_fault(monkeypatch, case):
     name, fault, alg, spec_name, expected = case
     spec = spec_by_name(spec_name, alg.sig)
     monkeypatch.setattr(goursat.closure, name, fault)
+    report = dist_report(alg, spec)
     got = {
-        "axiom7": _outcome(check_axiom7(alg, spec)),
-        "image_meet": _outcome(image_meet_check(alg)),
-        "closure_meet": _outcome(closure_meet_identity_check(alg, spec)),
+        "axiom7": _outcome(report.axiom7),
+        "image_meet": _outcome(report.image_meet),
+        "closure_meet": _outcome(report.closure_meet),
     }
     assert got == expected

@@ -22,7 +22,7 @@ from goursat.corpus import (
     sym3,
     two_elt_lattice,
 )
-from goursat.errors import NotCongruenceError, NotPermutableError
+from goursat.errors import CarrierBoundError, NotCongruenceError, NotPermutableError
 from goursat.permutability import (
     FOUND,
     INCONCLUSIVE,
@@ -550,6 +550,13 @@ def test_contains_is_false_for_out_of_range_entries_and_for_tables_agreeing_only
     forged = list(member)
     forged[cell] = (forged[cell] + 1) % 3
     assert not clone.contains(forged)
+
+
+def test_clone_searches_refuse_carriers_beyond_a_byte():
+    alg = FiniteAlgebra(Signature({"f": 1}), 256, {"f": (0,) * 256}, name="constant256")
+    for search in (find_maltsev_term, find_hm_terms, generate_clone3):
+        with pytest.raises(CarrierBoundError, match="exceeds enumeration bound 255$"):
+            search(alg)
 
 
 def _mirrored(table, arity):
