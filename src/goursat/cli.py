@@ -69,7 +69,8 @@ def _common_flags(sp, max_size=False, clone_cap=False):
                         help="carrier bound for lattice enumeration (default 64)")
     if clone_cap:
         sp.add_argument("--clone-cap", type=_bound(3), default=200_000, metavar="N",
-                        help="table cap for clone generation (default 200000)")
+                        help="cap on the clone tables kept (default 200000); the round "
+                        "that crosses it is still evaluated in full")
 
 
 def _build_parser():

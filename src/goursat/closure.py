@@ -12,25 +12,23 @@ input and its closure.
 check_axioms verifies the closure-operator axiom suite exhaustively on
 finite input; its docstring names the arrows and the witnesses.  One
 sweep per algebra (_sweep, read by dist_report too) gives the closure as
-an index map on Con(A), built by closure_effective, and per theta the
+an index map c on Con(A), built by closure_effective, and per theta the
 direct images along q: A -> A/theta as an index map from Con(A) to
 Con(A/theta) and the target's own closure map, computed on A/theta and
-not derived through A (which would make axiom 5 a tautology).  Axioms 1,
-2, 4 and additivity read the closure map against the tables of Con(A);
-6, 7 and image_join read the image map, the tables of Con(A/theta) and
-the target's closure map.  A quotient (A/theta)/phi has the tables of
-A/psi for psi the pull-back of phi, and shares its memo (the family rule
-of algebras.FiniteAlgebra), so the target's
-closure_effective calls reuse the Con, translations and verbal
-congruences already found on A.  They still run, through the target's
-own quotients and inverse images, so axiom 5 still compares two
-computations: its verdict could change only if birkhoff_congruence
-answered differently on equal tables, and an injected closure_effective,
-birkhoff_congruence or direct_image fault reaches both sides, since
-none of them is memoised here.  Axioms 3 and 5 (pull-backs) stay on
-partitions, since their sources include subalgebras and products, whose
-Con is never enumerated, and so does 6prime, which compares
-verbal congruences.
+not derived through A (which would make axiom 5 a tautology).  Every
+axiom but 6prime, which compares verbal congruences, reads these maps
+against the lattice tables.  Con(A/theta) is the interval [theta, 1] of
+Con(A), so axioms 3 and 5 along q read c at the index of each pull-back,
+found by inverse_image and not by inverting the image map (a faulty
+direct_image fails image_join alone).  A subalgebra or product, whose
+Con is never enumerated, pulls each congruence of A or of a factor back
+and closes it once.  A quotient (A/theta)/phi has the tables of A/psi
+for psi the pull-back of phi and shares its memo (the family rule of
+algebras.FiniteAlgebra), so the target's closure_effective calls reuse
+the Con, translations and verbal congruences found on A.  They still
+run, through the target's own quotients and inverse images, so axiom 5
+compares two computations, and an injected closure_effective or
+birkhoff_congruence fault reaches both, since neither is memoised here.
 """
 
 from dataclasses import dataclass, field
@@ -155,15 +153,11 @@ def closure_goursat(alg, s, spec):
     left = composite(diag, s, diag)
     if not np.array_equal(left, composite(s, diag, s)):
         raise GoursatHypothesisError(
-            "composite closures disagree: D o S o D differs from S o D o S",
-            detail={"input": s.to_literal()},
+            "composite closures disagree: D o S o D differs from S o D o S"
         )
     joined = diag.join(s)
     if not np.array_equal(left, composite(joined)):
-        raise GoursatHypothesisError(
-            "composite D o S o D is not an equivalence relation",
-            detail={"input": s.to_literal()},
-        )
+        raise GoursatHypothesisError("composite D o S o D is not an equivalence relation")
     return ClosureResult(s, joined)
 
 
@@ -250,11 +244,14 @@ def check_axioms(algs, spec, max_size=64):
     subalgebra inclusion of each supplied algebra composed with every
     quotient map, and both projections of A x B for every pair A, B of
     supplied algebras (A = B included) whose product has at most
-    ``max_size`` elements.  Axiom 7 characterizes congruence
-    distributivity, so it is checked only on inputs whose congruence
-    lattice is distributive; each other input is named in ``notes``, and
-    axiom 7 is not applicable when no checked input qualifies.  Algebras
-    larger than ``max_size`` are skipped and named in ``notes``.
+    ``max_size`` elements.  Along a quotient both sides of axioms 3 and 5
+    are read off Con(A) by index; a subalgebra or a product closes each
+    congruence it pulls back once, for every arrow through it.  Axiom 7
+    characterizes congruence distributivity, so it is checked only on
+    inputs whose congruence lattice is distributive; each other input is
+    named in ``notes``, and axiom 7 is not applicable when no checked
+    input qualifies.  Algebras larger than ``max_size`` are skipped and
+    named in ``notes``.
 
     Witnesses are the first violation in enumeration order, so reports
     are deterministic.  Each names the algebra and then:
@@ -269,19 +266,10 @@ def check_axioms(algs, spec, max_size=64):
     notes = []
     checked = []
 
-    def pull_back(source, arrow, tlat, tmap, **fields):
-        """Axiom 3 along arrow from source for each t in tlat, tmap being tlat's closure map.
-
-        Returns the (t, lhs, rhs) instances it checked.
-        """
-        instances = []
-        for t, closed in zip(tlat.congruences, tmap):
-            pulled = inverse_image_by_map(source.n, arrow, t)
-            lhs = closure_effective(source, pulled, spec).closure
-            rhs = inverse_image_by_map(source.n, arrow, tlat.congruences[closed])
-            tracker.record("3", lhs.refines(rhs), **fields, s=t, lhs=lhs, rhs=rhs)
-            instances.append((t, lhs, rhs))
-        return instances
+    def pull_back(source, arrow, lat):
+        """Pull every congruence of lat back along arrow and close each once on source."""
+        pulled = [inverse_image_by_map(source.n, arrow, t) for t in lat.congruences]
+        return pulled, [closure_effective(source, p, spec).closure for p in pulled]
 
     for ai, alg in enumerate(algs):
         if alg.sig != spec.sig:
@@ -315,11 +303,16 @@ def check_axioms(algs, spec, max_size=64):
             )
 
         delta_bar = birkhoff_congruence(alg, spec)
+        ups = []
         for qm, tlat, img, tc in quotients:
             tcons, tmeet, tjoin = tlat.congruences, tlat.meet_table, tlat.join_table
             on_q = partial(record, quotient=qm.kernel)
-            for t, lhs, rhs in pull_back(alg, qm.mapping, tlat, tc, algebra=label, quotient=qm.kernel):
-                on_q("5", lhs == rhs, s=t, lhs=lhs, rhs=rhs)
+            up = [lat.index(inverse_image(qm, t)) for t in tcons]
+            ups.append(up)
+            for t, u, v in zip(tcons, up, tc):
+                lhs, rhs = c[u], up[v]
+                on_q("3", leq[lhs][rhs], s=t, lhs=cons[lhs], rhs=cons[rhs])
+                on_q("5", lhs == rhs, s=t, lhs=cons[lhs], rhs=cons[rhs])
             for s, ci, x in zip(cons, c, img):
                 on_q("6", img[ci] == tc[x], s=s, lhs=tcons[img[ci]], rhs=tcons[tc[x]])
             lhs, rhs = direct_image(qm, delta_bar), birkhoff_congruence(qm.target, spec)
@@ -337,20 +330,24 @@ def check_axioms(algs, spec, max_size=64):
             if len(universe) == alg.n:
                 continue
             sub, embed = subalgebra(alg, universe)
-            elements = " ".join(map(str, sorted(universe)))
-            for qm, tlat, _img, tc in quotients:
-                arrow = [qm.mapping[e] for e in embed]
-                pull_back(sub, arrow, tlat, tc, algebra=label, subuniverse=elements,
-                          quotient=qm.kernel)
+            on_sub = partial(record, subuniverse=" ".join(map(str, sorted(universe))))
+            pulled, closed = pull_back(sub, embed, lat)
+            for (qm, tlat, _img, tc), up in zip(quotients, ups):
+                for t, u, v in zip(tlat.congruences, up, tc):
+                    lhs, rhs = closed[u], pulled[up[v]]
+                    on_sub("3", lhs.refines(rhs), quotient=qm.kernel, s=t, lhs=lhs, rhs=rhs)
 
-    # Product projections: pull a factor's congruences back along its sweep's closure map.
+    # Product projections: read each factor's congruences against its sweep's closure map.
     for ai, (first, flat, fc) in enumerate(checked):
         for second, slat, sc in checked[ai:]:
             if first.n * second.n > max_size:
                 continue
             prod, pmaps = projections([first, second])
             for side, (pm, tlat, tc) in enumerate(zip(pmaps, (flat, slat), (fc, sc))):
-                pull_back(prod, pm.mapping, tlat, tc, algebra=prod.name, projection=str(side))
+                pulled, closed = pull_back(prod, pm.mapping, tlat)
+                for t, lhs, v in zip(tlat.congruences, closed, tc):
+                    tracker.record("3", lhs.refines(pulled[v]), algebra=prod.name,
+                                   projection=str(side), s=t, lhs=lhs, rhs=pulled[v])
 
     entries = tracker.statuses(skipped_all=bool(algs) and not checked)
     return AxiomReport(entries=entries, notes=notes)

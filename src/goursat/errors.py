@@ -56,11 +56,6 @@ class CarrierBoundError(RuntimeError):
 class NotPermutableError(ValueError):
     """An operation that requires a permutable pair was given one that is not."""
 
-    def __init__(self, message, r=None, s=None):
-        super().__init__(message)
-        self.r = r
-        self.s = s
-
 
 class GoursatHypothesisError(RuntimeError):
     """The composite-based closure formula broke down on this algebra.
@@ -69,7 +64,3 @@ class GoursatHypothesisError(RuntimeError):
     relation (under the 3-permutability hypothesis) is not, or when the
     two composite forms disagree.
     """
-
-    def __init__(self, message, detail=None):
-        super().__init__(message)
-        self.detail = detail

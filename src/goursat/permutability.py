@@ -101,7 +101,7 @@ def goursat_join_check(alg, r, s):
     level = permutability_level(alg, r, s)
     if level == NEITHER:
         raise NotPermutableError(
-            "pair is not 3-permutable, the composite join formula does not apply", r, s
+            "pair is not 3-permutable, the composite join formula does not apply"
         )
     comp = composite(r, s, r)
     join = composite(r.join(s))
@@ -517,7 +517,12 @@ def _clone_rounds(alg, cap):
 
 
 def generate_clone3(alg, cap=200_000):
-    """Run the clone BFS to its fixpoint (or the table cap)."""
+    """Run the clone BFS to its fixpoint (or the table cap).
+
+    The cap bounds the tables kept, not the work: the round that crosses
+    it is still evaluated in full before the tables past the cap are
+    dropped.
+    """
     for arrays, index, derivations, _new, done, complete in _clone_rounds(alg, cap):
         if done:
             return CloneResult(_clone_orbits(alg), arrays, index, derivations, complete)
@@ -561,6 +566,8 @@ def find_maltsev_term(alg, cap=200_000):
 
     Returns the first witness in (depth, lexicographic table) order; a
     definitive ``none`` only at clone fixpoint, ``inconclusive`` at cap.
+    The cap bounds the tables kept, as in generate_clone3: the round that
+    crosses it is still evaluated in full.
     """
     i_xyy, i_xxy, want_x, want_y = _maltsev_masks(alg)
     for arrays, _index, derivations, new_ids, done, complete in _clone_rounds(alg, cap):
@@ -579,7 +586,9 @@ def find_hm_terms(alg, cap=200_000):
     """Search for tables p, q with p(x,y,y)=x, q(x,x,y)=y and p(x,x,y)=q(x,y,y).
 
     The returned pair is the one minimizing (p id, q id) at the first
-    BFS depth admitting any valid pair.
+    BFS depth admitting any valid pair.  The cap bounds the tables kept,
+    as in generate_clone3: the round that crosses it is still evaluated
+    in full.
     """
     i_xyy, i_xxy, want_x, want_y = _maltsev_masks(alg)
     p_keys = []  # (id, p(x,x,y) bytes) of every table with p(x,y,y)=x, ids ascending

@@ -2,8 +2,9 @@
 
 Everything here is deliberately naive: set-based relational composition,
 equivalence joins, raw and closed images and pull-backs on explicit pair
-sets, the pair set of a boolean matrix, enumeration of all partitions via
-restricted growth strings, a from-the-definition compatibility check, the
+sets, axiom 3's instances along one arrow as pair sets, the pair set of
+a boolean matrix, enumeration of all partitions via restricted growth
+strings, a from-the-definition compatibility check, the
 scalar congruence witness scan, a scalar subuniverse closure, the
 subuniverses as closures of every small seed, subalgebra tables built
 one scalar apply per argument tuple, mixed-radix product coordinates,
@@ -66,6 +67,19 @@ def pullback_pairs(mapping, t_pairs):
     """{(a, b) : (m(a), m(b)) in t} over the domain of the map."""
     n = len(mapping)
     return {(a, b) for a in range(n) for b in range(n) if (mapping[a], mapping[b]) in t_pairs}
+
+
+def pull_back_instances(mapping, targets, close_source, close_target):
+    """Axiom 3 along one arrow m, one instance per target relation t, in order.
+
+    Each instance is the pair (closure of m^-1 t, m^-1 of the closure of t),
+    every relation a pair set; ``close_source`` and ``close_target`` close a
+    pair set on the arrow's source and on its target.
+    """
+    return [
+        (close_source(pullback_pairs(mapping, t)), pullback_pairs(mapping, close_target(t)))
+        for t in targets
+    ]
 
 
 def naive_subuniverse(alg, seed):

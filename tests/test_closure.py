@@ -1,3 +1,4 @@
+from collections import Counter
 from functools import partial, reduce
 
 import pytest
@@ -6,10 +7,11 @@ from hypothesis import strategies as st
 
 import goursat.closure
 import goursat.terms
-from goursat.algebras import FiniteAlgebra, quotient
+from goursat.algebras import FiniteAlgebra, all_subuniverses, projections, quotient, subalgebra
 from goursat.closure import (
     ClosureResult,
     SubvarietySpec,
+    _AxiomTracker,
     birkhoff_congruence,
     check_axioms,
     closure_effective,
@@ -41,7 +43,14 @@ from goursat.relations import Partition, con_lattice, congruence_generated, is_c
 from goursat.terms import Identity, Signature, parse_identity, satisfies_identity
 from goursat.verdict import NOT_APPLICABLE, PASS
 
-from oracles import brute_force_congruences, meet_blocks, naive_satisfies, naive_verbal_pairs
+from oracles import (
+    brute_force_congruences,
+    label_pairs,
+    meet_blocks,
+    naive_satisfies,
+    naive_verbal_pairs,
+    pull_back_instances,
+)
 from test_relations import NULLARY_ONLY, ONE_ELEMENT, small_algebras
 from test_terms import _sig_terms
 
@@ -305,22 +314,94 @@ def test_check_axioms_axiom7_agrees_with_check_axiom7(alg):
 
 
 def test_check_axioms_reuses_the_closure_map_of_a_factor(monkeypatch):
-    # On Z4 itself: the closure map of its 3 congruences, and axiom 5's
-    # pull-backs along its 3 quotients, of 3 + 2 + 1 congruences.  The
-    # projections of Z4 x Z4 read the closure map of Z4 already built,
-    # where rebuilding it for each of the two made 15.
+    # Each source closes each congruence it pulls back once.  Z4 itself
+    # closes its 3 congruences, and its pull-backs along every quotient are
+    # read off that closure map; each proper subalgebra closes the pull-backs
+    # of those 3 along its inclusion, whatever the quotient after it; each
+    # projection of Z4 x Z4 closes the pull-backs of the 3 congruences of
+    # its factor, whose closure map is the one already built for Z4.  Each
+    # quotient Z4/theta builds its own closure map, on its own congruences.
     z4 = cyclic_group(4)
-    calls = []
+    calls = Counter()
     effective = goursat.closure.closure_effective
 
     def counting(alg, s, spec):
-        calls.append(alg)
+        calls[alg.name] += 1
         return effective(alg, s, spec)
 
     monkeypatch.setattr(goursat.closure, "closure_effective", counting)
     assert check_axioms([z4], EXP2).ok
-    assert sum(alg is z4 for alg in calls) == 9
+    assert calls == {
+        "cyclic_group(4)": 3,
+        "cyclic_group(4)|{0}": 3,
+        "cyclic_group(4)|{0 2}": 3,
+        "cyclic_group(4)xcyclic_group(4)": 6,
+        "cyclic_group(4)/0|1|2|3": 3,
+        "cyclic_group(4)/0 2|1 3": 2,
+        "cyclic_group(4)/0 1 2 3": 1,
+    }
 
+
+def _as_pairs(fields):
+    return {name: label_pairs(value.index_of) if isinstance(value, Partition) else value
+            for name, value in fields.items()}
+
+
+def _pair_closure(alg, spec):
+    """closure_effective on alg, from a pair set to a pair set."""
+    def close(pairs):
+        labels = list(range(alg.n))
+        for a, b in pairs:
+            labels[a] = min(labels[a], b)
+        closure = closure_effective(alg, Partition.from_labels(alg.n, labels), spec).closure
+        return label_pairs(closure.index_of)
+    return close
+
+
+@pytest.mark.parametrize("entry", default_entries(), ids=lambda entry: entry.algebra.name)
+def test_check_axioms_pull_backs_match_the_per_arrow_oracle(monkeypatch, entry):
+    # check_axioms reads the pull-backs of axioms 3 and 5 along quotients off
+    # Con(A) and closes each pulled congruence once per source; the oracle
+    # pulls back and closes every instance along each arrow on its own.
+    alg = entry.algebra
+    record = _AxiomTracker.record
+    seen = []
+
+    def spying(self, key, ok, **fields):
+        if key in ("3", "5"):
+            seen.append((key, ok, _as_pairs(fields)))
+        record(self, key, ok, **fields)
+
+    monkeypatch.setattr(_AxiomTracker, "record", spying)
+    # (source, map, target, witness fields, axioms) per arrow, in check_axioms' order
+    quotients = [quotient(alg, theta) for theta in con_lattice(alg).congruences]
+    arrows = [(alg, qm.mapping, qm.target, {"algebra": alg.name, "quotient": qm.kernel}, "35")
+              for qm in quotients]
+    for universe in all_subuniverses(alg):
+        if len(universe) < alg.n:
+            sub, embed = subalgebra(alg, universe)
+            elements = " ".join(map(str, sorted(universe)))
+            arrows += [(sub, [qm.mapping[e] for e in embed], qm.target,
+                        {"algebra": alg.name, "subuniverse": elements, "quotient": qm.kernel}, "3")
+                       for qm in quotients]
+    if alg.n * alg.n <= 64:
+        prod, pmaps = projections([alg, alg])
+        arrows += [(prod, pm.mapping, alg, {"algebra": prod.name, "projection": str(side)}, "3")
+                   for side, pm in enumerate(pmaps)]
+
+    for spec in corpus_specs(alg.sig):
+        seen.clear()
+        check_axioms([alg], spec)
+        expected = []
+        for source, mapping, target, fields, axioms in arrows:
+            targets = [label_pairs(t.index_of) for t in con_lattice(target).congruences]
+            instances = pull_back_instances(
+                mapping, targets, _pair_closure(source, spec), _pair_closure(target, spec))
+            for t, (lhs, rhs) in zip(targets, instances):
+                for key in axioms:
+                    ok = lhs <= rhs if key == "3" else lhs == rhs
+                    expected.append((key, ok, dict(_as_pairs(fields), s=t, lhs=lhs, rhs=rhs)))
+        assert seen == expected, spec.name
 
 
 # Negative controls: each case injects one fault into goursat.closure and pins
