@@ -34,13 +34,11 @@ from .errors import (
     CarrierBoundError,
     GoursatHypothesisError,
     NotCongruenceError,
-    NotPermutableError,
     ParseError,
     SignatureMismatchError,
 )
 from .permutability import (
     FOUND,
-    NEITHER,
     NONE,
     find_hm_terms,
     find_maltsev_term,
@@ -210,14 +208,14 @@ def cmd_perm(args):
     ok = True
     for i in range(len(cons)):
         for j in range(i, len(cons)):
-            try:
-                verdict = goursat_join_check(alg, cons[i], cons[j])
-            except NotPermutableError:
-                level, joinres, ok = NEITHER, "skipped", False
+            verdict = goursat_join_check(alg, cons[i], cons[j])
+            level, ok = verdict.note, ok and bool(verdict)
+            if verdict.ok is None:
+                joinres = "skipped"
+            elif verdict.ok:
+                joinres = "pass"
             else:
-                level = verdict.note
-                joinres = "pass" if verdict.ok else f"fail witness={verdict.witness}"
-                ok = ok and verdict.ok
+                joinres = f"fail witness={verdict.witness}"
             pair = f"  pair [{cons[i].to_literal()}] [{cons[j].to_literal()}]"
             records.append((f"perm.{i}.{j}", level, f"{pair} level={level} join-formula={joinres}"))
             records.append((f"goursat_join.{i}.{j}", joinres, None))

@@ -6,8 +6,11 @@ take on A; A/D is the reflection into the subvariety.  Two closure
 constructions are implemented and cross-checked: pulling D of A/S back
 along q: A -> A/S (closure_effective) and the composite formula
 closure(S) = D o S o D = S o D o S (closure_goursat, valid on
-3-permutable algebras).  Both return a ClosureResult holding only the
-input and its closure.
+3-permutable algebras), which is the join formula that
+permutability.goursat_join_check tests for the pair (D, S).  Both return
+a ClosureResult holding only the input and its closure.  The closed
+congruences are the fixed points of the closure map, so roundtrip_check
+reads the bijection with reflections off the same sweep as the axioms.
 
 check_axioms verifies the closure-operator axiom suite exhaustively on
 finite input; its docstring names the arrows and the witnesses.  One
@@ -32,15 +35,13 @@ birkhoff_congruence fault reaches both, since neither is memoised here.
 """
 
 from dataclasses import dataclass, field
-from functools import partial
-
-import numpy as np
+from functools import partial, reduce
 
 from .algebras import all_subuniverses, projections, quotient, subalgebra
 from .errors import GoursatHypothesisError, SignatureMismatchError
+from .permutability import goursat_join_check
 from .relations import (
     Partition,
-    composite,
     con_lattice,
     congruence_generated,
     direct_image,
@@ -134,31 +135,27 @@ def closure_effective(alg, s, spec):
 
 
 def closure_goursat(alg, s, spec):
-    """Closure via raw composites D o S o D = S o D o S, no closure step.
+    """Closure by the composite formula D o S o D = S o D o S, no closure step.
 
-    The result is a congruence by construction: a composite of compatible
-    relations is compatible, and the composite is checked to be an
-    equivalence.  D o S o D lies in D join S and contains D and S, so it
-    is an equivalence exactly when it equals that join, which is then the
-    closure.  When the two composites agree, D o S o D is transitive (its
-    square is D o (S o D o S) o D), so the second check always passes
-    and a failure there means a fault in ``composite``.  It is not
-    compared with closure_effective here; the CLI and the acceptance
-    suite do that.  Raises GoursatHypothesisError when the composites
-    disagree or fail to be an equivalence relation, which refutes
-    3-permutability for this algebra.
+    This is the 3-permutable join formula r o s o r = r join s for the
+    pair (D, S), so the composite test is ``goursat_join_check``'s.  When
+    the pair 3-permutes and D o S o D equals D join S, that join is the
+    closure.  It is not compared with closure_effective here; the CLI
+    and the acceptance suite do that.  Raises GoursatHypothesisError when
+    the pair does not 3-permute (the composites disagree), which refutes
+    3-permutability for this algebra, or when D o S o D is not the join,
+    which means a fault in ``composite``.
     """
     require_congruence(alg, s)
     diag = birkhoff_congruence(alg, spec)
-    left = composite(diag, s, diag)
-    if not np.array_equal(left, composite(s, diag, s)):
+    verdict = goursat_join_check(alg, diag, s)
+    if verdict.ok is None:
         raise GoursatHypothesisError(
             "composite closures disagree: D o S o D differs from S o D o S"
         )
-    joined = diag.join(s)
-    if not np.array_equal(left, composite(joined)):
+    if not verdict.ok:
         raise GoursatHypothesisError("composite D o S o D is not an equivalence relation")
-    return ClosureResult(s, joined)
+    return ClosureResult(s, diag.join(s))
 
 
 AXIOM_KEYS = ("1", "2", "3", "4", "5", "6", "6prime", "7", "additivity", "image_join")
@@ -250,8 +247,8 @@ def check_axioms(algs, spec, max_size=64):
     characterizes congruence distributivity, so it is checked only on
     inputs whose congruence lattice is distributive; each other input is
     named in ``notes``, and axiom 7 is not applicable when no checked
-    input qualifies.  Algebras larger than ``max_size`` are skipped and
-    named in ``notes``.
+    input qualifies.  Algebras and products larger than ``max_size`` are
+    skipped and named in ``notes``.
 
     Witnesses are the first violation in enumeration order, so reports
     are deterministic.  Each names the algebra and then:
@@ -281,7 +278,7 @@ def check_axioms(algs, spec, max_size=64):
             notes.append(f"skipped {label}: carrier {alg.n} exceeds bound {max_size}")
             continue
         lat, c, quotients = _sweep(alg, spec, max_size)
-        checked.append((alg, lat, c))
+        checked.append((alg, lat, c, label))
         cons, leq, meet, join = lat.congruences, lat.leq, lat.meet_table, lat.join_table
         record = partial(tracker.record, algebra=label)
 
@@ -338,9 +335,11 @@ def check_axioms(algs, spec, max_size=64):
                     on_sub("3", lhs.refines(rhs), quotient=qm.kernel, s=t, lhs=lhs, rhs=rhs)
 
     # Product projections: read each factor's congruences against its sweep's closure map.
-    for ai, (first, flat, fc) in enumerate(checked):
-        for second, slat, sc in checked[ai:]:
+    for ai, (first, flat, fc, flabel) in enumerate(checked):
+        for second, slat, sc, slabel in checked[ai:]:
             if first.n * second.n > max_size:
+                notes.append(f"skipped the projections of {flabel}x{slabel}: "
+                             f"carrier {first.n * second.n} exceeds bound {max_size}")
                 continue
             prod, pmaps = projections([first, second])
             for side, (pm, tlat, tc) in enumerate(zip(pmaps, (flat, slat), (fc, sc))):
@@ -358,9 +357,11 @@ def roundtrip_check(alg, spec):
 
     (a) the reflection target has a closed diagonal; (b) for every
     congruence s, the verbal congruence of alg/s rederived from the
-    membership predicate "diagonal closed" (the meet of the congruences
-    of alg/s whose quotient has a closed diagonal) is one of them and
-    agrees with the direct construction.
+    membership predicate "diagonal closed" is one of the congruences it
+    was derived from and agrees with the direct construction.  A
+    congruence t of alg/s has a closed diagonal on (alg/s)/t exactly
+    when t is a fixed point of the closure map of alg/s, so (b) reads the
+    fixed points off ``_sweep`` and derives their meet.
     """
     target = reflect(alg, spec).target
     if birkhoff_congruence(target, spec) != Partition.discrete(target.n):
@@ -369,24 +370,18 @@ def roundtrip_check(alg, spec):
             witness={"part": "a", "detail": "reflection target has a non-closed diagonal"},
         )
 
-    for s in con_lattice(alg).congruences:
-        qm = quotient(alg, s)
+    lat, _c, quotients = _sweep(alg, spec, 64)
+    for s, (qm, tlat, _img, tc) in zip(lat.congruences, quotients):
+        closed = [t for t, u in enumerate(tc) if u == t]
+        derived = reduce(lambda a, b: tlat.meet_table[a][b], closed)
         direct = birkhoff_congruence(qm.target, spec)
-        qualifying = []
-        for t in con_lattice(qm.target).congruences:
-            image = quotient(qm.target, t).target
-            if birkhoff_congruence(image, spec) == Partition.discrete(image.n):
-                qualifying.append(t)
-        derived = qualifying[0]
-        for t in qualifying[1:]:
-            derived = derived.meet(t)
-        if derived not in qualifying or derived != direct:
+        if tc[derived] != derived or tlat.congruences[derived] != direct:
             return Verdict(
                 False,
                 witness={
                     "part": "b",
                     "s": s.to_literal(),
-                    "derived": derived.to_literal(),
+                    "derived": tlat.congruences[derived].to_literal(),
                     "direct": direct.to_literal(),
                 },
             )

@@ -347,7 +347,7 @@ class EntryCheck:
         return not self.problems
 
 
-def verify_entry(entry, clone_cap=200_000):
+def verify_entry(entry):
     """Run the structural checks promised by an entry's tags."""
     alg = entry.algebra
     problems, notes = [], []
@@ -359,7 +359,7 @@ def verify_entry(entry, clone_cap=200_000):
             levels[(i, j)] = permutability_level(alg, cons[i], cons[j])
 
     if "maltsev" in entry.tags:
-        outcome = find_maltsev_term(alg, cap=clone_cap)
+        outcome = find_maltsev_term(alg)
         if outcome.status != FOUND:
             problems.append(f"maltsev tag: term search returned {outcome.status}")
         elif not maltsev_identities_hold(alg.n, outcome.witness.table):
@@ -368,7 +368,7 @@ def verify_entry(entry, clone_cap=200_000):
             problems.append("maltsev tag: some congruence pair does not 2-permute")
 
     if "goursat" in entry.tags:
-        outcome = find_hm_terms(alg, cap=clone_cap)
+        outcome = find_hm_terms(alg)
         if outcome.status != FOUND:
             problems.append(f"goursat tag: two-term search returned {outcome.status}")
         else:
@@ -385,8 +385,8 @@ def verify_entry(entry, clone_cap=200_000):
             notes.append("vacuous: every congruence pair 2-permutes on this instance")
 
     if "neither" in entry.tags:
-        m = find_maltsev_term(alg, cap=clone_cap)
-        h = find_hm_terms(alg, cap=clone_cap)
+        m = find_maltsev_term(alg)
+        h = find_hm_terms(alg)
         if m.status != NONE:
             problems.append(f"neither tag: one-term search returned {m.status}")
         if h.status != NONE:

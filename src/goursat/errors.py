@@ -53,10 +53,6 @@ class CarrierBoundError(RuntimeError):
         self.bound = bound
 
 
-class NotPermutableError(ValueError):
-    """An operation that requires a permutable pair was given one that is not."""
-
-
 class GoursatHypothesisError(RuntimeError):
     """The composite-based closure formula broke down on this algebra.
 

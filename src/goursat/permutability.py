@@ -57,7 +57,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import CarrierBoundError, NotPermutableError
+from .errors import CarrierBoundError
 from .relations import composite, require_congruence
 from .terms import _BLOCK_CELLS, App, Var
 from .verdict import Verdict
@@ -95,20 +95,18 @@ def goursat_join_check(alg, r, s):
     At level ``two`` or ``three``, r o s o r = s o r o s makes r o s o r
     transitive (its square is r o (s o r o s) o r = r o s o r), and it
     contains r and s, so it equals their join.  A failure therefore
-    means a fault in ``composite``; the witness is the least pair of the
-    join missing from the composite.
+    means a fault in ``composite``; the witness is the least pair on
+    which the composite and the join differ.  At level ``neither`` the
+    formula does not apply: the verdict is not applicable, with the
+    note ``neither``.  Otherwise the note is the level.
     """
     level = permutability_level(alg, r, s)
     if level == NEITHER:
-        raise NotPermutableError(
-            "pair is not 3-permutable, the composite join formula does not apply"
-        )
-    comp = composite(r, s, r)
-    join = composite(r.join(s))
-    if np.array_equal(comp, join):
+        return Verdict(None, note=NEITHER)
+    differ = np.argwhere(composite(r, s, r) != composite(r.join(s)))
+    if not len(differ):
         return Verdict(True, note=level)
-    a, b = np.argwhere(join & ~comp)[0].tolist()
-    return Verdict(False, witness=(a, b), note=level)
+    return Verdict(False, witness=tuple(differ[0].tolist()), note=level)
 
 
 @dataclass(frozen=True)

@@ -34,6 +34,15 @@ from goursat.corpus import (
     zmod_vnr,
 )
 from goursat.distributivity import dist_report
+from goursat.permutability import (
+    NONE,
+    THREE,
+    TWO,
+    SearchOutcome,
+    find_hm_terms,
+    goursat_join_check,
+    permutability_level,
+)
 from goursat.errors import (
     GoursatHypothesisError,
     NotCongruenceError,
@@ -220,6 +229,35 @@ def test_closure_goursat_refutes_three_permutability_on_a_unary_algebra():
     assert [st.status for st in report.entries.values()] == ["pass"] * len(report.entries)
 
 
+# g3: f(x, y) is 1 when x = 1 and 2 otherwise.  Under commutativity the
+# pair (D, S) = (0|1 2, 0 2|1) 3-permutes without permuting, so
+# closure_goursat reads the composite formula at level three.  g3 has no
+# Hagemann-Mitschke terms; the formula holds all the same, since any two
+# equivalences on three points 3-permute.
+G3 = FiniteAlgebra(Signature({"f": 2}), 3, {"f": (2, 2, 2, 1, 1, 1, 2, 2, 2)}, name="g3")
+
+
+def test_closure_goursat_at_level_three(monkeypatch):
+    spec = _spec(G3, "f(x,y) = f(y,x)")
+    diag = birkhoff_congruence(G3, spec)
+    assert diag.to_literal() == "0|1 2"
+    assert permutability_level(G3, diag, Partition.from_literal("0 2|1", 3)) == THREE
+    levels = []
+
+    def recording(alg, r, s):
+        verdict = goursat_join_check(alg, r, s)
+        levels.append(verdict.note)
+        return verdict
+
+    monkeypatch.setattr(goursat.closure, "goursat_join_check", recording)
+    cons = con_lattice(G3).congruences
+    assert len(cons) == 4
+    for s in cons:
+        assert closure_goursat(G3, s, spec) == closure_effective(G3, s, spec)
+    assert levels == [TWO, TWO, THREE, TWO]
+    assert find_hm_terms(G3) == SearchOutcome(NONE, explored=6)
+
+
 def test_closure_with_empty_spec_is_the_identity_operator():
     for alg in (Z4, heyting_chain(3)):
         spec = SubvarietySpec(alg.sig, (), name="all")
@@ -281,6 +319,15 @@ def test_check_axioms_carrier_bound_marks_not_applicable():
     assert any("skipped" in note for note in report.notes)
     assert report.ok  # a skip is not a failure, and the skip is reported
     assert report.entries["7"].note == "carrier bound exceeded"
+
+
+def test_check_axioms_names_each_skipped_product():
+    report = check_axioms([Z4, Z8], EXP2, max_size=16)
+    assert report.ok
+    assert report.notes == [
+        "skipped the projections of cyclic_group(4)xcyclic_group(8): carrier 32 exceeds bound 16",
+        "skipped the projections of cyclic_group(8)xcyclic_group(8): carrier 64 exceeds bound 16",
+    ]
 
 
 def test_check_axioms_on_no_algebras_has_nothing_to_check():

@@ -22,7 +22,7 @@ from goursat.corpus import (
     sym3,
     two_elt_lattice,
 )
-from goursat.errors import CarrierBoundError, NotCongruenceError, NotPermutableError
+from goursat.errors import CarrierBoundError, NotCongruenceError
 from goursat.permutability import (
     FOUND,
     INCONCLUSIVE,
@@ -81,8 +81,7 @@ def test_four_chain_has_a_non_three_permutable_pair():
     a = Partition.from_literal("0 1|2 3", 4)
     b = Partition.from_literal("0|1 2|3", 4)
     assert permutability_level(l4, a, b) == NEITHER
-    with pytest.raises(NotPermutableError):
-        goursat_join_check(l4, a, b)
+    assert goursat_join_check(l4, a, b) == Verdict(None, note=NEITHER)
 
 
 def test_permutability_level_rejects_non_congruences():
@@ -119,11 +118,11 @@ def _levels_match_the_oracle(alg):
         for s in cons:
             level = _oracle_level(r, s)
             assert permutability_level(alg, r, s) == level, (r, s)
+            verdict = goursat_join_check(alg, r, s)
             if level == NEITHER:
-                with pytest.raises(NotPermutableError):
-                    goursat_join_check(alg, r, s)
+                assert verdict == Verdict(None, note=NEITHER), (r, s)
             else:
-                assert goursat_join_check(alg, r, s).note == level, (r, s)
+                assert verdict.note == level, (r, s)
             seen.add(level)
     return seen
 
@@ -154,6 +153,33 @@ def test_goursat_join_check_witness_is_a_pair_of_plain_ints(monkeypatch):
     verdict = goursat_join_check(K4, KERP1, KERP2)
     assert verdict == Verdict(False, witness=(1, 2), note=TWO)
     assert all(type(x) is int for x in verdict.witness)
+
+
+def test_goursat_join_check_reports_a_pair_the_join_lacks(monkeypatch):
+    # a composite that adds a pair is caught too: the witness is the least
+    # pair on which the composite and the join differ, here (0, n - 1)
+    alg = implication_from_boolean(2)
+    n = alg.n
+
+    def composite_with_0_last(*parts):
+        mat = composite(*parts)
+        if len(parts) == 3:
+            mat[0, n - 1] = True
+        return mat
+
+    monkeypatch.setattr(permutability, "composite", composite_with_0_last)
+    cons = con_lattice(alg).congruences
+    failed = 0
+    for r in cons:
+        for s in cons:
+            verdict = goursat_join_check(alg, r, s)
+            joined = r.join(s)
+            if joined.index_of[0] == joined.index_of[n - 1]:
+                assert verdict == Verdict(True, note=TWO), (r, s)
+            else:
+                assert verdict == Verdict(False, witness=(0, n - 1), note=TWO), (r, s)
+                failed += 1
+    assert failed == 7
 
 
 # -- clone generation -----------------------------------------------------------
