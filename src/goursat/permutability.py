@@ -6,7 +6,7 @@ application of the algebra's basic operations.  Tables are deduplicated
 by content; within a round, new tables get ids in lexicographic table
 order, which fixes every witness choice.
 
-The BFS uses two exact symmetries of A.
+The BFS uses three exact symmetries of A.
 
 Orbit representatives.  A term operation t commutes with every
 automorphism s of A: t(sx, sy, sz) = s t(x, y, z).  So t is fixed by its
@@ -28,6 +28,33 @@ automorphisms already found, and the search stops after n**3 candidate
 images, the cells of one full table.  Any group gives an exact
 reduction, so a search cut short only costs compression.  Witnesses and
 ``CloneResult`` expand tables back to all n**3 cells.
+
+Isomorphic subalgebras.  A term operation commutes with every
+homomorphism h from a subalgebra of A into A, not only with the
+automorphisms: t(hx, hy, hz) = h t(x, y, z).  Let Sg(c) be the
+subalgebra generated by the entries of the cell c and the constants.
+When ci -> c'i extends to an isomorphism phi: Sg(c) -> Sg(c'), every
+term t has t(c) in Sg(c) and t(c') = phi(t(c)).  So the least cells the
+orbits keep are merged further, two cells whenever their generated
+subalgebras are isomorphic this way, and R becomes the least cell of
+each class; ``expand`` fills each merged cell c' as phi(t(c)) from its
+representative c before it runs the orbit tree.  The proof above
+carries over: were c' the first cell where two term tables differ, with
+c < c' its representative, the tables would agree at c and so at c'.
+phi is injective and sends each ci to c'i, so merged cells have the
+same equal entries, and the cells (x,y,y) and (x,x,y) stay unions of
+classes.  (a,b,b) and (a',b',b') merge exactly when (a,a,b) and
+(a',a',b') do, since both say that a -> a', b -> b' extends to an
+isomorphism Sg(a, b) -> Sg(a', b'); so the representatives of both kinds
+still belong to the same pairs (a,b) in the same order, and the Maltsev
+masks and the Hagemann-Mitschke pairing are unchanged.
+``_pointed_classes`` decides isomorphism by a canonical code per cell,
+for all representatives at once.  It drops a cell that generates A,
+which is related to others only by automorphisms, and a cell whose
+subalgebra grows past a bound that caps the pass's cost; a cell left
+unmerged only costs compression.  Whether a cell is dropped depends
+only on its code after the labels of its three entries, which (a,b,b)
+and (a,a,b) share, so the pairing holds for dropped cells too.
 
 Mirrored pairs.  For a binary operation with a symmetric table, the
 pair (j, i) gives the table of (i, j), which comes earlier in the same
@@ -127,7 +154,7 @@ class SearchOutcome:
         return self.status == FOUND
 
 
-# -- automorphisms and the orbits of A^3 -------------------------------------------
+# -- automorphisms, isomorphic subalgebras and the classes of A^3 ---------------------
 
 
 def _compact(codes):
@@ -291,10 +318,13 @@ def _automorphism_generators(alg):
 class _Orbits:
     """The orbits of the group generated by gens, automorphisms of A, on the cells of A^3.
 
-    ``reps`` holds the least cell of each orbit, ascending.  ``expand``
-    rebuilds full tables from their values on reps along a breadth-first
-    tree of each orbit: a cell c = s(parent) with s a generator takes the
-    value s(t(parent)).
+    ``reps`` holds the least cell of each orbit, ascending, until
+    ``merge_isomorphic`` narrows it to the least cell of each class of
+    cells with isomorphic generated subalgebras.  ``expand`` rebuilds
+    full tables from their values on reps: a merged cell c takes the
+    value phi(t(r)) from its representative r, and then, along a
+    breadth-first tree of each orbit, a cell c = s(parent) with s a
+    generator takes the value s(t(parent)).
     """
 
     def __init__(self, n, gens):
@@ -302,6 +332,7 @@ class _Orbits:
         size = n**3
         self._perms = np.array(gens, dtype=np.uint8).reshape(len(gens), n)
         self._tree = []  # (cells, parents, generator index), parents always earlier
+        self._merged = None  # (cells, their representatives in reps, their maps phi)
         if not gens:
             self.reps = np.arange(size)
             return
@@ -336,29 +367,164 @@ class _Orbits:
                 break
             frontier = np.concatenate(reached)
 
+    def merge_isomorphic(self, alg):
+        """Narrow reps to the least cell of each class of ``_pointed_classes``."""
+        source, maps = _pointed_classes(alg, self.reps)
+        merged = source != self.reps
+        if merged.any():
+            self._merged = (self.reps[merged], source[merged], maps.reshape(-1))
+            self.reps = self.reps[~merged]
+
     def expand(self, rows):
         """Full uint8 tables from tables restricted to reps (the last axis)."""
         full = np.empty(rows.shape[:-1] + (self.n**3,), dtype=np.uint8)
         full[..., self.reps] = rows
+        if self._merged is not None:
+            cells, sources, maps = self._merged
+            # phi(t(r)), with the phi of cells[k] at k * n in maps
+            full[..., cells] = maps[full[..., sources] + np.arange(0, maps.size, self.n)]
         for cells, parents, k in self._tree:
             full[..., cells] = self._perms[k][full[..., parents]]
         return full
 
 
+def _level_tuples(arity, level):
+    """The label tuples whose largest label is level, lexicographic, one row per argument."""
+    grid = np.indices((level + 1,) * arity).reshape(arity, -1)
+    return grid[:, grid.max(axis=0) == level]
+
+
+def _pointed_classes(alg, cells):
+    """Merge cells c, c' whose ci -> c'i extends to an isomorphism Sg(c) -> Sg(c').
+
+    A cell's code labels its entries and then the constants 0, 1, ... in
+    order of first occurrence, then closes: level L applies each
+    operation to the label tuples whose largest label is L, in order,
+    labels the new results in order of first occurrence, and records the
+    label of every result.  The code ends at the level equal to the
+    label count, so two cells have one code exactly when the labelling
+    extends to such an isomorphism.  A cell is dropped from the pass, and
+    left alone, once its label count passes ``most``, which is below n,
+    the count of a cell that generates A.  Cells are coded in
+    blocks whose label arrays, and the results of any one level, hold at
+    most _BLOCK_CELLS cells.
+
+    cells ascend.  Returns (source, maps): source[i] is the least cell
+    whose code is that of cells[i]; for each i with source[i] !=
+    cells[i], in order, a row of maps is phi, sending an element of
+    Sg(source[i]) to the element of Sg(cells[i]) with its label.
+    """
+    n = alg.n
+    ops = [(alg.table_array(sym).reshape(-1), arity) for sym, arity in alg.sig if arity > 0]
+    consts = [int(alg.table_array(sym)[()]) for sym, arity in alg.sig if arity == 0]
+
+    def end(count):
+        """The length of a code with count labels."""
+        return 3 + len(consts) + sum(count**arity for _, arity in ops)
+
+    # no more labels than the BFS can know after its first round, so a cell's
+    # code reads no more table entries than the first two rounds can read on it
+    most = min(n - 1, 3 + len(consts) + sum(3**arity for _, arity in ops))
+    # rows per block: the label arrays are n wide, the widest level end(most) - end(most - 1)
+    rows = max(1, _BLOCK_CELLS // max(n, end(most) - end(most - 1)))
+    levels = []  # per level, the label tuples of each arity, built as the pass reaches it
+    known = {}  # code -> (least cell, its elements in label order)
+    source, maps = cells.copy(), []
+    for lo in range(0, len(cells), rows):
+        block = cells[lo : lo + rows]
+        m = len(block)
+        # row i's label of element e at i * n + e, and its element of label l at i * n + l:
+        # the elements in label order, then the first entry (label 0) repeated
+        label = np.full(m * n, -1, dtype=np.intp)
+        elem = np.repeat(block // (n * n), n)
+        count = np.zeros(m, dtype=np.intp)
+        codes = []
+
+        def name(active, values):
+            """The labels of values (a row per active cell), labelling new ones first."""
+            base = (active * n)[:, None]
+            labels = label[base + values]
+            r, t = np.nonzero(labels < 0)
+            if len(r):
+                v = values[r, t]
+                first = np.sort(np.unique(r * n + v, return_index=True)[1])
+                r, v = active[r[first]], v[first]
+                new = count[r] + np.arange(len(r)) - np.searchsorted(r, r)
+                label[r * n + v] = new
+                elem[r * n + new] = v
+                count[:] += np.bincount(r, minlength=m)
+                labels = label[base + values]
+            column = np.full((m, values.shape[1]), 255, dtype=np.uint8)
+            column[active] = labels
+            codes.append(column)
+
+        everyone = np.arange(m)
+        start = [block // (n * n), (block // n) % n, block % n] + [np.full(m, k) for k in consts]
+        name(everyone, np.stack(start, axis=1))
+        # without operations every cell is closed at once
+        active = everyone[count <= most] if ops else everyone[:0]
+        level = 0
+        while len(active):
+            if level == len(levels):
+                levels.append({arity: _level_tuples(arity, level) for _, arity in ops})
+            base, index = (active * n)[:, None], {}
+            for arity, args in levels[level].items():
+                index[arity] = 0
+                for pos in args:
+                    index[arity] = index[arity] * n + elem[base + pos]
+            name(active, np.hstack([table[index[arity]] for table, arity in ops]))
+            level += 1
+            active = active[(count[active] > level) & (count[active] <= most)]
+        closed = np.flatnonzero(count <= most)
+        if not len(closed):
+            continue
+        # past its end a code is padded with 255, which no label reaches
+        codes = np.hstack(codes)[closed]
+        _, first, inverse = np.unique(
+            codes.view(np.dtype((np.void, codes.shape[1]))).reshape(-1),
+            return_index=True, return_inverse=True,
+        )
+        least = []
+        for i in first.tolist():
+            row = closed[i]
+            code = codes[i, : end(count[row])].tobytes()
+            if code not in known:
+                known[code] = (block[row], elem[row * n : row * n + n].copy())
+            least.append(known[code])
+        least_cells = np.array([cell for cell, _ in least])[inverse.reshape(-1)]
+        at = np.flatnonzero(least_cells != block[closed])
+        if len(at):
+            source[lo + closed[at]] = least_cells[at]
+            least_elem = np.array([e for _, e in least])[inverse.reshape(-1)[at]]
+            phi = np.zeros((len(at), n), dtype=np.uint8)
+            # both rows repeat their label 0 past the count, so the repeats agree
+            phi[np.arange(len(at))[:, None], least_elem] = elem.reshape(m, n)[closed[at]]
+            maps.append(phi)
+    return source, np.concatenate(maps) if maps else np.zeros((0, n), dtype=np.uint8)
+
+
 def _clone_orbits(alg):
-    """The orbits of Aut(alg), or of the part the search found, on A^3; memoised."""
+    """The cells of A^3 up to Aut(alg) and isomorphisms of generated subalgebras; memoised.
+
+    The orbits are those of Aut(alg), or of the part the search found;
+    their least cells are then merged by ``_pointed_classes``.  ``reps``
+    holds the least cell of each class, and ``expand`` fills the rest.
+    """
     if alg.n > 255:
         raise CarrierBoundError(alg.n, 255)
     hit = alg._memo.get("clone_orbits")
     if hit is None:
         hit = alg._memo["clone_orbits"] = _Orbits(alg.n, _automorphism_generators(alg))
+        hit.merge_isomorphic(alg)
     return hit
 
 
 class CloneResult:
     """Ternary term operations generated so far, with their derivations.
 
-    Tables are held restricted to the orbit representatives; ``table``
+    Tables are held restricted to the representatives of
+    ``_clone_orbits``: one cell per class of the orbits of Aut(A) and the
+    isomorphisms between the subalgebras the cells generate.  ``table``
     and ``contains`` speak of full n**3 tables.
     """
 
@@ -530,8 +696,9 @@ def generate_clone3(alg, cap=200_000):
 def _maltsev_masks(alg):
     """Where a restricted table holds p(x,y,y) and p(x,x,y), and the values a Maltsev term has there.
 
-    Both lists run over the pairs (x, y) least in their orbit, ascending,
-    so position k of each belongs to the same pair.
+    Both lists run over the pairs (x, y) least in their class under
+    ``_clone_orbits``, ascending, so position k of each belongs to the
+    same pair.
     """
     n = alg.n
     reps = _clone_orbits(alg).reps

@@ -102,6 +102,47 @@ def naive_subuniverse(alg, seed):
     return frozenset(current)
 
 
+class _Square:
+    """A x A with the pair (a, b) coded a * n + b, each operation applied coordinatewise."""
+
+    def __init__(self, alg):
+        self.sig, self._alg, self._n = alg.sig, alg, alg.n
+
+    def apply(self, sym, args):
+        n, alg = self._n, self._alg
+        left = alg.apply(sym, tuple(a // n for a in args))
+        return left * n + alg.apply(sym, tuple(a % n for a in args))
+
+
+def pointed_iso_classes(alg):
+    """The cells of A^3 up to an isomorphism Sg(c) -> Sg(c') sending each ci to c'i.
+
+    Such an isomorphism exists exactly when the subuniverse of A x A
+    generated by the three pairs (ci, c'i) is the graph of a bijection.
+    A cell is compared only with the least cell of each class found so
+    far that shares its invariants: its equality pattern and the sizes
+    of the subuniverses generated by each nonempty subset of its
+    entries, which such an isomorphism maps onto each other.  Returns
+    the classes as ascending cell lists, ordered by their least cells.
+    """
+    n = alg.n
+    square = _Square(alg)
+    subsets = [(0,), (1,), (2,), (0, 1), (0, 2), (1, 2), (0, 1, 2)]
+    classes = {}  # invariants -> the classes with them, each a cell list
+    for cell, c in enumerate(product(range(n), repeat=3)):
+        key = (tuple(c.index(x) for x in c),
+               tuple(len(naive_subuniverse(alg, [c[i] for i in s])) for s in subsets))
+        for cells in classes.setdefault(key, []):
+            r = product_decode((n, n, n), cells[0])
+            graph = naive_subuniverse(square, [a * n + b for a, b in zip(r, c)])
+            if len({g // n for g in graph}) == len({g % n for g in graph}) == len(graph):
+                cells.append(cell)
+                break
+        else:
+            classes[key].append([cell])
+    return sorted((cells for group in classes.values() for cells in group), key=min)
+
+
 def naive_subalgebra_tables(alg, universe):
     """Tables of the subalgebra on a subset, one scalar apply per argument tuple.
 

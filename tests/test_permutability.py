@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from oracles import compose_pairs, label_pairs, naive_clone_rounds
+from oracles import compose_pairs, label_pairs, naive_clone_rounds, pointed_iso_classes
 from test_relations import NULLARY_ONLY, ONE_ELEMENT, small_algebras
 
 import goursat.permutability as permutability
@@ -306,16 +306,18 @@ def test_searches_are_deterministic():
     [
         (sym3, 14_531, "m(z,m(i(y),x))"),
         (lambda: heyting_chain(12), 5_739, "meet(join(x,z),meet(imp(y,x),imp(y,z)))"),
+        (lambda: heyting_chain(16), 5_739, "meet(join(x,z),meet(imp(y,x),imp(y,z)))"),
         (lambda: product([cyclic_group(3), sym3()]), 14_531, "m(z,m(i(y),x))"),
     ],
-    ids=["sym3", "heyting_chain(12)", "cyclic_group(3)xsym3"],
+    ids=["sym3", "heyting_chain(12)", "heyting_chain(16)", "cyclic_group(3)xsym3"],
 )
 def test_the_heavy_maltsev_searches_keep_their_witness_and_explored_count(build, explored, term):
-    """The three heaviest term-search inputs of the benchmark.
+    """The three heaviest term-search inputs of the benchmark, and heyting_chain(16).
 
     The binary operation of the product has 18**2 = 324 entries, so it
     is read by the gather; the others by the byte table.  A kernel that
-    changes the derivation order moves the witness or the count.
+    changes the derivation order moves the witness or the count.  The
+    Heyting chains run on 51 cells of their 1 728 and 4 096.
     """
     alg = build()
     out = find_maltsev_term(alg)
@@ -388,12 +390,14 @@ def test_clone_rounds_and_searches_match_the_per_tuple_oracle(case):
     _assert_searches_match(alg, cap)
 
 
+MAJ3 = FiniteAlgebra.from_functions(
+    Signature({"maj": 3}), 3, {"maj": lambda x, y, z: y if y == z else x}, name="maj3"
+)
+
+
 def _multi_round_cases():
-    majority = FiniteAlgebra.from_functions(
-        Signature({"maj": 3}), 3, {"maj": lambda x, y, z: y if y == z else x}, name="maj3"
-    )
     return ((cyclic_group(3), 300), (implication_from_boolean(1), 300),
-            (two_elt_lattice(), 300), (sym3(), 60), (majority, 40))
+            (two_elt_lattice(), 300), (sym3(), 60), (MAJ3, 40))
 
 
 def test_one_row_blocks_match_the_per_tuple_oracle(monkeypatch):
@@ -524,7 +528,8 @@ def test_rounds_and_searches_match_the_oracle_on_either_side_of_the_byte_table(c
 
 
 def test_maltsev_masks_pair_up_the_same_argument_pairs():
-    for alg, _, _ in _aut_orbit_cases():
+    merging = [(heyting_chain(5),), (product([cyclic_group(3), sym3()]),)]
+    for alg, *_ in list(_aut_orbit_cases()) + merging:
         n = alg.n
         reps = permutability._clone_orbits(alg).reps
         i_xyy, i_xxy, want_x, want_y = permutability._maltsev_masks(alg)
@@ -539,17 +544,40 @@ def _graph_groupoid(n, edges):
     """f(x, y) = x if xy is an edge, else y: a groupoid with the graph's automorphisms."""
     adjacent = set(edges) | {(b, a) for a, b in edges}
     return FiniteAlgebra.from_functions(
-        Signature({"f": 2}), n, {"f": lambda x, y: x if (x, y) in adjacent else y}, name="graph8"
+        Signature({"f": 2}), n, {"f": lambda x, y: x if (x, y) in adjacent else y}, name=f"graph{n}"
     )
+
+
+def _graph_patterns(n, edges):
+    """The equality patterns of the cells of a graph groupoid, with the edges among their entries.
+
+    The groupoid is conservative: every subset is a subuniverse, and a
+    bijection between two is an isomorphism exactly when it preserves
+    adjacency.  So a cell's class under the pointed isomorphisms of its
+    generated subalgebras is its equality pattern together with the
+    adjacency among its distinct entries.
+    """
+    adjacent = set(edges) | {(b, a) for a, b in edges}
+    patterns = set()
+    for cell in iproduct(range(n), repeat=3):
+        labels = tuple(cell.index(x) for x in cell)
+        distinct = [x for i, x in enumerate(cell) if labels[i] == i]
+        patterns.add((labels, frozenset((i, j) for i, a in enumerate(distinct)
+                                        for j, b in enumerate(distinct) if (a, b) in adjacent)))
+    return patterns
 
 
 def test_an_automorphism_search_cut_at_its_bound_still_matches_the_oracle():
     """A cubic graph on 8 vertices with |Aut| = 4.
 
     Colour refinement cannot split a regular graph, and the backtracking
-    spends its 8**3 candidate images without finding an automorphism, so
-    the BFS runs on full tables; any group, the trivial one included,
-    gives an exact reduction.
+    spends its 8**3 candidate images without finding an automorphism;
+    any group, the trivial one included, gives an exact reduction.  The
+    tables are compressed all the same, by the isomorphisms between the
+    subalgebras the cells generate: a cell generates at most 3 of the 8
+    elements, so each class of ``_graph_patterns`` is one representative.
+    The graph realises all 8 adjacency patterns on three labelled
+    vertices (it holds the triangle 0-2-6), so that is 1 + 3 * 2 + 8.
     """
     edges = [(0, 2), (0, 4), (0, 6), (1, 2), (1, 3), (1, 7),
              (2, 6), (3, 5), (3, 7), (4, 5), (4, 7), (5, 6)]
@@ -557,9 +585,59 @@ def test_an_automorphism_search_cut_at_its_bound_still_matches_the_oracle():
     table = alg.table_array("f")
     auts = [p for p in permutations(range(8)) if (np.array(p)[table] == table[np.ix_(p, p)]).all()]
     assert len(auts) == 4
-    assert len(permutability._clone_orbits(alg).reps) == 8**3
+    assert permutability._automorphism_generators(alg) == []
+    assert len(permutability._clone_orbits(alg).reps) == len(_graph_patterns(8, edges))
     _assert_rounds_match(alg, 40)
     _assert_searches_match(alg, 40)
+
+
+# the path 0-1-2-3-4-5, whose one nontrivial automorphism reverses it
+PATH6 = [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5)]
+
+
+def _pointed_iso_cases():
+    bare = FiniteAlgebra(Signature({}), 4, {}, name="bare4")
+    return (heyting_chain(4), implication_from_boolean(2), two_elt_lattice(), sym3(), klein4(),
+            cyclic_group(4), NULLARY_ONLY, bare, MAJ3, _graph_groupoid(6, PATH6))
+
+
+@pytest.mark.parametrize("alg", _pointed_iso_cases(), ids=lambda alg: alg.name or "nullary_only")
+def test_representatives_are_the_least_cells_of_the_pointed_isomorphism_classes(alg):
+    """Each input has n <= 6 and an automorphism search that completes.
+
+    A cell generating A is related to others only by automorphisms, and
+    the search finds all of Aut(A), so no class is left split.
+    """
+    want = [cells[0] for cells in pointed_iso_classes(alg)]
+    assert permutability._clone_orbits(alg).reps.tolist() == want
+
+
+@pytest.mark.parametrize(
+    "k, reps", [(4, 3 + 6 * 4 + 6 * 3)] + [(k, 3 + 6 * 4 + 6 * 4) for k in (5, 6, 12, 40)]
+)
+def test_heyting_chains_reduce_to_51_cells(k, reps):
+    """A cell of heyting_chain(k) generates a chain: {bottom, top} and its entries.
+
+    The pointed isomorphism type is the weak order of (x, y, z) with each
+    distinct value marked bottom, top or interior, in a way the order
+    allows: 3 for the one weak order with a single value, 4 for each of
+    the 6 with two values and 4 for each of the 6 with three, 51 in all.
+    For k >= 5 every type is realised; heyting_chain(4) has only 2
+    interior values, so the 6 types with three interior values are
+    missing, 45 in all.
+    """
+    assert len(permutability._clone_orbits(heyting_chain(k)).reps) == reps
+
+
+@_CELL_CAPS
+def test_rounds_and_searches_match_the_oracle_where_subalgebras_merge_cells(cells, monkeypatch):
+    """heyting_chain(5) is rigid and merges 125 cells into 51; the path merges by its
+    subsets; cyclic_group(3) x sym3 merges by automorphisms and by subgroups at once."""
+    monkeypatch.setattr(permutability, "_BLOCK_CELLS", cells)
+    z3_sym3 = product([cyclic_group(3), sym3()])
+    for alg, cap in ((heyting_chain(5), 40), (_graph_groupoid(6, PATH6), 40), (z3_sym3, 40)):
+        _assert_rounds_match(alg, cap)
+        _assert_searches_match(alg, cap)
 
 
 def test_contains_is_false_for_out_of_range_entries_and_for_tables_agreeing_only_on_representatives():
