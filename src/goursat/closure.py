@@ -10,7 +10,7 @@ closure(S) = D o S o D = S o D o S (closure_goursat, valid on
 permutability.goursat_join_check tests for the pair (D, S).  Both return
 a ClosureResult holding only the input and its closure.  The closed
 congruences are the fixed points of the closure map, so roundtrip_check
-reads the bijection with reflections off the same sweep as the axioms.
+reads the bijection with reflections off the closure map of each quotient.
 
 check_axioms verifies the closure-operator axiom suite exhaustively on
 finite input; its docstring names the arrows and the witnesses.  One
@@ -214,23 +214,25 @@ class _AxiomTracker:
         return out
 
 
+def _closure_map(alg, lat, spec):
+    """The closure map of alg on lat = Con(alg): entry i indexes the closure of congruence i."""
+    return [lat.index(closure_effective(alg, p, spec).closure) for p in lat.congruences]
+
+
 def _sweep(alg, spec, max_size):
     """Con(alg), its closure map c and, per theta in lattice order, (qm, Con(alg/theta), img, tc).
 
     c[i] indexes the closure of congruence i and img[i] its image under qm;
     tc is the closure map of alg/theta, computed on alg/theta itself.
     """
-    def closure_map(source, slat):
-        return [slat.index(closure_effective(source, p, spec).closure) for p in slat.congruences]
-
     lat = con_lattice(alg, max_size=max_size)
-    c = closure_map(alg, lat)
+    c = _closure_map(alg, lat, spec)
     quotients = []
     for theta in lat.congruences:
         qm = quotient(alg, theta)
         tlat = con_lattice(qm.target, max_size=max_size)
         img = [tlat.index(direct_image(qm, p)) for p in lat.congruences]
-        quotients.append((qm, tlat, img, closure_map(qm.target, tlat)))
+        quotients.append((qm, tlat, img, _closure_map(qm.target, tlat, spec)))
     return lat, c, quotients
 
 
@@ -360,8 +362,8 @@ def roundtrip_check(alg, spec):
     membership predicate "diagonal closed" is one of the congruences it
     was derived from and agrees with the direct construction.  A
     congruence t of alg/s has a closed diagonal on (alg/s)/t exactly
-    when t is a fixed point of the closure map of alg/s, so (b) reads the
-    fixed points off ``_sweep`` and derives their meet.
+    when t is a fixed point of the closure map of alg/s, so (b) builds
+    that map once per s and derives the meet of its fixed points.
     """
     target = reflect(alg, spec).target
     if birkhoff_congruence(target, spec) != Partition.discrete(target.n):
@@ -370,8 +372,10 @@ def roundtrip_check(alg, spec):
             witness={"part": "a", "detail": "reflection target has a non-closed diagonal"},
         )
 
-    lat, _c, quotients = _sweep(alg, spec, 64)
-    for s, (qm, tlat, _img, tc) in zip(lat.congruences, quotients):
+    for s in con_lattice(alg, max_size=64).congruences:
+        qm = quotient(alg, s)
+        tlat = con_lattice(qm.target, max_size=64)
+        tc = _closure_map(qm.target, tlat, spec)
         closed = [t for t, u in enumerate(tc) if u == t]
         derived = reduce(lambda a, b: tlat.meet_table[a][b], closed)
         direct = birkhoff_congruence(qm.target, spec)

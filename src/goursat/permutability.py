@@ -22,12 +22,16 @@ ones, so ids, derivations and the cap cut are unchanged.  The cells
 read on the representatives among them; the representatives (a,a,b) and
 (a,b,b) both belong to the pairs (a,b) least in their orbit, so the two
 restrictions the Hagemann-Mitschke search joins line up position by
-position.  G is found by backtracking over the images of a generating
-sequence of A, pruned by colour refinement and by the orbits of the
-automorphisms already found, and the search stops after n**3 candidate
-images, the cells of one full table.  Any group gives an exact
-reduction, so a search cut short only costs compression.  Witnesses and
-``CloneResult`` expand tables back to all n**3 cells.
+position.  G is Aut(A) when some cell c0 of A^3 generates A with the
+constants, and trivial otherwise.  An automorphism is fixed by its
+values on a generating set, so Aut(A) is read off c0 in one pass:
+c0's derivation of every element is replayed from each candidate image
+of its entries, and the maps that are bijective homomorphisms are all
+of Aut(A).  c0 is greedy, each entry the least element not generated
+so far; when three such entries fall short, the subalgebra pass below
+runs over every cell and stops at the least one that generates A, or
+finds none.  Witnesses and ``CloneResult`` expand tables back to all
+n**3 cells.
 
 Isomorphic subalgebras.  A term operation commutes with every
 homomorphism h from a subalgebra of A into A, not only with the
@@ -49,10 +53,12 @@ isomorphism Sg(a, b) -> Sg(a', b'); so the representatives of both kinds
 still belong to the same pairs (a,b) in the same order, and the Maltsev
 masks and the Hagemann-Mitschke pairing are unchanged.
 ``_pointed_classes`` decides isomorphism by a canonical code per cell,
-for all representatives at once.  It drops a cell that generates A,
-which is related to others only by automorphisms, and a cell whose
-subalgebra grows past a bound that caps the pass's cost; a cell left
-unmerged only costs compression.  Whether a cell is dropped depends
+for all representatives at once.  When a cell generates A, G is all of
+Aut(A), and the pass drops a cell that generates A, which is related to
+others only by automorphisms, and a cell whose subalgebra grows past a
+bound that caps the pass's cost; a cell left unmerged only costs
+compression.  When no cell generates A, G is trivial and the pass drops
+no cell, so it merges every class.  Whether a cell is dropped depends
 only on its code after the labels of its three entries, which (a,b,b)
 and (a,a,b) share, so the pairing holds for dropped cells too.
 
@@ -157,68 +163,25 @@ class SearchOutcome:
 # -- automorphisms, isomorphic subalgebras and the classes of A^3 ---------------------
 
 
-def _compact(codes):
-    """Codes renumbered 0, 1, ... in ascending order, same shape."""
-    return np.unique(codes, return_inverse=True)[1].reshape(codes.shape)
+def _derivation(alg, cell=None):
+    """How a cell's entries and the constants generate alg, or None when they do not.
 
-
-def _colours(alg):
-    """An automorphism-invariant colouring of the carrier, by colour refinement.
-
-    Each constant starts in a colour of its own.  A round splits colours
-    by, for each operation and argument position, the sorted codes of the
-    (arguments, result) tuples an element occurs in at that position: a
-    tuple's code is its colours and which of its entries are equal.
-    """
-    n = alg.n
-    colour = np.zeros(n, dtype=np.intp)
-    for i, (sym, arity) in enumerate(alg.sig, 1):
-        if arity == 0 and not colour[alg.table_array(sym)[()]]:
-            colour[alg.table_array(sym)[()]] = i
-    colour = _compact(colour)
-    entries, equal = {}, {}
-    for sym, arity in alg.sig:
-        if arity > 0:
-            entries[sym] = list(np.ix_(*(np.arange(n),) * arity)) + [alg.table_array(sym)]
-            equal[sym] = 0
-            for i in range(arity + 1):
-                for j in range(i + 1, arity + 1):
-                    equal[sym] = equal[sym] * 2 + (entries[sym][i] == entries[sym][j])
-    while True:
-        parts = [colour[:, None]]
-        for sym, arity in alg.sig:
-            if arity == 0:
-                continue
-            code = equal[sym]
-            for values in entries[sym]:
-                code = _compact(code * n + colour[values])
-            for axis in range(arity):
-                parts.append(np.sort(np.moveaxis(code, axis, 0).reshape(n, -1), axis=1))
-        refined = np.unique(np.hstack(parts), axis=0, return_inverse=True)[1].reshape(-1)
-        if refined.max() == colour.max():
-            return colour
-        colour = refined
-
-
-def _generating_sequence(alg):
-    """A generating sequence of alg and the order in which it generates the carrier.
-
-    Returns (base, levels): base is the subuniverse generated by the
-    constants, ascending.  Level j is (g, steps, domain): g is the least
-    element not yet generated; steps derive the rest of what g adds as
-    (element, sym, args), each from elements generated before it; domain
-    is the subuniverse generated so far, ascending.
+    Returns steps (e, sym, args) that name every element once, each from
+    earlier ones: by an operation, a constant included, or, with sym
+    None, as free generator number args.  An entry is a free generator
+    when the constants and the entries before it do not generate it.
+    With cell None, each entry is the least element not generated so
+    far, and None is returned when three entries fall short.
     """
     inside = np.zeros(alg.n, dtype=bool)
+    steps = []
 
     def close():
-        steps, grew = [], True
+        grew = True
         while grew:
             grew = False
             members = np.flatnonzero(inside)
             for sym, arity in alg.sig:
-                if arity == 0 or not len(members):
-                    continue
                 values = alg.table_array(sym)[np.ix_(*(members,) * arity)].reshape(-1)
                 fresh, first = np.unique(values, return_index=True)
                 for v, at in zip(fresh.tolist(), first.tolist()):
@@ -226,101 +189,118 @@ def _generating_sequence(alg):
                         at = np.unravel_index(at, (len(members),) * arity)
                         steps.append((v, sym, tuple(members[list(at)].tolist())))
                         inside[v] = grew = True
-        return steps
 
-    for sym, arity in alg.sig:
-        if arity == 0:
-            inside[alg.table_array(sym)[()]] = True
     close()
-    base = np.flatnonzero(inside)
-    levels = []
-    while not inside.all():
-        g = int(np.argmin(inside))
-        inside[g] = True
-        steps = close()
-        levels.append((g, steps, np.flatnonzero(inside)))
-    return base, levels
+    free = 0
+    for i in range(3):
+        g = int(np.argmin(inside) if cell is None else cell[i])
+        if not inside[g]:
+            inside[g] = True
+            steps.append((g, None, free))
+            free += 1
+            close()
+    return steps if inside.all() else None
 
 
-def _point_orbit(x, gens):
-    """The orbit of the point x under the group generated by gens."""
-    orbit, frontier = {x}, [x]
-    while frontier:
-        frontier = [int(g[p]) for p in frontier for g in gens if int(g[p]) not in orbit]
-        orbit.update(frontier)
-    return orbit
+def _generating_cell(alg):
+    """(steps, classes) for a cell whose entries and the constants generate alg; memoised.
+
+    steps is the cell's ``_derivation``, or None when no cell generates
+    alg.  The cell is greedy when three greedy entries suffice; else it
+    is the least one the unbounded ``_pointed_classes`` over every cell
+    meets.  When it meets none, classes is that pass's (source, maps).
+    """
+    hit = alg._memo.get("generating_cell")
+    if hit is None:
+        steps, classes = _derivation(alg), None
+        if steps is None:
+            source, maps, cell = _pointed_classes(alg, np.arange(alg.n**3), bounded=False)
+            if cell is None:
+                classes = (source, maps)
+            else:
+                steps = _derivation(alg, np.unravel_index(cell, (alg.n,) * 3))
+        hit = alg._memo["generating_cell"] = (steps, classes)
+    return hit
 
 
 def _automorphism_generators(alg):
-    """Generators of a group of automorphisms of alg: all of Aut(alg) unless cut short.
+    """Generators of Aut(alg) when a cell generates alg, else none.
 
-    An automorphism is fixed by its images of a generating sequence
-    g_0..g_k-1.  For j from k-1 down to 0, and each v of g_j's colour not
-    yet in the orbit of g_j under the generators found so far, the search
-    looks for one automorphism fixing g_0..g_j-1 and sending g_j to v, by
-    backtracking over the images of g_j+1..g_k-1.  Each image is extended
-    along the derivations of the subuniverse it generates, and that part
-    is checked to be a colour-preserving, injective homomorphism.  The
-    generators found at levels >= j then generate the stabiliser of
-    g_0..g_j-1, so at level 0 they generate Aut(alg).  The search stops
-    after n**3 candidate images, keeping the generators found.
+    An automorphism is fixed by its images of the k free generators of
+    that cell's derivation.  The derivation is replayed from every image
+    tuple in A^k at once, a block at a time, and the bijective
+    homomorphisms it yields are all of Aut(alg).  Aut(alg) acts freely on
+    these tuples, so a map is kept exactly when its tuple lies outside
+    the orbit of the free generators under the maps kept so far.
     """
+    steps, _ = _generating_cell(alg)
+    free = [e for e, sym, _ in steps or () if sym is None]
+    if not free:
+        # no cell generates alg, or the constants do, and every automorphism fixes them
+        return []
     n = alg.n
-    colour = _colours(alg)
-    base, levels = _generating_sequence(alg)
-    tables = {sym: alg.table_array(sym) for sym, _ in alg.sig}
-    ops = [(tables[sym], arity) for sym, arity in alg.sig if arity > 0]
-    candidates = [np.flatnonzero(colour == colour[g]).tolist() for g, _, _ in levels]
-    budget = n**3
-
-    def search(phi, j, v):
-        """An automorphism agreeing with phi below level j and sending g_j to v, or None."""
-        nonlocal budget
-        if budget == 0:
-            return None
-        budget -= 1
-        g, steps, domain = levels[j]
-        phi = phi.copy()
-        phi[g] = v
-        for e, sym, args in steps:
-            phi[e] = tables[sym][tuple(phi[list(args)])]
-        image = phi[domain]
-        if (colour[image] != colour[domain]).any() or len(np.unique(image)) < len(domain):
-            return None
-        for table, arity in ops:
-            if not np.array_equal(phi[table[np.ix_(*(domain,) * arity)]],
-                                  table[np.ix_(*(image,) * arity)]):
-                return None
-        if j + 1 == len(levels):
-            return phi
-        for w in candidates[j + 1]:
-            found = search(phi, j + 1, w)
-            if found is not None:
-                return found
-        return None
-
+    flat = {sym: alg.table_array(sym).reshape(-1) for sym, _ in alg.sig}
+    ops = [(flat[sym], arity) for sym, arity in alg.sig if arity > 0]
+    # the argument tuples of an operation that share their first argument
+    widest = n ** max((arity - 1 for _, arity in ops), default=0)
+    shape = (n,) * len(free)
+    size = int(np.prod(shape))
+    reached = np.zeros(size, dtype=bool)
+    reached[np.ravel_multi_index(free, shape)] = True
     gens = []
-    for j in reversed(range(len(levels))):
-        g = levels[j][0]
-        fixed = levels[j - 1][2] if j else base
-        prefix = np.full(n, -1, dtype=np.intp)
-        prefix[fixed] = fixed
-        orbit = _point_orbit(g, gens)
-        for v in candidates[j]:
-            if v not in orbit:
-                aut = search(prefix, j, v)
-                if aut is not None:
-                    gens.append(aut)
-                    orbit = _point_orbit(g, gens)
+    rows = max(1, _BLOCK_CELLS // max(n, widest))
+    for lo in range(0, size, rows):
+        codes = np.arange(lo, min(size, lo + rows))
+        images = np.unravel_index(codes, shape)
+        # phi[e] holds the image of e under every candidate of the block
+        phi = np.empty((n, len(codes)), dtype=np.intp)
+        for e, sym, args in steps:
+            if sym is None:
+                phi[e] = images[args]
+            else:
+                index = 0
+                for a in args:
+                    index = index * n + phi[a]
+                phi[e] = flat[sym][index]
+        seen = np.zeros(phi.shape, dtype=bool)
+        seen[phi, np.arange(len(codes))] = True
+        keep = seen.all(axis=0)
+        # the argument tuples led by x .. x + width - 1: most candidates fail on the
+        # first few, so width doubles while the block stays within _BLOCK_CELLS
+        x, width = 0, 1
+        while x < n and keep.any():
+            at = np.flatnonzero(keep)
+            sub = phi[:, at]
+            for table, arity in ops:
+                args = np.indices((min(width, n - x),) + (n,) * (arity - 1)).reshape(arity, -1)
+                args[0] += x
+                index, image = 0, 0
+                for a in args:
+                    index, image = index * n + a, image * n + sub[a]
+                homomorphic = sub[table[index]] == table[image]
+                keep[at[~homomorphic.all(axis=0)]] = False
+            x += width
+            width = max(1, min(2 * width, _BLOCK_CELLS // (len(at) * widest)))
+        for j in np.flatnonzero(keep).tolist():
+            if reached[codes[j]]:
+                continue
+            gens.append(phi[:, j].copy())
+            frontier = np.flatnonzero(reached)
+            while len(frontier):
+                digits = np.array(np.unravel_index(frontier, shape))
+                found = np.concatenate([np.ravel_multi_index(g[digits], shape) for g in gens])
+                frontier = found[~reached[found]]
+                reached[frontier] = True
     return gens
 
 
 class _Orbits:
-    """The orbits of the group generated by gens, automorphisms of A, on the cells of A^3.
+    """The orbits on the cells of A^3 of the group generated by gens, automorphisms of A.
 
-    ``reps`` holds the least cell of each orbit, ascending, until
-    ``merge_isomorphic`` narrows it to the least cell of each class of
-    cells with isomorphic generated subalgebras.  ``expand`` rebuilds
+    gens are read off a generating cell by ``_automorphism_generators``,
+    or are none.  ``reps`` holds the least cell of each orbit, ascending,
+    until ``merge_isomorphic`` narrows it to the least cell of each class
+    of cells with isomorphic generated subalgebras.  ``expand`` rebuilds
     full tables from their values on reps: a merged cell c takes the
     value phi(t(r)) from its representative r, and then, along a
     breadth-first tree of each orbit, a cell c = s(parent) with s a
@@ -367,9 +347,8 @@ class _Orbits:
                 break
             frontier = np.concatenate(reached)
 
-    def merge_isomorphic(self, alg):
-        """Narrow reps to the least cell of each class of ``_pointed_classes``."""
-        source, maps = _pointed_classes(alg, self.reps)
+    def merge_isomorphic(self, source, maps):
+        """Narrow reps to the least cell of each class of ``_pointed_classes`` on reps."""
         merged = source != self.reps
         if merged.any():
             self._merged = (self.reps[merged], source[merged], maps.reshape(-1))
@@ -394,7 +373,7 @@ def _level_tuples(arity, level):
     return grid[:, grid.max(axis=0) == level]
 
 
-def _pointed_classes(alg, cells):
+def _pointed_classes(alg, cells, bounded):
     """Merge cells c, c' whose ci -> c'i extends to an isomorphism Sg(c) -> Sg(c').
 
     A cell's code labels its entries and then the constants 0, 1, ... in
@@ -404,15 +383,18 @@ def _pointed_classes(alg, cells):
     label of every result.  The code ends at the level equal to the
     label count, so two cells have one code exactly when the labelling
     extends to such an isomorphism.  A cell is dropped from the pass, and
-    left alone, once its label count passes ``most``, which is below n,
-    the count of a cell that generates A.  Cells are coded in
-    blocks whose label arrays, and the results of any one level, hold at
-    most _BLOCK_CELLS cells.
+    left alone, once its label count passes ``most``: n - 1 when not
+    bounded, so only a cell that generates A is dropped, and when
+    bounded the count the BFS can know after its first round, if that
+    is less.  Cells are coded in blocks whose label arrays, and the
+    results of any one level, hold at most _BLOCK_CELLS cells.
 
-    cells ascend.  Returns (source, maps): source[i] is the least cell
-    whose code is that of cells[i]; for each i with source[i] !=
-    cells[i], in order, a row of maps is phi, sending an element of
+    cells ascend.  Returns (source, maps, generating): source[i] is the
+    least cell whose code is that of cells[i]; for each i with source[i]
+    != cells[i], in order, a row of maps is phi, sending an element of
     Sg(source[i]) to the element of Sg(cells[i]) with its label.
+    generating is None unless the pass, not bounded, meets a cell that
+    generates A: it then stops after that block, and returns its least.
     """
     n = alg.n
     ops = [(alg.table_array(sym).reshape(-1), arity) for sym, arity in alg.sig if arity > 0]
@@ -422,9 +404,11 @@ def _pointed_classes(alg, cells):
         """The length of a code with count labels."""
         return 3 + len(consts) + sum(count**arity for _, arity in ops)
 
-    # no more labels than the BFS can know after its first round, so a cell's
-    # code reads no more table entries than the first two rounds can read on it
-    most = min(n - 1, 3 + len(consts) + sum(3**arity for _, arity in ops))
+    most = n - 1
+    if bounded:
+        # no more labels than the BFS can know after its first round, so a cell's
+        # code reads no more table entries than the first two rounds can read on it
+        most = min(most, 3 + len(consts) + sum(3**arity for _, arity in ops))
     # rows per block: the label arrays are n wide, the widest level end(most) - end(most - 1)
     rows = max(1, _BLOCK_CELLS // max(n, end(most) - end(most - 1)))
     levels = []  # per level, the label tuples of each arity, built as the pass reaches it
@@ -475,6 +459,8 @@ def _pointed_classes(alg, cells):
             name(active, np.hstack([table[index[arity]] for table, arity in ops]))
             level += 1
             active = active[(count[active] > level) & (count[active] <= most)]
+        if not bounded and (count > most).any():
+            return None, None, int(block[np.argmax(count > most)])
         closed = np.flatnonzero(count <= most)
         if not len(closed):
             continue
@@ -500,22 +486,28 @@ def _pointed_classes(alg, cells):
             # both rows repeat their label 0 past the count, so the repeats agree
             phi[np.arange(len(at))[:, None], least_elem] = elem.reshape(m, n)[closed[at]]
             maps.append(phi)
-    return source, np.concatenate(maps) if maps else np.zeros((0, n), dtype=np.uint8)
+    return source, np.concatenate(maps) if maps else np.zeros((0, n), dtype=np.uint8), None
 
 
 def _clone_orbits(alg):
     """The cells of A^3 up to Aut(alg) and isomorphisms of generated subalgebras; memoised.
 
-    The orbits are those of Aut(alg), or of the part the search found;
-    their least cells are then merged by ``_pointed_classes``.  ``reps``
-    holds the least cell of each class, and ``expand`` fills the rest.
+    When a cell generates alg, the orbits are those of Aut(alg), read off
+    that cell, and their least cells are then merged by the bounded
+    ``_pointed_classes``.  Otherwise there is no automorphism, and the
+    classes are those of the unbounded pass that looked for such a cell.
+    ``reps`` holds the least cell of each class, and ``expand`` fills
+    the rest.
     """
     if alg.n > 255:
         raise CarrierBoundError(alg.n, 255)
     hit = alg._memo.get("clone_orbits")
     if hit is None:
         hit = alg._memo["clone_orbits"] = _Orbits(alg.n, _automorphism_generators(alg))
-        hit.merge_isomorphic(alg)
+        steps, classes = _generating_cell(alg)
+        if steps is not None:
+            classes = _pointed_classes(alg, hit.reps, bounded=True)[:2]
+        hit.merge_isomorphic(*classes)
     return hit
 
 

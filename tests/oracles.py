@@ -4,7 +4,8 @@ Everything here is deliberately naive: set-based relational composition,
 equivalence joins, raw and closed images and pull-backs on explicit pair
 sets, axiom 3's instances along one arrow as pair sets, the pair set of
 a boolean matrix, enumeration of all partitions via restricted growth
-strings, a from-the-definition compatibility check, the
+strings, a from-the-definition compatibility check, the automorphisms
+as the permutations that commute with every table, the
 scalar congruence witness scan, a scalar subuniverse closure, the
 subuniverses as closures of every small seed, subalgebra tables built
 one scalar apply per argument tuple, mixed-radix product coordinates,
@@ -15,7 +16,7 @@ evaluated one assignment at a time by the recursive reference
 None of it shares code with the package internals it validates.
 """
 
-from itertools import product
+from itertools import permutations, product
 
 import numpy as np
 
@@ -100,6 +101,15 @@ def naive_subuniverse(alg, seed):
                     current.add(v)
                     changed = True
     return frozenset(current)
+
+
+def automorphisms(alg):
+    """Every permutation of the carrier that commutes with every table, for n <= 6."""
+    assert alg.n <= 6
+    tables = [(alg.table_array(sym), arity) for sym, arity in alg.sig]
+    return [perm for perm in permutations(range(alg.n))
+            if all((np.array(perm)[table] == table[np.ix_(*(perm,) * arity)]).all()
+                   for table, arity in tables)]
 
 
 class _Square:

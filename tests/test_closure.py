@@ -6,6 +6,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import goursat.closure
+import goursat.relations
 import goursat.terms
 from goursat.algebras import FiniteAlgebra, all_subuniverses, projections, quotient, subalgebra
 from goursat.closure import (
@@ -566,6 +567,34 @@ def test_roundtrip_check():
     assert roundtrip_check(cyclic_group(2), EXP2).ok
     assert roundtrip_check(sym3(), ABELIAN).ok
     assert roundtrip_check(klein4(), TRIVIAL_GROUP).ok
+
+
+def test_roundtrip_check_reads_only_the_closure_maps_of_the_quotients(monkeypatch):
+    # part (b) needs the closure map of each quotient alg/s, not the closure
+    # map of alg nor the direct images along the quotient maps
+    calls = Counter()
+    effective, image = goursat.closure.closure_effective, goursat.relations.direct_image
+
+    def counting_effective(alg, s, spec):
+        calls[alg.name] += 1
+        return effective(alg, s, spec)
+
+    def counting_image(f, s):
+        calls["direct_image"] += 1
+        return image(f, s)
+
+    monkeypatch.setattr(goursat.closure, "closure_effective", counting_effective)
+    for module in (goursat.closure, goursat.relations):
+        monkeypatch.setattr(module, "direct_image", counting_image)
+    for entry in default_entries():
+        for spec in corpus_specs(entry.algebra.sig):
+            roundtrip_check(entry.algebra, spec)
+    assert calls["direct_image"] == 0
+    # Z4 has 3 congruences, and its quotients 3, 2 and 1; Z4 itself closes none
+    calls.clear()
+    assert roundtrip_check(Z4, EXP2).ok
+    assert calls == {"cyclic_group(4)/0|1|2|3": 3, "cyclic_group(4)/0 2|1 3": 2,
+                     "cyclic_group(4)/0 1 2 3": 1}
 
 
 def _sweep_reprs():

@@ -1,5 +1,5 @@
 import random
-from itertools import permutations, zip_longest
+from itertools import combinations_with_replacement, permutations, zip_longest
 from itertools import product as iproduct
 from math import comb
 
@@ -7,7 +7,14 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from oracles import compose_pairs, label_pairs, naive_clone_rounds, pointed_iso_classes
+from oracles import (
+    automorphisms,
+    compose_pairs,
+    label_pairs,
+    naive_clone_rounds,
+    naive_subuniverse,
+    pointed_iso_classes,
+)
 from test_relations import NULLARY_ONLY, ONE_ELEMENT, small_algebras
 
 import goursat.permutability as permutability
@@ -570,14 +577,13 @@ def _graph_patterns(n, edges):
 def test_an_automorphism_search_cut_at_its_bound_still_matches_the_oracle():
     """A cubic graph on 8 vertices with |Aut| = 4.
 
-    Colour refinement cannot split a regular graph, and the backtracking
-    spends its 8**3 candidate images without finding an automorphism;
-    any group, the trivial one included, gives an exact reduction.  The
-    tables are compressed all the same, by the isomorphisms between the
-    subalgebras the cells generate: a cell generates at most 3 of the 8
-    elements, so each class of ``_graph_patterns`` is one representative.
-    The graph realises all 8 adjacency patterns on three labelled
-    vertices (it holds the triangle 0-2-6), so that is 1 + 3 * 2 + 8.
+    The groupoid is conservative, so a cell generates only its own
+    entries, at most 3 of the 8 elements, and no cell generates A.  So
+    no automorphism is used, and the isomorphisms between the
+    subalgebras the cells generate compress the tables alone: each
+    class of ``_graph_patterns`` is one representative.  The graph
+    realises all 8 adjacency patterns on three labelled vertices (it
+    holds the triangle 0-2-6), so that is 1 + 3 * 2 + 8.
     """
     edges = [(0, 2), (0, 4), (0, 6), (1, 2), (1, 3), (1, 7),
              (2, 6), (3, 5), (3, 7), (4, 5), (4, 7), (5, 6)]
@@ -595,21 +601,88 @@ def test_an_automorphism_search_cut_at_its_bound_still_matches_the_oracle():
 PATH6 = [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5)]
 
 
+# the greedy entries 0, 1, 2 generate only themselves, but (1, 2, 3) generates
+# A, and swapping 1 and 2 is its one nontrivial automorphism
+UNARY_0120 = FiniteAlgebra(Signature({"f": 1}), 4, {"f": (0, 1, 2, 0)}, name="unary_0120")
+
+
 def _pointed_iso_cases():
     bare = FiniteAlgebra(Signature({}), 4, {}, name="bare4")
     return (heyting_chain(4), implication_from_boolean(2), two_elt_lattice(), sym3(), klein4(),
-            cyclic_group(4), NULLARY_ONLY, bare, MAJ3, _graph_groupoid(6, PATH6))
+            cyclic_group(4), NULLARY_ONLY, bare, MAJ3, _graph_groupoid(6, PATH6), UNARY_0120)
 
 
 @pytest.mark.parametrize("alg", _pointed_iso_cases(), ids=lambda alg: alg.name or "nullary_only")
 def test_representatives_are_the_least_cells_of_the_pointed_isomorphism_classes(alg):
-    """Each input has n <= 6 and an automorphism search that completes.
+    """Each input has n <= 6.
 
-    A cell generating A is related to others only by automorphisms, and
-    the search finds all of Aut(A), so no class is left split.
+    A cell generating A is related to others only by automorphisms.
+    When a cell generates A, all of Aut(A) is read off it, and the cells
+    left out of the subalgebra pass are unions of its orbits; when none
+    does, the pass drops no cell.  Either way no class is left split.
     """
     want = [cells[0] for cells in pointed_iso_classes(alg)]
     assert permutability._clone_orbits(alg).reps.tolist() == want
+
+
+def _orbit_least_cells(n, perms):
+    """For each cell of A^3, the least cell of its orbit under perms, a group."""
+    least = list(range(n**3))
+    for x, y, z in iproduct(range(n), repeat=3):
+        for p in perms:
+            image = (p[x] * n + p[y]) * n + p[z]
+            least[image] = min(least[image], (x * n + y) * n + z)
+    return least
+
+
+def _assert_aut_orbits_match_the_oracle(alg):
+    """Where a cell generates A, the orbits of the generators found are those of Aut(A).
+
+    Otherwise no generator is found.
+    """
+    n = alg.n
+    gens = permutability._automorphism_generators(alg)
+    if all(len(naive_subuniverse(alg, cell)) < n
+           for cell in combinations_with_replacement(range(n), 3)):
+        assert gens == []
+        return
+    orbits = permutability._Orbits(n, gens)
+    least = np.full(n**3, -1)
+    least[orbits.reps] = orbits.reps
+    for cells, parents, _k in orbits._tree:
+        least[cells] = least[parents]
+    assert least.tolist() == _orbit_least_cells(n, automorphisms(alg))
+
+
+@settings(max_examples=60, deadline=None)
+@given(alg=symmetric_algebras())
+def test_automorphisms_read_off_a_generating_cell_match_the_oracle_on_planted_symmetry(alg):
+    _assert_aut_orbits_match_the_oracle(alg)
+
+
+@pytest.mark.parametrize("alg", _pointed_iso_cases(), ids=lambda alg: alg.name or "nullary_only")
+def test_automorphisms_read_off_a_generating_cell_match_the_oracle(alg):
+    _assert_aut_orbits_match_the_oracle(alg)
+
+
+def test_four_disjoint_four_cycles_merge_by_their_subalgebras_alone():
+    """f(x) = 4 * (x // 4) + (x + 1) % 4: |Aut| = 4**4 * 4! = 6 144, and no cell generates A.
+
+    Three entries meet at most three of the four cycles, so no
+    automorphism is used and the subalgebra pass drops no cell, not
+    even those that meet three cycles, whose 12 elements exceed the
+    first-round bound.  A class is the pattern of the entries' cycles
+    with the offsets of the entries within a shared cycle: 4 * 4 when
+    one cycle holds all three, 4 for each of the 3 ways two share one,
+    and 1 when all three differ, 29 in all.
+    """
+    alg = FiniteAlgebra.from_functions(
+        Signature({"f": 1}), 16, {"f": lambda x: 4 * (x // 4) + (x + 1) % 4}, name="cycles4x4"
+    )
+    assert permutability._automorphism_generators(alg) == []
+    assert len(permutability._clone_orbits(alg).reps) == 4 * 4 + 3 * 4 + 1
+    _assert_rounds_match(alg, 40)
+    _assert_searches_match(alg, 40)
 
 
 @pytest.mark.parametrize(
