@@ -75,15 +75,24 @@ head's values times n plus the last argument's values index the
 operation's flattened table.  When that table has at most 256 entries,
 it is padded to a 256-byte map and a block is one ``bytes.translate`` of
 the uint8 index sum: the index is at most n**arity - 1 <= 255, so the
-sum cannot overflow.  Larger tables are read by one intp gather.  Either
-way the block comes out as the bytes the rows are keyed by.  Rows are
-then deduplicated in the order of their argument tuples, the order of the
-one-tuple-at-a-time loop, so each new table keeps the same first
-derivation, and the order that fixes witnesses is unchanged.  Each
-table is stored once: its bytes are the deduplication key, and its
-array is a read-only view of those bytes.  The Maltsev search tests new
-tables in array blocks; the Hagemann-Mitschke search joins p and q
-candidates by a hash of the restriction they must share.
+sum cannot overflow.  Larger tables are read by one gather, through a
+uint16 index sum when the table has at most 65 536 entries (every binary
+table, as n <= 255), else through intp.  Either way the block comes out
+as the bytes the rows are keyed by.  Rows are then deduplicated in the
+order of their argument tuples, the order of the one-tuple-at-a-time
+loop, so each new table keeps the same first derivation, and the order
+that fixes witnesses is unchanged.  Each table is stored once: its bytes
+are the deduplication key, and its array is a read-only view of those
+bytes.
+
+A round is searched before it is numbered.  Ids within a round follow
+key order, so the least new key that passes a test is the least id, and
+a key is kept under the cap exactly when fewer than the round's room new
+keys are smaller.  The Maltsev search tests the new keys in array blocks
+and stops at a witness without numbering its round; the
+Hagemann-Mitschke search reads its p and q candidates off the same
+blocks, keeps them by key, and joins them by a hash of the restriction
+they must share.
 """
 
 from dataclasses import dataclass
@@ -548,15 +557,17 @@ class CloneResult:
 def _reconstruct(derivations, i, memo=None):
     if memo is None:
         memo = {}
-    if i in memo:
-        return memo[i]
-    kind, payload = derivations[i]
+    if i not in memo:
+        memo[i] = _term(derivations, derivations[i], memo)
+    return memo[i]
+
+
+def _term(derivations, deriv, memo):
+    """The term of a derivation whose arguments are ids numbered in derivations."""
+    kind, payload = deriv
     if kind == "var":
-        t = Var(_VARS[payload])
-    else:
-        t = App(kind, tuple(_reconstruct(derivations, c, memo) for c in payload))
-    memo[i] = t
-    return t
+        return Var(_VARS[payload])
+    return App(kind, tuple(_reconstruct(derivations, c, memo) for c in payload))
 
 
 def _heads(stack, n, start, width):
@@ -579,20 +590,28 @@ def _evaluate(kernel, offset, args):
 
     Row r's index into the flattened table is offset + args[r].  A bytes
     kernel is a table of at most 256 entries padded to 256 bytes, with
-    offset in uint8; an array kernel is the flattened table itself.
+    offset in uint8; an array kernel is the flattened table itself, with
+    offset in uint16 when it has at most 65 536 entries, else in intp.
     """
     if type(kernel) is bytes:
         return (args + offset).tobytes().translate(kernel)
-    return kernel[offset + args].tobytes()
+    return kernel.take(offset + args).tobytes()
 
 
 def _clone_rounds(alg, cap):
-    """Drive the BFS one round at a time.
+    """Drive the BFS one round at a time, yielding each round before it is numbered.
 
-    Yields (arrays, index, derivations, new_ids, done, complete) after
-    every round, index mapping each table's bytes to its id; stops after
-    the fixpoint round or once cap tables exist.  Tables are restricted
-    to the representatives of ``_clone_orbits(alg)``.
+    Yields (arrays, index, derivations, fresh, room) once a round is
+    evaluated: arrays, index (each table's bytes to its id) and
+    derivations hold the tables of the rounds before, fresh maps the
+    bytes of each table the round found new to its derivation, in the
+    order of the argument tuples, and room is cap - len(arrays).  The
+    first round is the three projections.  When the generator resumes,
+    the room least keys of fresh are numbered in key order, and the BFS
+    stops after a round with no fresh table (the fixpoint) or with more
+    than room (the cap); a consumer that stops at a round leaves it
+    unnumbered.  Tables are restricted to the representatives of
+    ``_clone_orbits(alg)``.
     """
     n = alg.n
     reps = _clone_orbits(alg).reps
@@ -601,13 +620,16 @@ def _clone_rounds(alg, cap):
     size = len(reps)
     # one row per table, so a block is one row once a row exceeds _BLOCK_CELLS
     rows = max(1, _BLOCK_CELLS // size)
-    projections = [reps // (n * n), (reps // n) % n, reps % n]
-    kernels, mirrored = {}, {}
+    kernels, offsets, mirrored = {}, {}, {}
     for sym, arity in alg.sig:
         if arity > 0:
             table = alg.table_array(sym)
             flat = table.astype(np.uint8).reshape(-1)
-            kernels[sym] = flat.tobytes().ljust(256, b"\0") if flat.size <= 256 else flat
+            if flat.size <= 256:
+                kernels[sym], offsets[sym] = flat.tobytes().ljust(256, b"\0"), np.uint8
+            else:
+                kernels[sym] = flat
+                offsets[sym] = np.uint16 if flat.size <= 1 << 16 else np.intp
             if arity == 2 and np.array_equal(table, table.T):
                 # the least last argument of a pair with head i is i, or i + 1
                 # when f(t, t) = t
@@ -615,18 +637,21 @@ def _clone_rounds(alg, cap):
 
     arrays, derivations = [], []
     known = {}
-    for i, values in enumerate(projections):
-        key = values.astype(np.uint8).tobytes()
-        if key not in known:
+    fresh = {}
+    # the projections' keys ascend, x < y < z, so key order is variable order
+    for i, values in enumerate((reps // (n * n), (reps // n) % n, reps % n)):
+        fresh.setdefault(values.astype(np.uint8).tobytes(), ("var", i))
+    depth = 0
+    while True:
+        room = cap - len(arrays)
+        yield arrays, known, derivations, fresh, room
+        frontier_start = len(arrays)
+        for key in sorted(fresh)[:room]:
             known[key] = len(arrays)
             arrays.append(np.frombuffer(key, dtype=np.uint8))
-            derivations.append(("var", i))
-    new_ids = list(range(len(arrays)))
-    yield arrays, known, derivations, new_ids, False, False
-
-    depth = 0
-    frontier_start = 0
-    while True:
+            derivations.append(fresh[key])
+        if not fresh or len(fresh) > room:
+            return
         depth += 1
         total = len(arrays)
         stack = np.frombuffer(b"".join(known), dtype=np.uint8).reshape(total, size)
@@ -643,33 +668,13 @@ def _clone_rounds(alg, cap):
                 first = frontier_start if old else 0
                 if sym in mirrored:
                     first = max(first, head[0] + mirrored[sym])
-                if type(kernel) is bytes:
-                    offset = offset.astype(np.uint8)
+                offset = offset.astype(offsets[sym], copy=False)
                 for lo in range(first, total, rows):
                     block = _evaluate(kernel, offset, stack[lo : lo + rows])
                     for last, at in enumerate(range(0, len(block), size), lo):
                         key = block[at : at + size]
                         if key not in known and key not in fresh:
                             fresh[key] = (sym, head + (last,))
-        if not fresh:
-            yield arrays, known, derivations, [], True, True
-            return
-        ordered = sorted(fresh.items())
-        room = cap - len(arrays)
-        capped = len(ordered) > room
-        if capped:
-            ordered = ordered[:room]
-        new_ids = []
-        for key, deriv in ordered:
-            known[key] = len(arrays)
-            new_ids.append(len(arrays))
-            arrays.append(np.frombuffer(key, dtype=np.uint8))
-            derivations.append(deriv)
-        if capped:
-            yield arrays, known, derivations, new_ids, True, False
-            return
-        frontier_start = total
-        yield arrays, known, derivations, new_ids, False, False
 
 
 def generate_clone3(alg, cap=200_000):
@@ -679,10 +684,9 @@ def generate_clone3(alg, cap=200_000):
     it is still evaluated in full before the tables past the cap are
     dropped.
     """
-    for arrays, index, derivations, _new, done, complete in _clone_rounds(alg, cap):
-        if done:
-            return CloneResult(_clone_orbits(alg), arrays, index, derivations, complete)
-    raise AssertionError("clone stream ended without a final round")
+    for arrays, index, derivations, fresh, _room in _clone_rounds(alg, cap):
+        pass
+    return CloneResult(_clone_orbits(alg), arrays, index, derivations, complete=not fresh)
 
 
 def _maltsev_masks(alg):
@@ -699,23 +703,35 @@ def _maltsev_masks(alg):
     return i_xyy, i_xxy, x[i_xyy].astype(np.uint8), z[i_xxy].astype(np.uint8)
 
 
-def _full_witness(alg, arrays, derivations, i, memo=None):
-    table = tuple(_clone_orbits(alg).expand(arrays[i]).tolist())
-    return TermWitness(table, _reconstruct(derivations, i, memo))
+def _fresh_blocks(fresh):
+    """The keys of fresh in blocks of at most _BLOCK_CELLS cells, each with its 2-D array.
 
-
-def _new_blocks(arrays, new_ids):
-    """The new tables as 2-D blocks of at most _BLOCK_CELLS cells, each with the id of its first row.
-
-    new_ids is an ascending run of consecutive ids, so row r of a block
-    is table first + r.
+    Row r of a block's array is the table of its r-th key.
     """
-    if not new_ids:
+    keys = list(fresh)
+    if not keys:
         return
-    rows = max(1, _BLOCK_CELLS // arrays[new_ids[0]].size)
-    for lo in range(0, len(new_ids), rows):
-        chunk = new_ids[lo : lo + rows]
-        yield chunk[0], np.stack([arrays[i] for i in chunk])
+    rows = max(1, _BLOCK_CELLS // len(keys[0]))
+    for lo in range(0, len(keys), rows):
+        chunk = keys[lo : lo + rows]
+        yield chunk, np.frombuffer(b"".join(chunk), dtype=np.uint8).reshape(len(chunk), -1)
+
+
+def _admitted(fresh, room):
+    """Whether a key of fresh is numbered: all are when they fit, else the room least."""
+    if len(fresh) <= room:
+        return lambda key: True
+    if not room:
+        return lambda key: False
+    last = sorted(fresh)[room - 1]
+    return lambda key: key <= last
+
+
+def _witness(alg, index, derivations, fresh, key, memo):
+    """The TermWitness of a table's bytes, numbered in index or new in fresh."""
+    deriv = fresh[key] if key in fresh else derivations[index[key]]
+    table = tuple(_clone_orbits(alg).expand(np.frombuffer(key, dtype=np.uint8)).tolist())
+    return TermWitness(table, _term(derivations, deriv, memo))
 
 
 def find_maltsev_term(alg, cap=200_000):
@@ -723,19 +739,26 @@ def find_maltsev_term(alg, cap=200_000):
 
     Returns the first witness in (depth, lexicographic table) order; a
     definitive ``none`` only at clone fixpoint, ``inconclusive`` at cap.
-    The cap bounds the tables kept, as in generate_clone3: the round that
-    crosses it is still evaluated in full.
+    Each round is tested before it is numbered: ids within a round
+    follow key order, so the witness is the least key that passes, and
+    when the round crosses the cap it is kept only if fewer than room
+    new keys are smaller.  A round with a witness is never numbered.
+    The cap bounds the tables kept, as in generate_clone3: the round
+    that crosses it is still evaluated in full.
     """
     i_xyy, i_xxy, want_x, want_y = _maltsev_masks(alg)
-    for arrays, _index, derivations, new_ids, done, complete in _clone_rounds(alg, cap):
-        for first, block in _new_blocks(arrays, new_ids):
-            hits = (block[:, i_xyy] == want_x).all(axis=1) & (block[:, i_xxy] == want_y).all(axis=1)
-            if hits.any():
-                witness = _full_witness(alg, arrays, derivations, first + int(hits.argmax()))
-                return SearchOutcome(FOUND, witness, explored=len(arrays))
-        if done:
-            status = NONE if complete else INCONCLUSIVE
-            return SearchOutcome(status, explored=len(arrays))
+    for arrays, index, derivations, fresh, room in _clone_rounds(alg, cap):
+        explored = len(arrays) + min(len(fresh), room)
+        hits = []
+        for keys, block in _fresh_blocks(fresh):
+            passed = (block[:, i_xyy] == want_x).all(axis=1) & (block[:, i_xxy] == want_y).all(axis=1)
+            hits.extend(keys[r] for r in np.flatnonzero(passed).tolist())
+        least = min(hits, default=None)
+        if least is not None and _admitted(fresh, room)(least):
+            witness = _witness(alg, index, derivations, fresh, least, {})
+            return SearchOutcome(FOUND, witness, explored=explored)
+        if not fresh or len(fresh) > room:
+            return SearchOutcome(NONE if not fresh else INCONCLUSIVE, explored=explored)
     raise AssertionError("clone stream ended without a final round")
 
 
@@ -743,30 +766,38 @@ def find_hm_terms(alg, cap=200_000):
     """Search for tables p, q with p(x,y,y)=x, q(x,x,y)=y and p(x,x,y)=q(x,y,y).
 
     The returned pair is the one minimizing (p id, q id) at the first
-    BFS depth admitting any valid pair.  The cap bounds the tables kept,
-    as in generate_clone3: the round that crosses it is still evaluated
-    in full.
+    BFS depth admitting any valid pair.  Candidates are read off each
+    round before it is numbered, and kept by key: ids within a round
+    follow key order, and the round's keys past the cap are dropped.
+    The cap bounds the tables kept, as in generate_clone3: the round
+    that crosses it is still evaluated in full.
     """
     i_xyy, i_xxy, want_x, want_y = _maltsev_masks(alg)
-    p_keys = []  # (id, p(x,x,y) bytes) of every table with p(x,y,y)=x, ids ascending
-    q_least = {}  # q(x,y,y) bytes -> least id of a table with q(x,x,y)=y and those values
-    for arrays, _index, derivations, new_ids, done, complete in _clone_rounds(alg, cap):
-        for first, block in _new_blocks(arrays, new_ids):
+    p_keys = []  # (key, p(x,x,y) bytes) of every table with p(x,y,y)=x, in id order
+    q_least = {}  # q(x,y,y) bytes -> key of the least table with q(x,x,y)=y and those values
+    for arrays, index, derivations, fresh, room in _clone_rounds(alg, cap):
+        admitted = _admitted(fresh, room)
+        new_p, new_q = [], []
+        for keys, block in _fresh_blocks(fresh):
             xyy, xxy = block[:, i_xyy], block[:, i_xxy]
-            for r in np.flatnonzero((xyy == want_x).all(axis=1)):
-                p_keys.append((first + int(r), xxy[r].tobytes()))
-            for r in np.flatnonzero((xxy == want_y).all(axis=1)):
-                q_least.setdefault(xyy[r].tobytes(), first + int(r))
+            for r in np.flatnonzero((xyy == want_x).all(axis=1)).tolist():
+                if admitted(keys[r]):
+                    new_p.append((keys[r], xxy[r].tobytes()))
+            for r in np.flatnonzero((xxy == want_y).all(axis=1)).tolist():
+                if admitted(keys[r]):
+                    new_q.append((keys[r], xyy[r].tobytes()))
+        p_keys.extend(sorted(new_p))
+        for key, xyy in sorted(new_q):
+            q_least.setdefault(xyy, key)
         # the least p with a partner, then its least partner: the lex-least pair
-        best = next(((pi, q_least[key]) for pi, key in p_keys if key in q_least), None)
+        best = next(((p, q_least[xxy]) for p, xxy in p_keys if xxy in q_least), None)
+        explored = len(arrays) + min(len(fresh), room)
         if best is not None:
-            pi, qi = best
             memo = {}
-            witness = tuple(_full_witness(alg, arrays, derivations, i, memo) for i in (pi, qi))
-            return SearchOutcome(FOUND, witness, explored=len(arrays))
-        if done:
-            status = NONE if complete else INCONCLUSIVE
-            return SearchOutcome(status, explored=len(arrays))
+            witness = tuple(_witness(alg, index, derivations, fresh, key, memo) for key in best)
+            return SearchOutcome(FOUND, witness, explored=explored)
+        if not fresh or len(fresh) > room:
+            return SearchOutcome(NONE if not fresh else INCONCLUSIVE, explored=explored)
     raise AssertionError("clone stream ended without a final round")
 
 

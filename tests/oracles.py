@@ -320,8 +320,10 @@ def naive_clone_rounds(alg, cap):
     """The clone BFS with one fancy-index call per argument tuple.
 
     Same contract as ``permutability._clone_rounds``: yields (arrays,
-    index, derivations, new_ids, done, complete) after every round, where
-    index maps each table's bytes to its id.
+    index, derivations, fresh, room) once each round is evaluated, where
+    index maps each table's bytes to its id, fresh maps each new table's
+    bytes to its derivation in the order of the argument tuples, and
+    room = cap - len(arrays); the round is numbered on resume.
     """
     n = alg.n
     if n > 255:
@@ -330,11 +332,7 @@ def naive_clone_rounds(alg, cap):
         raise ValueError("cap must allow at least the three projections")
     size = n**3
     span = np.arange(size)
-    projections = [
-        (span // (n * n)).astype(np.uint8),
-        ((span // n) % n).astype(np.uint8),
-        (span % n).astype(np.uint8),
-    ]
+    projections = [span // (n * n), (span // n) % n, span % n]
     op_arrays = {
         sym: np.asarray(alg.tables[sym], dtype=np.uint8).reshape((n,) * arity)
         for sym, arity in alg.sig
@@ -343,54 +341,37 @@ def naive_clone_rounds(alg, cap):
 
     arrays, derivations = [], []
     known = {}
-    for i, arr in enumerate(projections):
-        key = arr.tobytes()
-        if key not in known:
-            known[key] = len(arrays)
-            arrays.append(arr)
-            derivations.append(("var", i))
-    new_ids = list(range(len(arrays)))
-    yield arrays, known, derivations, new_ids, False, False
-
+    fresh = {}
+    for i, values in enumerate(projections):
+        key = values.astype(np.uint8).tobytes()
+        if key not in fresh:
+            fresh[key] = ("var", i)
     depth = 0
-    frontier_start = 0
     while True:
+        room = cap - len(arrays)
+        yield arrays, known, derivations, fresh, room
+        frontier_start = len(arrays)
+        for key, deriv in sorted(fresh.items())[:room]:
+            known[key] = len(arrays)
+            arrays.append(np.frombuffer(key, dtype=np.uint8))
+            derivations.append(deriv)
+        if not fresh or len(fresh) > room:
+            return
         depth += 1
         total = len(arrays)
         fresh = {}
         for sym, arity in alg.sig:
             if arity == 0:
                 if depth == 1:
-                    arr = np.full(size, alg.tables[sym][0], dtype=np.uint8)
-                    key = arr.tobytes()
+                    key = np.full(size, alg.tables[sym][0], dtype=np.uint8).tobytes()
                     if key not in known and key not in fresh:
-                        fresh[key] = (arr, (sym, ()))
+                        fresh[key] = (sym, ())
                 continue
             table = op_arrays[sym]
             for ids in _new_arg_tuples(total, frontier_start, arity):
-                arr = table[tuple(arrays[i] for i in ids)]
-                key = arr.tobytes()
+                key = table[tuple(arrays[i] for i in ids)].tobytes()
                 if key not in known and key not in fresh:
-                    fresh[key] = (arr, (sym, ids))
-        if not fresh:
-            yield arrays, known, derivations, [], True, True
-            return
-        ordered = sorted(fresh.items())
-        room = cap - len(arrays)
-        capped = len(ordered) > room
-        if capped:
-            ordered = ordered[:room]
-        new_ids = []
-        for key, (arr, deriv) in ordered:
-            known[key] = len(arrays)
-            new_ids.append(len(arrays))
-            arrays.append(arr)
-            derivations.append(deriv)
-        if capped:
-            yield arrays, known, derivations, new_ids, True, False
-            return
-        frontier_start = total
-        yield arrays, known, derivations, new_ids, False, False
+                    fresh[key] = (sym, ids)
 
 
 def naive_satisfies(alg, ident):

@@ -37,6 +37,7 @@ from goursat.permutability import (
     NONE,
     THREE,
     TWO,
+    SearchOutcome,
     find_hm_terms,
     find_maltsev_term,
     generate_clone3,
@@ -308,6 +309,11 @@ def test_searches_are_deterministic():
     assert first.witness[1].table == second.witness[1].table
 
 
+_CELL_CAPS = pytest.mark.parametrize(
+    "cells", [permutability._BLOCK_CELLS, 1], ids=["block-cap", "one-cell-cap"]
+)
+
+
 @pytest.mark.parametrize(
     "build, explored, term",
     [
@@ -322,14 +328,57 @@ def test_the_heavy_maltsev_searches_keep_their_witness_and_explored_count(build,
     """The three heaviest term-search inputs of the benchmark, and heyting_chain(16).
 
     The binary operation of the product has 18**2 = 324 entries, so it
-    is read by the gather; the others by the byte table.  A kernel that
-    changes the derivation order moves the witness or the count.  The
-    Heyting chains run on 51 cells of their 1 728 and 4 096.
+    is read by the uint16 gather; the others by the byte table.  A
+    kernel that changes the derivation order moves the witness or the
+    count.  The Heyting chains run on 51 cells of their 1 728 and 4 096.
     """
     alg = build()
     out = find_maltsev_term(alg)
     assert (out.status, out.explored, render(out.witness.term)) == (FOUND, explored, term)
     assert maltsev_identities_hold(alg.n, out.witness.table)
+
+
+@_CELL_CAPS
+@pytest.mark.parametrize(
+    "build, kept, term",
+    [
+        (lambda: heyting_chain(12), 1_345, "meet(join(x,z),meet(imp(y,x),imp(y,z)))"),
+        (sym3, 12_166, "m(z,m(i(y),x))"),
+    ],
+    ids=["heyting_chain(12)", "sym3"],
+)
+def test_the_cap_keeps_a_witness_only_when_it_would_be_numbered_below_the_cap(
+    cells, build, kept, term, monkeypatch
+):
+    """Exactly kept - 1 tables come before the witness in id order.
+
+    Its round crosses both caps and is never numbered: the witness is
+    kept when fewer than the round's room new keys are smaller.  With
+    one-cell blocks each key is tested in a block of its own, so the
+    witness is met after the first block.
+    """
+    monkeypatch.setattr(permutability, "_BLOCK_CELLS", cells)
+    alg = build()
+    uncapped = find_maltsev_term(alg)
+    out = find_maltsev_term(alg, cap=kept)
+    assert (out.status, out.explored, render(out.witness.term)) == (FOUND, kept, term)
+    assert out.witness == uncapped.witness
+    out = find_maltsev_term(alg, cap=kept - 1)
+    assert (out.status, out.explored, out.witness) == (INCONCLUSIVE, kept - 1, None)
+
+
+def test_the_cap_keeps_a_hagemann_mitschke_pair_only_when_both_are_numbered_below_it():
+    """heyting_chain(2) has 17 tables after its first round, and its pair in the second.
+
+    At cap 17 the second round has no room, so none of its tables is
+    kept although it holds the pair; the pair's larger id is 38.
+    """
+    alg = heyting_chain(2)
+    for cap in (17, 38):
+        assert find_hm_terms(alg, cap=cap) == SearchOutcome(INCONCLUSIVE, explored=cap)
+    out = find_hm_terms(alg, cap=39)
+    assert (out.status, out.explored) == (FOUND, 39)
+    assert out.witness == find_hm_terms(alg).witness
 
 
 def test_maltsev_term_forces_all_pairs_two_permutable():
@@ -354,12 +403,13 @@ def _assert_rounds_match(alg, cap):
     rounds = zip_longest(permutability._clone_rounds(alg, cap), naive_clone_rounds(alg, cap))
     for got, want in rounds:
         assert got is not None and want is not None, "the two BFS ran different round counts"
-        arrays, index, derivations, new_ids, done, complete = got
-        w_arrays, w_index, w_derivations, w_new_ids, w_done, w_complete = want
+        arrays, index, derivations, fresh, room = got
+        w_arrays, w_index, w_derivations, w_fresh, w_room = want
         assert [full(a.tobytes()) for a in arrays] == [a.tobytes() for a in w_arrays]
         assert {full(key): i for key, i in index.items()} == w_index
         assert derivations == w_derivations
-        assert (new_ids, done, complete) == (w_new_ids, w_done, w_complete)
+        assert [(full(key), deriv) for key, deriv in fresh.items()] == list(w_fresh.items())
+        assert room == w_room
 
 
 def _searches(alg, cap):
@@ -368,11 +418,18 @@ def _searches(alg, cap):
 
 def _assert_searches_match(alg, cap):
     got = _searches(alg, cap)
+    runs = []
+
+    def oracle_rounds(a, c):
+        runs.append(c)
+        return naive_clone_rounds(a, c)
+
     with pytest.MonkeyPatch.context() as mp:
         # the oracle's rounds hold full tables: every cell its own orbit
-        mp.setattr(permutability, "_clone_rounds", naive_clone_rounds)
+        mp.setattr(permutability, "_clone_rounds", oracle_rounds)
         mp.setattr(permutability, "_clone_orbits", lambda a: permutability._Orbits(a.n, []))
         want = _searches(alg, cap)
+    assert runs == [cap, cap], "each search must read the oracle's rounds"
     assert got == want
 
 
@@ -462,11 +519,6 @@ def symmetric_algebras_with_caps(draw):
     return alg, draw(st.integers(3, 40 if ternary else 300))
 
 
-_CELL_CAPS = pytest.mark.parametrize(
-    "cells", [permutability._BLOCK_CELLS, 1], ids=["block-cap", "one-cell-cap"]
-)
-
-
 @_CELL_CAPS
 @settings(max_examples=30, deadline=None)
 @given(case=symmetric_algebras_with_caps())
@@ -507,9 +559,9 @@ def _boundary_cases():
     """(algebra, cap, rigid) with one operation of n**arity entries on either side of 256.
 
     16**2 = 256 and 6**3 = 216 entries take the byte table, 17**2 = 289
-    and 7**3 = 343 the gather.  A seeded random table is rigid, so every
-    cell is an orbit representative and the last index, n**arity - 1, is
-    read; x - y and x - y + z have Maltsev terms, so the searches find
+    and 7**3 = 343 the uint16 gather.  A seeded random table is rigid, so
+    every cell is an orbit representative and the last index,
+    n**arity - 1, is read; x - y and x - y + z have Maltsev terms, so the searches find
     witnesses.  The caps end each BFS after at most two rounds, as the
     oracle pays a fancy-index call per argument tuple.
     """
@@ -765,30 +817,44 @@ def test_a_round_evaluates_each_new_argument_tuple_once(monkeypatch):
 
     Outputs alone cannot show a round that re-evaluates old tuples, since
     their tables are all known already.  Every block goes through
-    ``_evaluate``, by the byte table or by the gather; the binary
-    operation of Z17 has 289 entries, so the gather is counted too.
+    ``_evaluate``, and all three of its index paths are taken and
+    matched against the oracle: the byte table, the uint16 gather (the
+    binary operations of Z17, 289 entries, and of cyclic_group(3) x
+    sym3, 324) and the intp gather (x - y + z on Z41, whose 41**3 =
+    68 921 entries are past a uint16 index, at a small cap).
     """
-    tally, kernels = [0], set()
+    tally, paths = [0], set()
     evaluate = permutability._evaluate
 
     def counting(kernel, offset, args):
         tally[0] += len(args)
-        kernels.add(type(kernel))
+        paths.add((type(kernel), offset.dtype.type))
         return evaluate(kernel, offset, args)
 
     monkeypatch.setattr(permutability, "_evaluate", counting)
     kinds = set()
-    for alg, cap in _multi_round_cases() + ((cyclic_group(17), 300),):
+    cases = [(alg, cap, False) for alg, cap in _multi_round_cases()]
+    z3_sym3 = product([cyclic_group(3), sym3()])
+    affine41 = FiniteAlgebra.from_functions(
+        Signature({"d": 3}), 41, {"d": lambda x, y, z: (x - y + z) % 41}
+    )
+    cases += [(cyclic_group(17), 40, True), (z3_sym3, 40, True), (affine41, 5, True)]
+    for alg, cap, gather in cases:
         ops = [(alg.table_array(sym), arity) for sym, arity in alg.sig if arity > 0]
-        sizes = [0]
+        # a round is yielded before it is numbered, so it ran over the tables yielded
+        # with it, and its new tuples are those with an id past the round before's
+        start = None
         for arrays, *_ in permutability._clone_rounds(alg, cap):
-            if len(sizes) > 1:
-                start, total = sizes[-2], sizes[-1]
+            if start is not None:
                 assert tally[0] == sum(
-                    _tuples_per_round(table, arity, start, total) for table, arity in ops
+                    _tuples_per_round(table, arity, start, len(arrays)) for table, arity in ops
                 )
             tally[0] = 0
-            sizes.append(len(arrays))
+            start = len(arrays)
         kinds.update(_mirrored(table, arity) for table, arity in ops)
+        if gather:
+            _assert_rounds_match(alg, cap)
+            _assert_searches_match(alg, cap)
     assert kinds == {None, 0, 1}  # all three formulas are exercised
-    assert kernels == {bytes, np.ndarray}  # and both kernels
+    # and the three index paths
+    assert paths == {(bytes, np.uint8), (np.ndarray, np.uint16), (np.ndarray, np.intp)}
