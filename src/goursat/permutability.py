@@ -22,16 +22,14 @@ ones, so ids, derivations and the cap cut are unchanged.  The cells
 read on the representatives among them; the representatives (a,a,b) and
 (a,b,b) both belong to the pairs (a,b) least in their orbit, so the two
 restrictions the Hagemann-Mitschke search joins line up position by
-position.  G is Aut(A) when some cell c0 of A^3 generates A with the
-constants, and trivial otherwise.  An automorphism is fixed by its
-values on a generating set, so Aut(A) is read off c0 in one pass:
-c0's derivation of every element is replayed from each candidate image
-of its entries, and the maps that are bijective homomorphisms are all
-of Aut(A).  c0 is greedy, each entry the least element not generated
-so far; when three such entries fall short, the subalgebra pass below
-runs over every cell and stops at the least one that generates A, or
-finds none.  Witnesses and ``CloneResult`` expand tables back to all
-n**3 cells.
+position.  Let c0 be the greedy cell, each entry the least element not
+generated so far by the constants and the entries before it.  G is
+Aut(A) when c0 generates A, and trivial otherwise.  An automorphism is
+fixed by its values on a generating set, so Aut(A) is read off c0 in
+one pass: c0's derivation of every element is replayed from each
+candidate image of its entries, and the maps that are bijective
+homomorphisms are all of Aut(A).  Witnesses and ``CloneResult`` expand
+tables back to all n**3 cells.
 
 Isomorphic subalgebras.  A term operation commutes with every
 homomorphism h from a subalgebra of A into A, not only with the
@@ -53,14 +51,16 @@ isomorphism Sg(a, b) -> Sg(a', b'); so the representatives of both kinds
 still belong to the same pairs (a,b) in the same order, and the Maltsev
 masks and the Hagemann-Mitschke pairing are unchanged.
 ``_pointed_classes`` decides isomorphism by a canonical code per cell,
-for all representatives at once.  When a cell generates A, G is all of
+for all representatives at once.  When c0 generates A, G is all of
 Aut(A), and the pass drops a cell that generates A, which is related to
 others only by automorphisms, and a cell whose subalgebra grows past a
 bound that caps the pass's cost; a cell left unmerged only costs
-compression.  When no cell generates A, G is trivial and the pass drops
-no cell, so it merges every class.  Whether a cell is dropped depends
-only on its code after the labels of its three entries, which (a,b,b)
-and (a,a,b) share, so the pairing holds for dropped cells too.
+compression.  When c0 falls short, G is trivial and the pass codes
+every cell to its closure, so it merges every class: two cells that
+generate A merge exactly when an automorphism relates them.  Whether a
+cell is dropped depends only on its code after the labels of its three
+entries, which (a,b,b) and (a,a,b) share, so the pairing holds for
+dropped cells too.
 
 Mirrored pairs.  For a binary operation with a symmetric table, the
 pair (j, i) gives the table of (i, j), which comes earlier in the same
@@ -172,15 +172,14 @@ class SearchOutcome:
 # -- automorphisms, isomorphic subalgebras and the classes of A^3 ---------------------
 
 
-def _derivation(alg, cell=None):
-    """How a cell's entries and the constants generate alg, or None when they do not.
+def _derivation(alg):
+    """How the greedy cell's entries and the constants generate alg, or None when they do not.
 
     Returns steps (e, sym, args) that name every element once, each from
     earlier ones: by an operation, a constant included, or, with sym
-    None, as free generator number args.  An entry is a free generator
-    when the constants and the entries before it do not generate it.
-    With cell None, each entry is the least element not generated so
-    far, and None is returned when three entries fall short.
+    None, as free generator number args.  Each entry of the greedy cell
+    is the least element not generated so far; None is returned when
+    three entries fall short.
     """
     inside = np.zeros(alg.n, dtype=bool)
     steps = []
@@ -201,8 +200,8 @@ def _derivation(alg, cell=None):
 
     close()
     free = 0
-    for i in range(3):
-        g = int(np.argmin(inside) if cell is None else cell[i])
+    for _ in range(3):
+        g = int(np.argmin(inside))
         if not inside[g]:
             inside[g] = True
             steps.append((g, None, free))
@@ -211,41 +210,19 @@ def _derivation(alg, cell=None):
     return steps if inside.all() else None
 
 
-def _generating_cell(alg):
-    """(steps, classes) for a cell whose entries and the constants generate alg; memoised.
-
-    steps is the cell's ``_derivation``, or None when no cell generates
-    alg.  The cell is greedy when three greedy entries suffice; else it
-    is the least one the unbounded ``_pointed_classes`` over every cell
-    meets.  When it meets none, classes is that pass's (source, maps).
-    """
-    hit = alg._memo.get("generating_cell")
-    if hit is None:
-        steps, classes = _derivation(alg), None
-        if steps is None:
-            source, maps, cell = _pointed_classes(alg, np.arange(alg.n**3), bounded=False)
-            if cell is None:
-                classes = (source, maps)
-            else:
-                steps = _derivation(alg, np.unravel_index(cell, (alg.n,) * 3))
-        hit = alg._memo["generating_cell"] = (steps, classes)
-    return hit
-
-
-def _automorphism_generators(alg):
-    """Generators of Aut(alg) when a cell generates alg, else none.
+def _automorphism_generators(alg, steps):
+    """Generators of Aut(alg), read off steps, the greedy cell's ``_derivation``.
 
     An automorphism is fixed by its images of the k free generators of
-    that cell's derivation.  The derivation is replayed from every image
-    tuple in A^k at once, a block at a time, and the bijective
-    homomorphisms it yields are all of Aut(alg).  Aut(alg) acts freely on
-    these tuples, so a map is kept exactly when its tuple lies outside
-    the orbit of the free generators under the maps kept so far.
+    the derivation.  The derivation is replayed from every image tuple
+    in A^k at once, a block at a time, and the bijective homomorphisms
+    it yields are all of Aut(alg).  Aut(alg) acts freely on these
+    tuples, so a map is kept exactly when its tuple lies outside the
+    orbit of the free generators under the maps kept so far.
     """
-    steps, _ = _generating_cell(alg)
-    free = [e for e, sym, _ in steps or () if sym is None]
+    free = [e for e, sym, _ in steps if sym is None]
     if not free:
-        # no cell generates alg, or the constants do, and every automorphism fixes them
+        # the constants generate alg, and every automorphism fixes them
         return []
     n = alg.n
     flat = {sym: alg.table_array(sym).reshape(-1) for sym, _ in alg.sig}
@@ -306,7 +283,7 @@ def _automorphism_generators(alg):
 class _Orbits:
     """The orbits on the cells of A^3 of the group generated by gens, automorphisms of A.
 
-    gens are read off a generating cell by ``_automorphism_generators``,
+    gens are read off the greedy cell by ``_automorphism_generators``,
     or are none.  ``reps`` holds the least cell of each orbit, ascending,
     until ``merge_isomorphic`` narrows it to the least cell of each class
     of cells with isomorphic generated subalgebras.  ``expand`` rebuilds
@@ -391,19 +368,18 @@ def _pointed_classes(alg, cells, bounded):
     labels the new results in order of first occurrence, and records the
     label of every result.  The code ends at the level equal to the
     label count, so two cells have one code exactly when the labelling
-    extends to such an isomorphism.  A cell is dropped from the pass, and
-    left alone, once its label count passes ``most``: n - 1 when not
-    bounded, so only a cell that generates A is dropped, and when
-    bounded the count the BFS can know after its first round, if that
-    is less.  Cells are coded in blocks whose label arrays, and the
-    results of any one level, hold at most _BLOCK_CELLS cells.
+    extends to such an isomorphism.  When bounded, a cell is dropped
+    from the pass, and left alone, once its label count passes ``most``:
+    n - 1, so that a cell that generates A is dropped, or the count the
+    BFS can know after its first round, if that is less.  When not
+    bounded, ``most`` is n and every cell is coded to its closure.
+    Cells are coded in blocks whose label arrays, and the results of any
+    one level, hold at most _BLOCK_CELLS cells.
 
-    cells ascend.  Returns (source, maps, generating): source[i] is the
-    least cell whose code is that of cells[i]; for each i with source[i]
-    != cells[i], in order, a row of maps is phi, sending an element of
+    cells ascend.  Returns (source, maps): source[i] is the least cell
+    whose code is that of cells[i]; for each i with source[i] !=
+    cells[i], in order, a row of maps is phi, sending an element of
     Sg(source[i]) to the element of Sg(cells[i]) with its label.
-    generating is None unless the pass, not bounded, meets a cell that
-    generates A: it then stops after that block, and returns its least.
     """
     n = alg.n
     ops = [(alg.table_array(sym).reshape(-1), arity) for sym, arity in alg.sig if arity > 0]
@@ -413,11 +389,11 @@ def _pointed_classes(alg, cells, bounded):
         """The length of a code with count labels."""
         return 3 + len(consts) + sum(count**arity for _, arity in ops)
 
-    most = n - 1
+    most = n
     if bounded:
         # no more labels than the BFS can know after its first round, so a cell's
         # code reads no more table entries than the first two rounds can read on it
-        most = min(most, 3 + len(consts) + sum(3**arity for _, arity in ops))
+        most = min(n - 1, 3 + len(consts) + sum(3**arity for _, arity in ops))
     # rows per block: the label arrays are n wide, the widest level end(most) - end(most - 1)
     rows = max(1, _BLOCK_CELLS // max(n, end(most) - end(most - 1)))
     levels = []  # per level, the label tuples of each arity, built as the pass reaches it
@@ -468,8 +444,6 @@ def _pointed_classes(alg, cells, bounded):
             name(active, np.hstack([table[index[arity]] for table, arity in ops]))
             level += 1
             active = active[(count[active] > level) & (count[active] <= most)]
-        if not bounded and (count > most).any():
-            return None, None, int(block[np.argmax(count > most)])
         closed = np.flatnonzero(count <= most)
         if not len(closed):
             continue
@@ -495,28 +469,28 @@ def _pointed_classes(alg, cells, bounded):
             # both rows repeat their label 0 past the count, so the repeats agree
             phi[np.arange(len(at))[:, None], least_elem] = elem.reshape(m, n)[closed[at]]
             maps.append(phi)
-    return source, np.concatenate(maps) if maps else np.zeros((0, n), dtype=np.uint8), None
+    return source, np.concatenate(maps) if maps else np.zeros((0, n), dtype=np.uint8)
 
 
 def _clone_orbits(alg):
     """The cells of A^3 up to Aut(alg) and isomorphisms of generated subalgebras; memoised.
 
-    When a cell generates alg, the orbits are those of Aut(alg), read off
-    that cell, and their least cells are then merged by the bounded
-    ``_pointed_classes``.  Otherwise there is no automorphism, and the
-    classes are those of the unbounded pass that looked for such a cell.
-    ``reps`` holds the least cell of each class, and ``expand`` fills
-    the rest.
+    When the greedy cell generates alg, the orbits are those of
+    Aut(alg), read off that cell, and their least cells are merged by
+    the bounded ``_pointed_classes``.  Otherwise no automorphism is
+    used, every cell is its own orbit, and the unbounded pass codes each
+    to its closure, so the cells that generate alg merge by their full
+    codes.  ``reps`` holds the least cell of each class, and ``expand``
+    fills the rest.
     """
     if alg.n > 255:
         raise CarrierBoundError(alg.n, 255)
     hit = alg._memo.get("clone_orbits")
     if hit is None:
-        hit = alg._memo["clone_orbits"] = _Orbits(alg.n, _automorphism_generators(alg))
-        steps, classes = _generating_cell(alg)
-        if steps is not None:
-            classes = _pointed_classes(alg, hit.reps, bounded=True)[:2]
-        hit.merge_isomorphic(*classes)
+        steps = _derivation(alg)
+        hit = _Orbits(alg.n, [] if steps is None else _automorphism_generators(alg, steps))
+        hit.merge_isomorphic(*_pointed_classes(alg, hit.reps, bounded=steps is not None))
+        alg._memo["clone_orbits"] = hit
     return hit
 
 

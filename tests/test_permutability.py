@@ -1,5 +1,5 @@
 import random
-from itertools import combinations_with_replacement, permutations, zip_longest
+from itertools import permutations, zip_longest
 from itertools import product as iproduct
 from math import comb
 
@@ -643,7 +643,7 @@ def test_an_automorphism_search_cut_at_its_bound_still_matches_the_oracle():
     table = alg.table_array("f")
     auts = [p for p in permutations(range(8)) if (np.array(p)[table] == table[np.ix_(p, p)]).all()]
     assert len(auts) == 4
-    assert permutability._automorphism_generators(alg) == []
+    assert permutability._derivation(alg) is None
     assert len(permutability._clone_orbits(alg).reps) == len(_graph_patterns(8, edges))
     _assert_rounds_match(alg, 40)
     _assert_searches_match(alg, 40)
@@ -653,8 +653,8 @@ def test_an_automorphism_search_cut_at_its_bound_still_matches_the_oracle():
 PATH6 = [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5)]
 
 
-# the greedy entries 0, 1, 2 generate only themselves, but (1, 2, 3) generates
-# A, and swapping 1 and 2 is its one nontrivial automorphism
+# the greedy entries 0, 1, 2 generate only themselves, so no automorphism is used;
+# (1, 2, 3) generates A, and its class holds (2, 1, 3), the image under swapping 1 and 2
 UNARY_0120 = FiniteAlgebra(Signature({"f": 1}), 4, {"f": (0, 1, 2, 0)}, name="unary_0120")
 
 
@@ -669,9 +669,10 @@ def test_representatives_are_the_least_cells_of_the_pointed_isomorphism_classes(
     """Each input has n <= 6.
 
     A cell generating A is related to others only by automorphisms.
-    When a cell generates A, all of Aut(A) is read off it, and the cells
-    left out of the subalgebra pass are unions of its orbits; when none
-    does, the pass drops no cell.  Either way no class is left split.
+    When the greedy cell generates A, all of Aut(A) is read off it, and
+    the cells left out of the subalgebra pass are unions of its orbits;
+    when it falls short, the pass codes every cell to its closure.
+    Either way no class is left split.
     """
     want = [cells[0] for cells in pointed_iso_classes(alg)]
     assert permutability._clone_orbits(alg).reps.tolist() == want
@@ -687,18 +688,26 @@ def _orbit_least_cells(n, perms):
     return least
 
 
-def _assert_aut_orbits_match_the_oracle(alg):
-    """Where a cell generates A, the orbits of the generators found are those of Aut(A).
+def _greedy_cell_generates(alg):
+    """Whether three entries, each the least element outside the subuniverse so far, generate A."""
+    seed = set()
+    for _ in range(3):
+        seed.add(min(set(range(alg.n)) - naive_subuniverse(alg, seed), default=0))
+    return len(naive_subuniverse(alg, seed)) == alg.n
 
-    Otherwise no generator is found.
+
+def _assert_aut_orbits_match_the_oracle(alg):
+    """Where the greedy cell generates A, the orbits of the generators read off it are those of Aut(A).
+
+    Otherwise the orbit step uses no automorphism.
     """
     n = alg.n
-    gens = permutability._automorphism_generators(alg)
-    if all(len(naive_subuniverse(alg, cell)) < n
-           for cell in combinations_with_replacement(range(n), 3)):
-        assert gens == []
+    steps = permutability._derivation(alg)
+    assert (steps is not None) == _greedy_cell_generates(alg)
+    if steps is None:
+        assert not permutability._clone_orbits(alg)._tree
         return
-    orbits = permutability._Orbits(n, gens)
+    orbits = permutability._Orbits(n, permutability._automorphism_generators(alg, steps))
     least = np.full(n**3, -1)
     least[orbits.reps] = orbits.reps
     for cells, parents, _k in orbits._tree:
@@ -731,7 +740,7 @@ def test_four_disjoint_four_cycles_merge_by_their_subalgebras_alone():
     alg = FiniteAlgebra.from_functions(
         Signature({"f": 1}), 16, {"f": lambda x: 4 * (x // 4) + (x + 1) % 4}, name="cycles4x4"
     )
-    assert permutability._automorphism_generators(alg) == []
+    assert permutability._derivation(alg) is None
     assert len(permutability._clone_orbits(alg).reps) == 4 * 4 + 3 * 4 + 1
     _assert_rounds_match(alg, 40)
     _assert_searches_match(alg, 40)
