@@ -6,61 +6,12 @@ application of the algebra's basic operations.  Tables are deduplicated
 by content; within a round, new tables get ids in lexicographic table
 order, which fixes every witness choice.
 
-The BFS uses three exact symmetries of A.
-
-Orbit representatives.  A term operation t commutes with every
-automorphism s of A: t(sx, sy, sz) = s t(x, y, z).  So t is fixed by its
-values on one cell of each orbit of a group G of automorphisms acting on
-A^3, and the BFS restricts every table to R, the least cell of each
-orbit in ascending cell order; application is pointwise, so
-f(t1, t2)|R = f(t1|R, t2|R).  The first cell c where two distinct term
-tables differ is always in R: were c = s r with r < c its representative,
-the tables would agree at r and so at c.  Restricted tables therefore
-deduplicate exactly and sort in the same lexicographic order as full
-ones, so ids, derivations and the cap cut are unchanged.  The cells
-(x,y,y) and (x,x,y) are unions of orbits, so the Maltsev identities are
-read on the representatives among them; the representatives (a,a,b) and
-(a,b,b) both belong to the pairs (a,b) least in their orbit, so the two
-restrictions the Hagemann-Mitschke search joins line up position by
-position.  Let c0 be the greedy cell, each entry the least element not
-generated so far by the constants and the entries before it.  G is
-Aut(A) when c0 generates A, and trivial otherwise.  An automorphism is
-fixed by its values on a generating set, so Aut(A) is read off c0 in
-one pass: c0's derivation of every element is replayed from each
-candidate image of its entries, and the maps that are bijective
-homomorphisms are all of Aut(A).  Witnesses and ``CloneResult`` expand
-tables back to all n**3 cells.
-
-Isomorphic subalgebras.  A term operation commutes with every
-homomorphism h from a subalgebra of A into A, not only with the
-automorphisms: t(hx, hy, hz) = h t(x, y, z).  Let Sg(c) be the
-subalgebra generated by the entries of the cell c and the constants.
-When ci -> c'i extends to an isomorphism phi: Sg(c) -> Sg(c'), every
-term t has t(c) in Sg(c) and t(c') = phi(t(c)).  So the least cells the
-orbits keep are merged further, two cells whenever their generated
-subalgebras are isomorphic this way, and R becomes the least cell of
-each class; ``expand`` fills each merged cell c' as phi(t(c)) from its
-representative c before it runs the orbit tree.  The proof above
-carries over: were c' the first cell where two term tables differ, with
-c < c' its representative, the tables would agree at c and so at c'.
-phi is injective and sends each ci to c'i, so merged cells have the
-same equal entries, and the cells (x,y,y) and (x,x,y) stay unions of
-classes.  (a,b,b) and (a',b',b') merge exactly when (a,a,b) and
-(a',a',b') do, since both say that a -> a', b -> b' extends to an
-isomorphism Sg(a, b) -> Sg(a', b'); so the representatives of both kinds
-still belong to the same pairs (a,b) in the same order, and the Maltsev
-masks and the Hagemann-Mitschke pairing are unchanged.
-``_pointed_classes`` decides isomorphism by a canonical code per cell,
-for all representatives at once.  When c0 generates A, G is all of
-Aut(A), and the pass drops a cell that generates A, which is related to
-others only by automorphisms, and a cell whose subalgebra grows past a
-bound that caps the pass's cost; a cell left unmerged only costs
-compression.  When c0 falls short, G is trivial and the pass codes
-every cell to its closure, so it merges every class: two cells that
-generate A merge exactly when an automorphism relates them.  Whether a
-cell is dropped depends only on its code after the labels of its three
-entries, which (a,b,b) and (a,a,b) share, so the pairing holds for
-dropped cells too.
+The BFS uses three exact symmetries of A.  The first two are the
+automorphisms of A and the isomorphisms between the subalgebras that
+the cells of A^3 generate: every table is held restricted to one cell
+per class of ``symmetry._clone_orbits``, which keeps ids, derivations,
+witnesses and the cap cut unchanged (the proof is in ``symmetry``).
+Witnesses and ``CloneResult`` expand tables back to all n**3 cells.
 
 Mirrored pairs.  For a binary operation with a symmetric table, the
 pair (j, i) gives the table of (i, j), which comes earlier in the same
@@ -99,8 +50,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import CarrierBoundError
 from .relations import composite, require_congruence
+from .symmetry import _clone_orbits
 from .terms import _BLOCK_CELLS, App, Var
 from .verdict import Verdict
 
@@ -167,331 +118,6 @@ class SearchOutcome:
 
     def __bool__(self):
         return self.status == FOUND
-
-
-# -- automorphisms, isomorphic subalgebras and the classes of A^3 ---------------------
-
-
-def _derivation(alg):
-    """How the greedy cell's entries and the constants generate alg, or None when they do not.
-
-    Returns steps (e, sym, args) that name every element once, each from
-    earlier ones: by an operation, a constant included, or, with sym
-    None, as free generator number args.  Each entry of the greedy cell
-    is the least element not generated so far; None is returned when
-    three entries fall short.
-    """
-    inside = np.zeros(alg.n, dtype=bool)
-    steps = []
-
-    def close():
-        grew = True
-        while grew:
-            grew = False
-            members = np.flatnonzero(inside)
-            for sym, arity in alg.sig:
-                values = alg.table_array(sym)[np.ix_(*(members,) * arity)].reshape(-1)
-                fresh, first = np.unique(values, return_index=True)
-                for v, at in zip(fresh.tolist(), first.tolist()):
-                    if not inside[v]:
-                        at = np.unravel_index(at, (len(members),) * arity)
-                        steps.append((v, sym, tuple(members[list(at)].tolist())))
-                        inside[v] = grew = True
-
-    close()
-    free = 0
-    for _ in range(3):
-        g = int(np.argmin(inside))
-        if not inside[g]:
-            inside[g] = True
-            steps.append((g, None, free))
-            free += 1
-            close()
-    return steps if inside.all() else None
-
-
-def _automorphism_generators(alg, steps):
-    """Generators of Aut(alg), read off steps, the greedy cell's ``_derivation``.
-
-    An automorphism is fixed by its images of the k free generators of
-    the derivation.  The derivation is replayed from every image tuple
-    in A^k at once, a block at a time, and the bijective homomorphisms
-    it yields are all of Aut(alg).  Aut(alg) acts freely on these
-    tuples, so a map is kept exactly when its tuple lies outside the
-    orbit of the free generators under the maps kept so far.
-    """
-    free = [e for e, sym, _ in steps if sym is None]
-    if not free:
-        # the constants generate alg, and every automorphism fixes them
-        return []
-    n = alg.n
-    flat = {sym: alg.table_array(sym).reshape(-1) for sym, _ in alg.sig}
-    ops = [(flat[sym], arity) for sym, arity in alg.sig if arity > 0]
-    # the argument tuples of an operation that share their first argument
-    widest = n ** max((arity - 1 for _, arity in ops), default=0)
-    shape = (n,) * len(free)
-    size = int(np.prod(shape))
-    reached = np.zeros(size, dtype=bool)
-    reached[np.ravel_multi_index(free, shape)] = True
-    gens = []
-    rows = max(1, _BLOCK_CELLS // max(n, widest))
-    for lo in range(0, size, rows):
-        codes = np.arange(lo, min(size, lo + rows))
-        images = np.unravel_index(codes, shape)
-        # phi[e] holds the image of e under every candidate of the block
-        phi = np.empty((n, len(codes)), dtype=np.intp)
-        for e, sym, args in steps:
-            if sym is None:
-                phi[e] = images[args]
-            else:
-                index = 0
-                for a in args:
-                    index = index * n + phi[a]
-                phi[e] = flat[sym][index]
-        seen = np.zeros(phi.shape, dtype=bool)
-        seen[phi, np.arange(len(codes))] = True
-        keep = seen.all(axis=0)
-        # the argument tuples led by x .. x + width - 1: most candidates fail on the
-        # first few, so width doubles while the block stays within _BLOCK_CELLS
-        x, width = 0, 1
-        while x < n and keep.any():
-            at = np.flatnonzero(keep)
-            sub = phi[:, at]
-            for table, arity in ops:
-                args = np.indices((min(width, n - x),) + (n,) * (arity - 1)).reshape(arity, -1)
-                args[0] += x
-                index, image = 0, 0
-                for a in args:
-                    index, image = index * n + a, image * n + sub[a]
-                homomorphic = sub[table[index]] == table[image]
-                keep[at[~homomorphic.all(axis=0)]] = False
-            x += width
-            width = max(1, min(2 * width, _BLOCK_CELLS // (len(at) * widest)))
-        for j in np.flatnonzero(keep).tolist():
-            if reached[codes[j]]:
-                continue
-            gens.append(phi[:, j].copy())
-            frontier = np.flatnonzero(reached)
-            while len(frontier):
-                digits = np.array(np.unravel_index(frontier, shape))
-                found = np.concatenate([np.ravel_multi_index(g[digits], shape) for g in gens])
-                frontier = found[~reached[found]]
-                reached[frontier] = True
-    return gens
-
-
-class _Orbits:
-    """The orbits on the cells of A^3 of the group generated by gens, automorphisms of A.
-
-    gens are read off the greedy cell by ``_automorphism_generators``,
-    or are none.  ``reps`` holds the least cell of each orbit, ascending,
-    until ``merge_isomorphic`` narrows it to the least cell of each class
-    of cells with isomorphic generated subalgebras.  ``expand`` rebuilds
-    full tables from their values on reps: a merged cell c takes the
-    value phi(t(r)) from its representative r, and then, along a
-    breadth-first tree of each orbit, a cell c = s(parent) with s a
-    generator takes the value s(t(parent)).
-    """
-
-    def __init__(self, n, gens):
-        self.n = n
-        size = n**3
-        self._perms = np.array(gens, dtype=np.uint8).reshape(len(gens), n)
-        self._tree = []  # (cells, parents, generator index), parents always earlier
-        self._merged = None  # (cells, their representatives in reps, their maps phi)
-        if not gens:
-            self.reps = np.arange(size)
-            return
-        cells = np.arange(size)
-        digits = (cells // (n * n), (cells // n) % n, cells % n)
-
-        def act(g, c):
-            return (g[digits[0][c]] * n + g[digits[1][c]]) * n + g[digits[2][c]]
-
-        # least[c] falls to the least cell of c's orbit: each pass pulls it
-        # back along every generator, then jumps to the least of least[c]
-        least = cells
-        while True:
-            before = least
-            for g in gens:
-                least = np.minimum(least, least[act(g, slice(None))])
-            least = least[least]
-            if np.array_equal(least, before):
-                break
-        seen = least == cells
-        self.reps = frontier = np.flatnonzero(seen)
-        while True:
-            reached = []
-            for k, g in enumerate(gens):
-                image = act(g, frontier)
-                new = ~seen[image]
-                if new.any():
-                    seen[image[new]] = True
-                    self._tree.append((image[new], frontier[new], k))
-                    reached.append(image[new])
-            if not reached:
-                break
-            frontier = np.concatenate(reached)
-
-    def merge_isomorphic(self, source, maps):
-        """Narrow reps to the least cell of each class of ``_pointed_classes`` on reps."""
-        merged = source != self.reps
-        if merged.any():
-            self._merged = (self.reps[merged], source[merged], maps.reshape(-1))
-            self.reps = self.reps[~merged]
-
-    def expand(self, rows):
-        """Full uint8 tables from tables restricted to reps (the last axis)."""
-        full = np.empty(rows.shape[:-1] + (self.n**3,), dtype=np.uint8)
-        full[..., self.reps] = rows
-        if self._merged is not None:
-            cells, sources, maps = self._merged
-            # phi(t(r)), with the phi of cells[k] at k * n in maps
-            full[..., cells] = maps[full[..., sources] + np.arange(0, maps.size, self.n)]
-        for cells, parents, k in self._tree:
-            full[..., cells] = self._perms[k][full[..., parents]]
-        return full
-
-
-def _level_tuples(arity, level):
-    """The label tuples whose largest label is level, lexicographic, one row per argument."""
-    grid = np.indices((level + 1,) * arity).reshape(arity, -1)
-    return grid[:, grid.max(axis=0) == level]
-
-
-def _pointed_classes(alg, cells, bounded):
-    """Merge cells c, c' whose ci -> c'i extends to an isomorphism Sg(c) -> Sg(c').
-
-    A cell's code labels its entries and then the constants 0, 1, ... in
-    order of first occurrence, then closes: level L applies each
-    operation to the label tuples whose largest label is L, in order,
-    labels the new results in order of first occurrence, and records the
-    label of every result.  The code ends at the level equal to the
-    label count, so two cells have one code exactly when the labelling
-    extends to such an isomorphism.  When bounded, a cell is dropped
-    from the pass, and left alone, once its label count passes ``most``:
-    n - 1, so that a cell that generates A is dropped, or the count the
-    BFS can know after its first round, if that is less.  When not
-    bounded, ``most`` is n and every cell is coded to its closure.
-    Cells are coded in blocks whose label arrays, and the results of any
-    one level, hold at most _BLOCK_CELLS cells.
-
-    cells ascend.  Returns (source, maps): source[i] is the least cell
-    whose code is that of cells[i]; for each i with source[i] !=
-    cells[i], in order, a row of maps is phi, sending an element of
-    Sg(source[i]) to the element of Sg(cells[i]) with its label.
-    """
-    n = alg.n
-    ops = [(alg.table_array(sym).reshape(-1), arity) for sym, arity in alg.sig if arity > 0]
-    consts = [int(alg.table_array(sym)[()]) for sym, arity in alg.sig if arity == 0]
-
-    def end(count):
-        """The length of a code with count labels."""
-        return 3 + len(consts) + sum(count**arity for _, arity in ops)
-
-    most = n
-    if bounded:
-        # no more labels than the BFS can know after its first round, so a cell's
-        # code reads no more table entries than the first two rounds can read on it
-        most = min(n - 1, 3 + len(consts) + sum(3**arity for _, arity in ops))
-    # rows per block: the label arrays are n wide, the widest level end(most) - end(most - 1)
-    rows = max(1, _BLOCK_CELLS // max(n, end(most) - end(most - 1)))
-    levels = []  # per level, the label tuples of each arity, built as the pass reaches it
-    known = {}  # code -> (least cell, its elements in label order)
-    source, maps = cells.copy(), []
-    for lo in range(0, len(cells), rows):
-        block = cells[lo : lo + rows]
-        m = len(block)
-        # row i's label of element e at i * n + e, and its element of label l at i * n + l:
-        # the elements in label order, then the first entry (label 0) repeated
-        label = np.full(m * n, -1, dtype=np.intp)
-        elem = np.repeat(block // (n * n), n)
-        count = np.zeros(m, dtype=np.intp)
-        codes = []
-
-        def name(active, values):
-            """The labels of values (a row per active cell), labelling new ones first."""
-            base = (active * n)[:, None]
-            labels = label[base + values]
-            r, t = np.nonzero(labels < 0)
-            if len(r):
-                v = values[r, t]
-                first = np.sort(np.unique(r * n + v, return_index=True)[1])
-                r, v = active[r[first]], v[first]
-                new = count[r] + np.arange(len(r)) - np.searchsorted(r, r)
-                label[r * n + v] = new
-                elem[r * n + new] = v
-                count[:] += np.bincount(r, minlength=m)
-                labels = label[base + values]
-            column = np.full((m, values.shape[1]), 255, dtype=np.uint8)
-            column[active] = labels
-            codes.append(column)
-
-        everyone = np.arange(m)
-        start = [block // (n * n), (block // n) % n, block % n] + [np.full(m, k) for k in consts]
-        name(everyone, np.stack(start, axis=1))
-        # without operations every cell is closed at once
-        active = everyone[count <= most] if ops else everyone[:0]
-        level = 0
-        while len(active):
-            if level == len(levels):
-                levels.append({arity: _level_tuples(arity, level) for _, arity in ops})
-            base, index = (active * n)[:, None], {}
-            for arity, args in levels[level].items():
-                index[arity] = 0
-                for pos in args:
-                    index[arity] = index[arity] * n + elem[base + pos]
-            name(active, np.hstack([table[index[arity]] for table, arity in ops]))
-            level += 1
-            active = active[(count[active] > level) & (count[active] <= most)]
-        closed = np.flatnonzero(count <= most)
-        if not len(closed):
-            continue
-        # past its end a code is padded with 255, which no label reaches
-        codes = np.hstack(codes)[closed]
-        _, first, inverse = np.unique(
-            codes.view(np.dtype((np.void, codes.shape[1]))).reshape(-1),
-            return_index=True, return_inverse=True,
-        )
-        least = []
-        for i in first.tolist():
-            row = closed[i]
-            code = codes[i, : end(count[row])].tobytes()
-            if code not in known:
-                known[code] = (block[row], elem[row * n : row * n + n].copy())
-            least.append(known[code])
-        least_cells = np.array([cell for cell, _ in least])[inverse.reshape(-1)]
-        at = np.flatnonzero(least_cells != block[closed])
-        if len(at):
-            source[lo + closed[at]] = least_cells[at]
-            least_elem = np.array([e for _, e in least])[inverse.reshape(-1)[at]]
-            phi = np.zeros((len(at), n), dtype=np.uint8)
-            # both rows repeat their label 0 past the count, so the repeats agree
-            phi[np.arange(len(at))[:, None], least_elem] = elem.reshape(m, n)[closed[at]]
-            maps.append(phi)
-    return source, np.concatenate(maps) if maps else np.zeros((0, n), dtype=np.uint8)
-
-
-def _clone_orbits(alg):
-    """The cells of A^3 up to Aut(alg) and isomorphisms of generated subalgebras; memoised.
-
-    When the greedy cell generates alg, the orbits are those of
-    Aut(alg), read off that cell, and their least cells are merged by
-    the bounded ``_pointed_classes``.  Otherwise no automorphism is
-    used, every cell is its own orbit, and the unbounded pass codes each
-    to its closure, so the cells that generate alg merge by their full
-    codes.  ``reps`` holds the least cell of each class, and ``expand``
-    fills the rest.
-    """
-    if alg.n > 255:
-        raise CarrierBoundError(alg.n, 255)
-    hit = alg._memo.get("clone_orbits")
-    if hit is None:
-        steps = _derivation(alg)
-        hit = _Orbits(alg.n, [] if steps is None else _automorphism_generators(alg, steps))
-        hit.merge_isomorphic(*_pointed_classes(alg, hit.reps, bounded=steps is not None))
-        alg._memo["clone_orbits"] = hit
-    return hit
 
 
 class CloneResult:

@@ -18,6 +18,7 @@ from oracles import (
 from test_relations import NULLARY_ONLY, ONE_ELEMENT, small_algebras
 
 import goursat.permutability as permutability
+import goursat.symmetry as symmetry
 from goursat.algebras import FiniteAlgebra, product
 from goursat.corpus import (
     GROUP_SIG,
@@ -395,7 +396,7 @@ def test_maltsev_term_forces_all_pairs_two_permutable():
 
 def _assert_rounds_match(alg, cap):
     """Every round of the block BFS, expanded to full tables, equals the oracle's round, field by field."""
-    orbits = permutability._clone_orbits(alg)
+    orbits = symmetry._clone_orbits(alg)
 
     def full(key):
         return orbits.expand(np.frombuffer(key, dtype=np.uint8)).tobytes()
@@ -427,7 +428,7 @@ def _assert_searches_match(alg, cap):
     with pytest.MonkeyPatch.context() as mp:
         # the oracle's rounds hold full tables: every cell its own orbit
         mp.setattr(permutability, "_clone_rounds", oracle_rounds)
-        mp.setattr(permutability, "_clone_orbits", lambda a: permutability._Orbits(a.n, []))
+        mp.setattr(permutability, "_clone_orbits", lambda a: symmetry._Orbits(a.n, []))
         want = _searches(alg, cap)
     assert runs == [cap, cap], "each search must read the oracle's rounds"
     assert got == want
@@ -549,7 +550,7 @@ def _aut_orbit_cases():
 def test_orbit_reduced_rounds_match_the_oracle_on_large_automorphism_groups(cells, monkeypatch):
     monkeypatch.setattr(permutability, "_BLOCK_CELLS", cells)
     for alg, cap, orbits in _aut_orbit_cases():
-        reps = permutability._clone_orbits(alg).reps
+        reps = symmetry._clone_orbits(alg).reps
         assert len(reps) == orbits
         _assert_rounds_match(alg, cap)
         _assert_searches_match(alg, cap)
@@ -581,7 +582,7 @@ def test_rounds_and_searches_match_the_oracle_on_either_side_of_the_byte_table(c
     monkeypatch.setattr(permutability, "_BLOCK_CELLS", cells)
     for alg, cap, rigid in _boundary_cases():
         if rigid:
-            assert len(permutability._clone_orbits(alg).reps) == alg.n**3
+            assert len(symmetry._clone_orbits(alg).reps) == alg.n**3
         _assert_rounds_match(alg, cap)
         _assert_searches_match(alg, cap)
 
@@ -590,7 +591,7 @@ def test_maltsev_masks_pair_up_the_same_argument_pairs():
     merging = [(heyting_chain(5),), (product([cyclic_group(3), sym3()]),)]
     for alg, *_ in list(_aut_orbit_cases()) + merging:
         n = alg.n
-        reps = permutability._clone_orbits(alg).reps
+        reps = symmetry._clone_orbits(alg).reps
         i_xyy, i_xxy, want_x, want_y = permutability._maltsev_masks(alg)
         xyy = [(int(c) // (n * n), int(c) % n) for c in reps[i_xyy]]
         xxy = [(int(c) // (n * n), int(c) % n) for c in reps[i_xxy]]
@@ -643,8 +644,8 @@ def test_an_automorphism_search_cut_at_its_bound_still_matches_the_oracle():
     table = alg.table_array("f")
     auts = [p for p in permutations(range(8)) if (np.array(p)[table] == table[np.ix_(p, p)]).all()]
     assert len(auts) == 4
-    assert permutability._derivation(alg) is None
-    assert len(permutability._clone_orbits(alg).reps) == len(_graph_patterns(8, edges))
+    assert symmetry._derivation(alg) is None
+    assert len(symmetry._clone_orbits(alg).reps) == len(_graph_patterns(8, edges))
     _assert_rounds_match(alg, 40)
     _assert_searches_match(alg, 40)
 
@@ -675,7 +676,7 @@ def test_representatives_are_the_least_cells_of_the_pointed_isomorphism_classes(
     Either way no class is left split.
     """
     want = [cells[0] for cells in pointed_iso_classes(alg)]
-    assert permutability._clone_orbits(alg).reps.tolist() == want
+    assert symmetry._clone_orbits(alg).reps.tolist() == want
 
 
 def _orbit_least_cells(n, perms):
@@ -702,12 +703,12 @@ def _assert_aut_orbits_match_the_oracle(alg):
     Otherwise the orbit step uses no automorphism.
     """
     n = alg.n
-    steps = permutability._derivation(alg)
+    steps = symmetry._derivation(alg)
     assert (steps is not None) == _greedy_cell_generates(alg)
     if steps is None:
-        assert not permutability._clone_orbits(alg)._tree
+        assert not symmetry._clone_orbits(alg)._tree
         return
-    orbits = permutability._Orbits(n, permutability._automorphism_generators(alg, steps))
+    orbits = symmetry._Orbits(n, symmetry._automorphism_generators(alg, steps))
     least = np.full(n**3, -1)
     least[orbits.reps] = orbits.reps
     for cells, parents, _k in orbits._tree:
@@ -740,8 +741,8 @@ def test_four_disjoint_four_cycles_merge_by_their_subalgebras_alone():
     alg = FiniteAlgebra.from_functions(
         Signature({"f": 1}), 16, {"f": lambda x: 4 * (x // 4) + (x + 1) % 4}, name="cycles4x4"
     )
-    assert permutability._derivation(alg) is None
-    assert len(permutability._clone_orbits(alg).reps) == 4 * 4 + 3 * 4 + 1
+    assert symmetry._derivation(alg) is None
+    assert len(symmetry._clone_orbits(alg).reps) == 4 * 4 + 3 * 4 + 1
     _assert_rounds_match(alg, 40)
     _assert_searches_match(alg, 40)
 
@@ -760,7 +761,7 @@ def test_heyting_chains_reduce_to_51_cells(k, reps):
     interior values, so the 6 types with three interior values are
     missing, 45 in all.
     """
-    assert len(permutability._clone_orbits(heyting_chain(k)).reps) == reps
+    assert len(symmetry._clone_orbits(heyting_chain(k)).reps) == reps
 
 
 @_CELL_CAPS
@@ -783,7 +784,7 @@ def test_contains_is_false_for_out_of_range_entries_and_for_tables_agreeing_only
     for bad in (-1, 3, 255, 256, 1000):
         assert not clone.contains((bad,) + member[1:])
     # x -> -x is an automorphism of Z3, so a table is stored on half its cells
-    reps = set(permutability._clone_orbits(z3).reps.tolist())
+    reps = set(symmetry._clone_orbits(z3).reps.tolist())
     cell = min(set(range(27)) - reps)
     forged = list(member)
     forged[cell] = (forged[cell] + 1) % 3
