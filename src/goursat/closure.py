@@ -48,7 +48,6 @@ from .relations import (
     inverse_image,
     inverse_image_by_map,
     is_distributive,
-    require_congruence,
 )
 from .terms import eval_identity, validate_term
 from .verdict import Verdict
@@ -144,9 +143,10 @@ def closure_goursat(alg, s, spec):
     and the acceptance suite do that.  Raises GoursatHypothesisError when
     the pair does not 3-permute (the composites disagree), which refutes
     3-permutability for this algebra, or when D o S o D is not the join,
-    which means a fault in ``composite``.
+    which means a fault in ``composite``.  s is validated once, by
+    ``goursat_join_check``: a partition that is not a congruence raises
+    NotCongruenceError.
     """
-    require_congruence(alg, s)
     diag = birkhoff_congruence(alg, spec)
     verdict = goursat_join_check(alg, diag, s)
     if verdict.ok is None:

@@ -6,12 +6,13 @@ application of the algebra's basic operations.  Tables are deduplicated
 by content; within a round, new tables get ids in lexicographic table
 order, which fixes every witness choice.
 
-The BFS uses three exact symmetries of A.  The first two are the
+The BFS uses three exact symmetries of A.  The first two, the
 automorphisms of A and the isomorphisms between the subalgebras that
-the cells of A^3 generate: every table is held restricted to one cell
-per class of ``symmetry._clone_orbits``, which keeps ids, derivations,
-witnesses and the cap cut unchanged (the proof is in ``symmetry``).
-Witnesses and ``CloneResult`` expand tables back to all n**3 cells.
+the cells of A^3 generate, live in ``symmetry``: every table is held
+restricted to the representatives of ``_clone_orbits``, one cell per
+class, and ``symmetry`` proves that this keeps ids, derivations,
+witnesses and the cap cut unchanged.  Witnesses and ``CloneResult``
+expand tables back to all n**3 cells.
 
 Mirrored pairs.  For a binary operation with a symmetric table, the
 pair (j, i) gives the table of (i, j), which comes earlier in the same
@@ -124,7 +125,8 @@ class CloneResult:
     """Ternary term operations generated so far, with their derivations.
 
     Tables are held restricted to the representatives of
-    ``_clone_orbits``: one cell per class of the orbits of Aut(A) and the
+    ``_clone_orbits``, one cell per class: the orbits of Aut(A) when the
+    greedy cell generates A, else single cells, merged by the
     isomorphisms between the subalgebras the cells generate.  ``table``
     and ``contains`` speak of full n**3 tables.
     """

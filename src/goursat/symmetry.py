@@ -1,9 +1,14 @@
 """The symmetries of A^3 that the clone BFS restricts its tables by.
 
-A term operation on three variables is fixed by its values on fewer
-cells than all of A^3.  ``_clone_orbits`` picks one cell per class of
-two exact symmetries, and ``_Orbits.expand`` rebuilds a full table from
-its values on those cells.
+A term operation on three variables is fixed by its values on one cell
+of each class of two exact symmetries of A^3: the automorphisms of A,
+and the isomorphisms between the subalgebras that the cells generate.
+``_clone_orbits`` finds the classes along one path.  When the greedy
+cell c0 (below) generates A, Aut(A) is read off it, and the least cells
+of its orbits are merged by the bounded subalgebra pass; otherwise no
+automorphism is used, and the unbounded pass codes every cell to its
+closure.  ``_Orbits.expand`` rebuilds a full table from its values on
+the representatives.
 
 Orbit representatives.  A term operation t commutes with every
 automorphism s of A: t(sx, sy, sz) = s t(x, y, z).  So t is fixed by its
@@ -176,8 +181,8 @@ def _automorphism_generators(alg, steps):
 class _Orbits:
     """The orbits on the cells of A^3 of the group generated by gens, automorphisms of A.
 
-    gens are read off the greedy cell by ``_automorphism_generators``,
-    or are none.  ``reps`` holds the least cell of each orbit, ascending,
+    gens are read off the greedy cell by ``_automorphism_generators``
+    when that cell generates A, and are none otherwise.  ``reps`` holds the least cell of each orbit, ascending,
     until ``merge_isomorphic`` narrows it to the least cell of each class
     of cells with isomorphic generated subalgebras.  ``expand`` rebuilds
     full tables from their values on reps: a merged cell c takes the

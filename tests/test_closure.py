@@ -209,6 +209,13 @@ def test_closure_goursat_matches_effective_construction():
     assert gour.closure == eff.closure
 
 
+def test_closure_goursat_rejects_non_congruence_with_the_is_congruence_witness():
+    s = Partition.from_literal("0 1|2 3", 4)
+    with pytest.raises(NotCongruenceError) as caught:
+        closure_goursat(Z4, s, EXP2)
+    assert (caught.value.symbol, caught.value.pair) == is_congruence(Z4, s).witness
+
+
 def test_closure_goursat_of_discrete():
     res = closure_goursat(Z8, Partition.discrete(8), EXP2)
     assert res.closure == birkhoff_congruence(Z8, EXP2)

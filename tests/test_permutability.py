@@ -1,3 +1,5 @@
+import importlib
+import pkgutil
 import random
 from itertools import permutations, zip_longest
 from itertools import product as iproduct
@@ -17,8 +19,10 @@ from oracles import (
 )
 from test_relations import NULLARY_ONLY, ONE_ELEMENT, small_algebras
 
+import goursat
 import goursat.permutability as permutability
 import goursat.symmetry as symmetry
+import goursat.terms as terms
 from goursat.algebras import FiniteAlgebra, product
 from goursat.corpus import (
     GROUP_SIG,
@@ -314,6 +318,22 @@ _CELL_CAPS = pytest.mark.parametrize(
     "cells", [permutability._BLOCK_CELLS, 1], ids=["block-cap", "one-cell-cap"]
 )
 
+# each module that imports _BLOCK_CELLS holds its own binding, which a patch of another misses
+_CELL_MODULES = (terms, permutability, symmetry)
+
+
+def _cap_cells(mp, cells):
+    """Cut every block of the clone BFS and of its symmetry layer to at most cells cells."""
+    for module in _CELL_MODULES:
+        mp.setattr(module, "_BLOCK_CELLS", cells)
+
+
+def test_the_cell_cap_reaches_every_module_that_binds_it():
+    names = [name for _, name, _ in pkgutil.iter_modules(goursat.__path__) if not name.startswith("_")]
+    binding = {name for name in names
+               if hasattr(importlib.import_module(f"goursat.{name}"), "_BLOCK_CELLS")}
+    assert binding == {module.__name__.rpartition(".")[2] for module in _CELL_MODULES}
+
 
 @pytest.mark.parametrize(
     "build, explored, term",
@@ -358,7 +378,7 @@ def test_the_cap_keeps_a_witness_only_when_it_would_be_numbered_below_the_cap(
     one-cell blocks each key is tested in a block of its own, so the
     witness is met after the first block.
     """
-    monkeypatch.setattr(permutability, "_BLOCK_CELLS", cells)
+    _cap_cells(monkeypatch, cells)
     alg = build()
     uncapped = find_maltsev_term(alg)
     out = find_maltsev_term(alg, cap=kept)
@@ -466,7 +486,7 @@ def _multi_round_cases():
 
 
 def test_one_row_blocks_match_the_per_tuple_oracle(monkeypatch):
-    monkeypatch.setattr(permutability, "_BLOCK_CELLS", 1)
+    _cap_cells(monkeypatch, 1)
     for alg, cap in _multi_round_cases():
         _assert_rounds_match(alg, cap)
         _assert_searches_match(alg, cap)
@@ -526,7 +546,7 @@ def symmetric_algebras_with_caps(draw):
 def test_orbit_reduced_rounds_and_searches_match_the_oracle_on_planted_symmetry(cells, case):
     alg, cap = case
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(permutability, "_BLOCK_CELLS", cells)
+        _cap_cells(mp, cells)
         _assert_rounds_match(alg, cap)
         _assert_searches_match(alg, cap)
 
@@ -548,7 +568,7 @@ def _aut_orbit_cases():
 
 @_CELL_CAPS
 def test_orbit_reduced_rounds_match_the_oracle_on_large_automorphism_groups(cells, monkeypatch):
-    monkeypatch.setattr(permutability, "_BLOCK_CELLS", cells)
+    _cap_cells(monkeypatch, cells)
     for alg, cap, orbits in _aut_orbit_cases():
         reps = symmetry._clone_orbits(alg).reps
         assert len(reps) == orbits
@@ -579,7 +599,7 @@ def _boundary_cases():
 
 @_CELL_CAPS
 def test_rounds_and_searches_match_the_oracle_on_either_side_of_the_byte_table(cells, monkeypatch):
-    monkeypatch.setattr(permutability, "_BLOCK_CELLS", cells)
+    _cap_cells(monkeypatch, cells)
     for alg, cap, rigid in _boundary_cases():
         if rigid:
             assert len(symmetry._clone_orbits(alg).reps) == alg.n**3
@@ -679,6 +699,44 @@ def test_representatives_are_the_least_cells_of_the_pointed_isomorphism_classes(
     assert symmetry._clone_orbits(alg).reps.tolist() == want
 
 
+@_CELL_CAPS
+@settings(max_examples=40, deadline=None)
+@given(f=st.integers(1, 6).flatmap(lambda n: st.lists(st.integers(0, n - 1), min_size=n, max_size=n)))
+@example(f=[0, 1, 2, 0])
+def test_representatives_match_the_oracle_on_mono_unary_algebras(cells, f):
+    """f is the table of the one unary operation, n <= 6.
+
+    804 of the 3 125 tables with n = 5, and f = 0 1 2 0, have a cell
+    that generates A while the greedy cell falls short: no automorphism
+    is used then, and the cells that generate A merge by their full
+    codes alone.
+    """
+    alg = FiniteAlgebra(Signature({"f": 1}), len(f), {"f": tuple(f)})
+    with pytest.MonkeyPatch.context() as mp:
+        _cap_cells(mp, cells)
+        reps = symmetry._clone_orbits(alg).reps
+    assert reps.tolist() == [members[0] for members in pointed_iso_classes(alg)]
+
+
+def test_a_product_whose_greedy_cell_falls_short_keeps_its_classes_and_witnesses():
+    """klein4 x Z2 x Z3 (n = 24) is generated by the cell (3, 6, 13), but not by its greedy entries 1, 3, 6.
+
+    So no automorphism is used, and the cells that generate A merge by
+    their full codes into the classes Aut(A) would give: 224.  Both
+    searches end after 56 tables.
+    """
+    alg = product([klein4(), cyclic_group(2), cyclic_group(3)])
+    assert len(naive_subuniverse(alg, (3, 6, 13))) == alg.n
+    assert not _greedy_cell_generates(alg) and symmetry._derivation(alg) is None
+    assert len(symmetry._clone_orbits(alg).reps) == 224
+    maltsev, hm = find_maltsev_term(alg), find_hm_terms(alg)
+    assert (maltsev.status, maltsev.explored, render(maltsev.witness.term)) == (FOUND, 56, "m(i(y),m(x,z))")
+    assert maltsev_identities_hold(alg.n, maltsev.witness.table)
+    assert (hm.status, hm.explored) == (FOUND, 56)
+    assert hm_identities_hold(alg.n, hm.witness[0].table, hm.witness[1].table)
+    _assert_rounds_match(alg, 40)
+
+
 def _orbit_least_cells(n, perms):
     """For each cell of A^3, the least cell of its orbit under perms, a group."""
     least = list(range(n**3))
@@ -768,7 +826,7 @@ def test_heyting_chains_reduce_to_51_cells(k, reps):
 def test_rounds_and_searches_match_the_oracle_where_subalgebras_merge_cells(cells, monkeypatch):
     """heyting_chain(5) is rigid and merges 125 cells into 51; the path merges by its
     subsets; cyclic_group(3) x sym3 merges by automorphisms and by subgroups at once."""
-    monkeypatch.setattr(permutability, "_BLOCK_CELLS", cells)
+    _cap_cells(monkeypatch, cells)
     z3_sym3 = product([cyclic_group(3), sym3()])
     for alg, cap in ((heyting_chain(5), 40), (_graph_groupoid(6, PATH6), 40), (z3_sym3, 40)):
         _assert_rounds_match(alg, cap)
