@@ -11,8 +11,9 @@ automorphisms of A and the isomorphisms between the subalgebras that
 the cells of A^3 generate, live in ``symmetry``: every table is held
 restricted to the representatives of ``_clone_orbits``, one cell per
 class, and ``symmetry`` proves that this keeps ids, derivations,
-witnesses and the cap cut unchanged.  Witnesses and ``CloneResult``
-expand tables back to all n**3 cells.
+witnesses and the cap cut unchanged.  A full n**3 table, of a witness or
+of ``CloneResult``, is its term evaluated on all of A^3, so it does not
+rest on those proofs.
 
 Mirrored pairs.  For a binary operation with a symmetric table, the
 pair (j, i) gives the table of (i, j), which comes earlier in the same
@@ -53,7 +54,7 @@ import numpy as np
 
 from .relations import composite, require_congruence
 from .symmetry import _clone_orbits
-from .terms import _BLOCK_CELLS, App, Var
+from .terms import _BLOCK_CELLS, App, Var, _eval_array
 from .verdict import Verdict
 
 TWO = "two"
@@ -128,32 +129,40 @@ class CloneResult:
     ``_clone_orbits``, one cell per class: the orbits of Aut(A) when the
     greedy cell generates A, else single cells, merged by the
     isomorphisms between the subalgebras the cells generate.  ``table``
-    and ``contains`` speak of full n**3 tables.
+    and ``contains`` speak of full n**3 tables, each its term evaluated
+    on all of A^3.
     """
 
-    def __init__(self, orbits, arrays, index, derivations, complete):
-        self.n = orbits.n
-        self._orbits = orbits
-        self._arrays = arrays
+    def __init__(self, alg, index, derivations, complete):
+        self.n = alg.n
+        self._alg = alg
         self._index = index
         self.derivations = derivations
         self.complete = complete
 
     def __len__(self):
-        return len(self._arrays)
+        return len(self.derivations)
 
     def table(self, i):
-        return tuple(self._orbits.expand(self._arrays[i]).tolist())
+        return tuple(_full_table(self._alg, self.term(i)).tolist())
 
     def contains(self, table):
         values = np.asarray(table)
         if values.shape != (self.n**3,) or ((values < 0) | (values >= self.n)).any():
             return False
-        i = self._index.get(values.astype(np.uint8)[self._orbits.reps].tobytes())
-        return i is not None and np.array_equal(self._orbits.expand(self._arrays[i]), values)
+        i = self._index.get(values.astype(np.uint8)[_clone_orbits(self._alg)].tobytes())
+        return i is not None and np.array_equal(_full_table(self._alg, self.term(i)), values)
 
     def term(self, i):
         return _reconstruct(self.derivations, i)
+
+
+def _full_table(alg, t):
+    """The n**3 table of the term t in x, y, z, evaluated on all of A^3 at once."""
+    n = alg.n
+    axis = np.arange(n)
+    env = {"x": axis[:, None, None], "y": axis[None, :, None], "z": axis[None, None, :]}
+    return np.broadcast_to(_eval_array(alg, t, env), (n, n, n)).reshape(-1)
 
 
 def _reconstruct(derivations, i, memo=None):
@@ -216,7 +225,7 @@ def _clone_rounds(alg, cap):
     ``_clone_orbits(alg)``.
     """
     n = alg.n
-    reps = _clone_orbits(alg).reps
+    reps = _clone_orbits(alg)
     if cap < 3:
         raise ValueError("cap must allow at least the three projections")
     size = len(reps)
@@ -286,9 +295,9 @@ def generate_clone3(alg, cap=200_000):
     it is still evaluated in full before the tables past the cap are
     dropped.
     """
-    for arrays, index, derivations, fresh, _room in _clone_rounds(alg, cap):
+    for _arrays, index, derivations, fresh, _room in _clone_rounds(alg, cap):
         pass
-    return CloneResult(_clone_orbits(alg), arrays, index, derivations, complete=not fresh)
+    return CloneResult(alg, index, derivations, complete=not fresh)
 
 
 def _maltsev_masks(alg):
@@ -299,7 +308,7 @@ def _maltsev_masks(alg):
     same pair.
     """
     n = alg.n
-    reps = _clone_orbits(alg).reps
+    reps = _clone_orbits(alg)
     x, y, z = reps // (n * n), (reps // n) % n, reps % n
     i_xyy, i_xxy = np.flatnonzero(y == z), np.flatnonzero(x == y)
     return i_xyy, i_xxy, x[i_xyy].astype(np.uint8), z[i_xxy].astype(np.uint8)
@@ -332,8 +341,8 @@ def _admitted(fresh, room):
 def _witness(alg, index, derivations, fresh, key, memo):
     """The TermWitness of a table's bytes, numbered in index or new in fresh."""
     deriv = fresh[key] if key in fresh else derivations[index[key]]
-    table = tuple(_clone_orbits(alg).expand(np.frombuffer(key, dtype=np.uint8)).tolist())
-    return TermWitness(table, _term(derivations, deriv, memo))
+    term = _term(derivations, deriv, memo)
+    return TermWitness(tuple(_full_table(alg, term).tolist()), term)
 
 
 def find_maltsev_term(alg, cap=200_000):

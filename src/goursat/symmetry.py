@@ -7,8 +7,8 @@ and the isomorphisms between the subalgebras that the cells generate.
 cell c0 (below) generates A, Aut(A) is read off it, and the least cells
 of its orbits are merged by the bounded subalgebra pass; otherwise no
 automorphism is used, and the unbounded pass codes every cell to its
-closure.  ``_Orbits.expand`` rebuilds a full table from its values on
-the representatives.
+closure.  Only the representatives are kept: a full table is never
+rebuilt from them, but read off its term on all of A^3 (``permutability``).
 
 Orbit representatives.  A term operation t commutes with every
 automorphism s of A: t(sx, sy, sz) = s t(x, y, z).  So t is fixed by its
@@ -40,8 +40,7 @@ When ci -> c'i extends to an isomorphism phi: Sg(c) -> Sg(c'), every
 term t has t(c) in Sg(c) and t(c') = phi(t(c)).  So the least cells the
 orbits keep are merged further, two cells whenever their generated
 subalgebras are isomorphic this way, and R becomes the least cell of
-each class; ``expand`` fills each merged cell c' as phi(t(c)) from its
-representative c before it runs the orbit tree.  The proof above
+each class.  The proof above
 carries over: were c' the first cell where two term tables differ, with
 c < c' its representative, the tables would agree at c and so at c'.
 phi is injective and sends each ci to c'i, so merged cells have the
@@ -178,77 +177,20 @@ def _automorphism_generators(alg, steps):
     return gens
 
 
-class _Orbits:
-    """The orbits on the cells of A^3 of the group generated by gens, automorphisms of A.
-
-    gens are read off the greedy cell by ``_automorphism_generators``
-    when that cell generates A, and are none otherwise.  ``reps`` holds the least cell of each orbit, ascending,
-    until ``merge_isomorphic`` narrows it to the least cell of each class
-    of cells with isomorphic generated subalgebras.  ``expand`` rebuilds
-    full tables from their values on reps: a merged cell c takes the
-    value phi(t(r)) from its representative r, and then, along a
-    breadth-first tree of each orbit, a cell c = s(parent) with s a
-    generator takes the value s(t(parent)).
-    """
-
-    def __init__(self, n, gens):
-        self.n = n
-        size = n**3
-        self._perms = np.array(gens, dtype=np.uint8).reshape(len(gens), n)
-        self._tree = []  # (cells, parents, generator index), parents always earlier
-        self._merged = None  # (cells, their representatives in reps, their maps phi)
-        if not gens:
-            self.reps = np.arange(size)
-            return
-        cells = np.arange(size)
-        digits = (cells // (n * n), (cells // n) % n, cells % n)
-
-        def act(g, c):
-            return (g[digits[0][c]] * n + g[digits[1][c]]) * n + g[digits[2][c]]
-
-        # least[c] falls to the least cell of c's orbit: each pass pulls it
-        # back along every generator, then jumps to the least of least[c]
-        least = cells
-        while True:
-            before = least
-            for g in gens:
-                least = np.minimum(least, least[act(g, slice(None))])
-            least = least[least]
-            if np.array_equal(least, before):
-                break
-        seen = least == cells
-        self.reps = frontier = np.flatnonzero(seen)
-        while True:
-            reached = []
-            for k, g in enumerate(gens):
-                image = act(g, frontier)
-                new = ~seen[image]
-                if new.any():
-                    seen[image[new]] = True
-                    self._tree.append((image[new], frontier[new], k))
-                    reached.append(image[new])
-            if not reached:
-                break
-            frontier = np.concatenate(reached)
-
-    def merge_isomorphic(self, source, maps):
-        """Narrow reps to the least cell of each class of ``_pointed_classes`` on reps."""
-        merged = source != self.reps
-        if merged.any():
-            self._merged = (self.reps[merged], source[merged], maps.reshape(-1))
-            self.reps = self.reps[~merged]
-
-    def expand(self, rows):
-        """Full uint8 tables from tables restricted to reps (the last axis)."""
-        full = np.empty(rows.shape[:-1] + (self.n**3,), dtype=np.uint8)
-        full[..., self.reps] = rows
-        if self._merged is not None:
-            cells, sources, maps = self._merged
-            # phi(t(r)), with the phi of cells[k] at k * n in maps
-            full[..., cells] = maps[full[..., sources] + np.arange(0, maps.size, self.n)]
-        for cells, parents, k in self._tree:
-            full[..., cells] = self._perms[k][full[..., parents]]
-        return full
+def _orbit_least(n, gens):
+    """For each cell of A^3, the least cell of its orbit under the group generated by gens."""
+    cells = np.arange(n**3)
+    digits = (cells // (n * n), (cells // n) % n, cells % n)
+    # least[c] falls to the least cell of c's orbit: each pass pulls it
+    # back along every generator, then jumps to the least of least[c]
+    least = cells
+    while True:
+        before = least
+        for g in gens:
+            least = np.minimum(least, least[(g[digits[0]] * n + g[digits[1]]) * n + g[digits[2]]])
+        least = least[least]
+        if np.array_equal(least, before):
+            return least
 
 
 def _level_tuples(arity, level):
@@ -274,10 +216,8 @@ def _pointed_classes(alg, cells, bounded):
     Cells are coded in blocks whose label arrays, and the results of any
     one level, hold at most _BLOCK_CELLS cells.
 
-    cells ascend.  Returns (source, maps): source[i] is the least cell
-    whose code is that of cells[i]; for each i with source[i] !=
-    cells[i], in order, a row of maps is phi, sending an element of
-    Sg(source[i]) to the element of Sg(cells[i]) with its label.
+    cells ascend.  Returns source: source[i] is the least cell whose
+    code is that of cells[i].
     """
     n = alg.n
     ops = [(alg.table_array(sym).reshape(-1), arity) for sym, arity in alg.sig if arity > 0]
@@ -295,15 +235,14 @@ def _pointed_classes(alg, cells, bounded):
     # rows per block: the label arrays are n wide, the widest level end(most) - end(most - 1)
     rows = max(1, _BLOCK_CELLS // max(n, end(most) - end(most - 1)))
     levels = []  # per level, the label tuples of each arity, built as the pass reaches it
-    known = {}  # code -> (least cell, its elements in label order)
-    source, maps = cells.copy(), []
+    known = {}  # code -> its least cell
+    source = cells.copy()
     for lo in range(0, len(cells), rows):
         block = cells[lo : lo + rows]
         m = len(block)
-        # row i's label of element e at i * n + e, and its element of label l at i * n + l:
-        # the elements in label order, then the first entry (label 0) repeated
+        # row i's label of element e at i * n + e, and its element of label l at i * n + l
         label = np.full(m * n, -1, dtype=np.intp)
-        elem = np.repeat(block // (n * n), n)
+        elem = np.zeros(m * n, dtype=np.intp)
         count = np.zeros(m, dtype=np.intp)
         codes = []
 
@@ -351,42 +290,28 @@ def _pointed_classes(alg, cells, bounded):
             codes.view(np.dtype((np.void, codes.shape[1]))).reshape(-1),
             return_index=True, return_inverse=True,
         )
-        least = []
-        for i in first.tolist():
-            row = closed[i]
-            code = codes[i, : end(count[row])].tobytes()
-            if code not in known:
-                known[code] = (block[row], elem[row * n : row * n + n].copy())
-            least.append(known[code])
-        least_cells = np.array([cell for cell, _ in least])[inverse.reshape(-1)]
-        at = np.flatnonzero(least_cells != block[closed])
-        if len(at):
-            source[lo + closed[at]] = least_cells[at]
-            least_elem = np.array([e for _, e in least])[inverse.reshape(-1)[at]]
-            phi = np.zeros((len(at), n), dtype=np.uint8)
-            # both rows repeat their label 0 past the count, so the repeats agree
-            phi[np.arange(len(at))[:, None], least_elem] = elem.reshape(m, n)[closed[at]]
-            maps.append(phi)
-    return source, np.concatenate(maps) if maps else np.zeros((0, n), dtype=np.uint8)
+        least = [known.setdefault(codes[i, : end(count[closed[i]])].tobytes(), block[closed[i]])
+                 for i in first.tolist()]
+        source[lo + closed] = np.array(least)[inverse.reshape(-1)]
+    return source
 
 
 def _clone_orbits(alg):
-    """The cells of A^3 up to Aut(alg) and isomorphisms of generated subalgebras; memoised.
+    """The least cells, ascending, of the classes of A^3 under Aut(alg) and subalgebra isomorphisms; memoised.
 
     When the greedy cell generates alg, the orbits are those of
     Aut(alg), read off that cell, and their least cells are merged by
     the bounded ``_pointed_classes``.  Otherwise no automorphism is
-    used, every cell is its own orbit, and the unbounded pass codes each
-    to its closure, so the cells that generate alg merge by their full
-    codes.  ``reps`` holds the least cell of each class, and ``expand``
-    fills the rest.
+    used, and the unbounded pass codes each cell to its closure, so the
+    cells that generate alg merge by their full codes.
     """
     if alg.n > 255:
         raise CarrierBoundError(alg.n, 255)
-    hit = alg._memo.get("clone_orbits")
-    if hit is None:
+    reps = alg._memo.get("clone_orbits")
+    if reps is None:
         steps = _derivation(alg)
-        hit = _Orbits(alg.n, [] if steps is None else _automorphism_generators(alg, steps))
-        hit.merge_isomorphic(*_pointed_classes(alg, hit.reps, bounded=steps is not None))
-        alg._memo["clone_orbits"] = hit
-    return hit
+        least = _orbit_least(alg.n, [] if steps is None else _automorphism_generators(alg, steps))
+        reps = np.flatnonzero(least == np.arange(alg.n**3))
+        source = _pointed_classes(alg, reps, bounded=steps is not None)
+        reps = alg._memo["clone_orbits"] = reps[source == reps]
+    return reps

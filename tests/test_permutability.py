@@ -415,21 +415,21 @@ def test_maltsev_term_forces_all_pairs_two_permutable():
 
 
 def _assert_rounds_match(alg, cap):
-    """Every round of the block BFS, expanded to full tables, equals the oracle's round, field by field."""
-    orbits = symmetry._clone_orbits(alg)
+    """Every round of the block BFS equals the oracle's, restricted to the representatives, field by field."""
+    reps = symmetry._clone_orbits(alg)
 
-    def full(key):
-        return orbits.expand(np.frombuffer(key, dtype=np.uint8)).tobytes()
+    def restricted(key):
+        return np.frombuffer(key, dtype=np.uint8)[reps].tobytes()
 
     rounds = zip_longest(permutability._clone_rounds(alg, cap), naive_clone_rounds(alg, cap))
     for got, want in rounds:
         assert got is not None and want is not None, "the two BFS ran different round counts"
         arrays, index, derivations, fresh, room = got
         w_arrays, w_index, w_derivations, w_fresh, w_room = want
-        assert [full(a.tobytes()) for a in arrays] == [a.tobytes() for a in w_arrays]
-        assert {full(key): i for key, i in index.items()} == w_index
+        assert [a.tobytes() for a in arrays] == [restricted(a.tobytes()) for a in w_arrays]
+        assert index == {restricted(key): i for key, i in w_index.items()}
         assert derivations == w_derivations
-        assert [(full(key), deriv) for key, deriv in fresh.items()] == list(w_fresh.items())
+        assert list(fresh.items()) == [(restricted(key), deriv) for key, deriv in w_fresh.items()]
         assert room == w_room
 
 
@@ -438,20 +438,31 @@ def _searches(alg, cap):
 
 
 def _assert_searches_match(alg, cap):
+    """Both searches equal their run on the oracle's rounds, and every witness table is an oracle table."""
     got = _searches(alg, cap)
-    runs = []
+    runs, tables = [], set()
 
     def oracle_rounds(a, c):
         runs.append(c)
-        return naive_clone_rounds(a, c)
+        for arrays, index, derivations, fresh, room in naive_clone_rounds(a, c):
+            tables.update(fresh)
+            yield arrays, index, derivations, fresh, room
 
     with pytest.MonkeyPatch.context() as mp:
         # the oracle's rounds hold full tables: every cell its own orbit
         mp.setattr(permutability, "_clone_rounds", oracle_rounds)
-        mp.setattr(permutability, "_clone_orbits", lambda a: symmetry._Orbits(a.n, []))
+        mp.setattr(permutability, "_clone_orbits", lambda a: np.arange(a.n**3))
         want = _searches(alg, cap)
     assert runs == [cap, cap], "each search must read the oracle's rounds"
     assert got == want
+    assert all(bytes(tw.table) in tables for out in got for tw in _witnesses(out))
+
+
+def _witnesses(out):
+    """The TermWitness objects of a search outcome: none, one, or the (p, q) pair."""
+    if not out:
+        return ()
+    return out.witness if isinstance(out.witness, tuple) else (out.witness,)
 
 
 @st.composite
@@ -570,7 +581,7 @@ def _aut_orbit_cases():
 def test_orbit_reduced_rounds_match_the_oracle_on_large_automorphism_groups(cells, monkeypatch):
     _cap_cells(monkeypatch, cells)
     for alg, cap, orbits in _aut_orbit_cases():
-        reps = symmetry._clone_orbits(alg).reps
+        reps = symmetry._clone_orbits(alg)
         assert len(reps) == orbits
         _assert_rounds_match(alg, cap)
         _assert_searches_match(alg, cap)
@@ -602,7 +613,7 @@ def test_rounds_and_searches_match_the_oracle_on_either_side_of_the_byte_table(c
     _cap_cells(monkeypatch, cells)
     for alg, cap, rigid in _boundary_cases():
         if rigid:
-            assert len(symmetry._clone_orbits(alg).reps) == alg.n**3
+            assert len(symmetry._clone_orbits(alg)) == alg.n**3
         _assert_rounds_match(alg, cap)
         _assert_searches_match(alg, cap)
 
@@ -611,7 +622,7 @@ def test_maltsev_masks_pair_up_the_same_argument_pairs():
     merging = [(heyting_chain(5),), (product([cyclic_group(3), sym3()]),)]
     for alg, *_ in list(_aut_orbit_cases()) + merging:
         n = alg.n
-        reps = symmetry._clone_orbits(alg).reps
+        reps = symmetry._clone_orbits(alg)
         i_xyy, i_xxy, want_x, want_y = permutability._maltsev_masks(alg)
         xyy = [(int(c) // (n * n), int(c) % n) for c in reps[i_xyy]]
         xxy = [(int(c) // (n * n), int(c) % n) for c in reps[i_xxy]]
@@ -665,7 +676,7 @@ def test_an_automorphism_search_cut_at_its_bound_still_matches_the_oracle():
     auts = [p for p in permutations(range(8)) if (np.array(p)[table] == table[np.ix_(p, p)]).all()]
     assert len(auts) == 4
     assert symmetry._derivation(alg) is None
-    assert len(symmetry._clone_orbits(alg).reps) == len(_graph_patterns(8, edges))
+    assert len(symmetry._clone_orbits(alg)) == len(_graph_patterns(8, edges))
     _assert_rounds_match(alg, 40)
     _assert_searches_match(alg, 40)
 
@@ -696,7 +707,7 @@ def test_representatives_are_the_least_cells_of_the_pointed_isomorphism_classes(
     Either way no class is left split.
     """
     want = [cells[0] for cells in pointed_iso_classes(alg)]
-    assert symmetry._clone_orbits(alg).reps.tolist() == want
+    assert symmetry._clone_orbits(alg).tolist() == want
 
 
 @_CELL_CAPS
@@ -714,7 +725,7 @@ def test_representatives_match_the_oracle_on_mono_unary_algebras(cells, f):
     alg = FiniteAlgebra(Signature({"f": 1}), len(f), {"f": tuple(f)})
     with pytest.MonkeyPatch.context() as mp:
         _cap_cells(mp, cells)
-        reps = symmetry._clone_orbits(alg).reps
+        reps = symmetry._clone_orbits(alg)
     assert reps.tolist() == [members[0] for members in pointed_iso_classes(alg)]
 
 
@@ -728,7 +739,7 @@ def test_a_product_whose_greedy_cell_falls_short_keeps_its_classes_and_witnesses
     alg = product([klein4(), cyclic_group(2), cyclic_group(3)])
     assert len(naive_subuniverse(alg, (3, 6, 13))) == alg.n
     assert not _greedy_cell_generates(alg) and symmetry._derivation(alg) is None
-    assert len(symmetry._clone_orbits(alg).reps) == 224
+    assert len(symmetry._clone_orbits(alg)) == 224
     maltsev, hm = find_maltsev_term(alg), find_hm_terms(alg)
     assert (maltsev.status, maltsev.explored, render(maltsev.witness.term)) == (FOUND, 56, "m(i(y),m(x,z))")
     assert maltsev_identities_hold(alg.n, maltsev.witness.table)
@@ -764,13 +775,15 @@ def _assert_aut_orbits_match_the_oracle(alg):
     steps = symmetry._derivation(alg)
     assert (steps is not None) == _greedy_cell_generates(alg)
     if steps is None:
-        assert not symmetry._clone_orbits(alg)._tree
+        def unread(*args):
+            raise AssertionError("an automorphism was read off a greedy cell that falls short")
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(symmetry, "_automorphism_generators", unread)
+            # a fresh copy, so the representatives are not read from the memo
+            symmetry._clone_orbits(FiniteAlgebra(alg.sig, n, alg.tables))
         return
-    orbits = symmetry._Orbits(n, symmetry._automorphism_generators(alg, steps))
-    least = np.full(n**3, -1)
-    least[orbits.reps] = orbits.reps
-    for cells, parents, _k in orbits._tree:
-        least[cells] = least[parents]
+    least = symmetry._orbit_least(n, symmetry._automorphism_generators(alg, steps))
     assert least.tolist() == _orbit_least_cells(n, automorphisms(alg))
 
 
@@ -800,7 +813,7 @@ def test_four_disjoint_four_cycles_merge_by_their_subalgebras_alone():
         Signature({"f": 1}), 16, {"f": lambda x: 4 * (x // 4) + (x + 1) % 4}, name="cycles4x4"
     )
     assert symmetry._derivation(alg) is None
-    assert len(symmetry._clone_orbits(alg).reps) == 4 * 4 + 3 * 4 + 1
+    assert len(symmetry._clone_orbits(alg)) == 4 * 4 + 3 * 4 + 1
     _assert_rounds_match(alg, 40)
     _assert_searches_match(alg, 40)
 
@@ -819,7 +832,7 @@ def test_heyting_chains_reduce_to_51_cells(k, reps):
     interior values, so the 6 types with three interior values are
     missing, 45 in all.
     """
-    assert len(symmetry._clone_orbits(heyting_chain(k)).reps) == reps
+    assert len(symmetry._clone_orbits(heyting_chain(k))) == reps
 
 
 @_CELL_CAPS
@@ -833,6 +846,46 @@ def test_rounds_and_searches_match_the_oracle_where_subalgebras_merge_cells(cell
         _assert_searches_match(alg, cap)
 
 
+@pytest.mark.parametrize(
+    "build, cap, maltsev",
+    [(lambda: heyting_chain(5), 40, True), (lambda: product([cyclic_group(3), sym3()]), 40, True),
+     (lambda: product([klein4(), cyclic_group(2), cyclic_group(3)]), 40, True),
+     (lambda: UNARY_0120, 300, False)],
+    ids=["heyting_chain(5)", "z3_sym3", "klein4_z2_z3", "unary_0120"],
+)
+def test_full_tables_match_the_oracle_where_cells_merge(build, cap, maltsev):
+    """Full tables are read off terms, not off the representatives.
+
+    Every id's table equals the oracle's full table, ``contains``
+    accepts it and rejects it with one cell outside the representatives
+    changed, and each search's witness tables are their terms, cell by
+    cell.  The first three algebras have Maltsev terms, so both searches
+    find witnesses; a unary algebra has none.
+    """
+    alg = build()
+    n = alg.n
+    for arrays, *_ in naive_clone_rounds(alg, cap):
+        pass
+    want = [a.tolist() for a in arrays]
+    clone = generate_clone3(alg, cap)
+    assert len(clone) == len(want)
+    outside = np.setdiff1d(np.arange(n**3), symmetry._clone_orbits(alg))
+    assert len(outside), "the representatives must leave some cell out"
+    for i, table in enumerate(want):
+        assert list(clone.table(i)) == table
+        assert clone.contains(table)
+        cell = int(outside[i % len(outside)])
+        forged = list(table)
+        forged[cell] = (forged[cell] + 1) % n
+        assert not clone.contains(forged)
+    for search in (find_maltsev_term, find_hm_terms):
+        out = search(alg)
+        assert out.status == (FOUND if maltsev else NONE)
+        for tw in _witnesses(out):
+            for c, (x, y, z) in enumerate(iproduct(range(n), repeat=3)):
+                assert tw.table[c] == eval_term(alg, tw.term, {"x": x, "y": y, "z": z})
+
+
 def test_contains_is_false_for_out_of_range_entries_and_for_tables_agreeing_only_on_representatives():
     z3 = cyclic_group(3)
     clone = generate_clone3(z3)
@@ -842,7 +895,7 @@ def test_contains_is_false_for_out_of_range_entries_and_for_tables_agreeing_only
     for bad in (-1, 3, 255, 256, 1000):
         assert not clone.contains((bad,) + member[1:])
     # x -> -x is an automorphism of Z3, so a table is stored on half its cells
-    reps = set(symmetry._clone_orbits(z3).reps.tolist())
+    reps = set(symmetry._clone_orbits(z3).tolist())
     cell = min(set(range(27)) - reps)
     forged = list(member)
     forged[cell] = (forged[cell] + 1) % 3
