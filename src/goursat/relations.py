@@ -354,8 +354,17 @@ class ConLattice:
     Congruences are sorted by (number of blocks, block list); index 0 is
     the full relation, the last index is the discrete one.  Membership
     and ``index`` look a partition up by its label vector.  The
-    constructor trusts that the list is closed under meet and join; the
-    tables index the meet and the join of each pair of congruences.
+    constructor trusts that the list is sorted so and closed under meet
+    and join.
+
+    ``leq[i][j]`` says congruence i refines congruence j: j's labels are
+    constant on i's blocks, read at each block's first element.  A
+    strictly finer congruence has more blocks, so a greater index.  The
+    meet of i and j lies strictly above every other common lower bound,
+    so it is the common lower bound of least index; dually the join is
+    the common upper bound of greatest index.  Both tables are read off
+    the order matrix one row i at a time, and all three are kept as
+    tuples of tuples of Python bools and ints.
     """
 
     def __init__(self, n, congruences):
@@ -363,22 +372,19 @@ class ConLattice:
         cons = self.congruences = tuple(congruences)
         self._index = {p.index_of: i for i, p in enumerate(cons)}
         k = len(cons)
-        self.leq = tuple(tuple(cons[i].refines(cons[j]) for j in range(k)) for i in range(k))
-        meet_table = [[0] * k for _ in range(k)]
-        join_table = [[0] * k for _ in range(k)]
+        labels = np.array([p.index_of for p in cons], dtype=np.intp)
+        leq = np.empty((k, k), dtype=bool)
+        for i, p in enumerate(cons):
+            firsts = np.array([blk[0] for blk in p.blocks], dtype=np.intp)[labels[i]]
+            leq[i] = (labels == labels[:, firsts]).all(axis=1)
+        meet_table = np.empty((k, k), dtype=np.intp)
+        join_table = np.empty((k, k), dtype=np.intp)
         for i in range(k):
-            for j in range(i, k):
-                if self.leq[i][j]:
-                    low, high = i, j
-                elif self.leq[j][i]:
-                    low, high = j, i
-                else:
-                    low = self.index(cons[i].meet(cons[j]))
-                    high = self.index(cons[i].join(cons[j]))
-                meet_table[i][j] = meet_table[j][i] = low
-                join_table[i][j] = join_table[j][i] = high
-        self.meet_table = tuple(map(tuple, meet_table))
-        self.join_table = tuple(map(tuple, join_table))
+            meet_table[i] = (leq[:, i, None] & leq).argmax(axis=0)
+            join_table[i] = k - 1 - (leq[i, ::-1] & leq[:, ::-1]).argmax(axis=1)
+        self.leq = tuple(map(tuple, leq.tolist()))
+        self.meet_table = tuple(map(tuple, meet_table.tolist()))
+        self.join_table = tuple(map(tuple, join_table.tolist()))
 
     def __len__(self):
         return len(self.congruences)
@@ -393,20 +399,54 @@ class ConLattice:
             raise ValueError(f"{p!r} is not a congruence in this lattice") from None
 
     def covers(self):
-        """Covering pairs (i, j) with congruence i covered by congruence j."""
-        k = len(self.congruences)
-        out = []
-        for i in range(k):
-            for j in range(k):
-                if i == j or not self.leq[i][j]:
-                    continue
-                if any(
-                    m != i and m != j and self.leq[i][m] and self.leq[m][j]
-                    for m in range(k)
-                ):
-                    continue
-                out.append((i, j))
-        return out
+        """Covering pairs (i, j) with congruence i covered by congruence j, row by row.
+
+        i < j covers exactly when no m lies strictly between them, that
+        is when (i, j) is in the strict order but not in its square.
+        """
+        strict = np.array(self.leq, dtype=bool)
+        np.fill_diagonal(strict, False)
+        return list(map(tuple, np.argwhere(strict & ~(strict @ strict)).tolist()))
+
+
+def _pair_orbit_reps(alg):
+    """Codes a * n + b of the pairs a < b least in their orbit under the bijective translations.
+
+    The orbits are those of the group that the bijective rows of
+    ``_translations`` generate, acting on unordered pairs.  ``least``
+    holds, per cell (a, b), a pair code min * n + max; each pass pulls
+    it back along every generator, then jumps to least[least[a, b]].
+    At the fixpoint it is constant on each orbit and is
+    its least code.  The codes come out ascending, that is in
+    lexicographic pair order; with no bijective row, every pair is one.
+    """
+    n = alg.n
+    carrier = np.arange(n)
+    mat = _translations(alg)
+    gens = mat[(np.sort(mat, axis=1) == carrier).all(axis=1)]
+    lo, hi = np.minimum.outer(carrier, carrier), np.maximum.outer(carrier, carrier)
+    least, before = (lo * n + hi).ravel(), None
+    while len(gens) and not np.array_equal(least, before):
+        before = least
+        for g in gens:
+            least = np.minimum(least, least.reshape(n, n)[np.ix_(g, g)].ravel())
+        least = least[least]
+    return np.flatnonzero((least == np.arange(n * n)) & (lo < hi).ravel())
+
+
+def _principal_congruences(alg):
+    """The discrete relation, then every principal congruence, keyed by label vector.
+
+    One generation per orbit representative; see ``con_lattice`` for
+    why the dict is filled in the order of the sweep over all pairs.
+    """
+    n = alg.n
+    bottom = Partition.discrete(n)
+    found = {bottom.index_of: bottom}
+    for code in _pair_orbit_reps(alg).tolist():
+        cg = congruence_generated(alg, [divmod(code, n)])
+        found.setdefault(cg.index_of, cg)
+    return found
 
 
 def con_lattice(alg, max_size=64):
@@ -414,9 +454,20 @@ def con_lattice(alg, max_size=64):
 
     Every congruence is the join of the principal congruences below it,
     so the closure joins each new congruence with the principal ones
-    only.  Con(A) is a sublattice of Eq(A), so the closure and the join
-    table use the plain equivalence join of partitions.  Memoised per
-    table; the carrier bound is checked on every call.
+    only.  Cg(a, b) is generated only at the pairs least in their orbit
+    under the bijective basic translations.  That loses nothing:
+
+    - orbit equality: a bijective translation t has t^-1 = t^m for some
+      m, so Cg(t(a), t(b)) = Cg(a, b), and so along the whole group;
+    - first occurrence: a principal congruence is first met, in
+      lexicographic pair order, at its least generating pair, and that
+      pair is least in its orbit.
+
+    So the principal congruences are found in the order of the sweep
+    over all n(n-1)/2 pairs, and so is the rest.  Con(A) is a sublattice
+    of Eq(A), so the closure uses the plain equivalence join of
+    partitions.  Memoised per table; the carrier bound is checked on
+    every call.
     """
     if alg.n > max_size:
         raise CarrierBoundError(alg.n, max_size)
@@ -424,13 +475,7 @@ def con_lattice(alg, max_size=64):
     if hit is not None:
         return hit
 
-    n = alg.n
-    bottom = Partition.discrete(n)
-    found = {bottom.index_of: bottom}
-    for a in range(n):
-        for b in range(a + 1, n):
-            cg = congruence_generated(alg, [(a, b)])
-            found.setdefault(cg.index_of, cg)
+    found = _principal_congruences(alg)
     principal = list(found.values())
     work = list(principal)
     while work:
@@ -442,7 +487,7 @@ def con_lattice(alg, max_size=64):
                 work.append(j)
 
     ordered = sorted(found.values(), key=lambda p: (p.num_blocks, p.blocks))
-    lat = alg._memo["con"] = ConLattice(n, ordered)
+    lat = alg._memo["con"] = ConLattice(alg.n, ordered)
     return lat
 
 

@@ -2,17 +2,18 @@
 
 Everything here is deliberately naive: set-based relational composition,
 equivalence joins, raw and closed images and pull-backs on explicit pair
-sets, axiom 3's instances along one arrow as pair sets, the pair set of
-a boolean matrix, enumeration of all partitions via restricted growth
-strings, a from-the-definition compatibility check, the automorphisms
-as the permutations that commute with every table, the
-scalar congruence witness scan, a scalar subuniverse closure, the
-subuniverses as closures of every small seed, subalgebra tables built
-one scalar apply per argument tuple, mixed-radix product coordinates,
-block membership in a partition, a clone BFS
-that applies an operation to one argument tuple at a time, and identities
-evaluated one assignment at a time by the recursive reference
-``terms.eval_term``.
+sets, axiom 3's instances along one arrow as pair sets, the order, meet
+and join tables of a lattice of equivalences on pair sets and its
+covering pairs by a triple loop, the pair set of a boolean matrix,
+enumeration of all partitions via restricted growth strings, a
+from-the-definition compatibility check, the automorphisms as the
+permutations that commute with every table, the scalar congruence
+witness scan, a scalar subuniverse closure, the subuniverses as closures
+of every small seed, subalgebra tables built one scalar apply per
+argument tuple, mixed-radix product coordinates, block membership in a
+partition, a clone BFS that applies an operation to one argument tuple
+at a time, and identities evaluated one assignment at a time by the
+recursive reference ``terms.eval_term``.
 None of it shares code with the package internals it validates.
 """
 
@@ -47,6 +48,39 @@ def label_pairs(labels):
 def join_pairs(n, r_pairs, s_pairs):
     """Equivalence join as the closure of the union of two pair sets."""
     return equivalence_closure_pairs(n, r_pairs | s_pairs)
+
+
+def lattice_tables(labels_list):
+    """Order, meet and join tables of a list of equivalences closed under both, pair by pair.
+
+    leq[i][j] is the inclusion of pair sets; the meet and the join of i
+    and j are looked up by the pair sets of the intersection and of the
+    equivalence closure of the union.  This is the pairwise
+    refines/meet/join construction, on pair sets instead of partitions.
+    """
+    n = len(labels_list[0])
+    pairs = [frozenset(label_pairs(labels)) for labels in labels_list]
+    where = {p: i for i, p in enumerate(pairs)}
+    k = len(pairs)
+    leq = tuple(tuple(pairs[i] <= pairs[j] for j in range(k)) for i in range(k))
+    meet = tuple(tuple(where[pairs[i] & pairs[j]] for j in range(k)) for i in range(k))
+    join = [[0] * k for _ in range(k)]
+    for i in range(k):
+        for j in range(i, k):
+            join[i][j] = join[j][i] = where[frozenset(join_pairs(n, pairs[i], pairs[j]))]
+    return leq, meet, tuple(map(tuple, join))
+
+
+def covering_pairs(leq):
+    """The covering pairs (i, j) of an order matrix by the triple loop, i ascending, then j."""
+    k = len(leq)
+    return [
+        (i, j)
+        for i in range(k)
+        for j in range(k)
+        if i != j and leq[i][j]
+        and not any(m != i and m != j and leq[i][m] and leq[m][j] for m in range(k))
+    ]
 
 
 def image_pairs(n_target, mapping, s_pairs):

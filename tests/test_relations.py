@@ -8,6 +8,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from goursat.algebras import FiniteAlgebra, QuotientMap, quotient
+from goursat.algebras import product as algebra_product
 from goursat.corpus import (
     boolean_ring,
     cyclic_group,
@@ -20,6 +21,8 @@ from goursat.errors import CarrierBoundError, NotCongruenceError, SizeMismatchEr
 from goursat.permutability import TWO, goursat_join_check, permutability_level
 from goursat.relations import (
     Partition,
+    _pair_orbit_reps,
+    _principal_congruences,
     _translations,
     composite,
     con_lattice,
@@ -39,9 +42,11 @@ from oracles import (
     compatible,
     congruence_witness,
     compose_pairs,
+    covering_pairs,
     image_pairs,
     join_pairs,
     label_pairs,
+    lattice_tables,
     matrix_pairs,
     meet_blocks,
     pullback_pairs,
@@ -478,13 +483,140 @@ def test_congruence_generated_matches_oracle(alg):
             assert got.blocks == _least_oracle_congruence(alg, congruences, [(a, b)])
 
 
+def _full_sweep_principals(alg):
+    """The discrete relation, then the principal congruences as the sweep over every pair meets them."""
+    bottom = Partition.discrete(alg.n)
+    found = {bottom.index_of: bottom}
+    for a in range(alg.n):
+        for b in range(a + 1, alg.n):
+            cg = congruence_generated(alg, [(a, b)])
+            found.setdefault(cg.index_of, cg)
+    return list(found.values())
+
+
+def _assert_lattice_matches_oracles(lat):
+    """Tables equal the pair-set oracle's, as Python bools and ints; covers equal the triple loop's."""
+    assert (lat.leq, lat.meet_table, lat.join_table) == lattice_tables(
+        [p.index_of for p in lat.congruences]
+    )
+    assert {type(x) for row in lat.leq for x in row} == {bool}
+    assert {type(x) for row in lat.meet_table + lat.join_table for x in row} == {int}
+    assert lat.covers() == covering_pairs(lat.leq)
+
+
 @settings(max_examples=80, deadline=None)
 @given(small_algebras())
 @example(ONE_ELEMENT)
 @example(NULLARY_ONLY)
 def test_con_lattice_matches_oracle(alg):
-    got = sorted(p.blocks for p in con_lattice(alg).congruences)
+    lat = con_lattice(alg)
+    got = sorted(p.blocks for p in lat.congruences)
     assert got == sorted(brute_force_congruences(alg))
+    _assert_lattice_matches_oracles(lat)
+
+
+@st.composite
+def planted_symmetry_algebras(draw):
+    """Random algebras with n <= 6 whose basic translations include bijections.
+
+    One or two planted operations: a unary permutation, or a Latin square
+    r(p(x) + q(y) mod n), every translation of which is a bijection.  One
+    more operation, not necessarily bijective, may follow.  Half the
+    algebras are drawn with shifts x + c for the permutations and an
+    affine map mod n for the extra operation; these keep every
+    congruence mod d of Z_n, so Con(A) is often more than {0, 1}.  The
+    other half draw random permutations and a random extra table.
+    """
+    n = draw(st.sampled_from([4, 6, 1, 2, 3, 5]))  # composite sizes first
+    coefficient = st.integers(0, n - 1)
+    shifted = draw(st.booleans())
+
+    def permutation():
+        if not shifted:
+            return list(draw(st.permutations(range(n))))
+        shift = draw(coefficient)
+        return [(x + shift) % n for x in range(n)]
+
+    tables, arities = {}, {}
+    kinds = draw(st.lists(st.sampled_from(["perm", "latin"]), min_size=1, max_size=2))
+    for i, kind in enumerate(kinds):
+        if kind == "perm":
+            arities[f"u{i}"], tables[f"u{i}"] = 1, permutation()
+        else:
+            p, q, r = permutation(), permutation(), permutation()
+            arities[f"m{i}"] = 2
+            tables[f"m{i}"] = [r[(p[x] + q[y]) % n] for x, y in product(range(n), repeat=2)]
+    if draw(st.booleans()):
+        arity = draw(st.integers(1, 2))
+        if shifted:
+            coeffs = draw(st.lists(coefficient, min_size=arity + 1, max_size=arity + 1))
+            table = [
+                (coeffs[-1] + sum(c * a for c, a in zip(coeffs, args))) % n
+                for args in product(range(n), repeat=arity)
+            ]
+        else:
+            table = draw(st.lists(coefficient, min_size=n**arity, max_size=n**arity))
+        arities["g"], tables["g"] = arity, table
+    return FiniteAlgebra(Signature(arities), n, tables)
+
+
+@settings(max_examples=80, deadline=None)
+@given(planted_symmetry_algebras())
+def test_con_lattice_matches_the_oracles_on_planted_symmetry(alg):
+    lat = con_lattice(alg)
+    want = sorted(brute_force_congruences(alg), key=lambda blocks: (len(blocks), blocks))
+    assert [p.blocks for p in lat.congruences] == want
+    _assert_lattice_matches_oracles(lat)
+    assert list(_principal_congruences(alg).values()) == _full_sweep_principals(alg)
+
+
+def unary_cycle(n):
+    """The mono-unary algebra x -> x + 1 mod n; Con is the divisor lattice of n."""
+    return FiniteAlgebra(Signature({"f": 1}), n, {"f": [(x + 1) % n for x in range(n)]})
+
+
+PINNED_ORBITS = {
+    "Z32": (cyclic_group(32), 16),
+    "klein4^2": (algebra_product([K4, K4]), 15),
+    "boolean_ring(4)": (boolean_ring(4), 15),
+    "cycle64": (unary_cycle(64), 32),
+    # no basic translation of the chain is a bijection, so every pair is swept
+    "heyting_chain(12)": (heyting_chain(12), 66),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PINNED_ORBITS))
+def test_principal_sweep_runs_on_pinned_orbit_representatives(name):
+    alg, reps = PINNED_ORBITS[name]
+    codes = _pair_orbit_reps(alg).tolist()
+    assert len(codes) == reps
+    assert codes == sorted(codes) and all(a < b for a, b in (divmod(c, alg.n) for c in codes))
+    if name == "heyting_chain(12)":
+        assert codes == [a * 12 + b for a in range(12) for b in range(a + 1, 12)]
+
+
+@pytest.mark.parametrize("name", ["Z32", "klein4^2", "boolean_ring(4)", "heyting_chain(12)"])
+def test_principal_congruences_come_in_the_order_of_the_full_sweep(name):
+    alg = PINNED_ORBITS[name][0]
+    assert list(_principal_congruences(alg).values()) == _full_sweep_principals(alg)
+
+
+def test_principal_order_and_lattice_of_unary_cycles():
+    for n in (12, 24, 30):
+        alg = unary_cycle(n)
+        assert list(_principal_congruences(alg).values()) == _full_sweep_principals(alg)
+        lat = con_lattice(alg)
+        assert len(lat) == sum(1 for d in range(1, n + 1) if n % d == 0)
+        assert sorted(p.blocks for p in lat.congruences) == sorted(
+            tuple(tuple(range(r, n, d)) for r in range(d)) for d in range(1, n + 1) if n % d == 0
+        )
+
+
+def test_covers_match_the_triple_loop_on_corpus_lattices_and_f2_5():
+    f2_5 = con_lattice(algebra_product([K4, K4, cyclic_group(2)]))
+    assert len(f2_5) == 374
+    for lat in [con_lattice(entry.algebra) for entry in default_entries()] + [f2_5]:
+        assert lat.covers() == covering_pairs(lat.leq)
 
 
 @settings(max_examples=60, deadline=None)
