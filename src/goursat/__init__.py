@@ -29,12 +29,10 @@ from .closure import (
 from .corpus import CorpusEntry, builtin, corpus_specs, default_entries
 from .distributivity import DistReport, dist_report, is_distributive
 from .permutability import (
-    CloneResult,
     SearchOutcome,
     TermWitness,
     find_hm_terms,
     find_maltsev_term,
-    generate_clone3,
     goursat_join_check,
     permutability_level,
 )

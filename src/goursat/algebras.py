@@ -51,10 +51,11 @@ class FiniteAlgebra:
                 raise ValueError(
                     f"table for {sym!r} has {len(table)} entries, expected {n**arity}"
                 )
-            for v in table:
+            odd = [v for v in table if type(v) is not int and not isinstance(v, Integral)]
+            # the range is read only on integers, and an out-of-range one is named first
+            for v in [v for v in table if isinstance(v, Integral)] if odd else table:
                 if not 0 <= v < n:
                     raise ValueError(f"table for {sym!r} has out-of-range entry {v}")
-            odd = [v for v in table if type(v) is not int and not isinstance(v, Integral)]
             if odd:
                 raise ValueError(f"table for {sym!r} has non-integer entry {odd[0]!r}")
             arrays[sym] = np.array(table, dtype=np.intp).reshape((n,) * arity)
@@ -255,6 +256,8 @@ def generate_subuniverse(alg, seed):
     """
     current = set(seed)
     for x in current:
+        if type(x) is not int and not isinstance(x, Integral):
+            raise ValueError(f"non-integer seed element {x!r}")
         if not 0 <= x < alg.n:
             raise ValueError(f"seed element {x} out of range")
     for sym, arity in alg.sig:

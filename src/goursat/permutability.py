@@ -11,9 +11,8 @@ automorphisms of A and the isomorphisms between the subalgebras that
 the cells of A^3 generate, live in ``symmetry``: every table is held
 restricted to the representatives of ``_clone_orbits``, one cell per
 class, and ``symmetry`` proves that this keeps ids, derivations,
-witnesses and the cap cut unchanged.  A full n**3 table, of a witness or
-of ``CloneResult``, is its term evaluated on all of A^3, so it does not
-rest on those proofs.
+witnesses and the cap cut unchanged.  A witness's full n**3 table is its
+term evaluated on all of A^3, so it does not rest on those proofs.
 
 Mirrored pairs.  For a binary operation with a symmetric table, the
 pair (j, i) gives the table of (i, j), which comes earlier in the same
@@ -34,16 +33,17 @@ table, as n <= 255), else through intp.  Either way the block comes out
 as the bytes the rows are keyed by.  Rows are then deduplicated in the
 order of their argument tuples, the order of the one-tuple-at-a-time
 loop, so each new table keeps the same first derivation, and the order
-that fixes witnesses is unchanged.  Each table is stored once: its bytes
-are the deduplication key, and its array is a read-only view of those
-bytes.
+that fixes witnesses is unchanged.  Each table is stored once, as its
+bytes, the deduplication key.
 
 A round is searched before it is numbered.  Ids within a round follow
 key order, so the least new key that passes a test is the least id, and
 a key is kept under the cap exactly when fewer than the round's room new
-keys are smaller.  The Maltsev search tests the new keys in array blocks
-and stops at a witness without numbering its round; the
-Hagemann-Mitschke search reads its p and q candidates off the same
+keys are smaller.  Both searches run through one round loop, ``_search``,
+which reads the new keys in array blocks, stops at a witness without
+numbering its round, and owns the count and the three endings.  The
+Maltsev test takes the least key that passes both identities; the
+Hagemann-Mitschke test reads its p and q candidates off the same
 blocks, keeps them by key, and joins them by a hash of the restriction
 they must share.
 """
@@ -122,41 +122,6 @@ class SearchOutcome:
         return self.status == FOUND
 
 
-class CloneResult:
-    """Ternary term operations generated so far, with their derivations.
-
-    Tables are held restricted to the representatives of
-    ``_clone_orbits``, one cell per class: the orbits of Aut(A) when the
-    greedy cell generates A, else single cells, merged by the
-    isomorphisms between the subalgebras the cells generate.  ``table``
-    and ``contains`` speak of full n**3 tables, each its term evaluated
-    on all of A^3.
-    """
-
-    def __init__(self, alg, index, derivations, complete):
-        self.n = alg.n
-        self._alg = alg
-        self._index = index
-        self.derivations = derivations
-        self.complete = complete
-
-    def __len__(self):
-        return len(self.derivations)
-
-    def table(self, i):
-        return tuple(_full_table(self._alg, self.term(i)).tolist())
-
-    def contains(self, table):
-        values = np.asarray(table)
-        if values.shape != (self.n**3,) or ((values < 0) | (values >= self.n)).any():
-            return False
-        i = self._index.get(values.astype(np.uint8)[_clone_orbits(self._alg)].tobytes())
-        return i is not None and np.array_equal(_full_table(self._alg, self.term(i)), values)
-
-    def term(self, i):
-        return _reconstruct(self.derivations, i)
-
-
 def _full_table(alg, t):
     """The n**3 table of the term t in x, y, z, evaluated on all of A^3 at once."""
     n = alg.n
@@ -165,9 +130,7 @@ def _full_table(alg, t):
     return np.broadcast_to(_eval_array(alg, t, env), (n, n, n)).reshape(-1)
 
 
-def _reconstruct(derivations, i, memo=None):
-    if memo is None:
-        memo = {}
+def _reconstruct(derivations, i, memo):
     if i not in memo:
         memo[i] = _term(derivations, derivations[i], memo)
     return memo[i]
@@ -212,11 +175,11 @@ def _evaluate(kernel, offset, args):
 def _clone_rounds(alg, cap):
     """Drive the BFS one round at a time, yielding each round before it is numbered.
 
-    Yields (arrays, index, derivations, fresh, room) once a round is
-    evaluated: arrays, index (each table's bytes to its id) and
-    derivations hold the tables of the rounds before, fresh maps the
-    bytes of each table the round found new to its derivation, in the
-    order of the argument tuples, and room is cap - len(arrays).  The
+    Yields (index, derivations, fresh, room) once a round is evaluated:
+    index (each table's bytes to its id, in id order) and derivations
+    hold the tables of the rounds before, fresh maps the bytes of each
+    table the round found new to its derivation, in the order of the
+    argument tuples, and room is cap - len(derivations).  The
     first round is the three projections.  When the generator resumes,
     the room least keys of fresh are numbered in key order, and the BFS
     stops after a round with no fresh table (the fixpoint) or with more
@@ -224,10 +187,10 @@ def _clone_rounds(alg, cap):
     unnumbered.  Tables are restricted to the representatives of
     ``_clone_orbits(alg)``.
     """
-    n = alg.n
-    reps = _clone_orbits(alg)
     if cap < 3:
         raise ValueError("cap must allow at least the three projections")
+    n = alg.n
+    reps = _clone_orbits(alg)
     size = len(reps)
     # one row per table, so a block is one row once a row exceeds _BLOCK_CELLS
     rows = max(1, _BLOCK_CELLS // size)
@@ -246,7 +209,7 @@ def _clone_rounds(alg, cap):
                 # when f(t, t) = t
                 mirrored[sym] = int(np.array_equal(np.diagonal(table), np.arange(n)))
 
-    arrays, derivations = [], []
+    derivations = []
     known = {}
     fresh = {}
     # the projections' keys ascend, x < y < z, so key order is variable order
@@ -254,17 +217,16 @@ def _clone_rounds(alg, cap):
         fresh.setdefault(values.astype(np.uint8).tobytes(), ("var", i))
     depth = 0
     while True:
-        room = cap - len(arrays)
-        yield arrays, known, derivations, fresh, room
-        frontier_start = len(arrays)
+        room = cap - len(derivations)
+        yield known, derivations, fresh, room
+        frontier_start = len(derivations)
         for key in sorted(fresh)[:room]:
-            known[key] = len(arrays)
-            arrays.append(np.frombuffer(key, dtype=np.uint8))
+            known[key] = len(derivations)
             derivations.append(fresh[key])
         if not fresh or len(fresh) > room:
             return
         depth += 1
-        total = len(arrays)
+        total = len(derivations)
         stack = np.frombuffer(b"".join(known), dtype=np.uint8).reshape(total, size)
         fresh = {}
         for sym, arity in alg.sig:
@@ -288,18 +250,6 @@ def _clone_rounds(alg, cap):
                             fresh[key] = (sym, head + (last,))
 
 
-def generate_clone3(alg, cap=200_000):
-    """Run the clone BFS to its fixpoint (or the table cap).
-
-    The cap bounds the tables kept, not the work: the round that crosses
-    it is still evaluated in full before the tables past the cap are
-    dropped.
-    """
-    for _arrays, index, derivations, fresh, _room in _clone_rounds(alg, cap):
-        pass
-    return CloneResult(alg, index, derivations, complete=not fresh)
-
-
 def _maltsev_masks(alg):
     """Where a restricted table holds p(x,y,y) and p(x,x,y), and the values a Maltsev term has there.
 
@@ -312,20 +262,6 @@ def _maltsev_masks(alg):
     x, y, z = reps // (n * n), (reps // n) % n, reps % n
     i_xyy, i_xxy = np.flatnonzero(y == z), np.flatnonzero(x == y)
     return i_xyy, i_xxy, x[i_xyy].astype(np.uint8), z[i_xxy].astype(np.uint8)
-
-
-def _fresh_blocks(fresh):
-    """The keys of fresh in blocks of at most _BLOCK_CELLS cells, each with its 2-D array.
-
-    Row r of a block's array is the table of its r-th key.
-    """
-    keys = list(fresh)
-    if not keys:
-        return
-    rows = max(1, _BLOCK_CELLS // len(keys[0]))
-    for lo in range(0, len(keys), rows):
-        chunk = keys[lo : lo + rows]
-        yield chunk, np.frombuffer(b"".join(chunk), dtype=np.uint8).reshape(len(chunk), -1)
 
 
 def _admitted(fresh, room):
@@ -345,6 +281,54 @@ def _witness(alg, index, derivations, fresh, key, memo):
     return TermWitness(tuple(_full_table(alg, term).tolist()), term)
 
 
+def _search(alg, cap, pick):
+    """Run a term search over the clone BFS to a witness, the fixpoint or the cap.
+
+    pick(blocks, admitted) tests one round before it is numbered.
+    blocks yields the round's new keys in blocks of at most _BLOCK_CELLS
+    cells, each as (keys, xyy, xxy, is_p, is_q): row r of xyy and xxy
+    holds the r-th key's values where ``_maltsev_masks`` reads p(x,y,y)
+    and p(x,x,y), and is_p and is_q mark the rows with p(x,y,y)=x and
+    with p(x,x,y)=y.  admitted tells whether a key is numbered.  pick
+    returns the keys of the witness's tables, or None.  The outcome is
+    ``found`` with the first witness, else ``none`` at the clone
+    fixpoint and ``inconclusive`` at the cap; explored counts the tables
+    numbered and admitted up to the round tested last.  The cap bounds
+    the tables kept, not the work: the round that crosses it is still
+    evaluated in full.
+    """
+    if cap < 3:
+        raise ValueError("cap must allow at least the three projections")
+    i_xyy, i_xxy, want_x, want_y = _maltsev_masks(alg)
+
+    def blocks(fresh):
+        keys = list(fresh)
+        rows = max(1, _BLOCK_CELLS // len(keys[0])) if keys else 1
+        for lo in range(0, len(keys), rows):
+            chunk = keys[lo : lo + rows]
+            block = np.frombuffer(b"".join(chunk), dtype=np.uint8).reshape(len(chunk), -1)
+            xyy, xxy = block[:, i_xyy], block[:, i_xxy]
+            yield chunk, xyy, xxy, (xyy == want_x).all(axis=1), (xxy == want_y).all(axis=1)
+
+    for index, derivations, fresh, room in _clone_rounds(alg, cap):
+        explored = len(derivations) + min(len(fresh), room)
+        keys = pick(blocks(fresh), _admitted(fresh, room))
+        if keys is not None:
+            memo = {}
+            witness = tuple(_witness(alg, index, derivations, fresh, key, memo) for key in keys)
+            return SearchOutcome(FOUND, witness if len(witness) > 1 else witness[0], explored)
+        if not fresh or len(fresh) > room:
+            return SearchOutcome(NONE if not fresh else INCONCLUSIVE, explored=explored)
+    raise AssertionError("clone stream ended without a final round")
+
+
+def _maltsev_pick(blocks, admitted):
+    """The least new key with p(x,y,y)=x and p(x,x,y)=y, if it is numbered."""
+    least = min((keys[r] for keys, _, _, is_p, is_q in blocks
+                 for r in np.flatnonzero(is_p & is_q).tolist()), default=None)
+    return None if least is None or not admitted(least) else (least,)
+
+
 def find_maltsev_term(alg, cap=200_000):
     """Search the clone for a table with p(x,y,y)=x and p(x,x,y)=y.
 
@@ -354,23 +338,8 @@ def find_maltsev_term(alg, cap=200_000):
     follow key order, so the witness is the least key that passes, and
     when the round crosses the cap it is kept only if fewer than room
     new keys are smaller.  A round with a witness is never numbered.
-    The cap bounds the tables kept, as in generate_clone3: the round
-    that crosses it is still evaluated in full.
     """
-    i_xyy, i_xxy, want_x, want_y = _maltsev_masks(alg)
-    for arrays, index, derivations, fresh, room in _clone_rounds(alg, cap):
-        explored = len(arrays) + min(len(fresh), room)
-        hits = []
-        for keys, block in _fresh_blocks(fresh):
-            passed = (block[:, i_xyy] == want_x).all(axis=1) & (block[:, i_xxy] == want_y).all(axis=1)
-            hits.extend(keys[r] for r in np.flatnonzero(passed).tolist())
-        least = min(hits, default=None)
-        if least is not None and _admitted(fresh, room)(least):
-            witness = _witness(alg, index, derivations, fresh, least, {})
-            return SearchOutcome(FOUND, witness, explored=explored)
-        if not fresh or len(fresh) > room:
-            return SearchOutcome(NONE if not fresh else INCONCLUSIVE, explored=explored)
-    raise AssertionError("clone stream ended without a final round")
+    return _search(alg, cap, _maltsev_pick)
 
 
 def find_hm_terms(alg, cap=200_000):
@@ -380,36 +349,24 @@ def find_hm_terms(alg, cap=200_000):
     BFS depth admitting any valid pair.  Candidates are read off each
     round before it is numbered, and kept by key: ids within a round
     follow key order, and the round's keys past the cap are dropped.
-    The cap bounds the tables kept, as in generate_clone3: the round
-    that crosses it is still evaluated in full.
     """
-    i_xyy, i_xxy, want_x, want_y = _maltsev_masks(alg)
     p_keys = []  # (key, p(x,x,y) bytes) of every table with p(x,y,y)=x, in id order
     q_least = {}  # q(x,y,y) bytes -> key of the least table with q(x,x,y)=y and those values
-    for arrays, index, derivations, fresh, room in _clone_rounds(alg, cap):
-        admitted = _admitted(fresh, room)
+
+    def pick(blocks, admitted):
         new_p, new_q = [], []
-        for keys, block in _fresh_blocks(fresh):
-            xyy, xxy = block[:, i_xyy], block[:, i_xxy]
-            for r in np.flatnonzero((xyy == want_x).all(axis=1)).tolist():
-                if admitted(keys[r]):
-                    new_p.append((keys[r], xxy[r].tobytes()))
-            for r in np.flatnonzero((xxy == want_y).all(axis=1)).tolist():
-                if admitted(keys[r]):
-                    new_q.append((keys[r], xyy[r].tobytes()))
+        for keys, xyy, xxy, is_p, is_q in blocks:
+            new_p += [(keys[r], xxy[r].tobytes())
+                      for r in np.flatnonzero(is_p).tolist() if admitted(keys[r])]
+            new_q += [(keys[r], xyy[r].tobytes())
+                      for r in np.flatnonzero(is_q).tolist() if admitted(keys[r])]
         p_keys.extend(sorted(new_p))
-        for key, xyy in sorted(new_q):
-            q_least.setdefault(xyy, key)
+        for key, values in sorted(new_q):
+            q_least.setdefault(values, key)
         # the least p with a partner, then its least partner: the lex-least pair
-        best = next(((p, q_least[xxy]) for p, xxy in p_keys if xxy in q_least), None)
-        explored = len(arrays) + min(len(fresh), room)
-        if best is not None:
-            memo = {}
-            witness = tuple(_witness(alg, index, derivations, fresh, key, memo) for key in best)
-            return SearchOutcome(FOUND, witness, explored=explored)
-        if not fresh or len(fresh) > room:
-            return SearchOutcome(NONE if not fresh else INCONCLUSIVE, explored=explored)
-    raise AssertionError("clone stream ended without a final round")
+        return next(((p, q_least[xxy]) for p, xxy in p_keys if xxy in q_least), None)
+
+    return _search(alg, cap, pick)
 
 
 def maltsev_identities_hold(n, table):

@@ -15,6 +15,8 @@ composition is fixed left-to-right: (x,z) is in the composite r o s iff
 there is a y with (x,y) in r and (y,z) in s.
 """
 
+from numbers import Integral
+
 import numpy as np
 
 from .errors import CarrierBoundError, NotCongruenceError, SizeMismatchError
@@ -51,7 +53,8 @@ class Partition:
     i is the one labelled i.
 
     ``Partition(n, blocks)`` and ``from_literal`` are the validating
-    boundary: they refuse repeated, out-of-range and uncovering input.
+    boundary: they refuse non-integer, repeated, out-of-range and
+    uncovering input.
     Every other constructor relabels in one pass and validates nothing:
     ``from_labels``, ``discrete``, ``full``, ``meet``, ``join``, and the
     module's ``congruence_generated``, ``inverse_image_by_map`` and
@@ -62,7 +65,12 @@ class Partition:
     __slots__ = ("n", "index_of", "num_blocks", "_blocks")
 
     def __init__(self, n, blocks):
-        blks = sorted(tuple(sorted(b)) for b in blocks if b)
+        blks = [tuple(b) for b in blocks]
+        for blk in blks:
+            for x in blk:
+                if type(x) is not int and not isinstance(x, Integral):
+                    raise ValueError(f"bad partition: non-integer element {x!r}")
+        blks = sorted(tuple(sorted(b)) for b in blks if b)
         seen = set()
         for blk in blks:
             for x in blk:

@@ -353,11 +353,13 @@ def _new_arg_tuples(total, start, arity):
 def naive_clone_rounds(alg, cap):
     """The clone BFS with one fancy-index call per argument tuple.
 
-    Same contract as ``permutability._clone_rounds``: yields (arrays,
-    index, derivations, fresh, room) once each round is evaluated, where
-    index maps each table's bytes to its id, fresh maps each new table's
-    bytes to its derivation in the order of the argument tuples, and
-    room = cap - len(arrays); the round is numbered on resume.
+    Same contract as ``permutability._clone_rounds``: yields (index,
+    derivations, fresh, room) once each round is evaluated, where index
+    maps each table's bytes to its id, in id order, fresh maps each new
+    table's bytes to its derivation in the order of the argument tuples,
+    and room = cap - len(derivations); the round is numbered on resume.
+    The full tables are kept in an id-indexed list of arrays, for the
+    gathers.
     """
     n = alg.n
     if n > 255:
@@ -383,7 +385,7 @@ def naive_clone_rounds(alg, cap):
     depth = 0
     while True:
         room = cap - len(arrays)
-        yield arrays, known, derivations, fresh, room
+        yield known, derivations, fresh, room
         frontier_start = len(arrays)
         for key, deriv in sorted(fresh.items())[:room]:
             known[key] = len(arrays)

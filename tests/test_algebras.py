@@ -373,6 +373,16 @@ def test_generate_subuniverse():
             generate_subuniverse(Z4, {0, bad})
 
 
+@pytest.mark.parametrize("bad", ["a", None, 1.5], ids=repr)
+def test_generate_subuniverse_refuses_a_non_integer_seed_element(bad):
+    with pytest.raises(ValueError, match=f"^non-integer seed element {re.escape(repr(bad))}$"):
+        generate_subuniverse(Z4, [0, bad])
+    # an integral float is refused too, not read as an index; numpy integers are integers
+    with pytest.raises(ValueError, match=r"^non-integer seed element 1\.0$"):
+        generate_subuniverse(Z4, [1.0])
+    assert generate_subuniverse(Z4, [np.int64(2)]) == frozenset({0, 2})
+
+
 def test_generate_subuniverse_matches_the_scalar_closure_on_every_seed():
     # heyting_chain(12) is past the exhaustive limit, so it covers the
     # seeds of at most two elements
@@ -472,6 +482,13 @@ def test_alg_parser_accepts_values_on_op_line_and_across_lines():
     text = "algebra t\nsize 2\nop m 2 0 1\n1\n0\n"
     alg = parse_algebra(text)
     assert alg.tables["m"] == (0, 1, 1, 0)
+
+
+@pytest.mark.parametrize("bad", ["a", None, 1.5], ids=repr)
+def test_a_non_integer_table_entry_is_refused_before_its_range_is_read(bad):
+    sig = Signature({"f": 1})
+    with pytest.raises(ValueError, match=f"^table for 'f' has non-integer entry {re.escape(repr(bad))}$"):
+        FiniteAlgebra(sig, 2, {"f": (0, bad)})
 
 
 def test_table_validation():

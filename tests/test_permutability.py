@@ -45,7 +45,6 @@ from goursat.permutability import (
     SearchOutcome,
     find_hm_terms,
     find_maltsev_term,
-    generate_clone3,
     goursat_join_check,
     hm_identities_hold,
     maltsev_identities_hold,
@@ -198,45 +197,75 @@ def test_goursat_join_check_reports_a_pair_the_join_lacks(monkeypatch):
 # -- clone generation -----------------------------------------------------------
 
 
+def _drained(alg, cap=200_000):
+    """(index, derivations, fresh) once the clone BFS stops, its last round numbered up to the cap."""
+    for index, derivations, fresh, _room in permutability._clone_rounds(alg, cap):
+        pass
+    return index, derivations, fresh
+
+
+def _full_tables(alg, derivations):
+    """Each id's term evaluated on all of A^3."""
+    memo = {}
+    each = (permutability._reconstruct(derivations, i, memo) for i in range(len(derivations)))
+    return [tuple(permutability._full_table(alg, t).tolist()) for t in each]
+
+
 def test_clone_of_one_element_algebra_is_a_single_function():
-    one = product([], sig=GROUP_SIG)
-    clone = generate_clone3(one)
-    assert len(clone) == 1
-    assert clone.complete
+    _, derivations, fresh = _drained(product([], sig=GROUP_SIG))
+    assert len(derivations) == 1
+    assert not fresh
 
 
 def test_clone_of_empty_signature_is_the_three_projections():
     bare = FiniteAlgebra(Signature({}), 3, {}, name="bare3")
-    clone = generate_clone3(bare)
-    assert len(clone) == 3
-    assert clone.complete
+    _, derivations, fresh = _drained(bare)
+    assert derivations == [("var", 0), ("var", 1), ("var", 2)]
+    assert not fresh
     n = 3
-    tables = {clone.table(i) for i in range(3)}
     proj0 = tuple(x for x in range(n) for _ in range(n * n))
-    assert proj0 in tables
+    assert proj0 in _full_tables(bare, derivations)
 
 
 def test_clone_of_z2_contains_the_group_maltsev_table():
-    clone = generate_clone3(cyclic_group(2))
-    expect = tuple((x - y + z) % 2 for x, y, z in iproduct(range(2), repeat=3))
-    assert clone.contains(expect)
-    assert clone.complete
+    z2 = cyclic_group(2)
+    _, derivations, fresh = _drained(z2)
+    assert not fresh
     # sums of subsets of {x, y, z}; the constant one is not a term operation
-    assert len(clone) == 8
+    tables = _full_tables(z2, derivations)
+    assert len(derivations) == len(set(tables)) == 8
+    assert tuple((x - y + z) % 2 for x, y, z in iproduct(range(2), repeat=3)) in tables
+
+
+def test_clone_of_the_two_element_lattice_is_the_free_distributive_lattice_on_three_generators():
+    _, derivations, fresh = _drained(two_elt_lattice())
+    assert len(derivations) == 18  # |FD(3)|
+    assert not fresh
 
 
 def test_clone_cap_yields_incomplete_result():
-    clone = generate_clone3(cyclic_group(2), cap=5)
-    assert not clone.complete
-    assert len(clone) == 5
-    with pytest.raises(ValueError):
-        generate_clone3(cyclic_group(2), cap=2)
+    _, derivations, fresh = _drained(cyclic_group(2), cap=5)
+    assert len(derivations) == 5
+    assert fresh
+    with pytest.raises(ValueError, match="cap must allow at least the three projections"):
+        next(permutability._clone_rounds(cyclic_group(2), 2))
 
 
 def test_clone_generation_is_deterministic():
-    a = generate_clone3(implication_from_boolean(1))
-    b = generate_clone3(implication_from_boolean(1))
-    assert [a.table(i) for i in range(len(a))] == [b.table(i) for i in range(len(b))]
+    a, b = _drained(implication_from_boolean(1)), _drained(implication_from_boolean(1))
+    assert list(a[0].items()) == list(b[0].items())
+    assert a[1] == b[1]
+
+
+def test_searches_refuse_a_small_cap_before_any_orbit_work():
+    z64 = cyclic_group(64)
+    # past a byte, the cap is still reported first
+    constant256 = FiniteAlgebra(Signature({"f": 1}), 256, {"f": (0,) * 256}, name="constant256")
+    for alg in (z64, constant256):
+        for search in (find_maltsev_term, find_hm_terms):
+            with pytest.raises(ValueError, match="cap must allow at least the three projections"):
+                search(alg, cap=2)
+    assert "clone_orbits" not in z64._memo
 
 
 # -- term searches -----------------------------------------------------------------
@@ -424,10 +453,9 @@ def _assert_rounds_match(alg, cap):
     rounds = zip_longest(permutability._clone_rounds(alg, cap), naive_clone_rounds(alg, cap))
     for got, want in rounds:
         assert got is not None and want is not None, "the two BFS ran different round counts"
-        arrays, index, derivations, fresh, room = got
-        w_arrays, w_index, w_derivations, w_fresh, w_room = want
-        assert [a.tobytes() for a in arrays] == [restricted(a.tobytes()) for a in w_arrays]
-        assert index == {restricted(key): i for key, i in w_index.items()}
+        index, derivations, fresh, room = got
+        w_index, w_derivations, w_fresh, w_room = want
+        assert list(index.items()) == [(restricted(key), i) for key, i in w_index.items()]
         assert derivations == w_derivations
         assert list(fresh.items()) == [(restricted(key), deriv) for key, deriv in w_fresh.items()]
         assert room == w_room
@@ -444,9 +472,9 @@ def _assert_searches_match(alg, cap):
 
     def oracle_rounds(a, c):
         runs.append(c)
-        for arrays, index, derivations, fresh, room in naive_clone_rounds(a, c):
+        for index, derivations, fresh, room in naive_clone_rounds(a, c):
             tables.update(fresh)
-            yield arrays, index, derivations, fresh, room
+            yield index, derivations, fresh, room
 
     with pytest.MonkeyPatch.context() as mp:
         # the oracle's rounds hold full tables: every cell its own orbit
@@ -856,28 +884,20 @@ def test_rounds_and_searches_match_the_oracle_where_subalgebras_merge_cells(cell
 def test_full_tables_match_the_oracle_where_cells_merge(build, cap, maltsev):
     """Full tables are read off terms, not off the representatives.
 
-    Every id's table equals the oracle's full table, ``contains``
-    accepts it and rejects it with one cell outside the representatives
-    changed, and each search's witness tables are their terms, cell by
-    cell.  The first three algebras have Maltsev terms, so both searches
-    find witnesses; a unary algebra has none.
+    The representatives leave some cell out, yet every id's term,
+    evaluated on all of A^3, gives the oracle's full table, and each
+    search's witness tables are their terms, cell by cell.  The first
+    three algebras have Maltsev terms, so both searches find witnesses;
+    a unary algebra has none.
     """
     alg = build()
     n = alg.n
-    for arrays, *_ in naive_clone_rounds(alg, cap):
-        pass
-    want = [a.tolist() for a in arrays]
-    clone = generate_clone3(alg, cap)
-    assert len(clone) == len(want)
     outside = np.setdiff1d(np.arange(n**3), symmetry._clone_orbits(alg))
     assert len(outside), "the representatives must leave some cell out"
-    for i, table in enumerate(want):
-        assert list(clone.table(i)) == table
-        assert clone.contains(table)
-        cell = int(outside[i % len(outside)])
-        forged = list(table)
-        forged[cell] = (forged[cell] + 1) % n
-        assert not clone.contains(forged)
+    for w_index, *_ in naive_clone_rounds(alg, cap):
+        pass
+    _, derivations, _ = _drained(alg, cap)
+    assert _full_tables(alg, derivations) == [tuple(key) for key in w_index]
     for search in (find_maltsev_term, find_hm_terms):
         out = search(alg)
         assert out.status == (FOUND if maltsev else NONE)
@@ -886,25 +906,9 @@ def test_full_tables_match_the_oracle_where_cells_merge(build, cap, maltsev):
                 assert tw.table[c] == eval_term(alg, tw.term, {"x": x, "y": y, "z": z})
 
 
-def test_contains_is_false_for_out_of_range_entries_and_for_tables_agreeing_only_on_representatives():
-    z3 = cyclic_group(3)
-    clone = generate_clone3(z3)
-    member = clone.table(len(clone) - 1)
-    assert clone.contains(member)
-    assert not clone.contains(member[:-1])
-    for bad in (-1, 3, 255, 256, 1000):
-        assert not clone.contains((bad,) + member[1:])
-    # x -> -x is an automorphism of Z3, so a table is stored on half its cells
-    reps = set(symmetry._clone_orbits(z3).tolist())
-    cell = min(set(range(27)) - reps)
-    forged = list(member)
-    forged[cell] = (forged[cell] + 1) % 3
-    assert not clone.contains(forged)
-
-
 def test_clone_searches_refuse_carriers_beyond_a_byte():
     alg = FiniteAlgebra(Signature({"f": 1}), 256, {"f": (0,) * 256}, name="constant256")
-    for search in (find_maltsev_term, find_hm_terms, generate_clone3):
+    for search in (find_maltsev_term, find_hm_terms):
         with pytest.raises(CarrierBoundError, match="exceeds enumeration bound 255$"):
             search(alg)
 
@@ -965,13 +969,13 @@ def test_a_round_evaluates_each_new_argument_tuple_once(monkeypatch):
         # a round is yielded before it is numbered, so it ran over the tables yielded
         # with it, and its new tuples are those with an id past the round before's
         start = None
-        for arrays, *_ in permutability._clone_rounds(alg, cap):
+        for _, derivations, *_ in permutability._clone_rounds(alg, cap):
             if start is not None:
                 assert tally[0] == sum(
-                    _tuples_per_round(table, arity, start, len(arrays)) for table, arity in ops
+                    _tuples_per_round(table, arity, start, len(derivations)) for table, arity in ops
                 )
             tally[0] = 0
-            start = len(arrays)
+            start = len(derivations)
         kinds.update(_mirrored(table, arity) for table, arity in ops)
         if gather:
             _assert_rounds_match(alg, cap)

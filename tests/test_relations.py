@@ -1,4 +1,5 @@
 import random
+import re
 from functools import reduce
 from itertools import product
 
@@ -164,6 +165,16 @@ def test_partition_validation():
         Partition.from_literal("0 1|", 2)
     # empty blocks in a block list are dropped, not refused
     assert Partition(2, [[1], [], [0]]) == Partition.discrete(2)
+
+
+@pytest.mark.parametrize("bad", ["a", None, 1.5], ids=repr)
+def test_partition_refuses_a_non_integer_element(bad):
+    message = f"^bad partition: non-integer element {re.escape(repr(bad))}$"
+    for blocks in ([[0, bad]], [[0], [bad]]):
+        with pytest.raises(ValueError, match=message):
+            Partition(2, blocks)
+    # numpy integers are integers
+    assert Partition(2, [[np.int64(1)], [np.uint8(0)]]) == Partition.discrete(2)
 
 
 def test_partition_join_is_the_equivalence_join():
