@@ -9,25 +9,26 @@ significant; the same convention fixes the .alg file layout.
 
 from functools import cached_property
 from itertools import product as iproduct
-from numbers import Integral
 
 import numpy as np
 
 from .errors import ParseError, SignatureMismatchError
-from .relations import Partition, require_congruence
+from .relations import Partition, _indices, require_congruence
 from .terms import Signature
 
 
 class FiniteAlgebra:
     """A finite algebra given by its operation tables.
 
-    The constructor validates flat tables once and stores each as a
-    read-only intp array; quotient, subalgebra and product build arrays
-    and skip validation through ``_trusted``.  An algebra is immutable
-    once built.  Results that depend on the tables alone (translations,
-    the congruence lattice, verbal congruences, subuniverses and clone
-    orbits) live in ``_memo``; results that carry this instance or its
-    name (quotient maps, subalgebras, projections) live in ``_own``.
+    The constructor validates flat tables once, each entry by
+    ``relations._index`` as ``apply`` reads its arguments, and stores
+    each as a read-only intp array; quotient, subalgebra and product
+    build arrays and skip validation through ``_trusted``.  An algebra
+    is immutable once built.  Results that depend on the tables alone
+    (translations, the congruence lattice, verbal and proved congruences,
+    subuniverses and clone orbits) live in ``_memo``; results that carry
+    this instance or its name (quotient maps, subalgebras, projections)
+    live in ``_own``.
 
     Each algebra built here is the root of a family: a dict from the
     structure key to one memo.  quotient, subalgebra and product (which
@@ -46,18 +47,14 @@ class FiniteAlgebra:
             raise ValueError("tables must cover exactly the declared symbols")
         arrays = {}
         for sym, arity in sig:
-            table = tuple(tables[sym])
+            try:
+                table = _indices(tables[sym], n, "entry")
+            except ValueError as exc:
+                raise ValueError(f"table for {sym!r}: {exc}") from None
             if len(table) != n**arity:
                 raise ValueError(
                     f"table for {sym!r} has {len(table)} entries, expected {n**arity}"
                 )
-            odd = [v for v in table if type(v) is not int and not isinstance(v, Integral)]
-            # the range is read only on integers, and an out-of-range one is named first
-            for v in [v for v in table if isinstance(v, Integral)] if odd else table:
-                if not 0 <= v < n:
-                    raise ValueError(f"table for {sym!r} has out-of-range entry {v}")
-            if odd:
-                raise ValueError(f"table for {sym!r} has non-integer entry {odd[0]!r}")
             arrays[sym] = np.array(table, dtype=np.intp).reshape((n,) * arity)
         self._set(sig, n, arrays, name)
 
@@ -103,7 +100,8 @@ class FiniteAlgebra:
         return {sym: tuple(table.ravel().tolist()) for sym, table in self._arrays.items()}
 
     def apply(self, sym, args):
-        return int(self._arrays[sym][tuple(args)])
+        table = self._arrays[sym]
+        return int(table[tuple(_indices(args, self.n, "argument", table.ndim))])
 
     def table_array(self, sym):
         """The table of sym as a read-only intp array with one axis per argument."""
@@ -196,12 +194,12 @@ class QuotientMap:
 def quotient(alg, theta):
     """Canonical quotient by a congruence; block i of theta is element i.
 
-    theta is proved a congruence by require_congruence, which refuses
-    with the is_congruence witness.  The map is the label vector of
-    theta and the target's tables are built from it, so the map's fibres
-    are theta's blocks and it is a homomorphism by construction; it is
-    not re-checked.  The map is memoised per instance (``_own``) by
-    theta's label vector; the target joins alg's family.
+    theta is proved a congruence by require_congruence, once per table
+    family, which refuses with the is_congruence witness.  The map is the
+    label vector of theta and the target's tables are built from it, so the
+    map's fibres are theta's blocks and it is a homomorphism by
+    construction; it is not re-checked.  The map is memoised per instance
+    (``_own``) by theta's label vector; the target joins alg's family.
     """
     key = ("quotient", theta.index_of)
     hit = alg._own.get(key)
@@ -254,12 +252,7 @@ def generate_subuniverse(alg, seed):
     current set in one table gather, until no step adds an element.
     With no nullary operation an empty seed yields the empty set.
     """
-    current = set(seed)
-    for x in current:
-        if type(x) is not int and not isinstance(x, Integral):
-            raise ValueError(f"non-integer seed element {x!r}")
-        if not 0 <= x < alg.n:
-            raise ValueError(f"seed element {x} out of range")
+    current = set(_indices(seed, alg.n, "seed element"))
     for sym, arity in alg.sig:
         if arity == 0:
             current.add(alg.apply(sym, ()))
@@ -286,7 +279,7 @@ def subalgebra(alg, universe):
     Memoised per instance (``_own``) by the sorted subset once it proves
     closed; the subalgebra joins alg's family.
     """
-    embed = tuple(sorted(universe))
+    embed = tuple(sorted(set(_indices(universe, alg.n, "universe element"))))
     key = ("subalgebra", embed)
     hit = alg._own.get(key)
     if hit is not None:

@@ -39,9 +39,11 @@ from functools import partial, reduce
 
 from .algebras import all_subuniverses, projections, quotient, subalgebra
 from .errors import GoursatHypothesisError, SignatureMismatchError
-from .permutability import goursat_join_check
+from .permutability import _join, goursat_join_check
 from .relations import (
     Partition,
+    _index,
+    _proved,
     con_lattice,
     congruence_generated,
     direct_image,
@@ -145,7 +147,8 @@ def closure_goursat(alg, s, spec):
     3-permutability for this algebra, or when D o S o D is not the join,
     which means a fault in ``composite``.  s is validated once, by
     ``goursat_join_check``: a partition that is not a congruence raises
-    NotCongruenceError.
+    NotCongruenceError; D was proved as it was generated, and D join S is
+    the one ``goursat_join_check`` built.
     """
     diag = birkhoff_congruence(alg, spec)
     verdict = goursat_join_check(alg, diag, s)
@@ -155,7 +158,7 @@ def closure_goursat(alg, s, spec):
         )
     if not verdict.ok:
         raise GoursatHypothesisError("composite D o S o D is not an equivalence relation")
-    return ClosureResult(s, diag.join(s))
+    return ClosureResult(s, _join(alg, diag, s))
 
 
 AXIOM_KEYS = ("1", "2", "3", "4", "5", "6", "6prime", "7", "additivity", "image_join")
@@ -261,6 +264,7 @@ def check_axioms(algs, spec, max_size=64):
     - 5 and 6: quotient, s, lhs, rhs; 6prime: quotient, lhs, rhs;
     - 7 and image_join: quotient, r, s, lhs, rhs; additivity: r, s, lhs, rhs.
     """
+    max_size = _index(max_size, what="max_size")
     tracker = _AxiomTracker()
     notes = []
     checked = []
@@ -268,6 +272,8 @@ def check_axioms(algs, spec, max_size=64):
     def pull_back(source, arrow, lat):
         """Pull every congruence of lat back along arrow and close each once on source."""
         pulled = [inverse_image_by_map(source.n, arrow, t) for t in lat.congruences]
+        # arrow is a homomorphism, so the preimage of a congruence is a congruence
+        _proved(source).update(p.index_of for p in pulled)
         return pulled, [closure_effective(source, p, spec).closure for p in pulled]
 
     for ai, alg in enumerate(algs):

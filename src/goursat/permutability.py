@@ -52,7 +52,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .relations import composite, require_congruence
+from .relations import _index, composite, require_congruence
 from .symmetry import _clone_orbits
 from .terms import _BLOCK_CELLS, App, Var, _eval_array
 from .verdict import Verdict
@@ -68,20 +68,32 @@ INCONCLUSIVE = "inconclusive"
 _VARS = ("x", "y", "z")
 
 
+def _level(alg, r, s):
+    """permutability_level's answer, and r o s o r when it was built (None at ``two``)."""
+    require_congruence(alg, r)
+    require_congruence(alg, s)
+    rs = composite(r, s)
+    if np.array_equal(rs, rs.T):
+        return TWO, None
+    rsr = composite(r, s, r)
+    return (THREE if np.array_equal(rsr, composite(s, r, s)) else NEITHER), rsr
+
+
 def permutability_level(alg, r, s):
     """``two`` if r and s permute, ``three`` if the triple composites agree, else ``neither``.
 
     For equivalences s o r is the transpose of r o s, so the pair
     permutes exactly when r o s is symmetric.
     """
-    require_congruence(alg, r)
-    require_congruence(alg, s)
-    rs = composite(r, s)
-    if np.array_equal(rs, rs.T):
-        return TWO
-    if np.array_equal(composite(r, s, r), composite(s, r, s)):
-        return THREE
-    return NEITHER
+    return _level(alg, r, s)[0]
+
+
+def _join(alg, r, s):
+    """r join s, built once per pair and instance (``_own``); closure_goursat reuses it."""
+    key = ("join", r.index_of, s.index_of)
+    if key not in alg._own:
+        alg._own[key] = r.join(s)
+    return alg._own[key]
 
 
 def goursat_join_check(alg, r, s):
@@ -95,10 +107,11 @@ def goursat_join_check(alg, r, s):
     formula does not apply: the verdict is not applicable, with the
     note ``neither``.  Otherwise the note is the level.
     """
-    level = permutability_level(alg, r, s)
+    level, rsr = _level(alg, r, s)
     if level == NEITHER:
         return Verdict(None, note=NEITHER)
-    differ = np.argwhere(composite(r, s, r) != composite(r.join(s)))
+    rsr = composite(r, s, r) if rsr is None else rsr
+    differ = np.argwhere(rsr != composite(_join(alg, r, s)))
     if not len(differ):
         return Verdict(True, note=level)
     return Verdict(False, witness=tuple(differ[0].tolist()), note=level)
@@ -295,8 +308,9 @@ def _search(alg, cap, pick):
     fixpoint and ``inconclusive`` at the cap; explored counts the tables
     numbered and admitted up to the round tested last.  The cap bounds
     the tables kept, not the work: the round that crosses it is still
-    evaluated in full.
+    evaluated in full.  cap is read by ``relations._index``.
     """
+    cap = _index(cap, what="cap")
     if cap < 3:
         raise ValueError("cap must allow at least the three projections")
     i_xyy, i_xxy, want_x, want_y = _maltsev_masks(alg)

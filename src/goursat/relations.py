@@ -3,11 +3,13 @@
 A Partition is an equivalence relation stored as its canonical label
 vector: ``index_of[x]`` numbers x's block, blocks numbered in order of
 first occurrence.  Meets, joins, refinement and the direct and inverse
-images along maps all work on these vectors.  Only ``Partition(n,
-blocks)`` and ``Partition.from_literal`` validate their input (the
-boundary for files, literals and API callers).  Every other way to make
-a partition trusts its input and relabels in one pass; operations on
-two partitions check only that the carrier sizes agree.
+images along maps all work on these vectors.  ``_index`` is the one
+element rule: ``Partition(n, blocks)``, ``from_literal``, the
+``FiniteAlgebra`` tables, ``apply`` (and so ``eval_term``), subuniverse
+seeds, ``subalgebra`` universes, ``congruence_generated`` pairs and the
+``max_size`` and ``cap`` bounds are read through it.  Every other way to
+make a partition trusts its input and relabels in one pass; operations
+on two partitions check only that the carrier sizes agree.
 
 Composites of equivalence relations are read from block incidence and
 returned as n-by-n boolean pair matrices by ``composite``.  Relational
@@ -15,12 +17,34 @@ composition is fixed left-to-right: (x,z) is in the composite r o s iff
 there is a y with (x,y) in r and (y,z) in s.
 """
 
-from numbers import Integral
+import operator
 
 import numpy as np
 
 from .errors import CarrierBoundError, NotCongruenceError, SizeMismatchError
 from .verdict import Verdict
+
+
+def _index(value, n=None, what="element"):
+    """operator.index(value) if it lies in 0..n-1 (or n is None); else ValueError naming value."""
+    try:
+        i = operator.index(value)
+    except TypeError:
+        raise ValueError(f"non-integer {what} {value!r}") from None
+    if n is not None and not 0 <= i < n:
+        raise ValueError(f"{what} {i} out of range 0..{n - 1}")
+    return i
+
+
+def _indices(values, n, what="element", size=None):
+    """Each of values by ``_index``; a non-collection, or one not of size, is refused by name."""
+    try:
+        items = [_index(v, n, what) for v in values]
+    except TypeError:
+        raise ValueError(f"expected a collection, got {values!r}") from None
+    if size is not None and len(items) != size:
+        raise ValueError(f"expected {size} {what}s, got {values!r}")
+    return items
 
 
 def _number_trees(parent):
@@ -52,37 +76,32 @@ class Partition:
     ascending within a block, blocks ordered by their minimum, so block
     i is the one labelled i.
 
-    ``Partition(n, blocks)`` and ``from_literal`` are the validating
-    boundary: they refuse non-integer, repeated, out-of-range and
-    uncovering input.
-    Every other constructor relabels in one pass and validates nothing:
-    ``from_labels``, ``discrete``, ``full``, ``meet``, ``join``, and the
-    module's ``congruence_generated``, ``inverse_image_by_map`` and
-    ``direct_image``.  They trust that their labels, pairs or maps are
-    well-formed on {0..n-1}.
+    ``Partition(n, blocks)`` and ``from_literal`` read each element by
+    ``_index``, the one element rule (tables, ``apply``, seeds,
+    universes, ``congruence_generated`` pairs and bounds use it too), and
+    refuse repeated and uncovering input.  Every other constructor
+    relabels in one pass and validates nothing: ``from_labels``,
+    ``discrete``, ``full``, ``meet``, ``join``, and the module's
+    ``inverse_image_by_map`` and ``direct_image``.  They trust that
+    their labels or maps are well-formed on {0..n-1}.
     """
 
     __slots__ = ("n", "index_of", "num_blocks", "_blocks")
 
     def __init__(self, n, blocks):
-        blks = [tuple(b) for b in blocks]
-        for blk in blks:
-            for x in blk:
-                if type(x) is not int and not isinstance(x, Integral):
-                    raise ValueError(f"bad partition: non-integer element {x!r}")
-        blks = sorted(tuple(sorted(b)) for b in blks if b)
-        seen = set()
-        for blk in blks:
-            for x in blk:
-                if x in seen or not 0 <= x < n:
-                    raise ValueError(f"bad partition: element {x} repeated or out of range")
-                seen.add(x)
-        if len(seen) != n:
-            raise ValueError("partition does not cover the carrier")
-        index = [0] * n
+        try:
+            blks = [tuple(sorted(_indices(b, n))) for b in blocks]
+        except ValueError as exc:
+            raise ValueError(f"bad partition: {exc}") from None
+        blks = sorted(b for b in blks if b)
+        index = [None] * n
         for i, blk in enumerate(blks):
             for x in blk:
+                if index[x] is not None:
+                    raise ValueError(f"bad partition: element {x} repeated")
                 index[x] = i
+        if None in index:
+            raise ValueError("partition does not cover the carrier")
         self._set(n, tuple(index), len(blks), tuple(blks))
 
     def _set(self, n, index_of, num_blocks, blocks=None):
@@ -267,7 +286,7 @@ def _translations(alg):
 
 
 def congruence_generated(alg, pairs):
-    """Least congruence containing the given pairs.
+    """Least congruence containing the given pairs, recorded as proved.
 
     Union-find over the equivalence generated so far.  Each round maps
     the pairs merged in the previous round through every basic
@@ -296,7 +315,7 @@ def congruence_generated(alg, pairs):
                 merged.append((ra, rb))
         return merged
 
-    merged = merge(pairs)
+    merged = merge(_indices(pair, n, size=2) for pair in pairs)
     while merged and len(mat):
         left, right = np.array(merged).T
         left, right = mat[:, left].ravel(), mat[:, right].ravel()
@@ -306,22 +325,27 @@ def congruence_generated(alg, pairs):
         fresh = labels[left] != labels[right]
         merged = merge(zip(left[fresh].tolist(), right[fresh].tolist()))
     count = _number_trees(parent)
-    return Partition._canonical(n, tuple(parent), count)
+    theta = Partition._canonical(n, tuple(parent), count)
+    _proved(alg).add(theta.index_of)
+    return theta
+
+
+def _proved(alg):
+    """The label vectors proved to be congruences of alg's tables, one set per table family."""
+    return alg._memo.setdefault("proved congruences", set())
 
 
 def require_congruence(alg, p):
     """Raise NotCongruenceError (with the is_congruence witness) unless p is a congruence.
 
-    A member of alg's memoised congruence lattice returns at once: every
-    member was generated as a congruence, so membership is the proof.
-    Any other p is checked on every call.
+    Proved once per table family: p is checked unless ``_proved(alg)``
+    holds its label vector, and recorded there once it passes.
     """
-    lat = alg._memo.get("con")
-    if lat is not None and p in lat:
-        return
-    verdict = is_congruence(alg, p)
-    if not verdict.ok:
-        raise NotCongruenceError(*verdict.witness)
+    if p.index_of not in _proved(alg):
+        verdict = is_congruence(alg, p)
+        if not verdict.ok:
+            raise NotCongruenceError(*verdict.witness)
+        _proved(alg).add(p.index_of)
 
 
 def direct_image(f, s):
@@ -474,10 +498,10 @@ def con_lattice(alg, max_size=64):
     So the principal congruences are found in the order of the sweep
     over all n(n-1)/2 pairs, and so is the rest.  Con(A) is a sublattice
     of Eq(A), so the closure uses the plain equivalence join of
-    partitions.  Memoised per table; the carrier bound is checked on
-    every call.
+    partitions.  Memoised per table, members recorded as proved; the
+    carrier bound is checked on every call.
     """
-    if alg.n > max_size:
+    if alg.n > _index(max_size, what="max_size"):
         raise CarrierBoundError(alg.n, max_size)
     hit = alg._memo.get("con")
     if hit is not None:
@@ -494,6 +518,7 @@ def con_lattice(alg, max_size=64):
                 found[j.index_of] = j
                 work.append(j)
 
+    _proved(alg).update(found)
     ordered = sorted(found.values(), key=lambda p: (p.num_blocks, p.blocks))
     lat = alg._memo["con"] = ConLattice(alg.n, ordered)
     return lat

@@ -487,13 +487,56 @@ def test_alg_parser_accepts_values_on_op_line_and_across_lines():
 @pytest.mark.parametrize("bad", ["a", None, 1.5], ids=repr)
 def test_a_non_integer_table_entry_is_refused_before_its_range_is_read(bad):
     sig = Signature({"f": 1})
-    with pytest.raises(ValueError, match=f"^table for 'f' has non-integer entry {re.escape(repr(bad))}$"):
+    with pytest.raises(ValueError, match=f"^table for 'f': non-integer entry {re.escape(repr(bad))}$"):
         FiniteAlgebra(sig, 2, {"f": (0, bad)})
+
+
+@pytest.mark.parametrize("text, line, message", [
+    ("algebra\nsize 2\n", 1, "algebra name missing"),
+    ("algebra a\n", 1, "expected 'size N'"),
+    ("algebra a\nsize\n", 2, "expected 'size N'"),
+    ("algebra a\nsize two\n", 2, "bad size 'two'"),
+    ("algebra a\nsize 0\n", 2, "size must be at least 1"),
+    ("algebra a\nsize 2\nfn f 1\n", 3, "expected 'op SYMBOL ARITY', got 'fn f 1'"),
+    ("algebra a\nsize 2\nop f\n", 3, "op line needs a symbol and an arity"),
+    ("algebra a\nsize 2\nop f 1 0 1\nop f 1 1 0\n", 4, "duplicate operation 'f'"),
+    # the table's own error, re-raised with the line the parser stopped at
+    ("algebra a\nsize 2\nop f 1\n0 -1\n", 4, "table for 'f': entry -1 out of range 0..1"),
+])
+def test_parse_algebra_refuses_malformed_input(text, line, message):
+    with pytest.raises(ParseError, match=f"^line {line}: {re.escape(message)}$") as info:
+        parse_algebra(text)
+    assert info.value.line == line
+
+
+def _quotient_map_args(case):
+    theta = Partition.from_literal("0 2|1 3", 4)
+    target = quotient(Z4, theta).target
+    return {
+        "short": (Z4, theta, target, (0, 1, 0)),
+        "not onto": (Z4, theta, target, (0, 0, 0, 0)),
+        "kernel size": (Z4, Partition.discrete(3), target, (0, 1, 0, 1)),
+        "fibres": (Z4, Partition.from_literal("0 1|2 3", 4), target, (0, 1, 0, 1)),
+        "signature": (Z4, theta, two_elt_lattice(), (0, 1, 0, 1)),
+    }[case]
+
+
+@pytest.mark.parametrize("case, error, message", [
+    ("short", ValueError, "mapping must be defined on the whole source"),
+    ("not onto", ValueError, "mapping must be onto the target carrier"),
+    ("kernel size", ValueError, "kernel must live on the source carrier"),
+    ("fibres", ValueError, "mapping fibers do not match the kernel blocks"),
+    ("signature", SignatureMismatchError, "source and target signatures differ"),
+])
+def test_quotient_map_refuses_a_map_that_is_not_its_quotient(case, error, message):
+    with pytest.raises(ValueError, match=f"^{message}$") as info:
+        QuotientMap(*_quotient_map_args(case))
+    assert type(info.value) is error
 
 
 def test_table_validation():
     sig = Signature({"f": 1})
-    with pytest.raises(ValueError, match="out-of-range"):
+    with pytest.raises(ValueError, match=r"^table for 'f': entry 5 out of range 0\.\.1$"):
         FiniteAlgebra(sig, 2, {"f": (0, 5)})
     with pytest.raises(ValueError, match="entries"):
         FiniteAlgebra(sig, 2, {"f": (0,)})
@@ -501,10 +544,10 @@ def test_table_validation():
         FiniteAlgebra(sig, 2, {})
     # a non-integer entry would be truncated by the intp table
     for table, bad in (((0, 1.5), "1.5"), ((1.0, 0), "1.0"), ((0, np.float64(1)), "np.float64(1.0)")):
-        with pytest.raises(ValueError, match=rf"^table for 'f' has non-integer entry {re.escape(bad)}$"):
+        with pytest.raises(ValueError, match=rf"^table for 'f': non-integer entry {re.escape(bad)}$"):
             FiniteAlgebra(sig, 2, {"f": table})
-    # an out-of-range entry is named first, as before
-    with pytest.raises(ValueError, match=r"^table for 'f' has out-of-range entry 5$"):
+    # the first bad entry in table order is named
+    with pytest.raises(ValueError, match=r"^table for 'f': non-integer entry 1\.5$"):
         FiniteAlgebra(sig, 2, {"f": (1.5, 5)})
     # numpy integers are integers; the caller's array is copied
     given = np.array([1, 0])

@@ -252,6 +252,21 @@ def test_parse_error_exits_2(files, tmp_path):
     ])
 
 
+def test_an_element_outside_the_carrier_exits_2_naming_it(files, tmp_path):
+    negative = tmp_path / "negative.alg"
+    negative.write_text("algebra negative\nsize 2\nop f 1\n0 -1\n", encoding="utf-8")
+    z8, exp2 = files["cyclic_group(8)"], files["exp2"]
+    cases = [
+        (("con", str(negative)), "error: line 4: table for 'f': entry -1 out of range 0..1\n"),
+        (("closure", z8, "--variety", exp2, "--rel", "0 1|2 8"),
+         "error: bad partition: element 8 out of range 0..7\n"),
+        (("closure", z8, "--variety", exp2, "--rel", "0 1|2 -3"),
+         "error: bad partition: element -3 out of range 0..7\n"),
+    ]
+    for argv, want in cases:
+        assert run_cli(*argv) == (2, "", want), argv
+
+
 def test_usage_error_exits_2(files):
     z4 = files["cyclic_group(4)"]
     _exits_2([

@@ -1,3 +1,4 @@
+import re
 from collections import Counter
 from functools import partial, reduce
 
@@ -6,6 +7,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import goursat.closure
+import goursat.permutability
 import goursat.relations
 import goursat.terms
 from goursat.algebras import FiniteAlgebra, all_subuniverses, projections, quotient, subalgebra
@@ -28,6 +30,7 @@ from goursat.corpus import (
     cyclic_group,
     default_entries,
     heyting_chain,
+    implication_from_boolean,
     klein4,
     spec_by_name,
     sym3,
@@ -41,6 +44,7 @@ from goursat.permutability import (
     TWO,
     SearchOutcome,
     find_hm_terms,
+    find_maltsev_term,
     goursat_join_check,
     permutability_level,
 )
@@ -49,7 +53,7 @@ from goursat.errors import (
     NotCongruenceError,
     SignatureMismatchError,
 )
-from goursat.relations import Partition, con_lattice, congruence_generated, is_congruence
+from goursat.relations import Partition, composite, con_lattice, congruence_generated, is_congruence
 from goursat.terms import Identity, Signature, parse_identity, satisfies_identity
 from goursat.verdict import NOT_APPLICABLE, PASS
 
@@ -214,6 +218,111 @@ def test_closure_goursat_rejects_non_congruence_with_the_is_congruence_witness()
     with pytest.raises(NotCongruenceError) as caught:
         closure_goursat(Z4, s, EXP2)
     assert (caught.value.symbol, caught.value.pair) == is_congruence(Z4, s).witness
+
+
+def test_closure_goursat_builds_the_join_once_and_checks_only_s(monkeypatch):
+    # D is the verbal congruence, proved as it is generated, so only S is
+    # checked; D join S is built once for the composite test and the result
+    counts = Counter()
+    real_check, real_join = goursat.relations.is_congruence, Partition.join
+
+    def checking(alg, p):
+        counts["is_congruence"] += 1
+        return real_check(alg, p)
+
+    def joining(r, s):
+        counts["join"] += 1
+        return real_join(r, s)
+
+    monkeypatch.setattr(goursat.relations, "is_congruence", checking)
+    monkeypatch.setattr(Partition, "join", joining)
+    z8 = cyclic_group(8)
+    s = Partition.from_literal("0 4|1 5|2 6|3 7", 8)
+    assert closure_goursat(z8, s, EXP2).closure.to_literal() == "0 2 4 6|1 3 5 7"
+    assert counts == {"join": 1, "is_congruence": 1}
+
+
+def _composite_with_0_last(*parts):
+    """composite, except that every composite of three relations gains the pair (0, n - 1)."""
+    mat = composite(*parts)
+    if len(parts) == 3:
+        mat[0, -1] = True
+    return mat
+
+
+@pytest.mark.parametrize("literal", ["0 1|2 3", "0 2|1 3", "0|1|2|3"])
+def test_closure_goursat_refuses_a_composite_that_is_not_the_join(monkeypatch, literal):
+    # with D discrete the pair permutes, so only the composite fault can break the formula
+    alg = implication_from_boolean(2)
+    monkeypatch.setattr(goursat.permutability, "composite", _composite_with_0_last)
+    with pytest.raises(
+        GoursatHypothesisError, match="^composite D o S o D is not an equivalence relation$"
+    ):
+        closure_goursat(alg, Partition.from_literal(literal, 4), SubvarietySpec(alg.sig, ()))
+
+
+def test_congruences_are_proved_once_per_table_family(monkeypatch):
+    checked, families = Counter(), {}
+    real_check, real_proved = goursat.relations.is_congruence, goursat.relations._proved
+
+    def checking(alg, p):
+        verdict = real_check(alg, p)
+        families[id(alg._memo)] = alg
+        checked[id(alg._memo), p.index_of, verdict.ok] += 1
+        return verdict
+
+    def proved(alg):
+        families[id(alg._memo)] = alg
+        return real_proved(alg)
+
+    monkeypatch.setattr(goursat.relations, "is_congruence", checking)
+    monkeypatch.setattr(goursat.relations, "_proved", proved)
+    groups = {}
+    for entry in default_entries():
+        groups.setdefault(entry.algebra.sig.key(), []).append(entry.algebra)
+    for algs in groups.values():
+        for spec in corpus_specs(algs[0].sig):
+            check_axioms(algs, spec)
+    # the sweep builds every congruence it closes: Con(A), verbal congruences, pull-backs
+    assert not checked
+    for entry in default_entries():
+        dist_report(entry.algebra)
+    assert not checked
+    # a partition from outside is checked once when it passes, on every call when it fails
+    z8 = cyclic_group(8)
+    good, bad = Partition.from_literal("0 4|1 5|2 6|3 7", 8), Partition.from_literal("0 1|2 3|4 5|6 7", 8)
+    for _ in range(2):
+        closure_goursat(z8, good, EXP2)
+        closure_effective(z8, good, EXP2)
+        with pytest.raises(NotCongruenceError):
+            quotient(z8, bad)
+    assert checked == {(id(z8._memo), good.index_of, True): 1, (id(z8._memo), bad.index_of, False): 2}
+    # every label vector recorded as proved is a congruence (479 of them when written),
+    # on the subalgebras and products that the sweep pulls back to as well
+    names = [entry.name for entry in default_entries()]
+    products = {f"{a}x{b}" for a in names for b in names}
+    recorded = Counter()
+    for alg in families.values():
+        for labels in real_proved(alg):
+            assert real_check(alg, Partition.from_labels(alg.n, labels)).ok, (alg.name, labels)
+            recorded["subalgebra" if "|{" in alg.name else alg.name in products] += 1
+    assert sum(recorded.values()) > 400
+    assert recorded["subalgebra"] and recorded[True]
+
+
+@pytest.mark.parametrize("bad", ["a", None, 1.5], ids=repr)
+def test_a_non_integer_bound_is_refused_by_name(bad):
+    spec = corpus_specs(Z4.sig)[0]
+    calls = [
+        ("cap", lambda: find_maltsev_term(Z4, cap=bad)),
+        ("cap", lambda: find_hm_terms(Z4, cap=bad)),
+        ("max_size", lambda: con_lattice(Z4, max_size=bad)),
+        ("max_size", lambda: check_axioms([Z4], spec, max_size=bad)),
+        ("max_size", lambda: dist_report(Z4, max_size=bad)),
+    ]
+    for name, call in calls:
+        with pytest.raises(ValueError, match=f"^non-integer {name} {re.escape(repr(bad))}$"):
+            call()
 
 
 def test_closure_goursat_of_discrete():

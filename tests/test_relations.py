@@ -8,7 +8,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from goursat.algebras import FiniteAlgebra, QuotientMap, quotient
+from goursat.algebras import FiniteAlgebra, QuotientMap, generate_subuniverse, quotient, subalgebra
 from goursat.algebras import product as algebra_product
 from goursat.corpus import (
     boolean_ring,
@@ -34,7 +34,7 @@ from goursat.relations import (
     is_congruence,
     require_congruence,
 )
-from goursat.terms import Signature
+from goursat.terms import Signature, eval_term, parse_term
 
 from oracles import (
     all_partitions,
@@ -144,22 +144,22 @@ def test_partition_canonical_form_and_literals():
 
 
 def test_partition_validation():
-    repeated = "bad partition: element 1 repeated or out of range"
+    repeated = "bad partition: element 1 repeated"
     uncovered = "partition does not cover the carrier"
     cases = [
         ((3, [[0, 1], [1, 2]]), "0 1|1 2", repeated),
         ((3, [[0, 1, 1], [2]]), "0 1 1|2", repeated),
-        ((3, [[0, 1], [2, 3]]), "0 1|2 3", "bad partition: element 3 repeated or out of range"),
-        ((2, [[-1, 0], [1]]), "-1 0|1", "bad partition: element -1 repeated or out of range"),
+        ((3, [[0, 1], [2, 3]]), "0 1|2 3", "bad partition: element 3 out of range 0..2"),
+        ((2, [[-1, 0], [1]]), "-1 0|1", "bad partition: element -1 out of range 0..1"),
         ((3, [[0, 1]]), "0 1", uncovered),
         ((3, [[0], [2]]), "0|2", uncovered),
         ((1, []), None, uncovered),
     ]
     for (n, blocks), literal, message in cases:
-        with pytest.raises(ValueError, match=f"^{message}$"):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             Partition(n, blocks)
         if literal is not None:
-            with pytest.raises(ValueError, match=f"^{message}$"):
+            with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
                 Partition.from_literal(literal, n)
     with pytest.raises(ValueError, match="^empty block in partition literal$"):
         Partition.from_literal("0 1|", 2)
@@ -175,6 +175,39 @@ def test_partition_refuses_a_non_integer_element(bad):
             Partition(2, blocks)
     # numpy integers are integers
     assert Partition(2, [[np.int64(1)], [np.uint8(0)]]) == Partition.discrete(2)
+
+
+_Z4 = cyclic_group(4)
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: FiniteAlgebra(Signature({"f": 1}), 2, {"f": 5}),
+     "table for 'f': expected a collection, got 5"),
+    (lambda: Partition(2, [0, 1]), "bad partition: expected a collection, got 0"),
+    (lambda: generate_subuniverse(_Z4, [[0]]), "non-integer seed element [0]"),
+    (lambda: subalgebra(cyclic_group(6), [0, 3, -3]), "universe element -3 out of range 0..5"),
+    (lambda: subalgebra(_Z4, [5]), "universe element 5 out of range 0..3"),
+    (lambda: congruence_generated(_Z4, [(-1, 1)]), "element -1 out of range 0..3"),
+    (lambda: congruence_generated(cyclic_group(6), [(0, 6)]), "element 6 out of range 0..5"),
+    (lambda: congruence_generated(_Z4, [(0, 1.0)]), "non-integer element 1.0"),
+    (lambda: congruence_generated(_Z4, [(0,)]), "expected 2 elements, got (0,)"),
+    (lambda: _Z4.apply("m", (-1, 0)), "argument -1 out of range 0..3"),
+    (lambda: _Z4.apply("m", (0,)), "expected 2 arguments, got (0,)"),
+    (lambda: eval_term(_Z4, parse_term("m(x,y)", _Z4.sig), {"x": -1, "y": 0}),
+     "argument -1 out of range 0..3"),
+])
+def test_every_public_entry_reads_elements_by_one_rule(call, message):
+    # a negative value used to alias an element from the end of the carrier
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        call()
+
+
+def test_numpy_integers_are_elements_at_every_entry():
+    i, j = np.int64(0), np.uint8(2)
+    assert congruence_generated(_Z4, [(i, j)]) == Partition.from_literal("0 2|1 3", 4)
+    assert _Z4.apply("m", (j, np.int32(3))) == 1
+    assert subalgebra(_Z4, [i, j])[1] == (0, 2)
+    assert generate_subuniverse(_Z4, [j]) == frozenset({0, 2})
 
 
 def test_partition_join_is_the_equivalence_join():
@@ -383,6 +416,17 @@ def test_con_lattice_carrier_guard_survives_the_memo():
     with pytest.raises(CarrierBoundError):
         con_lattice(z8, max_size=4)
     assert con_lattice(z8) is con_lattice(z8)
+
+
+@pytest.mark.parametrize("alg, literal", [
+    (_Z4, "0 1|2 3"), (_Z4, "0 3|1 2"), (klein4(), "0 1 2|3"), (two_elt_lattice(), "0 1 2"),
+], ids=repr)
+def test_con_lattice_index_refuses_a_non_member(alg, literal):
+    p = Partition.from_literal(literal, len(literal.replace("|", " ").split()))
+    lat = con_lattice(alg)
+    assert p not in lat
+    with pytest.raises(ValueError, match=f"^{re.escape(repr(p))} is not a congruence in this lattice$"):
+        lat.index(p)
 
 
 def test_con_lattice_of_equal_algebras_built_apart():
