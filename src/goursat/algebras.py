@@ -13,7 +13,7 @@ from itertools import product as iproduct
 import numpy as np
 
 from .errors import ParseError, SignatureMismatchError
-from .relations import Partition, _indices, require_congruence
+from .relations import Partition, _index, _indices, _join_closure, require_congruence
 from .terms import Signature
 
 
@@ -248,19 +248,16 @@ def projections(factors):
 def generate_subuniverse(alg, seed):
     """Least subset containing the seed and all nullary values, closed under ops.
 
-    Each step applies every operation to all argument tuples from the
-    current set in one table gather, until no step adds an element.
-    With no nullary operation an empty seed yields the empty set.
+    Each step applies every operation, a constant included, to all
+    argument tuples from the current set in one table gather (a nullary
+    table is indexed by ``()``), until no step adds an element.  With no
+    nullary operation an empty seed yields the empty set.
     """
-    current = set(_indices(seed, alg.n, "seed element"))
-    for sym, arity in alg.sig:
-        if arity == 0:
-            current.add(alg.apply(sym, ()))
-    tables = [alg.table_array(sym) for sym, arity in alg.sig if arity]
     member = np.zeros(alg.n, dtype=bool)
-    member[list(current)] = True
+    member[_indices(seed, alg.n, "seed element")] = True
+    tables = [alg.table_array(sym) for sym, _ in alg.sig]
     elems = np.flatnonzero(member)
-    while len(elems):
+    while True:
         for table in tables:
             # the open mesh np.ix_(elems, ..., elems), built without its overhead
             arity = table.ndim
@@ -268,9 +265,8 @@ def generate_subuniverse(alg, seed):
             member[table[mesh]] = True
         grown = np.flatnonzero(member)
         if len(grown) == len(elems):
-            break
+            return frozenset(elems.tolist())
         elems = grown
-    return frozenset(elems.tolist())
 
 
 def subalgebra(alg, universe):
@@ -311,8 +307,9 @@ def all_subuniverses(alg):
     """Distinct nonempty subuniverses, all of them for small carriers.
 
     Every subuniverse is the join Sg(U | V) of the subuniverses generated
-    by its elements, so up to _EXHAUSTIVE_LIMIT elements the ones
-    generated by at most one element are closed under joins with those.
+    by its elements, so up to _EXHAUSTIVE_LIMIT elements
+    ``relations._join_closure`` closes the ones generated by at most one
+    element under joins with those: U when V lies in U, else Sg(U | V).
     Beyond it only subuniverses generated by at most two elements are
     enumerated (enough for the arrow sweeps that use this).  Sorted by
     size, then elements.  Memoised per table; each call returns a fresh
@@ -331,18 +328,8 @@ def all_subuniverses(alg):
         if sub:
             found.setdefault(tuple(sorted(sub)), sub)
     if n <= _EXHAUSTIVE_LIMIT:
-        principal = list(found.values())
-        work = list(principal)
-        while work:
-            u = work.pop()
-            for v in principal:
-                if v <= u:
-                    continue
-                joined = generate_subuniverse(alg, u | v)
-                key = tuple(sorted(joined))
-                if key not in found:
-                    found[key] = joined
-                    work.append(joined)
+        _join_closure(found, lambda u, v: u if v <= u else generate_subuniverse(alg, u | v),
+                      lambda u: tuple(sorted(u)))
     out = alg._memo["subuniverses"] = [found[k] for k in sorted(found, key=lambda t: (len(t), t))]
     return list(out)
 
@@ -402,9 +389,7 @@ def parse_algebra(text):
         if sym in ops:
             raise ParseError(f"duplicate operation {sym!r}", line=lineno)
         need = n**arity
-        values = []
-        for tok in parts[3:]:
-            values.append(_int_token(tok, lineno))
+        values = [_entry(tok, n, sym, lineno) for tok in parts[3:]]
         while len(values) < need:
             line, lineno = next_content()
             if line is None:
@@ -412,25 +397,25 @@ def parse_algebra(text):
                     f"table for {sym!r} ended early ({len(values)}/{need} entries)",
                     line=lineno,
                 )
-            for tok in line.split():
-                values.append(_int_token(tok, lineno))
+            values += [_entry(tok, n, sym, lineno) for tok in line.split()]
         if len(values) > need:
             raise ParseError(f"table for {sym!r} has extra entries", line=lineno)
         ops[sym] = arity
         tables[sym] = tuple(values)
 
-    sig = Signature(ops)
-    try:
-        return FiniteAlgebra(sig, n, tables, name=name)
-    except ValueError as exc:
-        raise ParseError(str(exc), line=lineno) from exc
+    return FiniteAlgebra(Signature(ops), n, tables, name=name)
 
 
-def _int_token(tok, lineno):
+def _entry(tok, n, sym, lineno):
+    """The table entry that tok spells, read by ``relations._index``; refused with its line."""
     try:
-        return int(tok)
+        value = int(tok)
     except ValueError:
         raise ParseError(f"expected integer, got {tok!r}", line=lineno) from None
+    try:
+        return _index(value, n, "entry")
+    except ValueError as exc:
+        raise ParseError(f"table for {sym!r}: {exc}", line=lineno) from None
 
 
 def format_algebra(alg):

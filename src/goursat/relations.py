@@ -15,6 +15,15 @@ Composites of equivalence relations are read from block incidence and
 returned as n-by-n boolean pair matrices by ``composite``.  Relational
 composition is fixed left-to-right: (x,z) is in the composite r o s iff
 there is a y with (x,y) in r and (y,z) in s.
+
+Two fixpoints are written once, here.  ``_orbit_least`` finds the least
+point of every orbit of a group given by generators, by pulling back
+along each and jumping pointers: ``_pair_orbit_reps`` runs it on the
+pairs of A under the bijective basic translations, and
+``symmetry._clone_orbits`` on the cells of A^3 under Aut(A).
+``_join_closure`` closes the principal members of a lattice under joins
+with them: ``con_lattice`` runs it on Con(A), and
+``algebras.all_subuniverses`` on Sub(A) of a small carrier.
 """
 
 import operator
@@ -36,12 +45,17 @@ def _index(value, n=None, what="element"):
     return i
 
 
-def _indices(values, n, what="element", size=None):
-    """Each of values by ``_index``; a non-collection, or one not of size, is refused by name."""
+def _collection(values):
+    """The items of values as a list; a non-collection is refused by name."""
     try:
-        items = [_index(v, n, what) for v in values]
+        return list(values)
     except TypeError:
         raise ValueError(f"expected a collection, got {values!r}") from None
+
+
+def _indices(values, n, what="element", size=None):
+    """Each of values by ``_index``; a non-collection, or one not of size, is refused by name."""
+    items = [_index(v, n, what) for v in _collection(values)]
     if size is not None and len(items) != size:
         raise ValueError(f"expected {size} {what}s, got {values!r}")
     return items
@@ -90,7 +104,7 @@ class Partition:
 
     def __init__(self, n, blocks):
         try:
-            blks = [tuple(sorted(_indices(b, n))) for b in blocks]
+            blks = [tuple(sorted(_indices(b, n))) for b in _collection(blocks)]
         except ValueError as exc:
             raise ValueError(f"bad partition: {exc}") from None
         blks = sorted(b for b in blks if b)
@@ -315,7 +329,7 @@ def congruence_generated(alg, pairs):
                 merged.append((ra, rb))
         return merged
 
-    merged = merge(_indices(pair, n, size=2) for pair in pairs)
+    merged = merge(_indices(pair, n, size=2) for pair in _collection(pairs))
     while merged and len(mat):
         left, right = np.array(merged).T
         left, right = mat[:, left].ravel(), mat[:, right].ravel()
@@ -441,15 +455,33 @@ class ConLattice:
         return list(map(tuple, np.argwhere(strict & ~(strict @ strict)).tolist()))
 
 
+def _orbit_least(least, gens, act):
+    """For each point, the least point of its orbit under the group that gens generate.
+
+    The points are the positions of least, and act(g) is the index array
+    that g moves them by.  least starts each point p at a point of its
+    orbit no greater than p: p itself, or a code shared by the points
+    the caller counts as one.  Each pass pulls least back along every
+    generator, least[p] = min(least[p], least[act(g)[p]]), then jumps to
+    least[least].  At the fixpoint least is constant on each orbit and
+    is its least point.  With no generator least comes back unchanged.
+    """
+    before = None
+    while len(gens) and not np.array_equal(least, before):
+        before = least
+        for g in gens:
+            least = np.minimum(least, least[act(g)])
+        least = least[least]
+    return least
+
+
 def _pair_orbit_reps(alg):
     """Codes a * n + b of the pairs a < b least in their orbit under the bijective translations.
 
     The orbits are those of the group that the bijective rows of
-    ``_translations`` generate, acting on unordered pairs.  ``least``
-    holds, per cell (a, b), a pair code min * n + max; each pass pulls
-    it back along every generator, then jumps to least[least[a, b]].
-    At the fixpoint it is constant on each orbit and is
-    its least code.  The codes come out ascending, that is in
+    ``_translations`` generate, acting on unordered pairs: ``_orbit_least``
+    runs on the cells (a, b) of A^2, each starting at the pair code
+    min * n + max.  The codes come out ascending, that is in
     lexicographic pair order; with no bijective row, every pair is one.
     """
     n = alg.n
@@ -457,12 +489,7 @@ def _pair_orbit_reps(alg):
     mat = _translations(alg)
     gens = mat[(np.sort(mat, axis=1) == carrier).all(axis=1)]
     lo, hi = np.minimum.outer(carrier, carrier), np.maximum.outer(carrier, carrier)
-    least, before = (lo * n + hi).ravel(), None
-    while len(gens) and not np.array_equal(least, before):
-        before = least
-        for g in gens:
-            least = np.minimum(least, least.reshape(n, n)[np.ix_(g, g)].ravel())
-        least = least[least]
+    least = _orbit_least((lo * n + hi).ravel(), gens, lambda g: (g[:, None] * n + g).ravel())
     return np.flatnonzero((least == np.arange(n * n)) & (lo < hi).ravel())
 
 
@@ -481,13 +508,34 @@ def _principal_congruences(alg):
     return found
 
 
+def _join_closure(found, join, key):
+    """Close found, a dict of principal members by key, under joins with them, in place.
+
+    Every member is the join of the principal members below it, so each
+    new member is joined with the principal ones only: a worklist pops a
+    member, joins it with each principal one, and pushes each join whose
+    key is new.  Returns found.
+    """
+    principal = list(found.values())
+    work = list(principal)
+    while work:
+        p = work.pop()
+        for q in principal:
+            j = join(p, q)
+            k = key(j)
+            if k not in found:
+                found[k] = j
+                work.append(j)
+    return found
+
+
 def con_lattice(alg, max_size=64):
     """Enumerate Con(alg): principal congruences closed under binary joins.
 
-    Every congruence is the join of the principal congruences below it,
-    so the closure joins each new congruence with the principal ones
-    only.  Cg(a, b) is generated only at the pairs least in their orbit
-    under the bijective basic translations.  That loses nothing:
+    The discrete relation and the principal congruences are closed by
+    ``_join_closure``, keyed by label vector.  Cg(a, b) is generated
+    only at the pairs least in their orbit under the bijective basic
+    translations.  That loses nothing:
 
     - orbit equality: a bijective translation t has t^-1 = t^m for some
       m, so Cg(t(a), t(b)) = Cg(a, b), and so along the whole group;
@@ -496,10 +544,10 @@ def con_lattice(alg, max_size=64):
       pair is least in its orbit.
 
     So the principal congruences are found in the order of the sweep
-    over all n(n-1)/2 pairs, and so is the rest.  Con(A) is a sublattice
-    of Eq(A), so the closure uses the plain equivalence join of
-    partitions.  Memoised per table, members recorded as proved; the
-    carrier bound is checked on every call.
+    over all n(n-1)/2 pairs.  Con(A) is a sublattice of Eq(A), so the
+    closure uses the plain equivalence join of partitions.  Memoised
+    per table, members recorded as proved; the carrier bound is checked
+    on every call.
     """
     if alg.n > _index(max_size, what="max_size"):
         raise CarrierBoundError(alg.n, max_size)
@@ -507,17 +555,8 @@ def con_lattice(alg, max_size=64):
     if hit is not None:
         return hit
 
-    found = _principal_congruences(alg)
-    principal = list(found.values())
-    work = list(principal)
-    while work:
-        p = work.pop()
-        for q in principal:
-            j = p.join(q)
-            if j.index_of not in found:
-                found[j.index_of] = j
-                work.append(j)
-
+    label_vector = operator.attrgetter("index_of")
+    found = _join_closure(_principal_congruences(alg), Partition.join, label_vector)
     _proved(alg).update(found)
     ordered = sorted(found.values(), key=lambda p: (p.num_blocks, p.blocks))
     lat = alg._memo["con"] = ConLattice(alg.n, ordered)

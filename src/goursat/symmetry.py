@@ -30,7 +30,9 @@ Aut(A) when c0 generates A, and trivial otherwise.  An automorphism is
 fixed by its values on a generating set, so Aut(A) is read off c0 in
 one pass: c0's derivation of every element is replayed from each
 candidate image of its entries, and the maps that are bijective
-homomorphisms are all of Aut(A).
+homomorphisms are all of Aut(A).  R is read off the generators by
+``relations._orbit_least``, the one orbit fixpoint, which also finds
+the pairs that ``con_lattice`` generates principal congruences at.
 
 Isomorphic subalgebras.  A term operation commutes with every
 homomorphism h from a subalgebra of A into A, not only with the
@@ -66,6 +68,7 @@ dropped cells too.
 import numpy as np
 
 from .errors import CarrierBoundError
+from .relations import _orbit_least
 from .terms import _BLOCK_CELLS
 
 
@@ -177,22 +180,6 @@ def _automorphism_generators(alg, steps):
     return gens
 
 
-def _orbit_least(n, gens):
-    """For each cell of A^3, the least cell of its orbit under the group generated by gens."""
-    cells = np.arange(n**3)
-    digits = (cells // (n * n), (cells // n) % n, cells % n)
-    # least[c] falls to the least cell of c's orbit: each pass pulls it
-    # back along every generator, then jumps to the least of least[c]
-    least = cells
-    while True:
-        before = least
-        for g in gens:
-            least = np.minimum(least, least[(g[digits[0]] * n + g[digits[1]]) * n + g[digits[2]]])
-        least = least[least]
-        if np.array_equal(least, before):
-            return least
-
-
 def _level_tuples(arity, level):
     """The label tuples whose largest label is level, lexicographic, one row per argument."""
     grid = np.indices((level + 1,) * arity).reshape(arity, -1)
@@ -300,7 +287,8 @@ def _clone_orbits(alg):
     """The least cells, ascending, of the classes of A^3 under Aut(alg) and subalgebra isomorphisms; memoised.
 
     When the greedy cell generates alg, the orbits are those of
-    Aut(alg), read off that cell, and their least cells are merged by
+    Aut(alg), read off that cell; ``_orbit_least`` finds their least
+    cells, acting on each cell's entries, and these are merged by
     the bounded ``_pointed_classes``.  Otherwise no automorphism is
     used, and the unbounded pass codes each cell to its closure, so the
     cells that generate alg merge by their full codes.
@@ -309,9 +297,12 @@ def _clone_orbits(alg):
         raise CarrierBoundError(alg.n, 255)
     reps = alg._memo.get("clone_orbits")
     if reps is None:
-        steps = _derivation(alg)
-        least = _orbit_least(alg.n, [] if steps is None else _automorphism_generators(alg, steps))
-        reps = np.flatnonzero(least == np.arange(alg.n**3))
+        n, steps = alg.n, _derivation(alg)
+        cells = np.arange(n**3)
+        x, y, z = cells // (n * n), (cells // n) % n, cells % n
+        gens = [] if steps is None else _automorphism_generators(alg, steps)
+        least = _orbit_least(cells, gens, lambda g: (g[x] * n + g[y]) * n + g[z])
+        reps = np.flatnonzero(least == cells)
         source = _pointed_classes(alg, reps, bounded=steps is not None)
         reps = alg._memo["clone_orbits"] = reps[source == reps]
     return reps

@@ -9,12 +9,14 @@ enumeration of all partitions via restricted growth strings, a
 from-the-definition compatibility check, the automorphisms as the
 permutations that commute with every table, the scalar congruence
 witness scan, a scalar subuniverse closure, the subuniverses as closures
-of every small seed, subalgebra tables built one scalar apply per
-argument tuple, mixed-radix product coordinates, block membership in a
-partition, a clone BFS that applies an operation to one argument tuple
-at a time, and identities evaluated one assignment at a time by the
-recursive reference ``terms.eval_term``.
-None of it shares code with the package internals it validates.
+of every small seed, subalgebra tables built one table entry per
+argument tuple, the least pair of each orbit under the bijective basic
+translations by breadth-first search, mixed-radix product coordinates,
+block membership in a partition, a clone BFS that applies an operation
+to one argument tuple at a time, and identities evaluated one
+assignment at a time by the recursive reference ``terms.eval_term``.
+Cells are read from the raw flat tables, ``alg.tables``, in row-major
+order.  None of it shares code with the package internals it validates.
 """
 
 from itertools import permutations, product
@@ -22,6 +24,14 @@ from itertools import permutations, product
 import numpy as np
 
 from goursat.terms import eval_term
+
+
+def cell(alg, sym, args):
+    """The entry of sym's flat table at args, row-major: the last argument varies fastest."""
+    index = 0
+    for a in args:
+        index = index * alg.n + a
+    return alg.tables[sym][index]
 
 
 def compose_pairs(r_pairs, s_pairs):
@@ -118,11 +128,11 @@ def pull_back_instances(mapping, targets, close_source, close_target):
 
 
 def naive_subuniverse(alg, seed):
-    """Closure of a seed and the nullary values, one scalar apply per argument tuple."""
+    """Closure of a seed and the nullary values, one table entry per argument tuple."""
     current = set(seed)
     for sym, arity in alg.sig:
         if arity == 0:
-            current.add(alg.apply(sym, ()))
+            current.add(cell(alg, sym, ()))
     changed = True
     while changed:
         changed = False
@@ -130,7 +140,7 @@ def naive_subuniverse(alg, seed):
             if arity == 0:
                 continue
             for args in product(sorted(current), repeat=arity):
-                v = alg.apply(sym, args)
+                v = cell(alg, sym, args)
                 if v not in current:
                     current.add(v)
                     changed = True
@@ -147,15 +157,16 @@ def automorphisms(alg):
 
 
 class _Square:
-    """A x A with the pair (a, b) coded a * n + b, each operation applied coordinatewise."""
+    """A x A with the pair (a, b) coded a * n + b, each table built coordinatewise."""
 
     def __init__(self, alg):
-        self.sig, self._alg, self._n = alg.sig, alg, alg.n
-
-    def apply(self, sym, args):
-        n, alg = self._n, self._alg
-        left = alg.apply(sym, tuple(a // n for a in args))
-        return left * n + alg.apply(sym, tuple(a % n for a in args))
+        n = alg.n
+        self.sig, self.n = alg.sig, n * n
+        self.tables = {
+            sym: tuple(cell(alg, sym, [a // n for a in args]) * n + cell(alg, sym, [a % n for a in args])
+                       for args in product(range(n * n), repeat=arity))
+            for sym, arity in alg.sig
+        }
 
 
 def pointed_iso_classes(alg):
@@ -188,7 +199,7 @@ def pointed_iso_classes(alg):
 
 
 def naive_subalgebra_tables(alg, universe):
-    """Tables of the subalgebra on a subset, one scalar apply per argument tuple.
+    """Tables of the subalgebra on a subset, one table entry per argument tuple.
 
     Raises ValueError naming the first symbol (declaration order) and
     argument tuple (lexicographic over the sorted subset) whose value
@@ -200,7 +211,7 @@ def naive_subalgebra_tables(alg, universe):
     for sym, arity in alg.sig:
         table = []
         for args in product(embed, repeat=arity):
-            v = alg.apply(sym, args)
+            v = cell(alg, sym, args)
             if v not in back:
                 raise ValueError(f"subset not closed under {sym!r} at {args}")
             table.append(back[v])
@@ -279,10 +290,12 @@ def compatible(alg, blocks):
     for sym, arity in alg.sig:
         if arity == 0:
             continue
-        for args_a in product(range(alg.n), repeat=arity):
-            for args_b in product(range(alg.n), repeat=arity):
+        # the argument tuples in row-major order, beside the table entries
+        cells = list(zip(product(range(alg.n), repeat=arity), alg.tables[sym]))
+        for args_a, value_a in cells:
+            for args_b, value_b in cells:
                 if all(label[a] == label[b] for a, b in zip(args_a, args_b)):
-                    if label[alg.apply(sym, args_a)] != label[alg.apply(sym, args_b)]:
+                    if label[value_a] != label[value_b]:
                         return False
     return True
 
@@ -302,10 +315,10 @@ def congruence_witness(alg, blocks):
     for sym, arity in alg.sig:
         if arity == 0:
             continue
-        for args in product(range(alg.n), repeat=arity):
-            value = label[alg.apply(sym, args)]
+        for args, entry in zip(product(range(alg.n), repeat=arity), alg.tables[sym]):
+            value = label[entry]
             for args_b in product(*(peers[a] for a in args)):
-                if label[alg.apply(sym, args_b)] != value:
+                if label[cell(alg, sym, args_b)] != value:
                     return sym, (args, args_b)
     return None
 
@@ -317,6 +330,43 @@ def brute_force_congruences(alg):
         if compatible(alg, blocks):
             out.append(tuple(tuple(sorted(b)) for b in sorted(blocks, key=min)))
     return out
+
+
+def pair_orbit_reps(alg):
+    """Codes a * n + b of the least pair a < b of each orbit under the bijective basic translations.
+
+    The basic translations x -> f(c.., x, ..c) are read off the tables
+    one position and one tuple of constants at a time; those that are
+    permutations generate the group.  Pairs are scanned ascending, and
+    each one not yet reached starts a breadth-first search of its orbit
+    of unordered pairs, so it is the orbit's least pair.
+    """
+    n = alg.n
+    perms = set()
+    for sym, arity in alg.sig:
+        for pos in range(arity):
+            for consts in product(range(n), repeat=arity - 1):
+                row = tuple(cell(alg, sym, consts[:pos] + (x,) + consts[pos:]) for x in range(n))
+                if sorted(row) == list(range(n)):
+                    perms.add(row)
+    reached, reps = set(), []
+    for a in range(n):
+        for b in range(a + 1, n):
+            if (a, b) in reached:
+                continue
+            reps.append(a * n + b)
+            reached.add((a, b))
+            frontier = [(a, b)]
+            while frontier:
+                step = []
+                for x, y in frontier:
+                    for p in perms:
+                        image = (min(p[x], p[y]), max(p[x], p[y]))
+                        if image not in reached:
+                            reached.add(image)
+                            step.append(image)
+                frontier = step
+    return reps
 
 
 def meet_blocks(n, blocks_a, blocks_b):

@@ -500,8 +500,12 @@ def test_a_non_integer_table_entry_is_refused_before_its_range_is_read(bad):
     ("algebra a\nsize 2\nfn f 1\n", 3, "expected 'op SYMBOL ARITY', got 'fn f 1'"),
     ("algebra a\nsize 2\nop f\n", 3, "op line needs a symbol and an arity"),
     ("algebra a\nsize 2\nop f 1 0 1\nop f 1 1 0\n", 4, "duplicate operation 'f'"),
-    # the table's own error, re-raised with the line the parser stopped at
+    # an entry is read by the element rule where its token is parsed, so the
+    # error names that token's line even when more lines follow
     ("algebra a\nsize 2\nop f 1\n0 -1\n", 4, "table for 'f': entry -1 out of range 0..1"),
+    ("algebra a\nsize 2\nop f 1\n0 5\nop g 1\n0 1\n\n", 4,
+     "table for 'f': entry 5 out of range 0..1"),
+    ("algebra a\nsize 2\nop m 2\n0 9\n1 0\n", 4, "table for 'm': entry 9 out of range 0..1"),
 ])
 def test_parse_algebra_refuses_malformed_input(text, line, message):
     with pytest.raises(ParseError, match=f"^line {line}: {re.escape(message)}$") as info:

@@ -50,7 +50,7 @@ from goursat.permutability import (
     maltsev_identities_hold,
     permutability_level,
 )
-from goursat.relations import Partition, composite, con_lattice
+from goursat.relations import Partition, _orbit_least, composite, con_lattice
 from goursat.terms import Signature, eval_term, render
 from goursat.verdict import Verdict
 
@@ -811,7 +811,10 @@ def _assert_aut_orbits_match_the_oracle(alg):
             # a fresh copy, so the representatives are not read from the memo
             symmetry._clone_orbits(FiniteAlgebra(alg.sig, n, alg.tables))
         return
-    least = symmetry._orbit_least(n, symmetry._automorphism_generators(alg, steps))
+    cells = np.arange(n**3)
+    x, y, z = cells // (n * n), (cells // n) % n, cells % n
+    gens = symmetry._automorphism_generators(alg, steps)
+    least = _orbit_least(cells, gens, lambda g: (g[x] * n + g[y]) * n + g[z])
     assert least.tolist() == _orbit_least_cells(n, automorphisms(alg))
 
 

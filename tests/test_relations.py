@@ -50,6 +50,7 @@ from oracles import (
     lattice_tables,
     matrix_pairs,
     meet_blocks,
+    pair_orbit_reps,
     pullback_pairs,
     raw_image_pairs,
 )
@@ -200,6 +201,14 @@ def test_every_public_entry_reads_elements_by_one_rule(call, message):
     # a negative value used to alias an element from the end of the carrier
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         call()
+
+
+@pytest.mark.parametrize("bad", [5, None], ids=repr)
+def test_a_non_collection_outer_argument_is_refused_by_name(bad):
+    with pytest.raises(ValueError, match=f"^bad partition: expected a collection, got {bad!r}$"):
+        Partition(2, bad)
+    with pytest.raises(ValueError, match=f"^expected a collection, got {bad!r}$"):
+        congruence_generated(_Z4, bad)
 
 
 def test_numpy_integers_are_elements_at_every_entry():
@@ -648,6 +657,15 @@ def test_principal_sweep_runs_on_pinned_orbit_representatives(name):
     assert codes == sorted(codes) and all(a < b for a, b in (divmod(c, alg.n) for c in codes))
     if name == "heyting_chain(12)":
         assert codes == [a * 12 + b for a in range(12) for b in range(a + 1, 12)]
+
+
+@pytest.mark.parametrize(
+    "alg",
+    [PINNED_ORBITS[name][0] for name in sorted(PINNED_ORBITS)] + [unary_cycle(n) for n in (12, 24, 30)],
+    ids=sorted(PINNED_ORBITS) + ["cycle12", "cycle24", "cycle30"],
+)
+def test_pair_orbit_representatives_match_the_bfs_oracle(alg):
+    assert _pair_orbit_reps(alg).tolist() == pair_orbit_reps(alg)
 
 
 @pytest.mark.parametrize("name", ["Z32", "klein4^2", "boolean_ring(4)", "heyting_chain(12)"])
