@@ -1,40 +1,21 @@
 """Permutability of congruence pairs and ternary term searches.
 
 Term searches run over the clone generated on three variables: the
-breadth-first closure of the three ternary projections under pointwise
-application of the algebra's basic operations.  Tables are deduplicated
-by content; within a round, new tables get ids in lexicographic table
-order, which fixes every witness choice.
+subpower that the three ternary projections generate, computed breadth
+first by ``subpower._rounds``.  Tables are deduplicated by content;
+within a round, new tables get ids in lexicographic table order, which
+fixes every witness choice.
 
-The BFS uses three exact symmetries of A.  The first two, the
-automorphisms of A and the isomorphisms between the subalgebras that
-the cells of A^3 generate, live in ``symmetry``: every table is held
-restricted to the representatives of ``_clone_orbits``, one cell per
-class, and ``symmetry`` proves that this keeps ids, derivations,
-witnesses and the cap cut unchanged.  A witness's full n**3 table is its
-term evaluated on all of A^3, so it does not rest on those proofs.
-
-Mirrored pairs.  For a binary operation with a symmetric table, the
-pair (j, i) gives the table of (i, j), which comes earlier in the same
-round; so only pairs i <= j are evaluated, and i < j when the operation
-is also idempotent, since f(t, t) = t is known.  Each table keeps its
-first derivation.
-
-A round is evaluated in array blocks.  For each operation, Python loops
-only over the leading argument ids; the last argument runs over a
-contiguous id range, evaluated a bounded block of rows at a time.  The
-head's values times n plus the last argument's values index the
-operation's flattened table.  When that table has at most 256 entries,
-it is padded to a 256-byte map and a block is one ``bytes.translate`` of
-the uint8 index sum: the index is at most n**arity - 1 <= 255, so the
-sum cannot overflow.  Larger tables are read by one gather, through a
-uint16 index sum when the table has at most 65 536 entries (every binary
-table, as n <= 255), else through intp.  Either way the block comes out
-as the bytes the rows are keyed by.  Rows are then deduplicated in the
-order of their argument tuples, the order of the one-tuple-at-a-time
-loop, so each new table keeps the same first derivation, and the order
-that fixes witnesses is unchanged.  Each table is stored once, as its
-bytes, the deduplication key.
+The BFS uses three exact symmetries of A.  The engine's mirrored pairs
+are one (``subpower``).  The other two, the automorphisms of A and the
+isomorphisms between the subalgebras that the cells of A^3 generate,
+live in ``symmetry``: ``_search`` builds the projections on the
+representatives of ``_clone_orbits``, one cell per class, so every table
+is held restricted to them, and ``symmetry`` proves that this keeps ids,
+derivations, witnesses and the cap cut unchanged.  A witness's full
+n**3 table is its term evaluated on all of A^3, so it does not rest on
+those proofs.  ``_search`` refuses a cap below 3 and a carrier past 255
+elements before any of this work.
 
 A round is searched before it is numbered.  Ids within a round follow
 key order, so the least new key that passes a test is the least id, and
@@ -52,9 +33,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import terms
+from .errors import CarrierBoundError
 from .relations import _index, composite, require_congruence
+from .subpower import _rounds
 from .symmetry import _clone_orbits
-from .terms import _BLOCK_CELLS, App, Var, _eval_array
 from .verdict import Verdict
 
 TWO = "two"
@@ -140,7 +123,7 @@ def _full_table(alg, t):
     n = alg.n
     axis = np.arange(n)
     env = {"x": axis[:, None, None], "y": axis[None, :, None], "z": axis[None, None, :]}
-    return np.broadcast_to(_eval_array(alg, t, env), (n, n, n)).reshape(-1)
+    return np.broadcast_to(terms._eval_array(alg, t, env), (n, n, n)).reshape(-1)
 
 
 def _reconstruct(derivations, i, memo):
@@ -153,128 +136,24 @@ def _term(derivations, deriv, memo):
     """The term of a derivation whose arguments are ids numbered in derivations."""
     kind, payload = deriv
     if kind == "var":
-        return Var(_VARS[payload])
-    return App(kind, tuple(_reconstruct(derivations, c, memo) for c in payload))
+        return terms.Var(_VARS[payload])
+    return terms.App(kind, tuple(_reconstruct(derivations, c, memo) for c in payload))
 
 
-def _heads(stack, n, start, width):
-    """Every tuple of ``width`` argument ids over the rows of stack, in lexicographic order.
+def _projections(n, cells):
+    """The rows of x, y and z on cells of A^3, each cell coded (x * n + y) * n + z."""
+    return np.stack([cells // (n * n), (cells // n) % n, cells % n]).astype(np.uint8)
 
-    Yields (ids, offset, old): offset is the flat-table index of the
-    head's values times n, so adding the last argument's values completes
-    the index; old tells whether every id in the head is below start.
+
+def _maltsev_masks(x, y, z):
+    """The positions of the cells (x,y,y) and (x,x,y) among the cells of the projection rows x, y, z, and a Maltsev term's values there.
+
+    On the representatives of ``_clone_orbits`` both lists run over the
+    pairs (x, y) least in their class, ascending, so position k of each
+    belongs to the same pair.
     """
-    if width == 0:
-        yield (), np.zeros(stack.shape[1], dtype=np.intp), True
-        return
-    for ids, offset, old in _heads(stack, n, start, width - 1):
-        for i in range(len(stack)):
-            yield ids + (i,), (offset + stack[i]) * n, old and i < start
-
-
-def _evaluate(kernel, offset, args):
-    """The bytes of one operation's values on a block of argument rows.
-
-    Row r's index into the flattened table is offset + args[r].  A bytes
-    kernel is a table of at most 256 entries padded to 256 bytes, with
-    offset in uint8; an array kernel is the flattened table itself, with
-    offset in uint16 when it has at most 65 536 entries, else in intp.
-    """
-    if type(kernel) is bytes:
-        return (args + offset).tobytes().translate(kernel)
-    return kernel.take(offset + args).tobytes()
-
-
-def _clone_rounds(alg, cap):
-    """Drive the BFS one round at a time, yielding each round before it is numbered.
-
-    Yields (index, derivations, fresh, room) once a round is evaluated:
-    index (each table's bytes to its id, in id order) and derivations
-    hold the tables of the rounds before, fresh maps the bytes of each
-    table the round found new to its derivation, in the order of the
-    argument tuples, and room is cap - len(derivations).  The
-    first round is the three projections.  When the generator resumes,
-    the room least keys of fresh are numbered in key order, and the BFS
-    stops after a round with no fresh table (the fixpoint) or with more
-    than room (the cap); a consumer that stops at a round leaves it
-    unnumbered.  Tables are restricted to the representatives of
-    ``_clone_orbits(alg)``.
-    """
-    if cap < 3:
-        raise ValueError("cap must allow at least the three projections")
-    n = alg.n
-    reps = _clone_orbits(alg)
-    size = len(reps)
-    # one row per table, so a block is one row once a row exceeds _BLOCK_CELLS
-    rows = max(1, _BLOCK_CELLS // size)
-    kernels, offsets, mirrored = {}, {}, {}
-    for sym, arity in alg.sig:
-        if arity > 0:
-            table = alg.table_array(sym)
-            flat = table.astype(np.uint8).reshape(-1)
-            if flat.size <= 256:
-                kernels[sym], offsets[sym] = flat.tobytes().ljust(256, b"\0"), np.uint8
-            else:
-                kernels[sym] = flat
-                offsets[sym] = np.uint16 if flat.size <= 1 << 16 else np.intp
-            if arity == 2 and np.array_equal(table, table.T):
-                # the least last argument of a pair with head i is i, or i + 1
-                # when f(t, t) = t
-                mirrored[sym] = int(np.array_equal(np.diagonal(table), np.arange(n)))
-
-    derivations = []
-    known = {}
-    fresh = {}
-    # the projections' keys ascend, x < y < z, so key order is variable order
-    for i, values in enumerate((reps // (n * n), (reps // n) % n, reps % n)):
-        fresh.setdefault(values.astype(np.uint8).tobytes(), ("var", i))
-    depth = 0
-    while True:
-        room = cap - len(derivations)
-        yield known, derivations, fresh, room
-        frontier_start = len(derivations)
-        for key in sorted(fresh)[:room]:
-            known[key] = len(derivations)
-            derivations.append(fresh[key])
-        if not fresh or len(fresh) > room:
-            return
-        depth += 1
-        total = len(derivations)
-        stack = np.frombuffer(b"".join(known), dtype=np.uint8).reshape(total, size)
-        fresh = {}
-        for sym, arity in alg.sig:
-            if arity == 0:
-                if depth == 1:
-                    key = bytes([alg.table_array(sym)[()]]) * size
-                    if key not in known and key not in fresh:
-                        fresh[key] = (sym, ())
-                continue
-            kernel = kernels[sym]
-            for head, offset, old in _heads(stack, n, frontier_start, arity - 1):
-                first = frontier_start if old else 0
-                if sym in mirrored:
-                    first = max(first, head[0] + mirrored[sym])
-                offset = offset.astype(offsets[sym], copy=False)
-                for lo in range(first, total, rows):
-                    block = _evaluate(kernel, offset, stack[lo : lo + rows])
-                    for last, at in enumerate(range(0, len(block), size), lo):
-                        key = block[at : at + size]
-                        if key not in known and key not in fresh:
-                            fresh[key] = (sym, head + (last,))
-
-
-def _maltsev_masks(alg):
-    """Where a restricted table holds p(x,y,y) and p(x,x,y), and the values a Maltsev term has there.
-
-    Both lists run over the pairs (x, y) least in their class under
-    ``_clone_orbits``, ascending, so position k of each belongs to the
-    same pair.
-    """
-    n = alg.n
-    reps = _clone_orbits(alg)
-    x, y, z = reps // (n * n), (reps // n) % n, reps % n
     i_xyy, i_xxy = np.flatnonzero(y == z), np.flatnonzero(x == y)
-    return i_xyy, i_xxy, x[i_xyy].astype(np.uint8), z[i_xxy].astype(np.uint8)
+    return i_xyy, i_xxy, x[i_xyy], z[i_xxy]
 
 
 def _admitted(fresh, room):
@@ -313,18 +192,21 @@ def _search(alg, cap, pick):
     cap = _index(cap, what="cap")
     if cap < 3:
         raise ValueError("cap must allow at least the three projections")
-    i_xyy, i_xxy, want_x, want_y = _maltsev_masks(alg)
+    if alg.n > 255:
+        raise CarrierBoundError(alg.n, 255)
+    gens = _projections(alg.n, _clone_orbits(alg))
+    i_xyy, i_xxy, want_x, want_y = _maltsev_masks(*gens)
 
     def blocks(fresh):
         keys = list(fresh)
-        rows = max(1, _BLOCK_CELLS // len(keys[0])) if keys else 1
+        rows = max(1, terms._BLOCK_CELLS // len(keys[0])) if keys else 1
         for lo in range(0, len(keys), rows):
             chunk = keys[lo : lo + rows]
             block = np.frombuffer(b"".join(chunk), dtype=np.uint8).reshape(len(chunk), -1)
             xyy, xxy = block[:, i_xyy], block[:, i_xxy]
             yield chunk, xyy, xxy, (xyy == want_x).all(axis=1), (xxy == want_y).all(axis=1)
 
-    for index, derivations, fresh, room in _clone_rounds(alg, cap):
+    for index, derivations, fresh, room in _rounds(alg, gens, cap):
         explored = len(derivations) + min(len(fresh), room)
         keys = pick(blocks(fresh), _admitted(fresh, room))
         if keys is not None:

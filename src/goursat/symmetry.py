@@ -30,7 +30,10 @@ Aut(A) when c0 generates A, and trivial otherwise.  An automorphism is
 fixed by its values on a generating set, so Aut(A) is read off c0 in
 one pass: c0's derivation of every element is replayed from each
 candidate image of its entries, and the maps that are bijective
-homomorphisms are all of Aut(A).  R is read off the generators by
+homomorphisms are all of Aut(A).  The derivation is read off the
+subpower engine, ``subpower._rounds`` run on c0's entries as rows of
+length one: the one closure with derivations, which the term searches
+run on the projections.  R is read off the generators by
 ``relations._orbit_least``, the one orbit fixpoint, which also finds
 the pairs that ``con_lattice`` generates principal congruences at.
 
@@ -67,47 +70,39 @@ dropped cells too.
 
 import numpy as np
 
-from .errors import CarrierBoundError
+from . import terms
+from .algebras import generate_subuniverse
 from .relations import _orbit_least
-from .terms import _BLOCK_CELLS
+from .subpower import _rounds
 
 
 def _derivation(alg):
     """How the greedy cell's entries and the constants generate alg, or None when they do not.
 
-    Returns steps (e, sym, args) that name every element once, each from
-    earlier ones: by an operation, a constant included, or, with sym
-    None, as free generator number args.  Each entry of the greedy cell
-    is the least element not generated so far; None is returned when
-    three entries fall short.
+    Each entry of the greedy cell is the least element outside the
+    subuniverse that the entries before it generate; None is returned
+    when three entries fall short.  Otherwise returns steps (e, sym,
+    args) that name every element once, each from earlier ones: by an
+    operation, a constant included, or, with sym None, as free generator
+    number args.  The steps are those of ``subpower._rounds`` run on the
+    entries as rows of length one, so an element's row is its value.
+    When the constants alone generate alg there is nothing to replay,
+    and the steps are empty.
     """
-    inside = np.zeros(alg.n, dtype=bool)
-    steps = []
-
-    def close():
-        grew = True
-        while grew:
-            grew = False
-            members = np.flatnonzero(inside)
-            for sym, arity in alg.sig:
-                values = alg.table_array(sym)[np.ix_(*(members,) * arity)].reshape(-1)
-                fresh, first = np.unique(values, return_index=True)
-                for v, at in zip(fresh.tolist(), first.tolist()):
-                    if not inside[v]:
-                        at = np.unravel_index(at, (len(members),) * arity)
-                        steps.append((v, sym, tuple(members[list(at)].tolist())))
-                        inside[v] = grew = True
-
-    close()
-    free = 0
-    for _ in range(3):
-        g = int(np.argmin(inside))
-        if not inside[g]:
-            inside[g] = True
-            steps.append((g, None, free))
-            free += 1
-            close()
-    return steps if inside.all() else None
+    entries, inside = [], generate_subuniverse(alg, ())
+    while len(inside) < alg.n and len(entries) < 3:
+        entries.append(min(set(range(alg.n)) - inside))
+        inside = generate_subuniverse(alg, entries)
+    if len(inside) < alg.n:
+        return None
+    if not entries:
+        return []
+    for index, derivations, *_ in _rounds(alg, np.array(entries, dtype=np.uint8)[:, None], alg.n):
+        pass
+    elems = [key[0] for key in index]
+    # a generator's payload is its number, an operation's a tuple even when it is named var
+    return [(e, None, args) if type(args) is int else (e, kind, tuple(elems[a] for a in args))
+            for e, (kind, args) in zip(elems, derivations)]
 
 
 def _automorphism_generators(alg, steps):
@@ -134,7 +129,7 @@ def _automorphism_generators(alg, steps):
     reached = np.zeros(size, dtype=bool)
     reached[np.ravel_multi_index(free, shape)] = True
     gens = []
-    rows = max(1, _BLOCK_CELLS // max(n, widest))
+    rows = max(1, terms._BLOCK_CELLS // max(n, widest))
     for lo in range(0, size, rows):
         codes = np.arange(lo, min(size, lo + rows))
         images = np.unravel_index(codes, shape)
@@ -166,7 +161,7 @@ def _automorphism_generators(alg, steps):
                 homomorphic = sub[table[index]] == table[image]
                 keep[at[~homomorphic.all(axis=0)]] = False
             x += width
-            width = max(1, min(2 * width, _BLOCK_CELLS // (len(at) * widest)))
+            width = max(1, min(2 * width, terms._BLOCK_CELLS // (len(at) * widest)))
         for j in np.flatnonzero(keep).tolist():
             if reached[codes[j]]:
                 continue
@@ -220,7 +215,7 @@ def _pointed_classes(alg, cells, bounded):
         # code reads no more table entries than the first two rounds can read on it
         most = min(n - 1, 3 + len(consts) + sum(3**arity for _, arity in ops))
     # rows per block: the label arrays are n wide, the widest level end(most) - end(most - 1)
-    rows = max(1, _BLOCK_CELLS // max(n, end(most) - end(most - 1)))
+    rows = max(1, terms._BLOCK_CELLS // max(n, end(most) - end(most - 1)))
     levels = []  # per level, the label tuples of each arity, built as the pass reaches it
     known = {}  # code -> its least cell
     source = cells.copy()
@@ -293,8 +288,6 @@ def _clone_orbits(alg):
     used, and the unbounded pass codes each cell to its closure, so the
     cells that generate alg merge by their full codes.
     """
-    if alg.n > 255:
-        raise CarrierBoundError(alg.n, 255)
     reps = alg._memo.get("clone_orbits")
     if reps is None:
         n, steps = alg.n, _derivation(alg)

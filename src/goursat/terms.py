@@ -271,9 +271,11 @@ def eval_term(alg, t, env):
     return alg.apply(t.sym, args)
 
 
-# Cells in one evaluation block, here and in the clone rounds of
-# permutability.  A block's intp arrays then take at most 2 MB each; a
-# block is one row at least, so a row longer than this is a block alone.
+# Cells in one evaluation block, here and in every blocked loop of the
+# clone search (subpower, symmetry, permutability), which read it as
+# terms._BLOCK_CELLS, so that one binding bounds them all.  A block's intp
+# arrays then take at most 2 MB each; a block is one row at least, so a
+# row longer than this is a block alone.
 _BLOCK_CELLS = 1 << 18
 
 

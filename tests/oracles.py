@@ -400,25 +400,20 @@ def _new_arg_tuples(total, start, arity):
                 yield head + rest
 
 
-def naive_clone_rounds(alg, cap):
-    """The clone BFS with one fancy-index call per argument tuple.
+def naive_clone_rounds(alg, gens, cap):
+    """The subpower BFS over the rows gens, with one fancy-index call per argument tuple.
 
-    Same contract as ``permutability._clone_rounds``: yields (index,
-    derivations, fresh, room) once each round is evaluated, where index
-    maps each table's bytes to its id, in id order, fresh maps each new
-    table's bytes to its derivation in the order of the argument tuples,
-    and room = cap - len(derivations); the round is numbered on resume.
-    The full tables are kept in an id-indexed list of arrays, for the
-    gathers.
+    Same contract as ``subpower._rounds``: yields (index, derivations,
+    fresh, room) once each round is evaluated, where index maps each
+    row's bytes to its id, in id order, fresh maps each new row's bytes
+    to its derivation in the order of the argument tuples, and room =
+    cap - len(derivations); the round is numbered on resume.  The rows
+    are kept in an id-indexed list of arrays, for the gathers.
     """
     n = alg.n
     if n > 255:
         raise ValueError("clone generation supports carriers up to 255 elements")
-    if cap < 3:
-        raise ValueError("cap must allow at least the three projections")
-    size = n**3
-    span = np.arange(size)
-    projections = [span // (n * n), (span // n) % n, span % n]
+    size = gens.shape[1]
     op_arrays = {
         sym: np.asarray(alg.tables[sym], dtype=np.uint8).reshape((n,) * arity)
         for sym, arity in alg.sig
@@ -428,8 +423,8 @@ def naive_clone_rounds(alg, cap):
     arrays, derivations = [], []
     known = {}
     fresh = {}
-    for i, values in enumerate(projections):
-        key = values.astype(np.uint8).tobytes()
+    for i, row in enumerate(gens):
+        key = np.asarray(row, dtype=np.uint8).tobytes()
         if key not in fresh:
             fresh[key] = ("var", i)
     depth = 0

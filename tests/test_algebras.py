@@ -538,6 +538,11 @@ def test_quotient_map_refuses_a_map_that_is_not_its_quotient(case, error, messag
     assert type(info.value) is error
 
 
+def test_an_empty_carrier_is_refused():
+    with pytest.raises(ValueError, match=r"^carrier must be nonempty$"):
+        FiniteAlgebra(Signature({"f": 1}), 0, {"f": ()})
+
+
 def test_table_validation():
     sig = Signature({"f": 1})
     with pytest.raises(ValueError, match=r"^table for 'f': entry 5 out of range 0\.\.1$"):

@@ -54,7 +54,7 @@ from goursat.errors import (
     SignatureMismatchError,
 )
 from goursat.relations import Partition, composite, con_lattice, congruence_generated, is_congruence
-from goursat.terms import Identity, Signature, parse_identity, satisfies_identity
+from goursat.terms import App, Identity, Signature, Var, parse_identity, satisfies_identity
 from goursat.verdict import NOT_APPLICABLE, PASS
 
 from oracles import (
@@ -777,3 +777,14 @@ def test_roundtrip_check_reports_each_injected_fault(monkeypatch, case):
 def test_spec_validation():
     with pytest.raises(SignatureMismatchError):
         SubvarietySpec(LATTICE_SIG, (parse_identity("m(x,x) = e", GROUP_SIG),))
+
+
+def test_spec_validation_refuses_hand_built_terms_the_parser_never_yields():
+    """A variable named like an operation symbol, and an application with too few arguments."""
+    x = Var("x")
+    clash = Identity.of(App("m", (Var("e"), x)), x)
+    with pytest.raises(SignatureMismatchError, match=r"^variable 'e' clashes with an operation symbol$"):
+        SubvarietySpec(GROUP_SIG, (clash,))
+    short = Identity.of(x, App("m", (x,)))
+    with pytest.raises(SignatureMismatchError, match=r"^'m' expects 2 arguments, got 1$"):
+        SubvarietySpec(GROUP_SIG, (short,))

@@ -21,6 +21,7 @@ from test_relations import NULLARY_ONLY, ONE_ELEMENT, small_algebras
 
 import goursat
 import goursat.permutability as permutability
+import goursat.subpower as subpower
 import goursat.symmetry as symmetry
 import goursat.terms as terms
 from goursat.algebras import FiniteAlgebra, product
@@ -28,6 +29,7 @@ from goursat.corpus import (
     GROUP_SIG,
     LATTICE_SIG,
     cyclic_group,
+    default_entries,
     heyting_chain,
     implication_from_boolean,
     klein4,
@@ -197,9 +199,19 @@ def test_goursat_join_check_reports_a_pair_the_join_lacks(monkeypatch):
 # -- clone generation -----------------------------------------------------------
 
 
+def _clone_rounds(alg, cap):
+    """The clone BFS as the searches run it: the projections on the representatives."""
+    return subpower._rounds(alg, permutability._projections(alg.n, symmetry._clone_orbits(alg)), cap)
+
+
+def _cube(n):
+    """The three projection rows on all of A^3."""
+    return permutability._projections(n, np.arange(n**3))
+
+
 def _drained(alg, cap=200_000):
     """(index, derivations, fresh) once the clone BFS stops, its last round numbered up to the cap."""
-    for index, derivations, fresh, _room in permutability._clone_rounds(alg, cap):
+    for index, derivations, fresh, _room in _clone_rounds(alg, cap):
         pass
     return index, derivations, fresh
 
@@ -248,7 +260,7 @@ def test_clone_cap_yields_incomplete_result():
     assert len(derivations) == 5
     assert fresh
     with pytest.raises(ValueError, match="cap must allow at least the three projections"):
-        next(permutability._clone_rounds(cyclic_group(2), 2))
+        find_maltsev_term(cyclic_group(2), cap=2)
 
 
 def test_clone_generation_is_deterministic():
@@ -344,11 +356,12 @@ def test_searches_are_deterministic():
 
 
 _CELL_CAPS = pytest.mark.parametrize(
-    "cells", [permutability._BLOCK_CELLS, 1], ids=["block-cap", "one-cell-cap"]
+    "cells", [terms._BLOCK_CELLS, 1], ids=["block-cap", "one-cell-cap"]
 )
 
-# each module that imports _BLOCK_CELLS holds its own binding, which a patch of another misses
-_CELL_MODULES = (terms, permutability, symmetry)
+# every blocked loop reads terms._BLOCK_CELLS; a module that imported it by name would
+# hold its own binding, which a patch of terms misses
+_CELL_MODULES = (terms,)
 
 
 def _cap_cells(mp, cells):
@@ -443,15 +456,9 @@ def test_maltsev_term_forces_all_pairs_two_permutable():
 # -- differential tests against the per-tuple clone BFS --------------------------
 
 
-def _assert_rounds_match(alg, cap):
-    """Every round of the block BFS equals the oracle's, restricted to the representatives, field by field."""
-    reps = symmetry._clone_orbits(alg)
-
-    def restricted(key):
-        return np.frombuffer(key, dtype=np.uint8)[reps].tobytes()
-
-    rounds = zip_longest(permutability._clone_rounds(alg, cap), naive_clone_rounds(alg, cap))
-    for got, want in rounds:
+def _assert_rounds_equal(got_rounds, want_rounds, restricted=bytes):
+    """Every round of got_rounds equals the one of want_rounds, its keys restricted, field by field."""
+    for got, want in zip_longest(got_rounds, want_rounds):
         assert got is not None and want is not None, "the two BFS ran different round counts"
         index, derivations, fresh, room = got
         w_index, w_derivations, w_fresh, w_room = want
@@ -459,6 +466,16 @@ def _assert_rounds_match(alg, cap):
         assert derivations == w_derivations
         assert list(fresh.items()) == [(restricted(key), deriv) for key, deriv in w_fresh.items()]
         assert room == w_room
+
+
+def _assert_rounds_match(alg, cap):
+    """Every round of the block BFS equals the oracle's, restricted to the representatives, field by field."""
+    reps = symmetry._clone_orbits(alg)
+
+    def restricted(key):
+        return np.frombuffer(key, dtype=np.uint8)[reps].tobytes()
+
+    _assert_rounds_equal(_clone_rounds(alg, cap), naive_clone_rounds(alg, _cube(alg.n), cap), restricted)
 
 
 def _searches(alg, cap):
@@ -470,15 +487,15 @@ def _assert_searches_match(alg, cap):
     got = _searches(alg, cap)
     runs, tables = [], set()
 
-    def oracle_rounds(a, c):
+    def oracle_rounds(a, gens, c):
         runs.append(c)
-        for index, derivations, fresh, room in naive_clone_rounds(a, c):
+        for index, derivations, fresh, room in naive_clone_rounds(a, gens, c):
             tables.update(fresh)
             yield index, derivations, fresh, room
 
     with pytest.MonkeyPatch.context() as mp:
         # the oracle's rounds hold full tables: every cell its own orbit
-        mp.setattr(permutability, "_clone_rounds", oracle_rounds)
+        mp.setattr(permutability, "_rounds", oracle_rounds)
         mp.setattr(permutability, "_clone_orbits", lambda a: np.arange(a.n**3))
         want = _searches(alg, cap)
     assert runs == [cap, cap], "each search must read the oracle's rounds"
@@ -529,6 +546,54 @@ def test_one_row_blocks_match_the_per_tuple_oracle(monkeypatch):
     for alg, cap in _multi_round_cases():
         _assert_rounds_match(alg, cap)
         _assert_searches_match(alg, cap)
+
+
+def _identity_cells(n):
+    """The cells (x,y,y) and (x,x,y) of A^3, ascending: 2n**2 - n of them."""
+    cells = np.arange(n**3)
+    x, y, z = cells // (n * n), (cells // n) % n, cells % n
+    return cells[(y == z) | (x == y)]
+
+
+def _element_rows(elements):
+    """Elements of A as generator rows of length one."""
+    return np.array(elements, dtype=np.uint8).reshape(-1, 1)
+
+
+def _assert_engine_matches_the_oracle(alg, gens, cap):
+    """Every round of ``subpower._rounds`` on gens equals the oracle's on the same rows, field by field."""
+    _assert_rounds_equal(subpower._rounds(alg, gens, cap), naive_clone_rounds(alg, gens, cap))
+
+
+@st.composite
+def algebras_with_elements_and_caps(draw):
+    """A small algebra, a table cap as in algebras_with_caps, and up to three of its elements."""
+    alg, cap = draw(algebras_with_caps())
+    return alg, draw(st.lists(st.integers(0, alg.n - 1), max_size=3)), cap
+
+
+@_CELL_CAPS
+@settings(max_examples=30, deadline=None)
+@given(case=algebras_with_elements_and_caps())
+def test_the_engine_matches_the_oracle_on_the_identity_cells_and_on_elements(cells, case):
+    """The rows the callers pass: the projections on the 2n**2 - n identity cells, and elements as rows of length one."""
+    alg, elements, cap = case
+    with pytest.MonkeyPatch.context() as mp:
+        _cap_cells(mp, cells)
+        gens = permutability._projections(alg.n, _identity_cells(alg.n))
+        assert gens.shape == (3, 2 * alg.n**2 - alg.n)
+        _assert_engine_matches_the_oracle(alg, gens, cap)
+        _assert_engine_matches_the_oracle(alg, _element_rows(elements), cap)
+
+
+@_CELL_CAPS
+@pytest.mark.parametrize("entry", default_entries(), ids=lambda entry: entry.name)
+def test_the_engine_matches_the_oracle_on_the_default_corpus(cells, entry, monkeypatch):
+    """The identity cells at a cap of 60 tables, and the greedy entries as rows of length one."""
+    _cap_cells(monkeypatch, cells)
+    alg = entry.algebra
+    _assert_engine_matches_the_oracle(alg, permutability._projections(alg.n, _identity_cells(alg.n)), 60)
+    _assert_engine_matches_the_oracle(alg, _element_rows(_greedy_entries(alg)), alg.n)
 
 
 @st.composite
@@ -651,7 +716,7 @@ def test_maltsev_masks_pair_up_the_same_argument_pairs():
     for alg, *_ in list(_aut_orbit_cases()) + merging:
         n = alg.n
         reps = symmetry._clone_orbits(alg)
-        i_xyy, i_xxy, want_x, want_y = permutability._maltsev_masks(alg)
+        i_xyy, i_xxy, want_x, want_y = permutability._maltsev_masks(*permutability._projections(n, reps))
         xyy = [(int(c) // (n * n), int(c) % n) for c in reps[i_xyy]]
         xxy = [(int(c) // (n * n), int(c) % n) for c in reps[i_xxy]]
         assert xyy == xxy == sorted(xyy)
@@ -786,12 +851,17 @@ def _orbit_least_cells(n, perms):
     return least
 
 
+def _greedy_entries(alg):
+    """At most three entries, each the least element outside the subuniverse the ones before generate."""
+    seed = []
+    while len(seed) < 3 and len(naive_subuniverse(alg, seed)) < alg.n:
+        seed.append(min(set(range(alg.n)) - naive_subuniverse(alg, seed)))
+    return seed
+
+
 def _greedy_cell_generates(alg):
-    """Whether three entries, each the least element outside the subuniverse so far, generate A."""
-    seed = set()
-    for _ in range(3):
-        seed.add(min(set(range(alg.n)) - naive_subuniverse(alg, seed), default=0))
-    return len(naive_subuniverse(alg, seed)) == alg.n
+    """Whether the greedy entries generate A."""
+    return len(naive_subuniverse(alg, _greedy_entries(alg))) == alg.n
 
 
 def _assert_aut_orbits_match_the_oracle(alg):
@@ -802,6 +872,10 @@ def _assert_aut_orbits_match_the_oracle(alg):
     n = alg.n
     steps = symmetry._derivation(alg)
     assert (steps is not None) == _greedy_cell_generates(alg)
+    if steps:
+        # every element once, the greedy entries as the free generators, in order
+        assert sorted(e for e, _, _ in steps) == list(range(n))
+        assert [e for e, sym, _ in steps if sym is None] == _greedy_entries(alg)
     if steps is None:
         def unread(*args):
             raise AssertionError("an automorphism was read off a greedy cell that falls short")
@@ -826,6 +900,23 @@ def test_automorphisms_read_off_a_generating_cell_match_the_oracle_on_planted_sy
 
 @pytest.mark.parametrize("alg", _pointed_iso_cases(), ids=lambda alg: alg.name or "nullary_only")
 def test_automorphisms_read_off_a_generating_cell_match_the_oracle(alg):
+    _assert_aut_orbits_match_the_oracle(alg)
+
+
+def test_the_derivation_is_empty_when_the_constants_generate_the_algebra():
+    """Every automorphism fixes the constants, so there is nothing to replay and no generator."""
+    for alg in (ONE_ELEMENT, heyting_chain(2)):
+        assert symmetry._derivation(alg) == []
+        assert symmetry._automorphism_generators(alg, []) == []
+        assert len(symmetry._clone_orbits(alg)) == len(pointed_iso_classes(alg))
+
+
+def test_an_operation_named_var_is_replayed_as_an_operation():
+    """var(x, x) = x + 1 on Z3, else min: the entry 0 generates A through var, and Aut(A) is trivial."""
+    alg = FiniteAlgebra.from_functions(
+        Signature({"var": 2}), 3, {"var": lambda x, y: (x + 1) % 3 if x == y else min(x, y)}
+    )
+    assert symmetry._derivation(alg) == [(0, None, 0), (1, "var", (0, 0)), (2, "var", (1, 1))]
     _assert_aut_orbits_match_the_oracle(alg)
 
 
@@ -897,7 +988,7 @@ def test_full_tables_match_the_oracle_where_cells_merge(build, cap, maltsev):
     n = alg.n
     outside = np.setdiff1d(np.arange(n**3), symmetry._clone_orbits(alg))
     assert len(outside), "the representatives must leave some cell out"
-    for w_index, *_ in naive_clone_rounds(alg, cap):
+    for w_index, *_ in naive_clone_rounds(alg, _cube(n), cap):
         pass
     _, derivations, _ = _drained(alg, cap)
     assert _full_tables(alg, derivations) == [tuple(key) for key in w_index]
@@ -952,14 +1043,14 @@ def test_a_round_evaluates_each_new_argument_tuple_once(monkeypatch):
     68 921 entries are past a uint16 index, at a small cap).
     """
     tally, paths = [0], set()
-    evaluate = permutability._evaluate
+    evaluate = subpower._evaluate
 
     def counting(kernel, offset, args):
         tally[0] += len(args)
         paths.add((type(kernel), offset.dtype.type))
         return evaluate(kernel, offset, args)
 
-    monkeypatch.setattr(permutability, "_evaluate", counting)
+    monkeypatch.setattr(subpower, "_evaluate", counting)
     kinds = set()
     cases = [(alg, cap, False) for alg, cap in _multi_round_cases()]
     z3_sym3 = product([cyclic_group(3), sym3()])
@@ -972,7 +1063,7 @@ def test_a_round_evaluates_each_new_argument_tuple_once(monkeypatch):
         # a round is yielded before it is numbered, so it ran over the tables yielded
         # with it, and its new tuples are those with an id past the round before's
         start = None
-        for _, derivations, *_ in permutability._clone_rounds(alg, cap):
+        for _, derivations, *_ in _clone_rounds(alg, cap):
             if start is not None:
                 assert tally[0] == sum(
                     _tuples_per_round(table, arity, start, len(derivations)) for table, arity in ops

@@ -137,6 +137,11 @@ def test_eval_foreign_symbol():
         eval_term(Z4, App("meet", (Var("x"), Var("x"))), {"x": 0})
 
 
+def test_eval_term_refuses_an_application_with_the_wrong_arity():
+    with pytest.raises(EvalError, match=r"^arity mismatch applying 'm'$"):
+        eval_term(Z4, App("m", (Var("x"),)), {"x": 0})
+
+
 # -- identity checking -------------------------------------------------------
 
 
