@@ -24,11 +24,14 @@ class FiniteAlgebra:
     ``relations._index`` as ``apply`` reads its arguments, and stores
     each as a read-only intp array; quotient, subalgebra and product
     build arrays and skip validation through ``_trusted``.  An algebra
-    is immutable once built.  Results that depend on the tables alone
-    (translations, the congruence lattice, verbal and proved congruences,
-    subuniverses and clone orbits) live in ``_memo``; results that carry
-    this instance or its name (quotient maps, subalgebras, projections)
-    live in ``_own``.
+    is immutable once built.  Every cached result is read through
+    ``_cached``, which looks its key up in one of two scopes and builds
+    and stores it on a miss.  Results that depend on the tables alone
+    live in the family scope, ``_memo``: "translations", "proved
+    congruences", "con", "subuniverses", "clone_orbits" and ("birkhoff",
+    spec key).  Results that carry this instance or its name live in the
+    instance scope, ``_own``: ("quotient", labels), ("subalgebra",
+    elements), ("projections", factors) and ("join", r, s).
 
     Each algebra built here is the root of a family: a dict from the
     structure key to one memo.  quotient, subalgebra and product (which
@@ -83,6 +86,18 @@ class FiniteAlgebra:
         """Enter family, taking the memo of an equal member when there is one."""
         self._family = family
         self._memo = family.setdefault(self.structure_key(), self._memo)
+
+    def _cached(self, key, build, *args, own=False):
+        """The result stored under key, built by build(*args) on a miss.
+
+        The instance scope when own, else the family scope.  A build that
+        raises stores nothing, so its checks run again on the next call.
+        """
+        memo = self._own if own else self._memo
+        hit = memo.get(key)
+        if hit is None:
+            hit = memo[key] = build(*args)
+        return hit
 
     @classmethod
     def from_functions(cls, sig, n, funcs, name=""):
@@ -198,13 +213,14 @@ def quotient(alg, theta):
     family, which refuses with the is_congruence witness.  The map is the
     label vector of theta and the target's tables are built from it, so the
     map's fibres are theta's blocks and it is a homomorphism by
-    construction; it is not re-checked.  The map is memoised per instance
-    (``_own``) by theta's label vector; the target joins alg's family.
+    construction; it is not re-checked.  The map is cached per instance
+    by theta's label vector; the target joins alg's family.
     """
-    key = ("quotient", theta.index_of)
-    hit = alg._own.get(key)
-    if hit is not None:
-        return hit
+    return alg._cached(("quotient", theta.index_of), _quotient_map, alg, theta, own=True)
+
+
+def _quotient_map(alg, theta):
+    """The quotient map by theta, built on a miss of ``quotient``'s cache."""
     require_congruence(alg, theta)
     reps = np.asarray([blk[0] for blk in theta.blocks], dtype=np.intp)
     index = np.asarray(theta.index_of, dtype=np.intp)
@@ -214,7 +230,6 @@ def quotient(alg, theta):
     target = FiniteAlgebra._trusted(alg.sig, len(reps), arrays, name, alg._family)
     qm = QuotientMap.__new__(QuotientMap)
     qm._set(alg, theta, target, theta.index_of)
-    alg._own[key] = qm
     return qm
 
 
@@ -222,18 +237,19 @@ def projections(factors):
     """Product of the factors together with its projection quotient maps.
 
     Each map reads one coordinate of the product's encoding, so it is a
-    homomorphism by construction and is not re-checked.  Memoised per
-    instance of the first factor (``_own``), keyed by the structure and
-    the name of every other factor (the names make up the product's
-    name).  No factors give the one-element algebra and no maps.
+    homomorphism by construction and is not re-checked.  Cached per
+    instance of the first factor, keyed by the structure and the name of
+    every other factor (the names make up the product's name).  No
+    factors give the one-element algebra and no maps.
     """
     if not factors:
         return product([]), []
-    memo = factors[0]._own
     key = ("projections",) + tuple((a.structure_key(), a.name) for a in factors[1:])
-    hit = memo.get(key)
-    if hit is not None:
-        return hit
+    return factors[0]._cached(key, _product_maps, factors, own=True)
+
+
+def _product_maps(factors):
+    """The product and its projections, built on a miss of ``projections``' cache."""
     prod = product(factors)
     maps = []
     for alg, d in zip(factors, _digits([a.n for a in factors])):
@@ -241,8 +257,7 @@ def projections(factors):
         qm = QuotientMap.__new__(QuotientMap)
         qm._set(prod, Partition.from_labels(prod.n, mapping), alg, mapping)
         maps.append(qm)
-    out = memo[key] = prod, maps
-    return out
+    return prod, maps
 
 
 def generate_subuniverse(alg, seed):
@@ -272,14 +287,15 @@ def generate_subuniverse(alg, seed):
 def subalgebra(alg, universe):
     """Restrict to a closed subset; returns the subalgebra and its embedding.
 
-    Memoised per instance (``_own``) by the sorted subset once it proves
-    closed; the subalgebra joins alg's family.
+    Cached per instance by the sorted subset once it proves closed; the
+    subalgebra joins alg's family.
     """
     embed = tuple(sorted(set(_indices(universe, alg.n, "universe element"))))
-    key = ("subalgebra", embed)
-    hit = alg._own.get(key)
-    if hit is not None:
-        return hit
+    return alg._cached(("subalgebra", embed), _subalgebra, alg, embed, own=True)
+
+
+def _subalgebra(alg, embed):
+    """The pair (subalgebra on embed, embed), built on a miss of ``subalgebra``'s cache."""
     points = np.asarray(embed, dtype=np.intp)
     back = np.full(alg.n, -1, dtype=np.intp)
     back[points] = np.arange(len(embed))
@@ -295,9 +311,7 @@ def subalgebra(alg, universe):
     if not embed:
         raise ValueError("carrier must be nonempty")
     name = f"{alg.name or '?'}|{{{' '.join(map(str, embed))}}}"
-    sub = FiniteAlgebra._trusted(alg.sig, len(embed), arrays, name, alg._family)
-    out = alg._own[key] = sub, embed
-    return out
+    return FiniteAlgebra._trusted(alg.sig, len(embed), arrays, name, alg._family), embed
 
 
 _EXHAUSTIVE_LIMIT = 10
@@ -312,12 +326,14 @@ def all_subuniverses(alg):
     element under joins with those: U when V lies in U, else Sg(U | V).
     Beyond it only subuniverses generated by at most two elements are
     enumerated (enough for the arrow sweeps that use this).  Sorted by
-    size, then elements.  Memoised per table; each call returns a fresh
-    list.
+    size, then elements.  Cached per table family; each call returns a
+    fresh list.
     """
-    hit = alg._memo.get("subuniverses")
-    if hit is not None:
-        return list(hit)
+    return list(alg._cached("subuniverses", _subuniverses, alg))
+
+
+def _subuniverses(alg):
+    """The sorted subuniverses, built on a miss of ``all_subuniverses``' cache."""
     n = alg.n
     seeds = [[]] + [[x] for x in range(n)]
     if n > _EXHAUSTIVE_LIMIT:
@@ -330,8 +346,7 @@ def all_subuniverses(alg):
     if n <= _EXHAUSTIVE_LIMIT:
         _join_closure(found, lambda u, v: u if v <= u else generate_subuniverse(alg, u | v),
                       lambda u: tuple(sorted(u)))
-    out = alg._memo["subuniverses"] = [found[k] for k in sorted(found, key=lambda t: (len(t), t))]
-    return list(out)
+    return [found[k] for k in sorted(found, key=lambda t: (len(t), t))]
 
 
 def parse_algebra(text):

@@ -86,22 +86,21 @@ def birkhoff_congruence(alg, spec):
     when theta contains all these pairs.  The identities are evaluated
     as arrays by eval_identity; the differing pairs are listed in
     ``itertools.product`` order of the assignments, identity by identity.
-    Memoised per table (see FiniteAlgebra) by the spec's key.
+    Cached per table family (see FiniteAlgebra) by the spec's key.
     """
     if alg.sig != spec.sig:
         raise SignatureMismatchError("algebra and subvariety spec use different signatures")
-    key = ("birkhoff", spec.key())
-    hit = alg._memo.get(key)
-    if hit is not None:
-        return hit
+    return alg._cached(("birkhoff", spec.key()), _verbal_congruence, alg, spec)
 
+
+def _verbal_congruence(alg, spec):
+    """The verbal congruence, built on a miss of ``birkhoff_congruence``'s cache."""
     pairs = []
     for ident in spec.identities:
         for _start, lhs, rhs in eval_identity(alg, ident):
             differ = lhs != rhs
             pairs.extend(zip(lhs[differ].tolist(), rhs[differ].tolist()))
-    theta = alg._memo[key] = congruence_generated(alg, pairs)
-    return theta
+    return congruence_generated(alg, pairs)
 
 
 def reflect(alg, spec):

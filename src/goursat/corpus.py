@@ -9,7 +9,6 @@ in verify_entry.
 
 import re
 from dataclasses import dataclass
-from functools import cache
 
 from .algebras import FiniteAlgebra
 from .closure import SubvarietySpec
@@ -34,15 +33,16 @@ HEYTING_SIG = Signature({"meet": 2, "join": 2, "imp": 2, "bot": 0, "top": 0})
 IMPLICATION_SIG = Signature({"imp": 2})
 LATTICE_SIG = Signature({"meet": 2, "join": 2})
 
-_GROUP_LAWS = """
+# The defining identities of each family, parsed once at import.
+_GROUP_LAWS = parse_identities("""
 m(m(x,y),z) = m(x,m(y,z))
 m(e,x) = x
 m(x,e) = x
 m(i(x),x) = e
 m(x,i(x)) = e
-"""
+""", GROUP_SIG)
 
-_RING_LAWS = """
+_RING_LAWS = parse_identities("""
 add(add(x,y),z) = add(x,add(y,z))
 add(x,y) = add(y,x)
 add(x,zero) = x
@@ -53,9 +53,11 @@ mul(x,one) = x
 mul(x,add(y,z)) = add(mul(x,y),mul(x,z))
 mul(x,mul(star(x),star(x))) = star(x)
 mul(mul(x,x),star(x)) = x
-"""
+""", RING_SIG)
 
-_LATTICE_LAWS = """
+_BOOLEAN_RING_LAWS = _RING_LAWS + [parse_identity("mul(x,x) = x", RING_SIG)]
+
+_LATTICE_LAWS = parse_identities("""
 meet(x,y) = meet(y,x)
 join(x,y) = join(y,x)
 meet(meet(x,y),z) = meet(x,meet(y,z))
@@ -64,9 +66,9 @@ meet(x,join(x,y)) = x
 join(x,meet(x,y)) = x
 meet(x,x) = x
 join(x,x) = x
-"""
+""", LATTICE_SIG)
 
-_HEYTING_LAWS = _LATTICE_LAWS + """
+_HEYTING_LAWS = _LATTICE_LAWS + parse_identities("""
 meet(x,join(y,z)) = join(meet(x,y),meet(x,z))
 meet(x,bot) = bot
 join(x,bot) = x
@@ -74,13 +76,13 @@ meet(x,top) = x
 join(x,top) = top
 join(x,meet(imp(y,x),y)) = x
 meet(x,imp(y,meet(x,y))) = x
-"""
+""", HEYTING_SIG)
 
-_IMPLICATION_LAWS = """
+_IMPLICATION_LAWS = parse_identities("""
 imp(imp(x,y),y) = imp(imp(y,x),x)
 imp(imp(x,y),x) = x
 imp(x,imp(y,z)) = imp(y,imp(x,z))
-"""
+""", IMPLICATION_SIG)
 
 # Named subvariety specs with the operation symbols each one needs; an
 # undeclared symbol would silently parse as a variable, so applicability
@@ -121,14 +123,8 @@ class CorpusEntry:
     spec_names: tuple
 
 
-@cache
-def _laws(laws_text, sig):
-    """The identities of a law text over sig, parsed once per process."""
-    return tuple(parse_identities(laws_text, sig))
-
-
-def _checked(alg, laws_text):
-    for ident in _laws(laws_text, alg.sig):
+def _checked(alg, laws):
+    for ident in laws:
         verdict = satisfies_identity(alg, ident)
         if not verdict:
             raise ValueError(
@@ -197,7 +193,7 @@ def boolean_ring(k):
         },
         name=f"boolean_ring({k})",
     )
-    return _checked(alg, _RING_LAWS + "mul(x,x) = x\n")
+    return _checked(alg, _BOOLEAN_RING_LAWS)
 
 
 def zmod_vnr(n):

@@ -72,11 +72,8 @@ def permutability_level(alg, r, s):
 
 
 def _join(alg, r, s):
-    """r join s, built once per pair and instance (``_own``); closure_goursat reuses it."""
-    key = ("join", r.index_of, s.index_of)
-    if key not in alg._own:
-        alg._own[key] = r.join(s)
-    return alg._own[key]
+    """r join s, built once per pair and instance; closure_goursat reuses it."""
+    return alg._cached(("join", r.index_of, s.index_of), r.join, s, own=True)
 
 
 def goursat_join_check(alg, r, s):
@@ -135,7 +132,7 @@ def _reconstruct(derivations, i, memo):
 def _term(derivations, deriv, memo):
     """The term of a derivation whose arguments are ids numbered in derivations."""
     kind, payload = deriv
-    if kind == "var":
+    if kind is None:
         return terms.Var(_VARS[payload])
     return terms.App(kind, tuple(_reconstruct(derivations, c, memo) for c in payload))
 

@@ -282,11 +282,13 @@ def _translations(alg):
 
     Row t maps x to t[x].  Constant and identity rows relate nothing new
     and are dropped, so an algebra with only nullary operations (or an
-    n = 1 carrier) has an empty matrix.  Built once per table.
+    n = 1 carrier) has an empty matrix.  Built once per table family.
     """
-    hit = alg._memo.get("translations")
-    if hit is not None:
-        return hit
+    return alg._cached("translations", _basic_translations, alg)
+
+
+def _basic_translations(alg):
+    """The translation matrix, built on a miss of ``_translations``' cache."""
     n = alg.n
     rows = [np.empty((0, n), dtype=np.intp)]
     for sym, arity in alg.sig:
@@ -295,8 +297,7 @@ def _translations(alg):
             rows.append(np.moveaxis(table, pos, -1).reshape(-1, n))
     mat = np.unique(np.concatenate(rows), axis=0)
     keep = (mat != mat[:, :1]).any(axis=1) & (mat != np.arange(n)).any(axis=1)
-    mat = alg._memo["translations"] = mat[keep]
-    return mat
+    return mat[keep]
 
 
 def congruence_generated(alg, pairs):
@@ -346,7 +347,7 @@ def congruence_generated(alg, pairs):
 
 def _proved(alg):
     """The label vectors proved to be congruences of alg's tables, one set per table family."""
-    return alg._memo.setdefault("proved congruences", set())
+    return alg._cached("proved congruences", set)
 
 
 def require_congruence(alg, p):
@@ -413,8 +414,7 @@ class ConLattice:
     tuples of tuples of Python bools and ints.
     """
 
-    def __init__(self, n, congruences):
-        self.n = n
+    def __init__(self, congruences):
         cons = self.congruences = tuple(congruences)
         self._index = {p.index_of: i for i, p in enumerate(cons)}
         k = len(cons)
@@ -545,22 +545,21 @@ def con_lattice(alg, max_size=64):
 
     So the principal congruences are found in the order of the sweep
     over all n(n-1)/2 pairs.  Con(A) is a sublattice of Eq(A), so the
-    closure uses the plain equivalence join of partitions.  Memoised
-    per table, members recorded as proved; the carrier bound is checked
-    on every call.
+    closure uses the plain equivalence join of partitions.  Cached per
+    table family, members recorded as proved; the carrier bound is
+    checked on every call.
     """
     if alg.n > _index(max_size, what="max_size"):
         raise CarrierBoundError(alg.n, max_size)
-    hit = alg._memo.get("con")
-    if hit is not None:
-        return hit
+    return alg._cached("con", _congruences, alg)
 
+
+def _congruences(alg):
+    """Con(alg), built on a miss of ``con_lattice``'s cache."""
     label_vector = operator.attrgetter("index_of")
     found = _join_closure(_principal_congruences(alg), Partition.join, label_vector)
     _proved(alg).update(found)
-    ordered = sorted(found.values(), key=lambda p: (p.num_blocks, p.blocks))
-    lat = alg._memo["con"] = ConLattice(alg.n, ordered)
-    return lat
+    return ConLattice(sorted(found.values(), key=lambda p: (p.num_blocks, p.blocks)))
 
 
 def is_distributive(lat):

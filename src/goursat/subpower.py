@@ -5,8 +5,9 @@ k generator rows of length m.  Each round applies every basic operation,
 pointwise, to the argument tuples of known rows that hold at least one
 row of the round before; the constants enter in the first round after
 the generators.  Rows are deduplicated by content, and each keeps the
-derivation it was first found by: a generator's number, or an operation
-and the ids of its arguments.  Within a round, new rows get ids in
+derivation it was first found by: (None, i) for generator number i,
+since None is no operation symbol, or an operation and the ids of its
+arguments.  Within a round, new rows get ids in
 lexicographic row order, which fixes every witness choice.  The term
 searches of ``permutability`` run it on the three projections, restricted
 to cells of A^3 (a row is then a ternary term operation), and
@@ -78,7 +79,7 @@ def _rounds(alg, gens, cap):
     """Drive the BFS for Sg(gens) one round at a time, yielding each round before it is numbered.
 
     gens is a k x m uint8 array of elements of alg (n <= 255), one
-    generator row per line; row i has the derivation ("var", i), unless
+    generator row per line; row i has the derivation (None, i), unless
     it equals an earlier row, which keeps its own.  Yields (index,
     derivations, fresh, room) once a round is evaluated: index (each
     row's bytes to its id, in id order) and derivations hold the rows of
@@ -112,7 +113,7 @@ def _rounds(alg, gens, cap):
     known = {}
     fresh = {}
     for i, row in enumerate(gens):
-        fresh.setdefault(row.tobytes(), ("var", i))
+        fresh.setdefault(row.tobytes(), (None, i))
     depth = 0
     while True:
         room = cap - len(derivations)

@@ -100,8 +100,7 @@ def _derivation(alg):
     for index, derivations, *_ in _rounds(alg, np.array(entries, dtype=np.uint8)[:, None], alg.n):
         pass
     elems = [key[0] for key in index]
-    # a generator's payload is its number, an operation's a tuple even when it is named var
-    return [(e, None, args) if type(args) is int else (e, kind, tuple(elems[a] for a in args))
+    return [(e, kind, args if kind is None else tuple(elems[a] for a in args))
             for e, (kind, args) in zip(elems, derivations)]
 
 
@@ -288,14 +287,16 @@ def _clone_orbits(alg):
     used, and the unbounded pass codes each cell to its closure, so the
     cells that generate alg merge by their full codes.
     """
-    reps = alg._memo.get("clone_orbits")
-    if reps is None:
-        n, steps = alg.n, _derivation(alg)
-        cells = np.arange(n**3)
-        x, y, z = cells // (n * n), (cells // n) % n, cells % n
-        gens = [] if steps is None else _automorphism_generators(alg, steps)
-        least = _orbit_least(cells, gens, lambda g: (g[x] * n + g[y]) * n + g[z])
-        reps = np.flatnonzero(least == cells)
-        source = _pointed_classes(alg, reps, bounded=steps is not None)
-        reps = alg._memo["clone_orbits"] = reps[source == reps]
-    return reps
+    return alg._cached("clone_orbits", _least_cells, alg)
+
+
+def _least_cells(alg):
+    """The least cells, built on a miss of ``_clone_orbits``' cache."""
+    n, steps = alg.n, _derivation(alg)
+    cells = np.arange(n**3)
+    x, y, z = cells // (n * n), (cells // n) % n, cells % n
+    gens = [] if steps is None else _automorphism_generators(alg, steps)
+    least = _orbit_least(cells, gens, lambda g: (g[x] * n + g[y]) * n + g[z])
+    reps = np.flatnonzero(least == cells)
+    source = _pointed_classes(alg, reps, bounded=steps is not None)
+    return reps[source == reps]

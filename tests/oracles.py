@@ -426,7 +426,7 @@ def naive_clone_rounds(alg, gens, cap):
     for i, row in enumerate(gens):
         key = np.asarray(row, dtype=np.uint8).tobytes()
         if key not in fresh:
-            fresh[key] = ("var", i)
+            fresh[key] = (None, i)
     depth = 0
     while True:
         room = cap - len(arrays)

@@ -185,6 +185,18 @@ def test_terms_inconclusive_at_cap(files):
     assert "inconclusive" in out
 
 
+def test_both_searches_print_an_operation_named_var_as_an_operation(tmp_path):
+    """Generators are derived as (None, i), so no operation symbol is read as a variable."""
+    xor = tmp_path / "var2.alg"
+    xor.write_text("algebra v2\nsize 2\nop var 2\n0 1\n1 0\n", encoding="utf-8")
+    for search, term in (("maltsev", ["  term var(x,var(y,z))"]),
+                         ("hm", ["  term.p x", "  term.q var(x,var(y,z))"])):
+        code, out, err = run_cli("terms", str(xor), "--search", search)
+        assert (code, err) == (0, "")
+        assert out.splitlines() == ["algebra v2", f"search {search}", "result found",
+                                    *term, "  explored 8 tables"]
+
+
 def test_corpus_list(files):
     code, out, _ = run_cli("corpus", "list")
     assert code == 0

@@ -232,7 +232,7 @@ def test_clone_of_one_element_algebra_is_a_single_function():
 def test_clone_of_empty_signature_is_the_three_projections():
     bare = FiniteAlgebra(Signature({}), 3, {}, name="bare3")
     _, derivations, fresh = _drained(bare)
-    assert derivations == [("var", 0), ("var", 1), ("var", 2)]
+    assert derivations == [(None, 0), (None, 1), (None, 2)]
     assert not fresh
     n = 3
     proj0 = tuple(x for x in range(n) for _ in range(n * n))
