@@ -364,7 +364,7 @@ def parse_algebra(text):
         return None, pos
 
     line, lineno = next_content()
-    if line is None or not line.startswith("algebra"):
+    if line is None or line.split()[0] != "algebra":
         raise ParseError("expected 'algebra NAME' header", line=lineno)
     name = line[len("algebra"):].strip()
     if not name:

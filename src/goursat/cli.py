@@ -272,6 +272,9 @@ def _named(parts):
 
 def cmd_axioms(args):
     algs = [load_algebra(path) for path in args.algebras]
+    for path, alg in zip(args.algebras, algs):
+        if alg.sig != algs[0].sig:
+            raise SignatureMismatchError(f"{args.algebras[0]} and {path} have different signatures")
     spec = _load_spec(args, algs[0].sig)
     max_size = args.max_size
     report = check_axioms(algs, spec, max_size=max_size)

@@ -20,8 +20,7 @@ from .permutability import (
     TWO,
     find_hm_terms,
     find_maltsev_term,
-    hm_identities_hold,
-    maltsev_identities_hold,
+    hm_chain_check,
     permutability_level,
 )
 from .relations import con_lattice
@@ -344,7 +343,11 @@ class EntryCheck:
 
 
 def verify_entry(entry):
-    """Run the structural checks promised by an entry's tags."""
+    """Run the structural checks promised by an entry's tags.
+
+    A witness that a tag's search finds is re-checked by ``hm_chain_check``,
+    and a failure names its first failing (link, x, y).
+    """
     alg = entry.algebra
     problems, notes = [], []
     lat = con_lattice(alg)
@@ -358,8 +361,8 @@ def verify_entry(entry):
         outcome = find_maltsev_term(alg)
         if outcome.status != FOUND:
             problems.append(f"maltsev tag: term search returned {outcome.status}")
-        elif not maltsev_identities_hold(alg.n, outcome.witness.table):
-            problems.append("maltsev tag: witness table fails the identities on recheck")
+        elif not (check := hm_chain_check(alg, (outcome.witness.term,))):
+            problems.append(f"maltsev tag: re-check fails at (link, x, y) = {check.witness}")
         if any(level != TWO for level in levels.values()):
             problems.append("maltsev tag: some congruence pair does not 2-permute")
 
@@ -367,10 +370,8 @@ def verify_entry(entry):
         outcome = find_hm_terms(alg)
         if outcome.status != FOUND:
             problems.append(f"goursat tag: two-term search returned {outcome.status}")
-        else:
-            p, q = outcome.witness
-            if not hm_identities_hold(alg.n, p.table, q.table):
-                problems.append("goursat tag: witness pair fails the identities on recheck")
+        elif not (check := hm_chain_check(alg, tuple(w.term for w in outcome.witness))):
+            problems.append(f"goursat tag: re-check fails at (link, x, y) = {check.witness}")
         for (i, j), level in levels.items():
             if level == NEITHER:
                 problems.append(

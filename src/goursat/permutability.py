@@ -26,7 +26,8 @@ numbering its round, and owns the count and the three endings.  The
 Maltsev test takes the least key that passes both identities; the
 Hagemann-Mitschke test reads its p and q candidates off the same
 blocks, keeps them by key, and joins them by a hash of the restriction
-they must share.
+they must share.  ``hm_chain_check`` re-checks either witness as a chain
+of terms, by the per-cell evaluator alone.
 """
 
 from dataclasses import dataclass
@@ -262,25 +263,22 @@ def find_hm_terms(alg, cap=200_000):
     return _search(alg, cap, pick)
 
 
-def maltsev_identities_hold(n, table):
-    """Plain re-check of the two defining identities, independent of the search."""
-    for x in range(n):
-        for y in range(n):
-            if table[(x * n + y) * n + y] != x:
-                return False
-            if table[(x * n + x) * n + y] != y:
-                return False
-    return True
+def hm_chain_check(alg, chain):
+    """Re-check a Hagemann-Mitschke chain x = p0, p1, ..., pk+1 = z on every (x, y).
 
-
-def hm_identities_hold(n, p_table, q_table):
-    """Plain re-check of the three two-term identities."""
-    for x in range(n):
-        for y in range(n):
-            if p_table[(x * n + y) * n + y] != x:
-                return False
-            if q_table[(x * n + x) * n + y] != y:
-                return False
-            if p_table[(x * n + x) * n + y] != q_table[(x * n + y) * n + y]:
-                return False
-    return True
+    chain holds the terms p1..pk between the projections: ``(m,)`` for a
+    Maltsev term, ``(p, q)`` for a Hagemann-Mitschke pair.  Link i joins
+    pi and pi+1 and holds when pi(x,x,y) = pi+1(x,y,y).  Every value is
+    read by ``terms.eval_term``, the per-cell reference evaluator, not by
+    the array evaluator that built the witness tables, so the re-check
+    is independent of the search and of its tables.  A failure's witness
+    is the first failing (link, x, y), in that order.
+    """
+    path = (terms.Var("x"), *chain, terms.Var("z"))
+    for link, (left, right) in enumerate(zip(path, path[1:])):
+        for x in range(alg.n):
+            for y in range(alg.n):
+                xxy, xyy = {"x": x, "y": x, "z": y}, {"x": x, "y": y, "z": y}
+                if terms.eval_term(alg, left, xxy) != terms.eval_term(alg, right, xyy):
+                    return Verdict(False, witness=(link, x, y))
+    return Verdict(True)

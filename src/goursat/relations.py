@@ -53,6 +53,14 @@ def _collection(values):
         raise ValueError(f"expected a collection, got {values!r}") from None
 
 
+def _integer_token(tok):
+    """int(tok), or tok itself when it spells no integer, for ``_index`` to refuse by name."""
+    try:
+        return int(tok)
+    except ValueError:
+        return tok
+
+
 def _indices(values, n, what="element", size=None):
     """Each of values by ``_index``; a non-collection, or one not of size, is refused by name."""
     items = [_index(v, n, what) for v in _collection(values)]
@@ -147,12 +155,13 @@ class Partition:
 
     @classmethod
     def from_literal(cls, text, n):
+        """The partition a literal like ``0 1|2 3`` spells; a non-integer token is refused by name."""
         blocks = []
         for chunk in text.split("|"):
             items = chunk.split()
             if not items:
                 raise ValueError("empty block in partition literal")
-            blocks.append([int(tok) for tok in items])
+            blocks.append([_integer_token(tok) for tok in items])
         return cls(n, blocks)
 
     @property

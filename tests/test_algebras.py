@@ -478,6 +478,11 @@ def test_alg_parser_errors_carry_line_numbers():
         parse_algebra("algebra t\nsize 2\nop m 2\n0 1 x 0\n")
 
 
+def test_the_algebra_name_is_the_rest_of_its_header_line():
+    assert parse_algebra("algebra  two words\nsize 1\n").name == "two words"
+    assert parse_algebra("algebra\tx\nsize 1\n").name == "x"
+
+
 def test_alg_parser_accepts_values_on_op_line_and_across_lines():
     text = "algebra t\nsize 2\nop m 2 0 1\n1\n0\n"
     alg = parse_algebra(text)
@@ -493,6 +498,8 @@ def test_a_non_integer_table_entry_is_refused_before_its_range_is_read(bad):
 
 @pytest.mark.parametrize("text, line, message", [
     ("algebra\nsize 2\n", 1, "algebra name missing"),
+    # the header's first word is exactly ``algebra``
+    ("algebrax\nsize 1\n", 1, "expected 'algebra NAME' header"),
     ("algebra a\n", 1, "expected 'size N'"),
     ("algebra a\nsize\n", 2, "expected 'size N'"),
     ("algebra a\nsize two\n", 2, "bad size 'two'"),

@@ -238,7 +238,7 @@ def test_parse_error_exits_2(files, tmp_path):
     bad.write_text("algebra broken\nsize 2\nop m 2\n0 1\n", encoding="utf-8")
     bad_ids = tmp_path / "bad.ids"
     bad_ids.write_text("m(x,x)\n", encoding="utf-8")
-    z4, exp2 = files["cyclic_group(4)"], files["exp2"]
+    z4, exp2, lat2 = files["cyclic_group(4)"], files["exp2"], files["two_elt_lattice"]
     bad_symbol = tmp_path / "bad_symbol.alg"
     bad_symbol.write_text("algebra broken\nsize 2\nop 1f 1\n0 1\n", encoding="utf-8")
     bad_arity = tmp_path / "bad_arity.alg"
@@ -255,8 +255,9 @@ def test_parse_error_exits_2(files, tmp_path):
          "error: empty block in partition literal\n"),
         (("closure", z4, "--variety", exp2, "--rel", "0 1|2"),
          "error: partition does not cover the carrier\n"),
-        (("axioms", z4, files["two_elt_lattice"], "--variety", exp2),
-         "error: algebra #1 does not match the spec's signature\n"),
+        # mixed signatures are refused before the spec is read against either
+        (("axioms", z4, lat2, "--variety", exp2), f"error: {z4} and {lat2} have different signatures\n"),
+        (("axioms", lat2, z4, "--variety", exp2), f"error: {lat2} and {z4} have different signatures\n"),
         (("con", z4, "--dot", str(tmp_path / "missing" / "x.dot")), "error: [Errno 2]"),
         # the clone search holds table entries in bytes
         (("terms", str(constant256), "--search", "hm"),
@@ -274,6 +275,8 @@ def test_an_element_outside_the_carrier_exits_2_naming_it(files, tmp_path):
          "error: bad partition: element 8 out of range 0..7\n"),
         (("closure", z8, "--variety", exp2, "--rel", "0 1|2 -3"),
          "error: bad partition: element -3 out of range 0..7\n"),
+        (("closure", z8, "--variety", exp2, "--rel", "0 1|x 2 3"),
+         "error: bad partition: non-integer element 'x'\n"),
     ]
     for argv, want in cases:
         assert run_cli(*argv) == (2, "", want), argv

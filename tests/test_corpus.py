@@ -10,6 +10,7 @@ from goursat.corpus import (
     IMPLICATION_SIG,
     LATTICE_SIG,
     RING_SIG,
+    CorpusEntry,
     boolean_ring,
     builtin,
     corpus_specs,
@@ -18,13 +19,17 @@ from goursat.corpus import (
     entry_by_name,
     heyting_chain,
     implication_from_boolean,
+    klein4,
     spec_by_name,
     sym3,
+    two_elt_lattice,
     verify_entry,
     zmod_vnr,
 )
+from goursat.permutability import FOUND, SearchOutcome, TermWitness
 from goursat.relations import Partition
-from goursat.terms import parse_identities, satisfies_identity
+from goursat.terms import Var, parse_identities, satisfies_identity
+from test_permutability import chain_lattice
 
 
 def test_cyclic_group_tables():
@@ -158,6 +163,49 @@ def test_verify_entry_passes_on_the_whole_corpus():
     for entry in default_entries():
         check = verify_entry(entry)
         assert check.ok, (entry.name, check.problems)
+
+
+def _projection_x_witness(alg, cap=200_000):
+    """A found outcome whose witness is the projection x: a table of the clone, but no Maltsev term."""
+    n = alg.n
+    return SearchOutcome(FOUND, TermWitness(tuple(x for x in range(n) for _ in range(n * n)), Var("x")))
+
+
+def _projection_x_pair(alg, cap=200_000):
+    """A found outcome whose pair is (x, x): the chain x, x, x, z breaks at its last link."""
+    witness = _projection_x_witness(alg).witness
+    return SearchOutcome(FOUND, (witness, witness))
+
+
+@pytest.mark.parametrize("build, tags, search, problems", [
+    (two_elt_lattice, ("maltsev",), None, ["maltsev tag: term search returned none"]),
+    # the chain 0 < 1 < 2 < 3 has no Hagemann-Mitschke pair, and one pair of
+    # interval congruences whose triple composites differ
+    (lambda: chain_lattice(4), ("goursat",), None, [
+        "goursat tag: two-term search returned none",
+        "goursat tag: triple composites differ for 0 1|2 3 and 0|1 2|3",
+    ]),
+    (lambda: cyclic_group(2), ("neither",), None, [
+        "neither tag: one-term search returned found",
+        "neither tag: two-term search returned found",
+    ]),
+    (klein4, ("distributive",), None, ["distributive tag: congruence lattice is not distributive"]),
+    (lambda: cyclic_group(2), ("nondistributive",), None,
+     ["nondistributive tag: congruence lattice is distributive"]),
+    # a witness that fails hm_chain_check is refused with its first failing (link, x, y)
+    (lambda: cyclic_group(2), ("maltsev",), ("find_maltsev_term", _projection_x_witness),
+     ["maltsev tag: re-check fails at (link, x, y) = (1, 0, 1)"]),
+    (lambda: cyclic_group(2), ("goursat",), ("find_hm_terms", _projection_x_pair),
+     ["goursat tag: re-check fails at (link, x, y) = (2, 0, 1)"]),
+], ids=["maltsev", "goursat", "neither", "distributive", "nondistributive",
+        "maltsev-recheck", "goursat-recheck"])
+def test_verify_entry_names_each_problem_of_a_wrong_tag(monkeypatch, build, tags, search, problems):
+    if search is not None:
+        monkeypatch.setattr(f"goursat.corpus.{search[0]}", search[1])
+    alg = build()
+    check = verify_entry(CorpusEntry(alg.name, alg, tags, ()))
+    assert not check.ok
+    assert check.problems == problems
 
 
 def test_verify_entry_records_vacuous_notes_for_implication_entries():

@@ -48,8 +48,7 @@ from goursat.permutability import (
     find_hm_terms,
     find_maltsev_term,
     goursat_join_check,
-    hm_identities_hold,
-    maltsev_identities_hold,
+    hm_chain_check,
     permutability_level,
 )
 from goursat.relations import Partition, _orbit_least, composite, con_lattice
@@ -289,7 +288,7 @@ def test_z2_maltsev_witness_is_the_group_word_table():
     # x * y^-1 * z, the standard group Mal'tsev operation
     expect = tuple((x - y + z) % 2 for x, y, z in iproduct(range(2), repeat=3))
     assert out.witness.table == expect
-    assert maltsev_identities_hold(2, out.witness.table)
+    assert hm_chain_check(cyclic_group(2), (out.witness.term,))
 
 
 def test_witness_term_evaluates_to_its_table():
@@ -315,22 +314,64 @@ def test_one_element_algebra_has_a_maltsev_term():
 
 
 def test_hm_search_on_z2():
-    out = find_hm_terms(cyclic_group(2))
+    alg = cyclic_group(2)
+    out = find_hm_terms(alg)
     assert out.status == FOUND
     p, q = out.witness
-    assert hm_identities_hold(2, p.table, q.table)
+    assert hm_chain_check(alg, (p.term, q.term))
 
 
 def test_hm_search_on_implication_algebra():
-    out = find_hm_terms(implication_from_boolean(1))
+    alg = implication_from_boolean(1)
+    out = find_hm_terms(alg)
     assert out.status == FOUND
     p, q = out.witness
-    assert hm_identities_hold(2, p.table, q.table)
+    assert hm_chain_check(alg, (p.term, q.term))
     n = 2
     for x, y, z in iproduct(range(n), repeat=3):
-        alg = implication_from_boolean(1)
         assert eval_term(alg, p.term, {"x": x, "y": y, "z": z}) == p.table[(x * n + y) * n + z]
         assert eval_term(alg, q.term, {"x": x, "y": y, "z": z}) == q.table[(x * n + y) * n + z]
+
+
+def test_the_chain_recheck_refuses_a_broken_link_with_its_first_witness():
+    """Link i of x, p1, ..., pk, z asks pi(x,x,y) = pi+1(x,y,y); the witness is (link, x, y)."""
+    z2 = cyclic_group(2)
+    x, z = terms.Var("x"), terms.Var("z")
+    # x, x, z breaks at its link 1 (x = y), and x, z, z at its link 0 (x = y)
+    assert hm_chain_check(z2, (x,)) == Verdict(False, witness=(1, 0, 1))
+    assert hm_chain_check(z2, (z,)) == Verdict(False, witness=(0, 0, 1))
+    imp1 = implication_from_boolean(1)
+    p, q = (w.term for w in find_hm_terms(imp1).witness)
+    assert hm_chain_check(imp1, (p, q)) == Verdict(True)
+    assert hm_chain_check(imp1, (q, p)) == Verdict(False, witness=(0, 0, 1))
+    # implication algebras have no Maltsev term, so p alone breaks its last link
+    assert hm_chain_check(imp1, (p,)) == Verdict(False, witness=(1, 1, 0))
+
+
+def test_the_chain_recheck_does_not_read_the_array_evaluator(monkeypatch):
+    alg = cyclic_group(4)
+    chain = (find_maltsev_term(alg).witness.term,)
+
+    def broken(*args):
+        raise AssertionError("the re-check evaluated a term as an array")
+
+    monkeypatch.setattr(terms, "_eval_array", broken)
+    assert hm_chain_check(alg, chain)
+
+
+def test_every_witness_of_the_default_corpus_passes_the_chain_recheck():
+    found = 0
+    for entry in default_entries():
+        alg = entry.algebra
+        maltsev, hm = find_maltsev_term(alg), find_hm_terms(alg)
+        if maltsev:
+            assert hm_chain_check(alg, (maltsev.witness.term,)), entry.name
+        if hm:
+            assert hm_chain_check(alg, tuple(w.term for w in hm.witness)), entry.name
+        found += bool(maltsev) + bool(hm)
+    # all 15 but the lattice and the two implication algebras have a Maltsev term,
+    # and all but the lattice a Hagemann-Mitschke pair
+    assert found == 12 + 14
 
 
 def test_implication_algebra_has_no_maltsev_term():
@@ -398,7 +439,7 @@ def test_the_heavy_maltsev_searches_keep_their_witness_and_explored_count(build,
     alg = build()
     out = find_maltsev_term(alg)
     assert (out.status, out.explored, render(out.witness.term)) == (FOUND, explored, term)
-    assert maltsev_identities_hold(alg.n, out.witness.table)
+    assert hm_chain_check(alg, (out.witness.term,))
 
 
 @_CELL_CAPS
@@ -835,9 +876,9 @@ def test_a_product_whose_greedy_cell_falls_short_keeps_its_classes_and_witnesses
     assert len(symmetry._clone_orbits(alg)) == 224
     maltsev, hm = find_maltsev_term(alg), find_hm_terms(alg)
     assert (maltsev.status, maltsev.explored, render(maltsev.witness.term)) == (FOUND, 56, "m(i(y),m(x,z))")
-    assert maltsev_identities_hold(alg.n, maltsev.witness.table)
+    assert hm_chain_check(alg, (maltsev.witness.term,))
     assert (hm.status, hm.explored) == (FOUND, 56)
-    assert hm_identities_hold(alg.n, hm.witness[0].table, hm.witness[1].table)
+    assert hm_chain_check(alg, (hm.witness[0].term, hm.witness[1].term))
     _assert_rounds_match(alg, 40)
 
 

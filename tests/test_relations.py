@@ -174,6 +174,11 @@ def test_partition_refuses_a_non_integer_element(bad):
     for blocks in ([[0, bad]], [[0], [bad]]):
         with pytest.raises(ValueError, match=message):
             Partition(2, blocks)
+    if isinstance(bad, str):
+        # a literal's token that int() does not read reaches the same rule
+        for literal in (f"0 {bad}", f"0|{bad}"):
+            with pytest.raises(ValueError, match=message):
+                Partition.from_literal(literal, 2)
     # numpy integers are integers
     assert Partition(2, [[np.int64(1)], [np.uint8(0)]]) == Partition.discrete(2)
 
