@@ -13,16 +13,18 @@ from itertools import product as iproduct
 import numpy as np
 
 from .errors import ParseError, SignatureMismatchError
-from .relations import Partition, _index, _indices, _join_closure, require_congruence
+from .relations import (
+    Partition, _index, _indices, _integer_token, _join_closure, require_congruence,
+)
 from .terms import Signature
 
 
 class FiniteAlgebra:
     """A finite algebra given by its operation tables.
 
-    The constructor validates flat tables once, each entry by
-    ``relations._index`` as ``apply`` reads its arguments, and stores
-    each as a read-only intp array; quotient, subalgebra and product
+    The constructor reads the size and validates flat tables once, each
+    entry by ``relations._index`` as ``apply`` reads its arguments, and
+    stores each as a read-only intp array; quotient, subalgebra and product
     build arrays and skip validation through ``_trusted``.  An algebra
     is immutable once built.  Every cached result is read through
     ``_cached``, which looks its key up in one of two scopes and builds
@@ -44,6 +46,7 @@ class FiniteAlgebra:
     """
 
     def __init__(self, sig, n, tables, name=""):
+        n = _index(n, what="size")
         if n < 1:
             raise ValueError("carrier must be nonempty")
         if set(tables) != set(sig.ops):
@@ -171,12 +174,13 @@ class QuotientMap:
     Every surjective homomorphism factors as a quotient followed by an
     isomorphism, so these canonical maps stand in for all regular
     epimorphisms in the checks that quantify over them.  The constructor
-    checks that the mapping is onto, that its fibres are the kernel's
-    blocks and that it is a homomorphism.
+    reads the mapping by ``relations._indices`` and checks that it is
+    onto, that its fibres are the kernel's blocks and that it is a
+    homomorphism.
     """
 
     def __init__(self, source, kernel, target, mapping):
-        mapping = tuple(mapping)
+        mapping = tuple(_indices(mapping, None))
         if len(mapping) != source.n:
             raise ValueError("mapping must be defined on the whole source")
         if set(mapping) != set(range(target.n)):
@@ -374,10 +378,9 @@ def parse_algebra(text):
     parts = line.split() if line else []
     if len(parts) != 2 or parts[0] != "size":
         raise ParseError("expected 'size N'", line=lineno)
-    try:
-        n = int(parts[1])
-    except ValueError:
-        raise ParseError(f"bad size {parts[1]!r}", line=lineno) from None
+    n = _integer_token(parts[1])
+    if isinstance(n, str):
+        raise ParseError(f"bad size {parts[1]!r}", line=lineno)
     if n < 1:
         raise ParseError("size must be at least 1", line=lineno)
 
@@ -393,10 +396,9 @@ def parse_algebra(text):
         if len(parts) < 3:
             raise ParseError("op line needs a symbol and an arity", line=lineno)
         sym = parts[1]
-        try:
-            arity = int(parts[2])
-        except ValueError:
-            raise ParseError(f"bad arity {parts[2]!r}", line=lineno) from None
+        arity = _integer_token(parts[2])
+        if isinstance(arity, str):
+            raise ParseError(f"bad arity {parts[2]!r}", line=lineno)
         try:
             Signature({sym: arity})
         except ValueError as exc:
@@ -423,10 +425,9 @@ def parse_algebra(text):
 
 def _entry(tok, n, sym, lineno):
     """The table entry that tok spells, read by ``relations._index``; refused with its line."""
-    try:
-        value = int(tok)
-    except ValueError:
-        raise ParseError(f"expected integer, got {tok!r}", line=lineno) from None
+    value = _integer_token(tok)
+    if isinstance(value, str):
+        raise ParseError(f"expected integer, got {tok!r}", line=lineno)
     try:
         return _index(value, n, "entry")
     except ValueError as exc:

@@ -44,16 +44,15 @@ from .permutability import (
     find_maltsev_term,
     goursat_join_check,
 )
-from .relations import Partition, con_lattice, require_congruence
+from .relations import Partition, _integer_token, con_lattice, require_congruence
 from .terms import load_identities, render
 
 
 def _bound(least):
     def parse(text):
-        try:
-            value = int(text)
-        except ValueError:
-            raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+        value = _integer_token(text)
+        if isinstance(value, str):
+            raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
         if value < least:
             raise argparse.ArgumentTypeError(f"must be at least {least}, got {value}")
         return value

@@ -296,7 +296,7 @@ def builtin(name, *params):
     )
 
 
-_NAME_RE = re.compile(r"([A-Za-z_][A-Za-z0-9_]*)(?:\((\d+)\))?$")
+_NAME_RE = re.compile(r"([A-Za-z_][A-Za-z0-9_]*)(?:\(([0-9]+)\))?$")
 
 
 def entry_by_name(text):

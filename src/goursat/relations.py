@@ -5,21 +5,26 @@ vector: ``index_of[x]`` numbers x's block, blocks numbered in order of
 first occurrence.  Meets, joins, refinement and the direct and inverse
 images along maps all work on these vectors.  ``_index`` is the one
 element rule: ``Partition(n, blocks)``, ``from_literal``, the
-``FiniteAlgebra`` tables, ``apply`` (and so ``eval_term``), subuniverse
-seeds, ``subalgebra`` universes, ``congruence_generated`` pairs and the
-``max_size`` and ``cap`` bounds are read through it.  Every other way to
-make a partition trusts its input and relabels in one pass; operations
-on two partitions check only that the carrier sizes agree.
+``FiniteAlgebra`` size and tables, ``QuotientMap`` mappings, ``apply``
+(and so ``eval_term``), subuniverse seeds, ``subalgebra`` universes,
+``congruence_generated`` pairs and the ``max_size`` and ``cap`` bounds
+are read through it.  A text token is an integer only as ASCII
+``-?[0-9]+`` (``_integer_token``).  Every other way to make a partition
+trusts its input and relabels in one pass; operations on two partitions
+check only that the carrier sizes agree.
 
 Composites of equivalence relations are read from block incidence and
 returned as n-by-n boolean pair matrices by ``composite``.  Relational
 composition is fixed left-to-right: (x,z) is in the composite r o s iff
 there is a y with (x,y) in r and (y,z) in s.
 
-Two fixpoints are written once, here.  ``_orbit_least`` finds the least
-point of every orbit of a group given by generators, by pulling back
-along each and jumping pointers: ``_pair_orbit_reps`` runs it on the
-pairs of A under the bijective basic translations, and
+Three routines are written once, here.  ``_union`` is the one
+union-find: ``Partition.join`` ties together the blocks of self that
+each block of other meets, and ``congruence_generated`` merges its seed
+pairs and each round's fresh image pairs.  ``_orbit_least`` finds the
+least point of every orbit of a group given by generators, by pulling
+back along each and jumping pointers: ``_pair_orbit_reps`` runs it on
+the pairs of A under the bijective basic translations, and
 ``symmetry._clone_orbits`` on the cells of A^3 under Aut(A).
 ``_join_closure`` closes the principal members of a lattice under joins
 with them: ``con_lattice`` runs it on Con(A), and
@@ -54,11 +59,8 @@ def _collection(values):
 
 
 def _integer_token(tok):
-    """int(tok), or tok itself when it spells no integer, for ``_index`` to refuse by name."""
-    try:
-        return int(tok)
-    except ValueError:
-        return tok
+    """int(tok) if tok is ASCII ``-?[0-9]+``, else tok itself, for ``_index`` to refuse by name."""
+    return int(tok) if tok.isascii() and tok.removeprefix("-").isdigit() else tok
 
 
 def _indices(values, n, what="element", size=None):
@@ -67,6 +69,30 @@ def _indices(values, n, what="element", size=None):
     if size is not None and len(items) != size:
         raise ValueError(f"expected {size} {what}s, got {values!r}")
     return items
+
+
+def _union(parent, pairs):
+    """Merge the trees of each pair's ends in a union-find forest, pair by pair.
+
+    parent is a list with parent[x] <= x.  Both roots are found by path
+    halving, and the greater is linked under the lesser, so each root
+    stays the least node of its tree, as ``_number_trees`` needs.
+    Returns the (lesser root, greater root) pair of each merge, in order.
+    """
+    merged = []
+    for a, b in pairs:
+        while parent[a] != a:
+            parent[a] = parent[parent[a]]
+            a = parent[a]
+        while parent[b] != b:
+            parent[b] = parent[parent[b]]
+            b = parent[b]
+        if a != b:
+            if a > b:
+                a, b = b, a
+            parent[b] = a
+            merged.append((a, b))
+    return merged
 
 
 def _number_trees(parent):
@@ -193,10 +219,10 @@ class Partition:
     def join(self, other):
         """Least equivalence relation containing both.
 
-        Union-find over the blocks of self: each block of other ties
-        together the blocks of self that it meets.  One edge per block
-        of the meet suffices, and when that count shows one side refines
-        the other, the other is the join.
+        ``_union`` over the blocks of self: each block of other ties the
+        first block of self that it meets to every other one it meets.
+        One edge per block of the meet suffices, and when that count
+        shows one side refines the other, the other is the join.
         """
         self._check(other)
         edges = set(zip(self.index_of, other.index_of))
@@ -205,20 +231,8 @@ class Partition:
         if len(edges) == other.num_blocks:
             return self
         parent = list(range(self.num_blocks))
-        first = [-1] * other.num_blocks
-        for a, b in edges:
-            held = first[b]
-            if held < 0:
-                first[b] = a
-                continue
-            while parent[a] != a:
-                a = parent[a]
-            while parent[held] != held:
-                held = parent[held]
-            if a < held:
-                parent[held] = a
-            elif held < a:
-                parent[a] = held
+        first = {}
+        _union(parent, ((first.setdefault(b, a), a) for a, b in edges))
         count = _number_trees(parent)
         return Partition._canonical(self.n, tuple(map(parent.__getitem__, self.index_of)), count)
 
@@ -312,7 +326,7 @@ def _basic_translations(alg):
 def congruence_generated(alg, pairs):
     """Least congruence containing the given pairs, recorded as proved.
 
-    Union-find over the equivalence generated so far.  Each round maps
+    ``_union`` over the equivalence generated so far.  Each round maps
     the pairs merged in the previous round through every basic
     translation in one array step, keeps the image pairs the current
     labels do not already relate, and merges those; the result is the
@@ -321,25 +335,7 @@ def congruence_generated(alg, pairs):
     n = alg.n
     mat = _translations(alg)
     parent = list(range(n))
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    def merge(batch):
-        merged = []
-        for a, b in batch:
-            ra, rb = find(a), find(b)
-            if ra != rb:
-                if ra > rb:
-                    ra, rb = rb, ra
-                parent[rb] = ra
-                merged.append((ra, rb))
-        return merged
-
-    merged = merge(_indices(pair, n, size=2) for pair in _collection(pairs))
+    merged = _union(parent, (_indices(pair, n, size=2) for pair in _collection(pairs)))
     while merged and len(mat):
         left, right = np.array(merged).T
         left, right = mat[:, left].ravel(), mat[:, right].ravel()
@@ -347,7 +343,7 @@ def congruence_generated(alg, pairs):
         _number_trees(labels)
         labels = np.array(labels)
         fresh = labels[left] != labels[right]
-        merged = merge(zip(left[fresh].tolist(), right[fresh].tolist()))
+        merged = _union(parent, zip(left[fresh].tolist(), right[fresh].tolist()))
     count = _number_trees(parent)
     theta = Partition._canonical(n, tuple(parent), count)
     _proved(alg).add(theta.index_of)

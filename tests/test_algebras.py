@@ -513,6 +513,10 @@ def test_a_non_integer_table_entry_is_refused_before_its_range_is_read(bad):
     ("algebra a\nsize 2\nop f 1\n0 5\nop g 1\n0 1\n\n", 4,
      "table for 'f': entry 5 out of range 0..1"),
     ("algebra a\nsize 2\nop m 2\n0 9\n1 0\n", 4, "table for 'm': entry 9 out of range 0..1"),
+    # a token is an integer only as ASCII -?[0-9]+: int() would read these as 10, 2 and 10
+    ("algebra a\nsize 1_0\n", 2, "bad size '1_0'"),
+    ("algebra a\nsize 2\nop f \u0662\n", 3, "bad arity '\u0662'"),
+    ("algebra a\nsize 2\nop f 1\n0 1_0\n", 4, "expected integer, got '1_0'"),
 ])
 def test_parse_algebra_refuses_malformed_input(text, line, message):
     with pytest.raises(ParseError, match=f"^line {line}: {re.escape(message)}$") as info:
@@ -529,6 +533,8 @@ def _quotient_map_args(case):
         "kernel size": (Z4, Partition.discrete(3), target, (0, 1, 0, 1)),
         "fibres": (Z4, Partition.from_literal("0 1|2 3", 4), target, (0, 1, 0, 1)),
         "signature": (Z4, theta, two_elt_lattice(), (0, 1, 0, 1)),
+        "float": (Z4, theta, target, [0.0, 1.0, 0.0, 1.0]),
+        "non-collection": (Z4, theta, target, 5),
     }[case]
 
 
@@ -538,6 +544,9 @@ def _quotient_map_args(case):
     ("kernel size", ValueError, "kernel must live on the source carrier"),
     ("fibres", ValueError, "mapping fibers do not match the kernel blocks"),
     ("signature", SignatureMismatchError, "source and target signatures differ"),
+    # the mapping is read by the element rule
+    ("float", ValueError, "non-integer element 0.0"),
+    ("non-collection", ValueError, "expected a collection, got 5"),
 ])
 def test_quotient_map_refuses_a_map_that_is_not_its_quotient(case, error, message):
     with pytest.raises(ValueError, match=f"^{message}$") as info:
@@ -548,6 +557,10 @@ def test_quotient_map_refuses_a_map_that_is_not_its_quotient(case, error, messag
 def test_an_empty_carrier_is_refused():
     with pytest.raises(ValueError, match=r"^carrier must be nonempty$"):
         FiniteAlgebra(Signature({"f": 1}), 0, {"f": ()})
+    # the size is read by the element rule
+    for n, bad in ((2.0, "2.0"), ("2", "'2'")):
+        with pytest.raises(ValueError, match=f"^non-integer size {re.escape(bad)}$"):
+            FiniteAlgebra(Signature({"f": 1}), n, {"f": (0, 1)})
 
 
 def test_table_validation():

@@ -228,6 +228,8 @@ def test_corpus_dump_unknown_name(files, tmp_path):
         (("corpus", "dump", "cyclic_group(2,3)", target),
          "error: bad corpus name 'cyclic_group(2,3)'\n"),
         (("corpus", "dump", "cyclic_group(0)", target), "error: group order must be positive\n"),
+        (("corpus", "dump", "cyclic_group(\u0664)", target),
+         "error: bad corpus name 'cyclic_group(\u0664)'\n"),
         (("corpus", "dump", "sym3", str(tmp_path / "missing" / "x.alg")), "error: [Errno 2]"),
     ])
     assert not os.path.exists(target)
@@ -292,6 +294,7 @@ def test_usage_error_exits_2(files):
         (("terms", z4, "--search", "hm", "--clone-cap", "2"),
          "argument --clone-cap: must be at least 3, got 2"),
         (("con", z4, "--max-size", "x"), "argument --max-size: invalid int value: 'x'"),
+        (("con", z4, "--max-size", "6_4"), "argument --max-size: invalid int value: '6_4'"),
         # each bound exists only on the subcommands that use it
         (("con", z4, "--clone-cap", "5"), "unrecognized arguments: --clone-cap 5"),
         (("terms", z4, "--search", "hm", "--max-size", "5"), "unrecognized arguments: --max-size"),

@@ -168,14 +168,14 @@ def test_partition_validation():
     assert Partition(2, [[1], [], [0]]) == Partition.discrete(2)
 
 
-@pytest.mark.parametrize("bad", ["a", None, 1.5], ids=repr)
+@pytest.mark.parametrize("bad", ["a", None, 1.5, "1_0"], ids=repr)
 def test_partition_refuses_a_non_integer_element(bad):
     message = f"^bad partition: non-integer element {re.escape(repr(bad))}$"
     for blocks in ([[0, bad]], [[0], [bad]]):
         with pytest.raises(ValueError, match=message):
             Partition(2, blocks)
     if isinstance(bad, str):
-        # a literal's token that int() does not read reaches the same rule
+        # a literal's token that is not ASCII -?[0-9]+ reaches the same rule
         for literal in (f"0 {bad}", f"0|{bad}"):
             with pytest.raises(ValueError, match=message):
                 Partition.from_literal(literal, 2)
