@@ -1,8 +1,11 @@
 """Finite algebras as operation tables, with products, quotients and subuniverses.
 
 Elements are 0..n-1.  The table of a k-ary symbol is a read-only intp
-array with k axes, one per argument; its flat view, ``tables``, lists
-the entries in row-major order, the last argument varying fastest.
+array with k axes, one per argument, and the package reads it by those
+axes: on arrays of arguments, or on one point list along every axis
+through ``relations._restrict``.  The flat view, ``tables``, lists the
+entries in row-major order, the last argument varying fastest; it is
+kept for readers outside the package.
 Product carriers use mixed-radix encoding with the leftmost factor most
 significant; the same convention fixes the .alg file layout.
 """
@@ -14,7 +17,7 @@ import numpy as np
 
 from .errors import ParseError, SignatureMismatchError
 from .relations import (
-    Partition, _index, _indices, _integer_token, _join_closure, require_congruence,
+    Partition, _index, _indices, _integer_token, _join_closure, _restrict, require_congruence,
 )
 from .terms import Signature
 
@@ -114,7 +117,11 @@ class FiniteAlgebra:
 
     @cached_property
     def tables(self):
-        """Each table as a flat tuple in row-major order."""
+        """Each table as a flat tuple in row-major order, for readers outside the package.
+
+        Nothing in the package reads it: tables are read by their axes,
+        through ``table_array``.
+        """
         return {sym: tuple(table.ravel().tolist()) for sym, table in self._arrays.items()}
 
     def apply(self, sym, args):
@@ -159,10 +166,10 @@ def product(algs, sig=None):
         return FiniteAlgebra._trusted(sig, 1, arrays, "1", {})
     digits = _digits([a.n for a in algs])
     arrays = {}
-    for sym, arity in sig:
+    for sym, _ in sig:
         table = 0
         for alg, d in zip(algs, digits):
-            table = table * alg.n + alg.table_array(sym)[np.ix_(*(d,) * arity)]
+            table = table * alg.n + _restrict(alg.table_array(sym), d)
         arrays[sym] = table
     name = "x".join(a.name or "?" for a in algs)
     return FiniteAlgebra._trusted(sig, digits.shape[1], arrays, name, algs[0]._family)
@@ -192,8 +199,8 @@ class QuotientMap:
         if source.sig != target.sig:
             raise SignatureMismatchError("source and target signatures differ")
         m = np.asarray(mapping, dtype=np.intp)
-        for sym, arity in source.sig:
-            image = target.table_array(sym)[np.ix_(*(m,) * arity)]
+        for sym, _ in source.sig:
+            image = _restrict(target.table_array(sym), m)
             bad = np.argwhere(image != m[source.table_array(sym)])
             if len(bad):
                 args = tuple(bad[0].tolist())
@@ -228,8 +235,7 @@ def _quotient_map(alg, theta):
     require_congruence(alg, theta)
     reps = np.asarray([blk[0] for blk in theta.blocks], dtype=np.intp)
     index = np.asarray(theta.index_of, dtype=np.intp)
-    arrays = {sym: index[alg.table_array(sym)[np.ix_(*(reps,) * arity)]]
-              for sym, arity in alg.sig}
+    arrays = {sym: index[_restrict(alg.table_array(sym), reps)] for sym, _ in alg.sig}
     name = f"{alg.name or '?'}/{theta.to_literal()}"
     target = FiniteAlgebra._trusted(alg.sig, len(reps), arrays, name, alg._family)
     qm = QuotientMap.__new__(QuotientMap)
@@ -278,10 +284,7 @@ def generate_subuniverse(alg, seed):
     elems = np.flatnonzero(member)
     while True:
         for table in tables:
-            # the open mesh np.ix_(elems, ..., elems), built without its overhead
-            arity = table.ndim
-            mesh = tuple(elems.reshape((-1,) + (1,) * (arity - 1 - i)) for i in range(arity))
-            member[table[mesh]] = True
+            member[_restrict(table, elems)] = True
         grown = np.flatnonzero(member)
         if len(grown) == len(elems):
             return frozenset(elems.tolist())
@@ -304,8 +307,8 @@ def _subalgebra(alg, embed):
     back = np.full(alg.n, -1, dtype=np.intp)
     back[points] = np.arange(len(embed))
     arrays = {}
-    for sym, arity in alg.sig:
-        table = back[alg.table_array(sym)[np.ix_(*(points,) * arity)]]
+    for sym, _ in alg.sig:
+        table = back[_restrict(alg.table_array(sym), points)]
         bad = np.argwhere(table < 0)
         if len(bad):
             args = tuple(points[bad[0]].tolist())
@@ -435,16 +438,13 @@ def _entry(tok, n, sym, lineno):
 
 
 def format_algebra(alg):
-    """Serialize to the .alg format, tables chunked by the last argument axis."""
+    """Serialize to the .alg format, one line per row of the last argument axis."""
     out = [f"algebra {alg.name or 'unnamed'}", f"size {alg.n}"]
     for sym, arity in alg.sig:
         out.append(f"op {sym} {arity}")
-        table = alg.tables[sym]
-        if arity == 0:
-            out.append(str(table[0]))
-        else:
-            for start in range(0, len(table), alg.n):
-                out.append(" ".join(str(v) for v in table[start:start + alg.n]))
+        # a constant is one row of one entry
+        table = np.atleast_1d(alg.table_array(sym))
+        out += [" ".join(map(str, row)) for row in table.reshape(-1, table.shape[-1]).tolist()]
     return "\n".join(out) + "\n"
 
 

@@ -38,7 +38,7 @@ from . import terms
 from .errors import CarrierBoundError
 from .relations import _index, composite, require_congruence
 from .subpower import _rounds
-from .symmetry import _clone_orbits
+from .symmetry import _clone_orbits, _projections
 from .verdict import Verdict
 
 TWO = "two"
@@ -136,11 +136,6 @@ def _term(derivations, deriv, memo):
     if kind is None:
         return terms.Var(_VARS[payload])
     return terms.App(kind, tuple(_reconstruct(derivations, c, memo) for c in payload))
-
-
-def _projections(n, cells):
-    """The rows of x, y and z on cells of A^3, each cell coded (x * n + y) * n + z."""
-    return np.stack([cells // (n * n), (cells // n) % n, cells % n]).astype(np.uint8)
 
 
 def _maltsev_masks(x, y, z):

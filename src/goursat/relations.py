@@ -18,7 +18,11 @@ returned as n-by-n boolean pair matrices by ``composite``.  Relational
 composition is fixed left-to-right: (x,z) is in the composite r o s iff
 there is a y with (x,y) in r and (y,z) in s.
 
-Three routines are written once, here.  ``_union`` is the one
+Four routines are written once, here.  ``_restrict`` reads an
+operation table on one point list along every argument axis, the one
+way a table is read on points: ``is_congruence`` reads each cell's box
+by it, and ``algebras`` its products, quotients, quotient-map checks,
+subalgebras and subuniverse closure.  ``_union`` is the one
 union-find: ``Partition.join`` ties together the blocks of self that
 each block of other meets, and ``congruence_generated`` merges its seed
 pairs and each round's fresh image pairs.  ``_orbit_least`` finds the
@@ -232,7 +236,7 @@ class Partition:
             return self
         parent = list(range(self.num_blocks))
         first = {}
-        _union(parent, ((first.setdefault(b, a), a) for a, b in edges))
+        _union(parent, ((f, a) for a, b in edges if (f := first.setdefault(b, a)) != a))
         count = _number_trees(parent)
         return Partition._canonical(self.n, tuple(map(parent.__getitem__, self.index_of)), count)
 
@@ -270,14 +274,26 @@ def composite(first, *rest):
     return reach[start[:, None], labels]
 
 
+def _restrict(table, points):
+    """table read on points along every argument axis: entry (i, .., j) is table[points[i], .., points[j]].
+
+    The index is an open mesh: axis i gets points shaped to vary along
+    axis i alone, and numpy broadcasts the rest.  A 0-ary table gives
+    table[()].
+    """
+    k = table.ndim
+    return table[tuple(points.reshape((-1,) + (1,) * (k - 1 - i)) for i in range(k))]
+
+
 def is_congruence(alg, p):
     """Check compatibility of a partition with every operation table.
 
     Related argument tuples form boxes, the products of blocks, and p is
     compatible when each cell's image label is that of its box's first
     cell, the block minima.  The witness is (symbol, (args, args')):
-    symbols in declaration order, args the first cell of the first box
-    with two labels, args' that box's first cell with another label.
+    symbols in declaration order, args the first cell of the least box
+    with two labels, args' the first cell of that box, in C order, with
+    another label.
     """
     if p.n != alg.n:
         raise SizeMismatchError(f"partition on {p.n} elements, algebra has {alg.n}")
@@ -287,15 +303,12 @@ def is_congruence(alg, p):
         if arity == 0:
             continue
         image = labels[alg.table_array(sym)]
-        box = mins  # each cell's box, named by the flat index of its first cell
-        for _ in range(arity - 1):
-            box = box[..., None] * alg.n + mins
-        bad = np.flatnonzero(image != np.take(image, box))
+        bad = np.argwhere(image != _restrict(image, mins))
         if len(bad):
-            owner = np.take(box, bad)
-            least = owner.min()
-            cells = np.unravel_index([least, bad[owner == least][0]], image.shape)
-            args, args_b = map(tuple, np.transpose(cells).tolist())
+            boxes = mins[bad]
+            # bad is in C order and lexsort is stable: the least box, then its first cell
+            first = np.lexsort(boxes.T[::-1])[0]
+            args, args_b = tuple(boxes[first].tolist()), tuple(bad[first].tolist())
             return Verdict(False, witness=(sym, (args, args_b)))
     return Verdict(True)
 

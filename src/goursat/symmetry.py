@@ -119,8 +119,7 @@ def _automorphism_generators(alg, steps):
         # the constants generate alg, and every automorphism fixes them
         return []
     n = alg.n
-    flat = {sym: alg.table_array(sym).reshape(-1) for sym, _ in alg.sig}
-    ops = [(flat[sym], arity) for sym, arity in alg.sig if arity > 0]
+    ops = [(alg.table_array(sym), arity) for sym, arity in alg.sig if arity > 0]
     # the argument tuples of an operation that share their first argument
     widest = n ** max((arity - 1 for _, arity in ops), default=0)
     shape = (n,) * len(free)
@@ -138,10 +137,7 @@ def _automorphism_generators(alg, steps):
             if sym is None:
                 phi[e] = images[args]
             else:
-                index = 0
-                for a in args:
-                    index = index * n + phi[a]
-                phi[e] = flat[sym][index]
+                phi[e] = alg.table_array(sym)[tuple(phi[a] for a in args)]
         seen = np.zeros(phi.shape, dtype=bool)
         seen[phi, np.arange(len(codes))] = True
         keep = seen.all(axis=0)
@@ -154,10 +150,7 @@ def _automorphism_generators(alg, steps):
             for table, arity in ops:
                 args = np.indices((min(width, n - x),) + (n,) * (arity - 1)).reshape(arity, -1)
                 args[0] += x
-                index, image = 0, 0
-                for a in args:
-                    index, image = index * n + a, image * n + sub[a]
-                homomorphic = sub[table[index]] == table[image]
+                homomorphic = sub[table[tuple(args)]] == table[tuple(sub[a] for a in args)]
                 keep[at[~homomorphic.all(axis=0)]] = False
             x += width
             width = max(1, min(2 * width, terms._BLOCK_CELLS // (len(at) * widest)))
@@ -201,7 +194,7 @@ def _pointed_classes(alg, cells, bounded):
     code is that of cells[i].
     """
     n = alg.n
-    ops = [(alg.table_array(sym).reshape(-1), arity) for sym, arity in alg.sig if arity > 0]
+    ops = [(alg.table_array(sym), arity) for sym, arity in alg.sig if arity > 0]
     consts = [int(alg.table_array(sym)[()]) for sym, arity in alg.sig if arity == 0]
 
     def end(count):
@@ -246,7 +239,7 @@ def _pointed_classes(alg, cells, bounded):
             codes.append(column)
 
         everyone = np.arange(m)
-        start = [block // (n * n), (block // n) % n, block % n] + [np.full(m, k) for k in consts]
+        start = [*_projections(n, block)] + [np.full(m, k) for k in consts]
         name(everyone, np.stack(start, axis=1))
         # without operations every cell is closed at once
         active = everyone[count <= most] if ops else everyone[:0]
@@ -254,12 +247,11 @@ def _pointed_classes(alg, cells, bounded):
         while len(active):
             if level == len(levels):
                 levels.append({arity: _level_tuples(arity, level) for _, arity in ops})
-            base, index = (active * n)[:, None], {}
-            for arity, args in levels[level].items():
-                index[arity] = 0
-                for pos in args:
-                    index[arity] = index[arity] * n + elem[base + pos]
-            name(active, np.hstack([table[index[arity]] for table, arity in ops]))
+            base = (active * n)[:, None]
+            # one coordinate tuple per arity, shared by the operations of that arity
+            coords = {arity: tuple(elem[base + pos] for pos in args)
+                      for arity, args in levels[level].items()}
+            name(active, np.hstack([table[coords[arity]] for table, arity in ops]))
             level += 1
             active = active[(count[active] > level) & (count[active] <= most)]
         closed = np.flatnonzero(count <= most)
@@ -275,6 +267,15 @@ def _pointed_classes(alg, cells, bounded):
                  for i in first.tolist()]
         source[lo + closed] = np.array(least)[inverse.reshape(-1)]
     return source
+
+
+def _projections(n, cells):
+    """The rows of x, y and z on cells of A^3, each cell coded (x * n + y) * n + z.
+
+    The one decoding of cell codes; the rows are uint8, as the subpower
+    engine takes them, so n is at most 255.
+    """
+    return np.stack([cells // (n * n), (cells // n) % n, cells % n]).astype(np.uint8)
 
 
 def _clone_orbits(alg):
@@ -294,7 +295,7 @@ def _least_cells(alg):
     """The least cells, built on a miss of ``_clone_orbits``' cache."""
     n, steps = alg.n, _derivation(alg)
     cells = np.arange(n**3)
-    x, y, z = cells // (n * n), (cells // n) % n, cells % n
+    x, y, z = _projections(n, cells)
     gens = [] if steps is None else _automorphism_generators(alg, steps)
     least = _orbit_least(cells, gens, lambda g: (g[x] * n + g[y]) * n + g[z])
     reps = np.flatnonzero(least == cells)

@@ -145,6 +145,8 @@ def test_spec_examples():
         birkhoff_congruence(z8, spec_by_name("exponent-2", GROUP_SIG)).to_literal()
         == "0 2 4 6|1 3 5 7"
     )
+    with pytest.raises(KeyError, match="no spec named 'nope'"):
+        spec_by_name("nope", GROUP_SIG)
 
 
 def test_default_entries_have_expected_sizes_and_tags():
@@ -179,6 +181,11 @@ def _projection_x_pair(alg, cap=200_000):
 
 @pytest.mark.parametrize("build, tags, search, problems", [
     (two_elt_lattice, ("maltsev",), None, ["maltsev tag: term search returned none"]),
+    # the chain 0 < 1 < 2 < 3 has no Maltsev term, and its congruences do not all permute
+    (lambda: chain_lattice(4), ("maltsev",), None, [
+        "maltsev tag: term search returned none",
+        "maltsev tag: some congruence pair does not 2-permute",
+    ]),
     # the chain 0 < 1 < 2 < 3 has no Hagemann-Mitschke pair, and one pair of
     # interval congruences whose triple composites differ
     (lambda: chain_lattice(4), ("goursat",), None, [
@@ -197,7 +204,7 @@ def _projection_x_pair(alg, cap=200_000):
      ["maltsev tag: re-check fails at (link, x, y) = (1, 0, 1)"]),
     (lambda: cyclic_group(2), ("goursat",), ("find_hm_terms", _projection_x_pair),
      ["goursat tag: re-check fails at (link, x, y) = (2, 0, 1)"]),
-], ids=["maltsev", "goursat", "neither", "distributive", "nondistributive",
+], ids=["maltsev", "maltsev-chain", "goursat", "neither", "distributive", "nondistributive",
         "maltsev-recheck", "goursat-recheck"])
 def test_verify_entry_names_each_problem_of_a_wrong_tag(monkeypatch, build, tags, search, problems):
     if search is not None:
@@ -224,3 +231,5 @@ def test_corpus_builders_reject_bad_parameters():
         boolean_ring(0)
     with pytest.raises(ValueError):
         implication_from_boolean(0)
+    with pytest.raises(ValueError, match="modulus must be positive"):
+        zmod_vnr(0)
