@@ -19,7 +19,7 @@ from .errors import ParseError, SignatureMismatchError
 from .relations import (
     Partition, _index, _indices, _integer_token, _join_closure, _restrict, require_congruence,
 )
-from .terms import Signature
+from .terms import Signature, _read_text
 
 
 class FiniteAlgebra:
@@ -449,8 +449,7 @@ def format_algebra(alg):
 
 
 def load_algebra(path):
-    with open(path, encoding="utf-8") as fh:
-        return parse_algebra(fh.read())
+    return parse_algebra(_read_text(path))
 
 
 def save_algebra(alg, path):

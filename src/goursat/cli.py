@@ -15,6 +15,7 @@ key or human leaves the record out of that format.
 """
 
 import argparse
+import functools
 import os
 import sys
 
@@ -70,6 +71,7 @@ def _common_flags(sp, max_size=False, clone_cap=False):
                         "that crosses it is still evaluated in full")
 
 
+@functools.cache
 def _build_parser():
     parser = argparse.ArgumentParser(
         prog="goursat",

@@ -17,17 +17,16 @@ n**3 table is its term evaluated on all of A^3, so it does not rest on
 those proofs.  ``_search`` refuses a cap below 3 and a carrier past 255
 elements before any of this work.
 
-A round is searched before it is numbered.  Ids within a round follow
-key order, so the least new key that passes a test is the least id, and
-a key is kept under the cap exactly when fewer than the round's room new
-keys are smaller.  Both searches run through one round loop, ``_search``,
-which reads the new keys in array blocks, stops at a witness without
-numbering its round, and owns the count and the three endings.  The
-Maltsev test takes the least key that passes both identities; the
-Hagemann-Mitschke test reads its p and q candidates off the same
-blocks, keeps them by key, and joins them by a hash of the restriction
-they must share.  ``hm_chain_check`` re-checks either witness as a chain
-of terms, by the per-cell evaluator alone.
+A round is searched before it is numbered, as ``subpower`` yields it,
+already cut at the cap.  Ids within a round follow key order, so the
+least new key that passes a test is the least id.  Both searches run
+through one round loop, ``_search``, which reads the new keys in array
+blocks, stops at a witness without numbering its round, and owns the
+count and the three endings.  The Maltsev test takes the least key that
+passes both identities; the Hagemann-Mitschke test reads its p and q
+candidates off the same blocks, keeps them by key, and joins them by a
+hash of the restriction they must share.  ``hm_chain_check`` re-checks
+either witness as a chain of terms, by the per-cell evaluator alone.
 """
 
 from dataclasses import dataclass
@@ -149,16 +148,6 @@ def _maltsev_masks(x, y, z):
     return i_xyy, i_xxy, x[i_xyy], z[i_xxy]
 
 
-def _admitted(fresh, room):
-    """Whether a key of fresh is numbered: all are when they fit, else the room least."""
-    if len(fresh) <= room:
-        return lambda key: True
-    if not room:
-        return lambda key: False
-    last = sorted(fresh)[room - 1]
-    return lambda key: key <= last
-
-
 def _witness(alg, index, derivations, fresh, key, memo):
     """The TermWitness of a table's bytes, numbered in index or new in fresh."""
     deriv = fresh[key] if key in fresh else derivations[index[key]]
@@ -169,18 +158,17 @@ def _witness(alg, index, derivations, fresh, key, memo):
 def _search(alg, cap, pick):
     """Run a term search over the clone BFS to a witness, the fixpoint or the cap.
 
-    pick(blocks, admitted) tests one round before it is numbered.
-    blocks yields the round's new keys in blocks of at most _BLOCK_CELLS
-    cells, each as (keys, xyy, xxy, is_p, is_q): row r of xyy and xxy
-    holds the r-th key's values where ``_maltsev_masks`` reads p(x,y,y)
-    and p(x,x,y), and is_p and is_q mark the rows with p(x,y,y)=x and
-    with p(x,x,y)=y.  admitted tells whether a key is numbered.  pick
-    returns the keys of the witness's tables, or None.  The outcome is
-    ``found`` with the first witness, else ``none`` at the clone
-    fixpoint and ``inconclusive`` at the cap; explored counts the tables
-    numbered and admitted up to the round tested last.  The cap bounds
-    the tables kept, not the work: the round that crosses it is still
-    evaluated in full.  cap is read by ``relations._index``.
+    pick(blocks) tests one round before it is numbered.  blocks yields
+    the round's new keys in blocks of at most _BLOCK_CELLS cells, each
+    as (keys, xyy, xxy, is_p, is_q): row r of xyy and xxy holds the r-th
+    key's values where ``_maltsev_masks`` reads p(x,y,y) and p(x,x,y),
+    and is_p and is_q mark the rows with p(x,y,y)=x and with
+    p(x,x,y)=y.  pick returns the keys of the witness's tables, or None.
+    The outcome is ``found`` with the first witness, else ``none`` at
+    the clone fixpoint and ``inconclusive`` at the cap; explored counts
+    the tables of every round up to the one tested last.  The cap bounds the tables
+    kept, not the work: the round that crosses it is still evaluated in
+    full.  cap is read by ``relations._index``.
     """
     cap = _index(cap, what="cap")
     if cap < 3:
@@ -199,23 +187,23 @@ def _search(alg, cap, pick):
             xyy, xxy = block[:, i_xyy], block[:, i_xxy]
             yield chunk, xyy, xxy, (xyy == want_x).all(axis=1), (xxy == want_y).all(axis=1)
 
-    for index, derivations, fresh, room in _rounds(alg, gens, cap):
-        explored = len(derivations) + min(len(fresh), room)
-        keys = pick(blocks(fresh), _admitted(fresh, room))
+    for index, derivations, fresh, crossed in _rounds(alg, gens, cap):
+        explored = len(derivations) + len(fresh)
+        keys = pick(blocks(fresh))
         if keys is not None:
             memo = {}
             witness = tuple(_witness(alg, index, derivations, fresh, key, memo) for key in keys)
             return SearchOutcome(FOUND, witness if len(witness) > 1 else witness[0], explored)
-        if not fresh or len(fresh) > room:
-            return SearchOutcome(NONE if not fresh else INCONCLUSIVE, explored=explored)
+        if crossed or not fresh:
+            return SearchOutcome(INCONCLUSIVE if crossed else NONE, explored=explored)
     raise AssertionError("clone stream ended without a final round")
 
 
-def _maltsev_pick(blocks, admitted):
-    """The least new key with p(x,y,y)=x and p(x,x,y)=y, if it is numbered."""
+def _maltsev_pick(blocks):
+    """The least new key with p(x,y,y)=x and p(x,x,y)=y."""
     least = min((keys[r] for keys, _, _, is_p, is_q in blocks
                  for r in np.flatnonzero(is_p & is_q).tolist()), default=None)
-    return None if least is None or not admitted(least) else (least,)
+    return None if least is None else (least,)
 
 
 def find_maltsev_term(alg, cap=200_000):
@@ -224,9 +212,8 @@ def find_maltsev_term(alg, cap=200_000):
     Returns the first witness in (depth, lexicographic table) order; a
     definitive ``none`` only at clone fixpoint, ``inconclusive`` at cap.
     Each round is tested before it is numbered: ids within a round
-    follow key order, so the witness is the least key that passes, and
-    when the round crosses the cap it is kept only if fewer than room
-    new keys are smaller.  A round with a witness is never numbered.
+    follow key order, so the witness is the least key that passes.  A
+    round with a witness is never numbered.
     """
     return _search(alg, cap, _maltsev_pick)
 
@@ -237,18 +224,16 @@ def find_hm_terms(alg, cap=200_000):
     The returned pair is the one minimizing (p id, q id) at the first
     BFS depth admitting any valid pair.  Candidates are read off each
     round before it is numbered, and kept by key: ids within a round
-    follow key order, and the round's keys past the cap are dropped.
+    follow key order.
     """
     p_keys = []  # (key, p(x,x,y) bytes) of every table with p(x,y,y)=x, in id order
     q_least = {}  # q(x,y,y) bytes -> key of the least table with q(x,x,y)=y and those values
 
-    def pick(blocks, admitted):
+    def pick(blocks):
         new_p, new_q = [], []
         for keys, xyy, xxy, is_p, is_q in blocks:
-            new_p += [(keys[r], xxy[r].tobytes())
-                      for r in np.flatnonzero(is_p).tolist() if admitted(keys[r])]
-            new_q += [(keys[r], xyy[r].tobytes())
-                      for r in np.flatnonzero(is_q).tolist() if admitted(keys[r])]
+            new_p += [(keys[r], xxy[r].tobytes()) for r in np.flatnonzero(is_p).tolist()]
+            new_q += [(keys[r], xyy[r].tobytes()) for r in np.flatnonzero(is_q).tolist()]
         p_keys.extend(sorted(new_p))
         for key, values in sorted(new_q):
             q_least.setdefault(values, key)

@@ -35,11 +35,15 @@ loop, so each new row keeps the same first derivation, and the order
 that fixes witnesses is unchanged.  Each row is stored once, as its
 bytes, the deduplication key.
 
-A round is yielded before it is numbered.  Ids within a round follow
-key order, so a caller that tests the round's new keys finds the least
-id as the least key that passes, and a key is kept under the cap
-exactly when fewer than the round's room new keys are smaller.  A
-caller that stops at a round leaves it unnumbered.
+The cap.  At most cap rows are numbered.  The room of a round is cap
+minus the rows numbered before it; a round that finds more new rows
+than its room crosses the cap, and only its room least keys are kept,
+each with its first derivation.  This is the one place the cut is made.
+A round is yielded before it is numbered, already cut, so a caller
+reads every row it is given as one that is numbered on resume.  Ids
+within a round follow key order, so a caller that tests the round's new
+keys finds the least id as the least key that passes.  A caller that
+stops at a round leaves it unnumbered.
 """
 
 import numpy as np
@@ -81,14 +85,15 @@ def _rounds(alg, gens, cap):
     gens is a k x m uint8 array of elements of alg (n <= 255), one
     generator row per line; row i has the derivation (None, i), unless
     it equals an earlier row, which keeps its own.  Yields (index,
-    derivations, fresh, room) once a round is evaluated: index (each
+    derivations, fresh, crossed) once a round is evaluated: index (each
     row's bytes to its id, in id order) and derivations hold the rows of
-    the rounds before, fresh maps the bytes of each row the round found
-    new to its derivation, in the order of the argument tuples, and room
-    is cap - len(derivations).  The first round is the generators.  When
-    the generator resumes, the room least keys of fresh are numbered in
-    key order, and the BFS stops after a round with no fresh row (the
-    fixpoint) or with more than room (the cap).
+    the rounds before, and fresh maps the bytes of each row the round
+    found new to its derivation, in the order of the argument tuples.
+    crossed tells whether the round crossed the cap; fresh then holds
+    only its cap - len(derivations) least keys, in key order.  The first round is the
+    generators.  When the generator resumes, fresh is numbered in key
+    order, and the BFS stops after a round that crossed the cap or found
+    no new row (the fixpoint).
     """
     n = alg.n
     size = gens.shape[1]
@@ -117,12 +122,15 @@ def _rounds(alg, gens, cap):
     depth = 0
     while True:
         room = cap - len(derivations)
-        yield known, derivations, fresh, room
+        crossed = len(fresh) > room
+        if crossed:
+            fresh = {key: fresh[key] for key in sorted(fresh)[:room]}
+        yield known, derivations, fresh, crossed
         frontier_start = len(derivations)
-        for key in sorted(fresh)[:room]:
+        for key in sorted(fresh):
             known[key] = len(derivations)
             derivations.append(fresh[key])
-        if not fresh or len(fresh) > room:
+        if crossed or not fresh:
             return
         depth += 1
         total = len(derivations)

@@ -252,9 +252,18 @@ def parse_identities(text, sig):
     return out
 
 
+def _read_text(path):
+    """The UTF-8 text of an input file; a file that is not UTF-8 is a ParseError naming it."""
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{path}: not UTF-8 text (byte {exc.start})") from None
+
+
 def load_identities(path, sig):
-    with open(path, encoding="utf-8") as fh:
-        return parse_identities(fh.read(), sig)
+    return parse_identities(_read_text(path), sig)
 
 
 def eval_term(alg, t, env):

@@ -404,11 +404,13 @@ def naive_clone_rounds(alg, gens, cap):
     """The subpower BFS over the rows gens, with one fancy-index call per argument tuple.
 
     Same contract as ``subpower._rounds``: yields (index, derivations,
-    fresh, room) once each round is evaluated, where index maps each
-    row's bytes to its id, in id order, fresh maps each new row's bytes
-    to its derivation in the order of the argument tuples, and room =
-    cap - len(derivations); the round is numbered on resume.  The rows
-    are kept in an id-indexed list of arrays, for the gathers.
+    fresh, crossed) once each round is evaluated, where index maps each
+    row's bytes to its id, in id order, and fresh maps each new row's
+    bytes to its derivation in the order of the argument tuples.  A
+    round with more new rows than cap - len(derivations) crosses the
+    cap: crossed is set and fresh is cut here, independently of the
+    engine, to that many least keys.  The round is numbered on resume.
+    The rows are kept in an id-indexed list of arrays, for the gathers.
     """
     n = alg.n
     if n > 255:
@@ -430,13 +432,16 @@ def naive_clone_rounds(alg, gens, cap):
     depth = 0
     while True:
         room = cap - len(arrays)
-        yield known, derivations, fresh, room
+        crossed = len(fresh) > room
+        if crossed:
+            fresh = dict(sorted(fresh.items())[:room])
+        yield known, derivations, fresh, crossed
         frontier_start = len(arrays)
-        for key, deriv in sorted(fresh.items())[:room]:
+        for key, deriv in sorted(fresh.items()):
             known[key] = len(arrays)
             arrays.append(np.frombuffer(key, dtype=np.uint8))
             derivations.append(deriv)
-        if not fresh or len(fresh) > room:
+        if crossed or not fresh:
             return
         depth += 1
         total = len(arrays)

@@ -284,8 +284,18 @@ def test_an_element_outside_the_carrier_exits_2_naming_it(files, tmp_path):
         assert run_cli(*argv) == (2, "", want), argv
 
 
-def test_usage_error_exits_2(files):
+def test_usage_error_exits_2(files, tmp_path):
     z4 = files["cyclic_group(4)"]
+    # byte 26 of the .alg and byte 2 of the .ids are 0xff, which never starts a UTF-8 sequence
+    latin = tmp_path / "latin.alg"
+    latin.write_bytes(b"algebra a\nsize 2\nop f 1\n0 \xff\n")
+    latin_ids = tmp_path / "latin.ids"
+    latin_ids.write_bytes(b"m(\xff) = e\n")
+    for argv, want in [
+        (("con", str(latin)), f"error: {latin}: not UTF-8 text (byte 26)\n"),
+        (("closure", z4, "--variety", str(latin_ids)), f"error: {latin_ids}: not UTF-8 text (byte 2)\n"),
+    ]:
+        assert run_cli(*argv) == (2, "", want), argv
     _exits_2([
         (("con",), "required: algebra"),
         (("nonsense",), "invalid choice: 'nonsense'"),

@@ -210,7 +210,7 @@ def _cube(n):
 
 def _drained(alg, cap=200_000):
     """(index, derivations, fresh) once the clone BFS stops, its last round numbered up to the cap."""
-    for index, derivations, fresh, _room in _clone_rounds(alg, cap):
+    for index, derivations, fresh, _crossed in _clone_rounds(alg, cap):
         pass
     return index, derivations, fresh
 
@@ -476,6 +476,10 @@ def test_the_cap_keeps_a_hagemann_mitschke_pair_only_when_both_are_numbered_belo
 
     At cap 17 the second round has no room, so none of its tables is
     kept although it holds the pair; the pair's larger id is 38.
+
+    The two-element lattice's clone has exactly 18 tables, FD(3), so its
+    last round fits cap 18 exactly and both searches end at the fixpoint
+    there, while at cap 17 that round crosses the cap by one table.
     """
     alg = heyting_chain(2)
     for cap in (17, 38):
@@ -483,6 +487,10 @@ def test_the_cap_keeps_a_hagemann_mitschke_pair_only_when_both_are_numbered_belo
     out = find_hm_terms(alg, cap=39)
     assert (out.status, out.explored) == (FOUND, 39)
     assert out.witness == find_hm_terms(alg).witness
+    lattice = two_elt_lattice()
+    for search in (find_maltsev_term, find_hm_terms):
+        assert search(lattice, cap=18) == SearchOutcome(NONE, explored=18)
+        assert search(lattice, cap=17) == SearchOutcome(INCONCLUSIVE, explored=17)
 
 
 def test_maltsev_term_forces_all_pairs_two_permutable():
@@ -501,12 +509,12 @@ def _assert_rounds_equal(got_rounds, want_rounds, restricted=bytes):
     """Every round of got_rounds equals the one of want_rounds, its keys restricted, field by field."""
     for got, want in zip_longest(got_rounds, want_rounds):
         assert got is not None and want is not None, "the two BFS ran different round counts"
-        index, derivations, fresh, room = got
-        w_index, w_derivations, w_fresh, w_room = want
+        index, derivations, fresh, crossed = got
+        w_index, w_derivations, w_fresh, w_crossed = want
         assert list(index.items()) == [(restricted(key), i) for key, i in w_index.items()]
         assert derivations == w_derivations
         assert list(fresh.items()) == [(restricted(key), deriv) for key, deriv in w_fresh.items()]
-        assert room == w_room
+        assert crossed == w_crossed
 
 
 def _assert_rounds_match(alg, cap):
@@ -530,9 +538,9 @@ def _assert_searches_match(alg, cap):
 
     def oracle_rounds(a, gens, c):
         runs.append(c)
-        for index, derivations, fresh, room in naive_clone_rounds(a, gens, c):
+        for index, derivations, fresh, crossed in naive_clone_rounds(a, gens, c):
             tables.update(fresh)
-            yield index, derivations, fresh, room
+            yield index, derivations, fresh, crossed
 
     with pytest.MonkeyPatch.context() as mp:
         # the oracle's rounds hold full tables: every cell its own orbit
