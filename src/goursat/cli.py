@@ -4,9 +4,10 @@ Exit codes: 0 all checks pass, 1 a mathematical failure or negative
 result (with a replayable witness), 2 bad input: a usage error, an
 unreadable or malformed file, a bad ``--rel`` literal or corpus name,
 algebras of different signatures, an unwritable output path, or a
-carrier over ``--max-size``.  Any other exception is a fault in the
-program and propagates.  Output is deterministic: identical inputs and
-flags produce byte-identical reports.
+carrier over ``--max-size`` or over the subpower engine's limit.  Any
+other exception is a fault in the program and propagates.  Output is
+deterministic: identical inputs and flags produce byte-identical
+reports.
 
 Each handler returns ``(records, exit_code)``.  A record is ``(key,
 value, human)``: ``--kv`` prints ``key=value`` (booleans as
@@ -41,11 +42,13 @@ from .errors import (
 from .permutability import (
     FOUND,
     NONE,
+    _CLONE_CAP,
+    _MIN_CLONE_CAP,
     find_hm_terms,
     find_maltsev_term,
     goursat_join_check,
 )
-from .relations import Partition, _integer_token, con_lattice, require_congruence
+from .relations import _CARRIER_BOUND, Partition, _integer_token, con_lattice, require_congruence
 from .terms import load_identities, render
 
 
@@ -63,12 +66,12 @@ def _bound(least):
 def _common_flags(sp, max_size=False, clone_cap=False):
     sp.add_argument("--kv", action="store_true", help="machine-readable key=value output")
     if max_size:
-        sp.add_argument("--max-size", type=_bound(1), default=64, metavar="N",
-                        help="carrier bound for lattice enumeration (default 64)")
+        sp.add_argument("--max-size", type=_bound(1), default=_CARRIER_BOUND, metavar="N",
+                        help="carrier bound for lattice enumeration (default %(default)s)")
     if clone_cap:
-        sp.add_argument("--clone-cap", type=_bound(3), default=200_000, metavar="N",
-                        help="cap on the clone tables kept (default 200000); the round "
-                        "that crosses it is still evaluated in full")
+        sp.add_argument("--clone-cap", type=_bound(_MIN_CLONE_CAP), default=_CLONE_CAP,
+                        metavar="N", help="cap on the clone tables kept (default %(default)s); "
+                        "the round that crosses it is still evaluated in full")
 
 
 @functools.cache
@@ -227,7 +230,6 @@ def cmd_perm(args):
 def cmd_closure(args):
     alg = load_algebra(args.algebra)
     spec = _load_spec(args, alg.sig)
-    delta_bar = birkhoff_congruence(alg, spec)
     if args.rel is not None:
         targets = [_argument(Partition.from_literal, args.rel, alg.n)]
         try:
@@ -237,6 +239,8 @@ def cmd_closure(args):
             return [("failure", failure, f"FAIL {failure}"), ("status", "fail", None)], 1
     else:
         targets = con_lattice(alg, max_size=args.max_size).congruences
+    # built once the targets are read, so a carrier over --max-size is refused first
+    delta_bar = birkhoff_congruence(alg, spec)
     records = [
         _plain("algebra", alg.name),
         _plain("variety", spec.name),

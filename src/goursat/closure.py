@@ -41,6 +41,7 @@ from .algebras import all_subuniverses, projections, quotient, subalgebra
 from .errors import GoursatHypothesisError, SignatureMismatchError
 from .permutability import _join, goursat_join_check
 from .relations import (
+    _CARRIER_BOUND,
     Partition,
     _index,
     _proved,
@@ -238,7 +239,7 @@ def _sweep(alg, spec, max_size):
     return lat, c, quotients
 
 
-def check_axioms(algs, spec, max_size=64):
+def check_axioms(algs, spec, max_size=_CARRIER_BOUND):
     """Exhaustive axiom sweep over congruence lattices and quotient maps.
 
     Axiom 3 is additionally quantified over non-epi arrows: every proper
@@ -377,9 +378,9 @@ def roundtrip_check(alg, spec):
             witness={"part": "a", "detail": "reflection target has a non-closed diagonal"},
         )
 
-    for s in con_lattice(alg, max_size=64).congruences:
+    for s in con_lattice(alg).congruences:
         qm = quotient(alg, s)
-        tlat = con_lattice(qm.target, max_size=64)
+        tlat = con_lattice(qm.target)
         tc = _closure_map(qm.target, tlat, spec)
         closed = [t for t, u in enumerate(tc) if u == t]
         derived = reduce(lambda a, b: tlat.meet_table[a][b], closed)

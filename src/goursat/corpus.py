@@ -4,7 +4,9 @@ Every constructor checks its defining identities on the freshly built
 tables, so a corpus entry cannot silently drift from the class of
 algebras it is meant to represent.  Deeper structural checks attached to
 the tags (term searches, permutability landscape, distributivity) live
-in verify_entry.
+in verify_entry.  A parameterised constructor refuses a carrier past
+the subpower engine's limit with CarrierBoundError before it builds any
+table, so every command, the term searches included, takes every entry.
 """
 
 import re
@@ -13,6 +15,7 @@ from dataclasses import dataclass
 from .algebras import FiniteAlgebra
 from .closure import SubvarietySpec
 from .distributivity import is_distributive
+from .errors import CarrierBoundError
 from .permutability import (
     FOUND,
     NEITHER,
@@ -24,6 +27,7 @@ from .permutability import (
     permutability_level,
 )
 from .relations import con_lattice
+from .subpower import _ENGINE_LIMIT
 from .terms import Signature, parse_identities, parse_identity, satisfies_identity
 
 GROUP_SIG = Signature({"m": 2, "i": 1, "e": 0})
@@ -132,9 +136,17 @@ def _checked(alg, laws):
     return alg
 
 
+def _carrier(n):
+    """n, once it is within the subpower engine's limit, so that every command runs on the entry."""
+    if n > _ENGINE_LIMIT:
+        raise CarrierBoundError(n, _ENGINE_LIMIT)
+    return n
+
+
 def cyclic_group(n):
     if n < 1:
         raise ValueError("group order must be positive")
+    _carrier(n)
     alg = FiniteAlgebra.from_functions(
         GROUP_SIG,
         n,
@@ -178,7 +190,7 @@ def sym3():
 def boolean_ring(k):
     if k < 1:
         raise ValueError("boolean_ring needs at least one atom")
-    n = 1 << k
+    n = _carrier(1 << k)
     alg = FiniteAlgebra.from_functions(
         RING_SIG,
         n,
@@ -199,6 +211,7 @@ def zmod_vnr(n):
     """Z/n with the unique von Neumann pseudo-inverse; needs squarefree n."""
     if n < 1:
         raise ValueError("modulus must be positive")
+    _carrier(n)
     star = []
     for a in range(n):
         candidates = [
@@ -229,7 +242,7 @@ def zmod_vnr(n):
 def heyting_chain(k):
     if k < 2:
         raise ValueError("heyting_chain needs at least two elements")
-    top = k - 1
+    top = _carrier(k) - 1
     alg = FiniteAlgebra.from_functions(
         HEYTING_SIG,
         k,
@@ -249,7 +262,7 @@ def implication_from_boolean(k):
     """The implication reduct of the boolean algebra with k atoms."""
     if k < 1:
         raise ValueError("implication_from_boolean needs at least one atom")
-    n = 1 << k
+    n = _carrier(1 << k)
     mask = n - 1
     alg = FiniteAlgebra.from_functions(
         IMPLICATION_SIG,

@@ -25,7 +25,7 @@ closed-meet scan (_closed_meet_scan) reads the same closure map of A.
 from dataclasses import dataclass
 
 from .closure import SubvarietySpec, _sweep
-from .relations import is_distributive
+from .relations import _CARRIER_BOUND, is_distributive
 from .verdict import Verdict
 
 
@@ -84,7 +84,7 @@ class DistReport:
         return self.lattice_distributive.ok and self.image_meet.ok and self.axiom7.ok
 
 
-def dist_report(alg, spec=None, max_size=64):
+def dist_report(alg, spec=None, max_size=_CARRIER_BOUND):
     """Bundle the three distributivity verdicts for one algebra.
 
     Without a spec the whole category is used (empty identity list), so

@@ -14,8 +14,9 @@ representatives of ``_clone_orbits``, one cell per class, so every table
 is held restricted to them, and ``symmetry`` proves that this keeps ids,
 derivations, witnesses and the cap cut unchanged.  A witness's full
 n**3 table is its term evaluated on all of A^3, so it does not rest on
-those proofs.  ``_search`` refuses a cap below 3 and a carrier past 255
-elements before any of this work.
+those proofs.  ``_search`` refuses a cap below ``_MIN_CLONE_CAP`` and a
+carrier past the engine's ``subpower._ENGINE_LIMIT`` before any of this
+work.
 
 A round is searched before it is numbered, as ``subpower`` yields it,
 already cut at the cap.  Ids within a round follow key order, so the
@@ -36,7 +37,7 @@ import numpy as np
 from . import terms
 from .errors import CarrierBoundError
 from .relations import _index, composite, require_congruence
-from .subpower import _rounds
+from .subpower import _ENGINE_LIMIT, _rounds
 from .symmetry import _clone_orbits, _projections
 from .verdict import Verdict
 
@@ -49,6 +50,12 @@ NONE = "none"
 INCONCLUSIVE = "inconclusive"
 
 _VARS = ("x", "y", "z")
+
+# The default cap on the clone tables kept, and the least cap, which
+# keeps the three projections; both searches and the command line's
+# --clone-cap read them.
+_CLONE_CAP = 200_000
+_MIN_CLONE_CAP = 3
 
 
 def _level(alg, r, s):
@@ -171,16 +178,17 @@ def _search(alg, cap, pick):
     full.  cap is read by ``relations._index``.
     """
     cap = _index(cap, what="cap")
-    if cap < 3:
+    if cap < _MIN_CLONE_CAP:
         raise ValueError("cap must allow at least the three projections")
-    if alg.n > 255:
-        raise CarrierBoundError(alg.n, 255)
+    if alg.n > _ENGINE_LIMIT:
+        raise CarrierBoundError(alg.n, _ENGINE_LIMIT)
     gens = _projections(alg.n, _clone_orbits(alg))
     i_xyy, i_xxy, want_x, want_y = _maltsev_masks(*gens)
+    # every key is one table restricted to the gens.shape[1] representatives
+    rows = max(1, terms._BLOCK_CELLS // gens.shape[1])
 
     def blocks(fresh):
         keys = list(fresh)
-        rows = max(1, terms._BLOCK_CELLS // len(keys[0])) if keys else 1
         for lo in range(0, len(keys), rows):
             chunk = keys[lo : lo + rows]
             block = np.frombuffer(b"".join(chunk), dtype=np.uint8).reshape(len(chunk), -1)
@@ -206,7 +214,7 @@ def _maltsev_pick(blocks):
     return None if least is None else (least,)
 
 
-def find_maltsev_term(alg, cap=200_000):
+def find_maltsev_term(alg, cap=_CLONE_CAP):
     """Search the clone for a table with p(x,y,y)=x and p(x,x,y)=y.
 
     Returns the first witness in (depth, lexicographic table) order; a
@@ -218,7 +226,7 @@ def find_maltsev_term(alg, cap=200_000):
     return _search(alg, cap, _maltsev_pick)
 
 
-def find_hm_terms(alg, cap=200_000):
+def find_hm_terms(alg, cap=_CLONE_CAP):
     """Search for tables p, q with p(x,y,y)=x, q(x,x,y)=y and p(x,x,y)=q(x,y,y).
 
     The returned pair is the one minimizing (p id, q id) at the first

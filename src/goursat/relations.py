@@ -42,6 +42,10 @@ import numpy as np
 from .errors import CarrierBoundError, NotCongruenceError, SizeMismatchError
 from .verdict import Verdict
 
+# The default carrier bound of Con(A) enumeration: con_lattice,
+# check_axioms, dist_report and the command line's --max-size read it.
+_CARRIER_BOUND = 64
+
 
 def _index(value, n=None, what="element"):
     """operator.index(value) if it lies in 0..n-1 (or n is None); else ValueError naming value."""
@@ -299,9 +303,7 @@ def is_congruence(alg, p):
         raise SizeMismatchError(f"partition on {p.n} elements, algebra has {alg.n}")
     labels = np.asarray(p.index_of, dtype=np.intp)
     mins = np.asarray([blk[0] for blk in p.blocks], dtype=np.intp)[labels]
-    for sym, arity in alg.sig:
-        if arity == 0:
-            continue
+    for sym, _ in alg.sig:
         image = labels[alg.table_array(sym)]
         bad = np.argwhere(image != _restrict(image, mins))
         if len(bad):
@@ -547,7 +549,7 @@ def _join_closure(found, join, key):
     return found
 
 
-def con_lattice(alg, max_size=64):
+def con_lattice(alg, max_size=_CARRIER_BOUND):
     """Enumerate Con(alg): principal congruences closed under binary joins.
 
     The discrete relation and the principal congruences are closed by

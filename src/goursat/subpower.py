@@ -28,11 +28,11 @@ it is padded to a 256-byte map and a block is one ``bytes.translate`` of
 the uint8 index sum: the index is at most n**arity - 1 <= 255, so the
 sum cannot overflow.  Larger tables are read by one gather, through a
 uint16 index sum when the table has at most 65 536 entries (every binary
-table, as n <= 255), else through intp.  Either way the block comes out
-as the bytes the rows are keyed by.  Rows are then deduplicated in the
-order of their argument tuples, the order of the one-tuple-at-a-time
-loop, so each new row keeps the same first derivation, and the order
-that fixes witnesses is unchanged.  Each row is stored once, as its
+table, as n <= ``_ENGINE_LIMIT``), else through intp.  Either way the
+block comes out as the bytes the rows are keyed by.  Rows are then
+deduplicated in the order of their argument tuples, the order of the
+one-tuple-at-a-time loop, so each new row keeps the same first
+derivation, and the order that fixes witnesses is unchanged.  Each row is stored once, as its
 bytes, the deduplication key.
 
 The cap.  At most cap rows are numbered.  The room of a round is cap
@@ -49,6 +49,11 @@ stops at a round leaves it unnumbered.
 import numpy as np
 
 from . import terms
+
+# The largest carrier the engine takes: rows are uint8, and
+# symmetry._pointed_classes pads its codes with this value, which no label
+# reaches.  The term searches and the corpus refuse a larger carrier.
+_ENGINE_LIMIT = 255
 
 
 def _heads(stack, n, start, width):
@@ -82,7 +87,7 @@ def _evaluate(kernel, offset, args):
 def _rounds(alg, gens, cap):
     """Drive the BFS for Sg(gens) one round at a time, yielding each round before it is numbered.
 
-    gens is a k x m uint8 array of elements of alg (n <= 255), one
+    gens is a k x m uint8 array of elements of alg (n <= _ENGINE_LIMIT), one
     generator row per line; row i has the derivation (None, i), unless
     it equals an earlier row, which keeps its own.  Yields (index,
     derivations, fresh, crossed) once a round is evaluated: index (each
@@ -119,7 +124,6 @@ def _rounds(alg, gens, cap):
     fresh = {}
     for i, row in enumerate(gens):
         fresh.setdefault(row.tobytes(), (None, i))
-    depth = 0
     while True:
         room = cap - len(derivations)
         crossed = len(fresh) > room
@@ -132,13 +136,13 @@ def _rounds(alg, gens, cap):
             derivations.append(fresh[key])
         if crossed or not fresh:
             return
-        depth += 1
         total = len(derivations)
         stack = np.frombuffer(b"".join(known), dtype=np.uint8).reshape(total, size)
         fresh = {}
         for sym, arity in alg.sig:
             if arity == 0:
-                if depth == 1:
+                # the constants enter in the round after the generators
+                if frontier_start == 0:
                     key = bytes([alg.table_array(sym)[()]]) * size
                     if key not in known and key not in fresh:
                         fresh[key] = (sym, ())

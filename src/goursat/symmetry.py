@@ -73,7 +73,7 @@ import numpy as np
 from . import terms
 from .algebras import generate_subuniverse
 from .relations import _orbit_least
-from .subpower import _rounds
+from .subpower import _ENGINE_LIMIT, _rounds
 
 
 def _derivation(alg):
@@ -95,8 +95,6 @@ def _derivation(alg):
         inside = generate_subuniverse(alg, entries)
     if len(inside) < alg.n:
         return None
-    if not entries:
-        return []
     for index, derivations, *_ in _rounds(alg, np.array(entries, dtype=np.uint8)[:, None], alg.n):
         pass
     elems = [key[0] for key in index]
@@ -234,7 +232,7 @@ def _pointed_classes(alg, cells, bounded):
                 elem[r * n + new] = v
                 count[:] += np.bincount(r, minlength=m)
                 labels = label[base + values]
-            column = np.full((m, values.shape[1]), 255, dtype=np.uint8)
+            column = np.full((m, values.shape[1]), _ENGINE_LIMIT, dtype=np.uint8)
             column[active] = labels
             codes.append(column)
 
@@ -257,7 +255,8 @@ def _pointed_classes(alg, cells, bounded):
         closed = np.flatnonzero(count <= most)
         if not len(closed):
             continue
-        # past its end a code is padded with 255, which no label reaches
+        # past its end a code is padded with _ENGINE_LIMIT: labels are below n, which
+        # the engine bounds by it, so no label reaches the pad
         codes = np.hstack(codes)[closed]
         _, first, inverse = np.unique(
             codes.view(np.dtype((np.void, codes.shape[1]))).reshape(-1),
@@ -273,7 +272,7 @@ def _projections(n, cells):
     """The rows of x, y and z on cells of A^3, each cell coded (x * n + y) * n + z.
 
     The one decoding of cell codes; the rows are uint8, as the subpower
-    engine takes them, so n is at most 255.
+    engine takes them, so n is at most ``subpower._ENGINE_LIMIT``.
     """
     return np.stack([cells // (n * n), (cells // n) % n, cells % n]).astype(np.uint8)
 

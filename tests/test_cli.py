@@ -82,10 +82,22 @@ def test_con_dot_failed_run_leaves_no_file(files):
     assert not os.path.exists(dot)
 
 
-def test_con_respects_carrier_bound(files):
+def test_con_respects_carrier_bound(files, tmp_path, monkeypatch):
     code, _, err = run_cli("con", files["cyclic_group(8)"], "--max-size", "4")
     assert code == 2
     assert "exceeds" in err
+    # closure reads its targets, and so the bound, before the verbal congruence
+    constant65 = tmp_path / "constant65.alg"
+    constant65.write_text("algebra constant65\nsize 65\nop c 0\n0\n", encoding="utf-8")
+    triv = tmp_path / "triv.ids"
+    triv.write_text("x = y\n", encoding="utf-8")
+
+    def never(*args):
+        raise AssertionError("verbal congruence built before the carrier bound was checked")
+
+    monkeypatch.setattr(goursat.cli, "birkhoff_congruence", never)
+    assert run_cli("closure", str(constant65), "--variety", str(triv)) == (
+        2, "", "error: carrier size 65 exceeds enumeration bound 64\n")
 
 
 def test_closure_single_relation(files):
@@ -291,9 +303,15 @@ def test_usage_error_exits_2(files, tmp_path):
     latin.write_bytes(b"algebra a\nsize 2\nop f 1\n0 \xff\n")
     latin_ids = tmp_path / "latin.ids"
     latin_ids.write_bytes(b"m(\xff) = e\n")
+    target = str(tmp_path / "x.alg")
     for argv, want in [
         (("con", str(latin)), f"error: {latin}: not UTF-8 text (byte 26)\n"),
         (("closure", z4, "--variety", str(latin_ids)), f"error: {latin_ids}: not UTF-8 text (byte 2)\n"),
+        # a corpus carrier past the subpower engine's limit is refused before it is built
+        (("corpus", "dump", "cyclic_group(256)", target),
+         "error: carrier size 256 exceeds enumeration bound 255\n"),
+        (("corpus", "dump", "boolean_ring(8)", target),
+         "error: carrier size 256 exceeds enumeration bound 255\n"),
     ]:
         assert run_cli(*argv) == (2, "", want), argv
     _exits_2([

@@ -26,6 +26,7 @@ from goursat.corpus import (
     verify_entry,
     zmod_vnr,
 )
+from goursat.errors import CarrierBoundError
 from goursat.permutability import FOUND, SearchOutcome, TermWitness
 from goursat.relations import Partition
 from goursat.terms import Var, parse_identities, satisfies_identity
@@ -222,7 +223,7 @@ def test_verify_entry_records_vacuous_notes_for_implication_entries():
         assert any("vacuous" in note for note in check.notes)
 
 
-def test_corpus_builders_reject_bad_parameters():
+def test_corpus_builders_reject_bad_parameters(monkeypatch):
     with pytest.raises(ValueError):
         cyclic_group(0)
     with pytest.raises(ValueError):
@@ -233,3 +234,14 @@ def test_corpus_builders_reject_bad_parameters():
         implication_from_boolean(0)
     with pytest.raises(ValueError, match="modulus must be positive"):
         zmod_vnr(0)
+
+    def never(*args, **kwargs):
+        raise AssertionError("a table was built past the carrier limit")
+
+    # a carrier past the subpower engine's limit is refused before any table is built
+    monkeypatch.setattr(FiniteAlgebra, "from_functions", never)
+    for name, param, size in [("heyting_chain", 256, 256), ("cyclic_group", 256, 256),
+                              ("boolean_ring", 8, 256), ("implication_from_boolean", 9, 512),
+                              ("zmod_vnr", 257, 257)]:
+        with pytest.raises(CarrierBoundError, match=f"^carrier size {size} exceeds .* 255$"):
+            builtin(name, param)
