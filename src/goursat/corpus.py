@@ -143,6 +143,17 @@ def _carrier(n):
     return n
 
 
+def _carrier_of_atoms(k):
+    """2**k, the carrier on k atoms, refused on k before the shift is made.
+
+    A refused size is written in decimal while it fits a 64-bit word and
+    as 2**k past it, so a huge k is neither shifted nor printed in full.
+    """
+    if k >= _ENGINE_LIMIT.bit_length():
+        raise CarrierBoundError(1 << k if k < 64 else f"2**{k}", _ENGINE_LIMIT)
+    return 1 << k
+
+
 def cyclic_group(n):
     if n < 1:
         raise ValueError("group order must be positive")
@@ -190,7 +201,7 @@ def sym3():
 def boolean_ring(k):
     if k < 1:
         raise ValueError("boolean_ring needs at least one atom")
-    n = _carrier(1 << k)
+    n = _carrier_of_atoms(k)
     alg = FiniteAlgebra.from_functions(
         RING_SIG,
         n,
@@ -262,7 +273,7 @@ def implication_from_boolean(k):
     """The implication reduct of the boolean algebra with k atoms."""
     if k < 1:
         raise ValueError("implication_from_boolean needs at least one atom")
-    n = _carrier(1 << k)
+    n = _carrier_of_atoms(k)
     mask = n - 1
     alg = FiniteAlgebra.from_functions(
         IMPLICATION_SIG,

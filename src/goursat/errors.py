@@ -43,7 +43,10 @@ class NotCongruenceError(ValueError):
 
 
 class CarrierBoundError(RuntimeError):
-    """Carrier size exceeds the configured enumeration bound."""
+    """Carrier size exceeds the configured enumeration bound.
+
+    ``n`` is the size, or the text ``2**k`` for a power too large to write out.
+    """
 
     def __init__(self, n, bound):
         super().__init__(

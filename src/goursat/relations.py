@@ -326,15 +326,25 @@ def _translations(alg):
 
 
 def _basic_translations(alg):
-    """The translation matrix, built on a miss of ``_translations``' cache."""
+    """The translation matrix, built on a miss of ``_translations``' cache.
+
+    The rows are sorted by one lexsort, first column as the primary key,
+    and a row is kept when it differs from the row before it: the same
+    array, in the same order, as ``np.unique(..., axis=0)``.  That call is
+    not used because its first run in a process imports ``numpy.ma``
+    (numpy >= 2.3), which cost more than the whole lattice on small algebras.
+    """
     n = alg.n
     rows = [np.empty((0, n), dtype=np.intp)]
     for sym, arity in alg.sig:
         table = alg.table_array(sym)
         for pos in range(arity):
             rows.append(np.moveaxis(table, pos, -1).reshape(-1, n))
-    mat = np.unique(np.concatenate(rows), axis=0)
-    keep = (mat != mat[:, :1]).any(axis=1) & (mat != np.arange(n)).any(axis=1)
+    mat = np.concatenate(rows)
+    mat = mat[np.lexsort(mat.T[::-1])]
+    keep = np.ones(len(mat), dtype=bool)
+    keep[1:] = (mat[1:] != mat[:-1]).any(axis=1)
+    keep &= (mat != mat[:, :1]).any(axis=1) & (mat != np.arange(n)).any(axis=1)
     return mat[keep]
 
 

@@ -312,6 +312,11 @@ def test_usage_error_exits_2(files, tmp_path):
          "error: carrier size 256 exceeds enumeration bound 255\n"),
         (("corpus", "dump", "boolean_ring(8)", target),
          "error: carrier size 256 exceeds enumeration bound 255\n"),
+        # past a 64-bit word the size is refused on k and not written out in decimal
+        (("corpus", "dump", "boolean_ring(20000)", target),
+         "error: carrier size 2**20000 exceeds enumeration bound 255\n"),
+        (("corpus", "dump", "implication_from_boolean(100000000000)", target),
+         "error: carrier size 2**100000000000 exceeds enumeration bound 255\n"),
     ]:
         assert run_cli(*argv) == (2, "", want), argv
     _exits_2([

@@ -1,3 +1,5 @@
+import re
+
 import pytest
 
 from goursat.algebras import FiniteAlgebra
@@ -245,3 +247,9 @@ def test_corpus_builders_reject_bad_parameters(monkeypatch):
                               ("zmod_vnr", 257, 257)]:
         with pytest.raises(CarrierBoundError, match=f"^carrier size {size} exceeds .* 255$"):
             builtin(name, param)
+    # 2**k is refused on k, before the shift, and past a 64-bit word it is not written out
+    for name in ("boolean_ring", "implication_from_boolean"):
+        for k, size in [(63, 2**63), (64, "2**64"), (1000, "2**1000"), (20000, "2**20000"),
+                        (100000000000, "2**100000000000")]:
+            with pytest.raises(CarrierBoundError, match=rf"^carrier size {re.escape(str(size))} exceeds .* 255$"):
+                builtin(name, k)

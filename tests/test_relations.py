@@ -16,6 +16,7 @@ from goursat.corpus import (
     default_entries,
     heyting_chain,
     klein4,
+    sym3,
     two_elt_lattice,
 )
 from goursat.errors import CarrierBoundError, NotCongruenceError, SizeMismatchError
@@ -538,6 +539,47 @@ def test_translation_matrix_of_degenerate_algebras_is_empty():
     assert _translations(NULLARY_ONLY).shape == (0, 3)
     # Z4: the three non-identity translations x+c and the inverse x -> -x
     assert _translations(Z4).shape == (4, 4)
+
+
+def _unique_translations(alg):
+    """The translation matrix as ``np.unique(..., axis=0)`` deduplicates it, kept as the reference."""
+    n = alg.n
+    rows = [np.empty((0, n), dtype=np.intp)]
+    for sym, arity in alg.sig:
+        table = alg.table_array(sym)
+        for pos in range(arity):
+            rows.append(np.moveaxis(table, pos, -1).reshape(-1, n))
+    mat = np.unique(np.concatenate(rows), axis=0)
+    keep = (mat != mat[:, :1]).any(axis=1) & (mat != np.arange(n)).any(axis=1)
+    return mat[keep]
+
+
+def _assert_translations_match_unique(alg):
+    got, want = _translations(alg), _unique_translations(alg)
+    assert got.dtype == want.dtype
+    assert np.array_equal(got, want)
+
+
+# the minority t(x,y,z) = x xor y xor z on 4 elements with the constant c = 0
+MINORITY4 = FiniteAlgebra.from_functions(
+    Signature({"t": 3, "c": 0}), 4, {"t": lambda x, y, z: x ^ y ^ z, "c": lambda: 0})
+
+
+@pytest.mark.parametrize("alg", [pytest.param(entry.algebra, id=entry.name) for entry in default_entries()] + [
+    pytest.param(algebra_product([K4, K4]), id="klein4^2"),
+    pytest.param(algebra_product([cyclic_group(3), sym3()]), id="Z3xsym3"),
+    pytest.param(ONE_ELEMENT, id="one-element"),
+    pytest.param(NULLARY_ONLY, id="nullary-only"),
+    pytest.param(MINORITY4, id="minority4"),
+])
+def test_translation_matrix_matches_numpy_unique(alg):
+    _assert_translations_match_unique(alg)
+
+
+@settings(max_examples=100, deadline=None)
+@given(small_algebras())
+def test_translation_matrix_matches_numpy_unique_on_random_algebras(alg):
+    _assert_translations_match_unique(alg)
 
 
 @settings(max_examples=80, deadline=None)
