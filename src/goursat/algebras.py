@@ -327,10 +327,10 @@ _EXHAUSTIVE_LIMIT = 10
 def all_subuniverses(alg):
     """Distinct nonempty subuniverses, all of them for small carriers.
 
-    Every subuniverse is the join Sg(U | V) of the subuniverses generated
-    by its elements, so up to _EXHAUSTIVE_LIMIT elements
-    ``relations._join_closure`` closes the ones generated by at most one
-    element under joins with those: U when V lies in U, else Sg(U | V).
+    Every subuniverse is the join of the subuniverses generated by its
+    elements, so up to _EXHAUSTIVE_LIMIT elements ``relations._join_closure``
+    closes the ones generated by at most one element under joins with
+    Sg(a): U joins Sg(a) as Sg(U | {a}), and not at all when a lies in U.
     Beyond it only subuniverses generated by at most two elements are
     enumerated (enough for the arrow sweeps that use this).  Sorted by
     size, then elements.  Cached per table family; each call returns a
@@ -345,14 +345,17 @@ def _subuniverses(alg):
     seeds = [[]] + [[x] for x in range(n)]
     if n > _EXHAUSTIVE_LIMIT:
         seeds += [[x, y] for x in range(n) for y in range(x + 1, n)]
-    found = {}
+    found, principal = {}, {}
     for seed in seeds:
         sub = generate_subuniverse(alg, seed)
-        if sub:
-            found.setdefault(tuple(sorted(sub)), sub)
+        key = tuple(sorted(sub))
+        if sub and key not in found:
+            found[key] = sub
+            if len(seed) == 1:
+                principal[seed[0]] = sub
     if n <= _EXHAUSTIVE_LIMIT:
-        _join_closure(found, lambda u, v: u if v <= u else generate_subuniverse(alg, u | v),
-                      lambda u: tuple(sorted(u)))
+        _join_closure(found, principal, lambda u, v: generate_subuniverse(alg, u | v),
+                      lambda u: tuple(sorted(u)), lambda u, a: None if a in u else a)
     return [found[k] for k in sorted(found, key=lambda t: (len(t), t))]
 
 
@@ -383,7 +386,7 @@ def parse_algebra(text):
         raise ParseError("expected 'size N'", line=lineno)
     n = _integer_token(parts[1])
     if isinstance(n, str):
-        raise ParseError(f"bad size {parts[1]!r}", line=lineno)
+        raise ParseError(f"bad size {n!r}", line=lineno)
     if n < 1:
         raise ParseError("size must be at least 1", line=lineno)
 
@@ -401,7 +404,7 @@ def parse_algebra(text):
         sym = parts[1]
         arity = _integer_token(parts[2])
         if isinstance(arity, str):
-            raise ParseError(f"bad arity {parts[2]!r}", line=lineno)
+            raise ParseError(f"bad arity {arity!r}", line=lineno)
         try:
             Signature({sym: arity})
         except ValueError as exc:
@@ -430,7 +433,7 @@ def _entry(tok, n, sym, lineno):
     """The table entry that tok spells, read by ``relations._index``; refused with its line."""
     value = _integer_token(tok)
     if isinstance(value, str):
-        raise ParseError(f"expected integer, got {tok!r}", line=lineno)
+        raise ParseError(f"expected integer, got {value!r}", line=lineno)
     try:
         return _index(value, n, "entry")
     except ValueError as exc:

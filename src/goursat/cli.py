@@ -56,7 +56,7 @@ def _bound(least):
     def parse(text):
         value = _integer_token(text)
         if isinstance(value, str):
-            raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
+            raise argparse.ArgumentTypeError(f"invalid int value: {value!r}")
         if value < least:
             raise argparse.ArgumentTypeError(f"must be at least {least}, got {value}")
         return value

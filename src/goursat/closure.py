@@ -21,9 +21,14 @@ Con(A/theta) and the target's own closure map, computed on A/theta and
 not derived through A (which would make axiom 5 a tautology).  Every
 axiom but 6prime, which compares verbal congruences, reads these maps
 against the lattice tables.  Con(A/theta) is the interval [theta, 1] of
-Con(A), so axioms 3 and 5 along q read c at the index of each pull-back,
-found by inverse_image and not by inverting the image map (a faulty
-direct_image fails image_join alone).  A subalgebra or product, whose
+Con(A), and it is read off that interval once per theta
+(``relations._interval_lattice``): each psi >= theta labels element i of
+A/theta as it labels the least element of theta's block i.  It is not
+built through direct_image, so an injected direct_image fault cannot
+corrupt the lattice that fault is checked against.  Axioms 3 and 5
+along q read c at the index of each pull-back, found by inverse_image
+and not by inverting the image map (a faulty direct_image fails
+image_join alone).  A subalgebra or product, whose
 Con is never enumerated, pulls each congruence of A or of a factor back
 and closes it once.  A quotient (A/theta)/phi has the tables of A/psi
 for psi the pull-back of phi and shares its memo (the family rule of
@@ -44,6 +49,7 @@ from .relations import (
     _CARRIER_BOUND,
     Partition,
     _index,
+    _interval_lattice,
     _proved,
     con_lattice,
     congruence_generated,
@@ -226,14 +232,15 @@ def _sweep(alg, spec, max_size):
     """Con(alg), its closure map c and, per theta in lattice order, (qm, Con(alg/theta), img, tc).
 
     c[i] indexes the closure of congruence i and img[i] its image under qm;
-    tc is the closure map of alg/theta, computed on alg/theta itself.
+    Con(alg/theta) is read off [theta, 1], and tc is the closure map of
+    alg/theta, computed on alg/theta itself.
     """
     lat = con_lattice(alg, max_size=max_size)
     c = _closure_map(alg, lat, spec)
     quotients = []
     for theta in lat.congruences:
         qm = quotient(alg, theta)
-        tlat = con_lattice(qm.target, max_size=max_size)
+        tlat = _interval_lattice(lat, qm)
         img = [tlat.index(direct_image(qm, p)) for p in lat.congruences]
         quotients.append((qm, tlat, img, _closure_map(qm.target, tlat, spec)))
     return lat, c, quotients
@@ -378,9 +385,10 @@ def roundtrip_check(alg, spec):
             witness={"part": "a", "detail": "reflection target has a non-closed diagonal"},
         )
 
-    for s in con_lattice(alg).congruences:
+    lat = con_lattice(alg)
+    for s in lat.congruences:
         qm = quotient(alg, s)
-        tlat = con_lattice(qm.target)
+        tlat = _interval_lattice(lat, qm)
         tc = _closure_map(qm.target, tlat, spec)
         closed = [t for t, u in enumerate(tc) if u == t]
         derived = reduce(lambda a, b: tlat.meet_table[a][b], closed)

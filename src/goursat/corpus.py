@@ -26,7 +26,7 @@ from .permutability import (
     hm_chain_check,
     permutability_level,
 )
-from .relations import con_lattice
+from .relations import _integer_token, _prefix, con_lattice
 from .subpower import _ENGINE_LIMIT
 from .terms import Signature, parse_identities, parse_identity, satisfies_identity
 
@@ -306,7 +306,7 @@ _BUILDERS = {
 def builtin(name, *params):
     """Construct a named corpus entry; identities are checked on the tables."""
     if name not in _BUILDERS:
-        raise KeyError(f"unknown corpus algebra {name!r}")
+        raise KeyError(f"unknown corpus algebra {_prefix(name)!r}")
     fn, nparams, tags = _BUILDERS[name]
     if len(params) != nparams:
         raise ValueError(f"{name} takes {nparams} parameter(s), got {len(params)}")
@@ -327,10 +327,14 @@ def entry_by_name(text):
     """Resolve names like ``cyclic_group(4)`` or ``klein4``."""
     m = _NAME_RE.match(text.strip())
     if not m:
-        raise KeyError(f"bad corpus name {text!r}")
+        raise KeyError(f"bad corpus name {_prefix(text)!r}")
     name, param = m.groups()
-    params = (int(param),) if param is not None else ()
-    return builtin(name, *params)
+    if param is None:
+        return builtin(name)
+    value = _integer_token(param)
+    if isinstance(value, str):
+        raise KeyError(f"bad parameter {value!r} of corpus algebra {_prefix(name)!r}")
+    return builtin(name, value)
 
 
 DEFAULT_NAMES = (

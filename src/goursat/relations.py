@@ -9,7 +9,8 @@ element rule: ``Partition(n, blocks)``, ``from_literal``, the
 (and so ``eval_term``), subuniverse seeds, ``subalgebra`` universes,
 ``congruence_generated`` pairs and the ``max_size`` and ``cap`` bounds
 are read through it.  A text token is an integer only as ASCII
-``-?[0-9]+`` (``_integer_token``).  Every other way to make a partition
+``-?[0-9]+`` of at most 19 digits (``_integer_token``), and a refused
+token is echoed by a bounded prefix.  Every other way to make a partition
 trusts its input and relabels in one pass; operations on two partitions
 check only that the carrier sizes agree.
 
@@ -31,8 +32,13 @@ back along each and jumping pointers: ``_pair_orbit_reps`` runs it on
 the pairs of A under the bijective basic translations, and
 ``symmetry._clone_orbits`` on the cells of A^3 under Aut(A).
 ``_join_closure`` closes the principal members of a lattice under joins
-with them: ``con_lattice`` runs it on Con(A), and
-``algebras.all_subuniverses`` on Sub(A) of a small carrier.
+with them, asking a slot function which joins are distinct:
+``con_lattice`` runs it on Con(A), and ``algebras.all_subuniverses`` on
+Sub(A) of a small carrier.  On Con(A) the slot of p and Cg(a, b) is the
+pair of p-blocks {p[a], p[b]}, since p join Cg(a, b) = p join Cg(a', b')
+whenever a p a' and b p b': each side contains the other's generating
+pair.  Con(A/theta) is read off the interval [theta, 1] of Con(A) by
+``_interval_lattice``.
 """
 
 import operator
@@ -66,9 +72,30 @@ def _collection(values):
         raise ValueError(f"expected a collection, got {values!r}") from None
 
 
+# An integer token has at most this many digits: 19 reach past 2**63, and
+# so past every bound a token is read against, while int() of a longer
+# string can take quadratic time or refuse past Python's digit limit.
+_TOKEN_DIGITS = 19
+
+# A refused text is echoed up to this many characters.
+_ECHO_CHARS = 20
+
+
+def _prefix(text):
+    """text, cut to ``_ECHO_CHARS`` characters and marked so when longer, for an error to echo."""
+    return text if len(text) <= _ECHO_CHARS else text[:_ECHO_CHARS] + "..."
+
+
 def _integer_token(tok):
-    """int(tok) if tok is ASCII ``-?[0-9]+``, else tok itself, for ``_index`` to refuse by name."""
-    return int(tok) if tok.isascii() and tok.removeprefix("-").isdigit() else tok
+    """int(tok) if tok is an integer token, else its ``_prefix``, for the caller to refuse by name.
+
+    An integer token is ASCII ``-?[0-9]+`` with at most ``_TOKEN_DIGITS``
+    digits.
+    """
+    digits = tok.removeprefix("-")
+    if tok.isascii() and digits.isdigit() and len(digits) <= _TOKEN_DIGITS:
+        return int(tok)
+    return _prefix(tok)
 
 
 def _indices(values, n, what="element", size=None):
@@ -355,12 +382,14 @@ def congruence_generated(alg, pairs):
     the pairs merged in the previous round through every basic
     translation in one array step, keeps the image pairs the current
     labels do not already relate, and merges those; the result is the
-    fixpoint, which by Mal'cev's lemma is a congruence.
+    fixpoint, which by Mal'cev's lemma is a congruence.  The translations
+    are read only once a seed pair merges, so seeds that relate nothing
+    new, as under a spec the algebra satisfies, build no matrix.
     """
     n = alg.n
-    mat = _translations(alg)
     parent = list(range(n))
     merged = _union(parent, (_indices(pair, n, size=2) for pair in _collection(pairs)))
+    mat = _translations(alg) if merged else ()
     while merged and len(mat):
         left, right = np.array(merged).T
         left, right = mat[:, left].ravel(), mat[:, right].ravel()
@@ -523,34 +552,55 @@ def _pair_orbit_reps(alg):
     return np.flatnonzero((least == np.arange(n * n)) & (lo < hi).ravel())
 
 
-def _principal_congruences(alg):
-    """The discrete relation, then every principal congruence, keyed by label vector.
+def _principal_generators(alg):
+    """Every principal congruence, keyed by the pair it was first generated at.
 
-    One generation per orbit representative; see ``con_lattice`` for
-    why the dict is filled in the order of the sweep over all pairs.
+    One generation per orbit representative, in ascending code order, and
+    one pair per congruence: the first representative that generates it.
+    See ``con_lattice`` for why that is the order of the sweep over all pairs.
     """
     n = alg.n
+    first = {}
+    for code in _pair_orbit_reps(alg).tolist():
+        pair = divmod(code, n)
+        cg = congruence_generated(alg, [pair])
+        first.setdefault(cg.index_of, (pair, cg))
+    return dict(first.values())
+
+
+def _principal_congruences(alg):
+    """The discrete relation, then every principal congruence, keyed by label vector."""
+    return _with_discrete(alg.n, _principal_generators(alg).values())
+
+
+def _with_discrete(n, congruences):
+    """The discrete relation on n, then congruences, keyed by label vector."""
     bottom = Partition.discrete(n)
     found = {bottom.index_of: bottom}
-    for code in _pair_orbit_reps(alg).tolist():
-        cg = congruence_generated(alg, [divmod(code, n)])
-        found.setdefault(cg.index_of, cg)
+    found.update((cg.index_of, cg) for cg in congruences)
     return found
 
 
-def _join_closure(found, join, key):
-    """Close found, a dict of principal members by key, under joins with them, in place.
+def _join_closure(found, principal, join, key, slot):
+    """Close found under joins with the principal members, in place.
 
+    principal maps the generator g of each principal member q to q.
     Every member is the join of the principal members below it, so each
     new member is joined with the principal ones only: a worklist pops a
-    member, joins it with each principal one, and pushes each join whose
-    key is new.  Returns found.
+    member p and, for each principal q, asks ``slot(p, g)``.  None means
+    q lies below p, and q is skipped; otherwise p is joined with q once
+    per distinct slot, since two principal members with one slot give
+    one join with p.  Each join whose key is new is pushed.  Returns found.
     """
-    principal = list(found.values())
-    work = list(principal)
+    work = list(found.values())
     while work:
         p = work.pop()
-        for q in principal:
+        slots = set()
+        for g, q in principal.items():
+            s = slot(p, g)
+            if s is None or s in slots:
+                continue
+            slots.add(s)
             j = join(p, q)
             k = key(j)
             if k not in found:
@@ -575,9 +625,14 @@ def con_lattice(alg, max_size=_CARRIER_BOUND):
 
     So the principal congruences are found in the order of the sweep
     over all n(n-1)/2 pairs.  Con(A) is a sublattice of Eq(A), so the
-    closure uses the plain equivalence join of partitions.  Cached per
-    table family, members recorded as proved; the carrier bound is
-    checked on every call.
+    closure uses the plain equivalence join of partitions.  A member p
+    is joined with Cg(a, b), for (a, b) the representative that first
+    generated it, once per pair of distinct p-blocks {p[a], p[b]}, and
+    not at all when p[a] = p[b], where Cg(a, b) lies below p.  That loses
+    nothing: if a p a' and b p b', then p join Cg(a, b) contains (a', b')
+    and so Cg(a', b'), and the other way round.  Cached per table family,
+    members recorded as proved; the carrier bound is checked on every
+    call.
     """
     if alg.n > _index(max_size, what="max_size"):
         raise CarrierBoundError(alg.n, max_size)
@@ -586,10 +641,44 @@ def con_lattice(alg, max_size=_CARRIER_BOUND):
 
 def _congruences(alg):
     """Con(alg), built on a miss of ``con_lattice``'s cache."""
-    label_vector = operator.attrgetter("index_of")
-    found = _join_closure(_principal_congruences(alg), Partition.join, label_vector)
+    principal = _principal_generators(alg)
+    found = _with_discrete(alg.n, principal.values())
+    _join_closure(found, principal, Partition.join, operator.attrgetter("index_of"), _block_pair)
     _proved(alg).update(found)
-    return ConLattice(sorted(found.values(), key=lambda p: (p.num_blocks, p.blocks)))
+    return ConLattice(sorted(found.values(), key=_lattice_order))
+
+
+def _interval_lattice(lat, qm):
+    """Con(A/theta) for qm: A -> A/theta, read off the interval [theta, 1] of lat = Con(A).
+
+    By the Correspondence Theorem psi -> psi/theta is a lattice
+    isomorphism from [theta, 1] onto Con(A/theta).  Element i of A/theta
+    is theta's block i, so psi/theta labels i as psi labels the least
+    element of that block.  The members are recorded as proved and sorted
+    as ``_congruences`` sorts; cached on the target as its Con.
+    """
+    return qm.target._cached("con", _upper_interval, lat, qm)
+
+
+def _upper_interval(lat, qm):
+    """The interval lattice, built on a miss of ``_interval_lattice``'s cache."""
+    reps = [blk[0] for blk in qm.kernel.blocks]
+    above = lat.leq[lat.index(qm.kernel)]
+    cons = [Partition.from_labels(len(reps), [psi.index_of[r] for r in reps])
+            for psi, up in zip(lat.congruences, above) if up]
+    _proved(qm.target).update(p.index_of for p in cons)
+    return ConLattice(sorted(cons, key=_lattice_order))
+
+
+def _block_pair(p, pair):
+    """The unordered pair of p-blocks of pair's ends, or None when one block holds both."""
+    a, b = map(p.index_of.__getitem__, pair)
+    return None if a == b else (min(a, b), max(a, b))
+
+
+def _lattice_order(p):
+    """The sort key of a congruence in ``ConLattice``: number of blocks, then block list."""
+    return p.num_blocks, p.blocks
 
 
 def is_distributive(lat):

@@ -304,7 +304,29 @@ def test_usage_error_exits_2(files, tmp_path):
     latin_ids = tmp_path / "latin.ids"
     latin_ids.write_bytes(b"m(\xff) = e\n")
     target = str(tmp_path / "x.alg")
+    # an integer token has at most 19 digits; a longer one is refused by its first 20 characters
+    huge = {}
+    for digits in (4000, 5000):
+        huge[digits] = tmp_path / f"size{digits}.alg"
+        huge[digits].write_text(f"algebra a\nsize {'9' * digits}\nop c 0\n0\n", encoding="utf-8")
+    long_arity = tmp_path / "arity.alg"
+    long_arity.write_text(f"algebra a\nsize 2\nop f {'1' * 5000}\n0 1\n", encoding="utf-8")
+    long_entry = tmp_path / "entry.alg"
+    long_entry.write_text(f"algebra a\nsize 2\nop f 1\n0 {'0' * 25}\n", encoding="utf-8")
+    nines, echo = "9" * 5000, "'" + "9" * 20 + "...'"
     for argv, want in [
+        (("con", str(huge[4000])), f"error: line 2: bad size {echo}\n"),
+        (("con", str(huge[5000])), f"error: line 2: bad size {echo}\n"),
+        (("con", str(long_arity)), f"error: line 3: bad arity '{'1' * 20}...'\n"),
+        (("con", str(long_entry)), f"error: line 4: expected integer, got '{'0' * 20}...'\n"),
+        (("closure", z4, "--variety", files["exp2"], "--rel", f"0 1|2 {nines}"),
+         f"error: bad partition: non-integer element {echo}\n"),
+        (("corpus", "dump", f"boolean_ring({nines})", target),
+         f"error: bad parameter {echo} of corpus algebra 'boolean_ring'\n"),
+        (("corpus", "dump", f"cyclic_group({'0' * 19}8)", target),
+         f"error: bad parameter '{'0' * 19}8' of corpus algebra 'cyclic_group'\n"),
+        (("corpus", "dump", "x" * 5000, target),
+         f"error: unknown corpus algebra '{'x' * 20}...'\n"),
         (("con", str(latin)), f"error: {latin}: not UTF-8 text (byte 26)\n"),
         (("closure", z4, "--variety", str(latin_ids)), f"error: {latin_ids}: not UTF-8 text (byte 2)\n"),
         # a corpus carrier past the subpower engine's limit is refused before it is built
@@ -328,6 +350,8 @@ def test_usage_error_exits_2(files, tmp_path):
          "argument --clone-cap: must be at least 3, got 2"),
         (("con", z4, "--max-size", "x"), "argument --max-size: invalid int value: 'x'"),
         (("con", z4, "--max-size", "6_4"), "argument --max-size: invalid int value: '6_4'"),
+        (("con", z4, "--max-size", nines),
+         f"argument --max-size: invalid int value: {echo}\n"),
         # each bound exists only on the subcommands that use it
         (("con", z4, "--clone-cap", "5"), "unrecognized arguments: --clone-cap 5"),
         (("terms", z4, "--search", "hm", "--max-size", "5"), "unrecognized arguments: --max-size"),

@@ -84,6 +84,23 @@ def test_birkhoff_congruence_examples():
     assert birkhoff_congruence(Z4, ALL_GROUP) == Partition.discrete(4)
 
 
+def test_verbal_congruence_builds_translations_only_once_a_pair_merges(monkeypatch):
+    calls = Counter()
+    build = goursat.relations._basic_translations
+
+    def counting(alg):
+        calls[alg.name] += 1
+        return build(alg)
+
+    monkeypatch.setattr(goursat.relations, "_basic_translations", counting)
+    ring = boolean_ring(3)
+    # no identity of "all" differs anywhere, so no pair merges
+    assert birkhoff_congruence(ring, spec_by_name("all", ring.sig)) == Partition.discrete(8)
+    assert calls == {}
+    assert birkhoff_congruence(ring, spec_by_name("trivial", ring.sig)) == Partition.full(8)
+    assert calls == {ring.name: 1}
+
+
 def test_birkhoff_congruence_on_sym3_abelianization():
     assert birkhoff_congruence(sym3(), ABELIAN).to_literal() == "0 3 4|1 2 5"
 

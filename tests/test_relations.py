@@ -1,5 +1,6 @@
 import random
 import re
+from collections import Counter
 from functools import reduce
 from itertools import product
 
@@ -23,6 +24,7 @@ from goursat.errors import CarrierBoundError, NotCongruenceError, SizeMismatchEr
 from goursat.permutability import TWO, goursat_join_check, permutability_level
 from goursat.relations import (
     Partition,
+    _interval_lattice,
     _pair_orbit_reps,
     _principal_congruences,
     _translations,
@@ -730,6 +732,62 @@ def test_principal_order_and_lattice_of_unary_cycles():
         assert sorted(p.blocks for p in lat.congruences) == sorted(
             tuple(tuple(range(r, n, d)) for r in range(d)) for d in range(1, n + 1) if n % d == 0
         )
+
+
+@pytest.mark.parametrize(
+    "name, size, joins",
+    [("klein4^2", 67, 240), ("boolean_ring(4)", 16, 65), ("heyting_chain(12)", 12, 66)],
+)
+def test_con_lattice_joins_once_per_pair_of_blocks(monkeypatch, name, size, joins):
+    # each member p meets a principal Cg(a, b) once per pair of p-blocks {p[a], p[b]}
+    alg = PINNED_ORBITS[name][0]
+    calls = Counter()
+    join = Partition.join
+
+    def counting(p, q):
+        calls["join"] += 1
+        return join(p, q)
+
+    monkeypatch.setattr(Partition, "join", counting)
+    assert len(con_lattice(FiniteAlgebra(alg.sig, alg.n, alg.tables))) == size
+    assert calls["join"] == joins
+
+
+def _assert_intervals_match_fresh_roots(alg):
+    """Every Con(A/theta), read off [theta, 1], equals Con of a separate root on A/theta's tables."""
+    lat = con_lattice(alg)
+    for theta in lat.congruences:
+        qm = quotient(alg, theta)
+        got = _interval_lattice(lat, qm)
+        assert con_lattice(qm.target) is got
+        target = qm.target
+        want = con_lattice(FiniteAlgebra(target.sig, target.n, target.tables))
+        assert got.congruences == want.congruences, theta
+        assert (got.leq, got.meet_table, got.join_table) == (
+            want.leq, want.meet_table, want.join_table), theta
+
+
+INTERVAL_INPUTS = {
+    **{entry.name: entry.algebra for entry in default_entries()},
+    "klein4^2": algebra_product([K4, K4]),
+    "Z3xsym3": algebra_product([cyclic_group(3), sym3()]),
+    "boolean_ring(4)": boolean_ring(4),
+    "heyting_chain(12)": heyting_chain(12),
+}
+
+
+@pytest.mark.parametrize("name", sorted(INTERVAL_INPUTS))
+def test_quotient_lattices_match_fresh_roots(name):
+    alg = INTERVAL_INPUTS[name]
+    _assert_intervals_match_fresh_roots(FiniteAlgebra(alg.sig, alg.n, alg.tables, name=name))
+
+
+@settings(max_examples=60, deadline=None)
+@given(small_algebras())
+@example(ONE_ELEMENT)
+@example(NULLARY_ONLY)
+def test_quotient_lattices_match_fresh_roots_on_small_algebras(alg):
+    _assert_intervals_match_fresh_roots(alg)
 
 
 def test_covers_match_the_triple_loop_on_corpus_lattices_and_f2_5():
